@@ -6,10 +6,10 @@ Metropolis mixing, and the distributed eigenvector experiment harness.
 from .engine import (
     ALGO_QRGT,
     ALGO_RGT,
-    AgentState,
     AlgoConfig,
     RunTrace,
-    init_states,
+    TrackingState,
+    init_state,
     qrgt_epoch,
     rgt_epoch,
     run,

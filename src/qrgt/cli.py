@@ -3,7 +3,9 @@
 `qrgt run` executes one configuration and writes a CSV trace whose header
 comments carry the fully resolved configuration. `qrgt sweep` repeats a base
 configuration over a list of values for one key (same seed throughout, so
-data and initialization are shared) and writes an index of final metrics.
+data and initialization are shared) and writes an index of final metrics and
+each value's termination reason; a value that diverged before completing an
+epoch has nan metrics.
 
 Exit codes: 0 for a completed run (early stop or epoch cap), 2 for
 configuration errors (nothing is written), 3 for divergence (the partial
@@ -74,15 +76,17 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
         raise ConfigError(f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
     field_name = SWEEP_KEYS[key]
     out = Path(cfg.out)
-    index_lines = ["value,final_ds,final_consensus_error"]
+    index_lines = ["value,final_ds,final_consensus_error,termination"]
     status = 0
     for raw in values:
         run_cfg = with_value(cfg, field_name, raw)
         run_cfg = with_value(run_cfg, "out", str(out.with_name(f"{out.stem}-{field_name}{raw}{out.suffix}")))
         code, trace = execute(run_cfg)
         status = max(status, code)
-        final = trace.final
-        index_lines.append(f"{raw},{final.ds!r},{final.consensus_error!r}")
+        ds = consensus = float("nan")  # diverged before completing an epoch
+        if trace.rows:
+            ds, consensus = trace.final.ds, trace.final.consensus_error
+        index_lines.append(f"{raw},{ds!r},{consensus!r},{trace.termination}")
     index_path = out.with_name(f"{out.stem}-index{out.suffix}")
     index_path.write_text("\n".join(index_lines) + "\n")
     print(f"sweep index -> {index_path}")

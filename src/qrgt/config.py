@@ -64,7 +64,6 @@ class RunConfig:
     seed: int = 0
     dither: bool = True
     enforce_safety: bool = False
-    parallel: bool = False
     timing: bool = False
     out: str = "trace.csv"
     preset: str = ""
@@ -103,7 +102,7 @@ PRESETS: dict[str, dict] = {
     ),
 }
 
-_BOOL_KEYS = {"dither", "enforce_safety", "parallel", "timing"}
+_BOOL_KEYS = {"dither", "enforce_safety", "timing"}
 _INT_KEYS = {"n", "m", "d", "r", "bits", "t", "max_epochs", "seed"}
 _FLOAT_KEYS = {"eigengap", "leading_sv", "topology_p", "alpha_hat", "ds_tol"}
 _ALL_KEYS = {f.name for f in fields(RunConfig)}
@@ -245,7 +244,6 @@ def algo_config(cfg: RunConfig, inst: ProblemInstance) -> AlgoConfig:
         retraction=cfg.retraction,
         enforce_safety=cfg.enforce_safety,
         dither=cfg.dither,
-        parallel=cfg.parallel,
     )
 
 

@@ -17,17 +17,15 @@ All agents start from one shared on-manifold point, so the initial consensus
 error is exactly zero, and the tracker is seeded with the first gradient so
 that the tracker mean equals the gradient mean from epoch zero onward.
 
-Per-agent work inside an epoch is order-independent (dither streams are
-keyed by agent and epoch), so the optional thread-parallel path is
-bit-identical to sequential execution; the two mixing applications act as
-barriers.
+The state of all agents is one ``TrackingState`` of stacked ``(n, d, r)``
+arrays. Dither streams are keyed by agent and epoch, so an epoch's draws do
+not depend on the order in which agents are processed or on earlier epochs.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,16 +33,9 @@ import numpy as np
 from .metrics import evaluate
 from .network import MixingMatrix, Topology, build_metropolis, mix
 from .problems import ProblemInstance, estimate_smoothness, local_euclidean_grad
-from .quantizers import (
-    MODE_DITHERED,
-    MODE_LANDING,
-    QuantizerSpec,
-    _sigmoid,
-    quantize_dithered,
-    quantize_landing,
-)
+from .quantizers import MODE_DITHERED, MODE_LANDING, QuantizerSpec, quantize_landing, scale_factor
 from .stiefel import SmoothnessConstants, penalty_grad, random_stiefel, retract, tangent_project
-from .streams import STREAM_INIT, dither_key, dither_rng, stream_rng
+from .streams import STREAM_INIT, dither_key, stream_rng
 
 ALGO_QRGT = "qrgt"
 ALGO_RGT = "rgt"
@@ -60,12 +51,12 @@ __all__ = [
     "TERMINATION_DS",
     "TERMINATION_DIVERGED",
     "AlgoConfig",
-    "AgentState",
+    "TrackingState",
     "TraceRow",
     "RunDiagnostics",
     "RunTrace",
     "StepSizeWarning",
-    "init_states",
+    "init_state",
     "qrgt_epoch",
     "rgt_epoch",
     "step_size_bounds",
@@ -92,7 +83,6 @@ class AlgoConfig:
     retraction: str = "qr"
     enforce_safety: bool = False
     dither: bool = True
-    parallel: bool = False
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -108,13 +98,15 @@ class AlgoConfig:
         QuantizerSpec(bits=self.bits)  # range check
 
 
-@dataclass
-class AgentState:
-    """Decision variable, tracker, and last gradient of one agent."""
+@dataclass(frozen=True)
+class TrackingState:
+    """All agents' decision variables ``x``, trackers ``s`` and last
+    (quantized or exact) Riemannian gradients ``g``, each stacked as an
+    ``(n, d, r)`` array indexed by agent."""
 
     x: np.ndarray
     s: np.ndarray
-    gamma_prev: np.ndarray
+    g: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -200,20 +192,26 @@ class _Engine:
         self.cfg = cfg
         self.n = inst.n_agents
         if all(g is not None for g in inst.grams):
-            self.gram_stack = np.stack(inst.grams)
+            self.grams = np.stack(inst.grams)
         else:
-            self.gram_stack = None
+            self.grams = None
         mode = MODE_DITHERED if cfg.dither else MODE_LANDING
         self.qspec = QuantizerSpec(bits=cfg.bits, mode=mode, dither_seed=cfg.seed)
-        self.pool = ThreadPoolExecutor(max_workers=min(self.n, 8)) if cfg.parallel else None
-        # one reusable generator per agent; the epoch is written into the
-        # Philox counter before each use, reproducing dither_rng() exactly
         self._bitgens = [
             np.random.Philox(key=dither_key(cfg.seed, i)) for i in range(self.n)
         ]
         self._gens = [np.random.Generator(bg) for bg in self._bitgens]
 
     def _agent_rng(self, agent: int, epoch: int) -> np.random.Generator:
+        """Dither stream of (cfg.seed, agent, epoch), positioned at its start.
+
+        Stream layout: the agent's Philox key is ``dither_key(seed, agent)``
+        and the epoch selects the disjoint counter block (0, 0, 0, epoch), so
+        an epoch's draws do not depend on how much any earlier epoch
+        consumed. One generator per agent is reused: writing the counter and
+        clearing the output buffer reproduces a freshly built
+        ``Philox(counter=[0, 0, 0, epoch], key=dither_key(seed, agent))``.
+        """
         bg = self._bitgens[agent]
         state = bg.state
         state["state"]["counter"][:] = (0, 0, 0, epoch)
@@ -223,89 +221,65 @@ class _Engine:
         bg.state = state
         return self._gens[agent]
 
-    def close(self) -> None:
-        if self.pool is not None:
-            self.pool.shutdown()
-
     def local_grads(self, X: np.ndarray) -> np.ndarray:
-        if self.gram_stack is not None:
-            return -np.matmul(self.gram_stack, X)
+        if self.grams is not None:
+            return -np.matmul(self.grams, X)
         return np.stack(
             [local_euclidean_grad(self.inst, i, X[i]) for i in range(self.n)]
         )
 
-    def _quantize_one(self, args):
-        i, rg, pg, epoch = args
-        if self.cfg.dither:
-            rng = dither_rng(self.cfg.seed, i, epoch)
-            return quantize_dithered(rg, pg, self.qspec, rng)
-        return quantize_landing(rg, pg, self.qspec)
-
     def quantize_all(self, RG: np.ndarray, PG: np.ndarray, epoch: int):
         """Quantize every agent's gradient; returns (values, scales, ratios).
 
-        The sequential path runs the per-agent quantizer arithmetic stacked
-        across agents (same elementwise operations in the same order, so the
-        results are bit-identical to per-agent calls); the thread-parallel
-        path calls the public per-agent functions directly.
+        Each agent draws one uniform per entry from its own dither stream,
+        also for a zero gradient, whose draws go unused.
         """
-        scales = 2.0 * np.abs(RG).reshape(self.n, -1).max(axis=1)
-        if self.pool is not None:
-            jobs = [(i, RG[i], PG[i], epoch) for i in range(self.n)]
-            values = np.stack([q.value for q in self.pool.map(self._quantize_one, jobs)])
-        else:
-            levels = self.qspec.levels
-            nonzero = scales > 0.0
-            safe = np.where(nonzero, scales, 1.0)[:, None, None]
-            shifted = RG / safe + 0.5
-            if self.cfg.dither:
-                half = 0.5 / levels
-                shape = RG.shape[1:]
-                shifted = shifted + np.stack(
-                    [
-                        self._agent_rng(i, epoch).uniform(-half, half, shape)
-                        for i in range(self.n)
-                    ]
-                )
-            codes = np.floor(shifted * levels) + np.rint(_sigmoid(PG))
-            values = safe * (codes / levels - 0.5)
-            values[~nonzero] = 0.0
-        pscales = 2.0 * np.abs(PG).reshape(self.n, -1).max(axis=1)
+        noise = None
+        if self.cfg.dither:
+            half = 0.5 / self.qspec.levels
+            shape = RG.shape[1:]
+            noise = np.stack(
+                [self._agent_rng(i, epoch).uniform(-half, half, shape) for i in range(self.n)]
+            )
+        q = quantize_landing(RG, PG, self.qspec, noise)
+        pscales = scale_factor(PG)
         ratios = np.full(self.n, np.nan)
         mask = pscales > 0.0
-        ratios[mask] = scales[mask] / pscales[mask]
-        return values, scales, ratios
+        ratios[mask] = q.scale[mask] / pscales[mask]
+        return q.value, q.scale, ratios
 
-    def init_stacked(self):
+    def initial_state(self) -> tuple[TrackingState, float, float]:
+        """Shared start, trackers seeded with the first gradient; returns
+        (state, largest quantizer scale, largest landing ratio)."""
         x0 = random_stiefel(self.inst.dims.d, self.inst.dims.r, stream_rng(self.cfg.seed, STREAM_INIT))
         X = np.broadcast_to(x0, (self.n, *x0.shape)).copy()
         RG = tangent_project(X, self.local_grads(X))
         if self.cfg.algorithm == ALGO_QRGT:
             G, scales, ratios = self.quantize_all(RG, penalty_grad(X), epoch=0)
-            return X, G.copy(), G, float(scales.max()), _nanmax(ratios)
-        return X, RG.copy(), RG, 0.0, float("nan")
+            return TrackingState(X, G.copy(), G), float(scales.max()), _nanmax(ratios)
+        return TrackingState(X, RG.copy(), RG), 0.0, float("nan")
 
-    def qrgt_step(self, X, S, G, epoch: int):
-        Xn = mix(self.mixing, X) - self.cfg.alpha * S
+    def qrgt_step(self, st: TrackingState, epoch: int) -> tuple[TrackingState, float, float]:
+        Xn = mix(self.mixing, st.x) - self.cfg.alpha * st.s
         RG = tangent_project(Xn, self.local_grads(Xn))
         Gn, scales, ratios = self.quantize_all(RG, penalty_grad(Xn), epoch)
-        Sn = mix(self.mixing, S) + Gn - G
-        return Xn, Sn, Gn, float(scales.max()), _nanmax(ratios)
+        Sn = mix(self.mixing, st.s) + Gn - st.g
+        return TrackingState(Xn, Sn, Gn), float(scales.max()), _nanmax(ratios)
 
-    def rgt_step(self, X, S, G, epoch: int):
-        direction = mix(self.mixing, X) - X - self.cfg.alpha * S
-        Xi = tangent_project(X, direction)
+    def rgt_step(self, st: TrackingState, epoch: int) -> tuple[TrackingState, float, float]:
+        direction = mix(self.mixing, st.x) - st.x - self.cfg.alpha * st.s
+        Xi = tangent_project(st.x, direction)
         Xn = np.stack(
-            [retract(X[i], Xi[i], self.cfg.retraction) for i in range(self.n)]
+            [retract(st.x[i], Xi[i], self.cfg.retraction) for i in range(self.n)]
         )
         Gn = tangent_project(Xn, self.local_grads(Xn))
-        Sn = mix(self.mixing, S) + Gn - G
-        return Xn, Sn, Gn, 0.0, np.nan
+        Sn = mix(self.mixing, st.s) + Gn - st.g
+        return TrackingState(Xn, Sn, Gn), 0.0, np.nan
 
-    def step(self, X, S, G, epoch: int):
+    def step(self, st: TrackingState, epoch: int) -> tuple[TrackingState, float, float]:
         if self.cfg.algorithm == ALGO_QRGT:
-            return self.qrgt_step(X, S, G, epoch)
-        return self.rgt_step(X, S, G, epoch)
+            return self.qrgt_step(st, epoch)
+        return self.rgt_step(st, epoch)
 
 
 def _nanmax(values: np.ndarray) -> float:
@@ -313,57 +287,31 @@ def _nanmax(values: np.ndarray) -> float:
     return float(finite.max()) if finite.size else float("nan")
 
 
-def _stack(states: list[AgentState]):
-    X = np.stack([st.x for st in states])
-    S = np.stack([st.s for st in states])
-    G = np.stack([st.gamma_prev for st in states])
-    return X, S, G
-
-
-def _unstack(X, S, G) -> list[AgentState]:
-    return [AgentState(x=X[i].copy(), s=S[i].copy(), gamma_prev=G[i].copy()) for i in range(X.shape[0])]
-
-
-def init_states(inst: ProblemInstance, cfg: AlgoConfig) -> list[AgentState]:
+def init_state(inst: ProblemInstance, cfg: AlgoConfig) -> TrackingState:
     """Shared random on-manifold start; trackers seeded with the first gradient."""
-    eng = _Engine(inst, None, cfg)  # mixing is not used during init
-    try:
-        X, S, G, _, _ = eng.init_stacked()
-        return _unstack(X, S, G)
-    finally:
-        eng.close()
+    return _Engine(inst, None, cfg).initial_state()[0]  # mixing is not used during init
 
 
 def qrgt_epoch(
-    states: list[AgentState],
+    state: TrackingState,
     inst: ProblemInstance,
     mixing: MixingMatrix,
     cfg: AlgoConfig,
     epoch: int = 1,
-) -> list[AgentState]:
+) -> TrackingState:
     """One quantized tracking epoch; dither is keyed by (cfg.seed, agent, epoch)."""
-    eng = _Engine(inst, mixing, cfg)
-    try:
-        X, S, G, _, _ = eng.qrgt_step(*_stack(states), epoch)
-        return _unstack(X, S, G)
-    finally:
-        eng.close()
+    return _Engine(inst, mixing, cfg).qrgt_step(state, epoch)[0]
 
 
 def rgt_epoch(
-    states: list[AgentState],
+    state: TrackingState,
     inst: ProblemInstance,
     mixing: MixingMatrix,
     cfg: AlgoConfig,
     epoch: int = 1,
-) -> list[AgentState]:
+) -> TrackingState:
     """One retraction-based tracking epoch with exact gradients."""
-    eng = _Engine(inst, mixing, cfg)
-    try:
-        X, S, G, _, _ = eng.rgt_step(*_stack(states), epoch)
-        return _unstack(X, S, G)
-    finally:
-        eng.close()
+    return _Engine(inst, mixing, cfg).rgt_step(state, epoch)[0]
 
 
 def _diverged(X: np.ndarray, r: int) -> bool:
@@ -401,49 +349,46 @@ def run(
     diag = RunDiagnostics()
     termination = TERMINATION_MAX_EPOCHS
 
-    def record_diag(X, S, G, gamma_max, landing_ratio):
-        sbar = S.mean(axis=0)
-        gbar = G.mean(axis=0)
+    def record_diag(st: TrackingState, gamma_max, landing_ratio):
+        sbar = st.s.mean(axis=0)
+        gbar = st.g.mean(axis=0)
         diag.tracker_residual.append(
             float(np.linalg.norm(sbar - gbar)) / max(1.0, float(np.linalg.norm(gbar)))
         )
-        diag.x_consensus_sq.append(float(np.sum((X - X.mean(axis=0)) ** 2)))
-        diag.s_consensus_sq.append(float(np.sum((S - sbar) ** 2)))
+        diag.x_consensus_sq.append(float(np.sum((st.x - st.x.mean(axis=0)) ** 2)))
+        diag.s_consensus_sq.append(float(np.sum((st.s - sbar) ** 2)))
         diag.gamma_max.append(gamma_max)
         diag.landing_ratio.append(landing_ratio)
         if full_diagnostics:
-            sv = np.linalg.svd(X, compute_uv=False)
+            sv = np.linalg.svd(st.x, compute_uv=False)
             diag.max_dist.append(float(np.sqrt(((sv - 1.0) ** 2).sum(axis=1)).max()))
 
-    try:
-        X, S, G, gamma_max, landing_ratio = eng.init_stacked()
-        record_diag(X, S, G, gamma_max, landing_ratio)  # epoch-0 entry
-        wire_cum = wire_per_epoch  # the initial gradient exchange is epoch 0's payload
-        for epoch in range(1, cfg.max_epochs + 1):
-            tic = time.perf_counter()
-            X, S, G, gamma_max, landing_ratio = eng.step(X, S, G, epoch)
-            wall_ms = (time.perf_counter() - tic) * 1e3
-            if _diverged(X, r):
-                termination = TERMINATION_DIVERGED
-                break
-            wire_cum += wire_per_epoch
-            row = evaluate(X, inst)
-            rows.append(
-                TraceRow(
-                    epoch=epoch,
-                    consensus_error=row.consensus_error,
-                    grad_norm=row.grad_norm,
-                    f_gap=row.f_gap,
-                    ds=row.ds,
-                    dist_mean=row.dist_mean,
-                    wall_ms=wall_ms,
-                    wire_bits_cum=wire_cum,
-                )
+    state, gamma_max, landing_ratio = eng.initial_state()
+    record_diag(state, gamma_max, landing_ratio)  # epoch-0 entry
+    wire_cum = wire_per_epoch  # the initial gradient exchange is epoch 0's payload
+    for epoch in range(1, cfg.max_epochs + 1):
+        tic = time.perf_counter()
+        state, gamma_max, landing_ratio = eng.step(state, epoch)
+        wall_ms = (time.perf_counter() - tic) * 1e3
+        if _diverged(state.x, r):
+            termination = TERMINATION_DIVERGED
+            break
+        wire_cum += wire_per_epoch
+        row = evaluate(state.x, inst)
+        rows.append(
+            TraceRow(
+                epoch=epoch,
+                consensus_error=row.consensus_error,
+                grad_norm=row.grad_norm,
+                f_gap=row.f_gap,
+                ds=row.ds,
+                dist_mean=row.dist_mean,
+                wall_ms=wall_ms,
+                wire_bits_cum=wire_cum,
             )
-            record_diag(X, S, G, gamma_max, landing_ratio)
-            if row.ds <= cfg.ds_tolerance:
-                termination = TERMINATION_DS
-                break
-    finally:
-        eng.close()
+        )
+        record_diag(state, gamma_max, landing_ratio)
+        if row.ds <= cfg.ds_tolerance:
+            termination = TERMINATION_DS
+            break
     return RunTrace(rows=rows, termination=termination, sigma2=mixing.sigma2, diagnostics=diag)

@@ -32,7 +32,6 @@ __all__ = [
     "solve_ground_truth",
     "generate_synthetic",
     "load_mnist",
-    "load_csv_matrix",
     "estimate_smoothness",
 ]
 
@@ -216,13 +215,6 @@ def load_mnist(path, n: int, r: int = 5, seed: int = 0) -> ProblemInstance:
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
     data = pixels.reshape(count, rows * cols).astype(float) / 255.0
     perm = stream_rng(seed, STREAM_SHUFFLE).permutation(count)
-    return make_instance(_split_rows(data[perm], n), r)
-
-
-def load_csv_matrix(path, n: int, r: int, seed: int = 0) -> ProblemInstance:
-    """Comma-separated rows as a custom dataset; shuffled and split like MNIST."""
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    perm = stream_rng(seed, STREAM_SHUFFLE).permutation(data.shape[0])
     return make_instance(_split_rows(data[perm], n), r)
 
 

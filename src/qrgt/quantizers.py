@@ -18,6 +18,13 @@ undershoot the grid by one step (dither below the bottom grid point) or
 overshoot it by one (direction bit on an entry already at the top). Codes
 are therefore kept as signed integers; ``pack_codes`` refuses anything that
 does not fit the advertised N-bit wire format.
+
+Every quantizer accepts a single matrix or a stack of shape ``(..., d, r)``.
+A stack gets one scale per trailing ``(d, r)`` slice, so
+``QuantizedGradient.scale`` is a float for input of at most two dimensions
+and an array of shape ``(...)`` otherwise; ``value`` and ``codes`` keep the
+input shape. Slice by slice, a stacked call equals the per-matrix calls bit
+for bit. A zero slice has no grid and gives zero values and zero codes.
 """
 
 from __future__ import annotations
@@ -77,34 +84,55 @@ class QuantizerSpec:
 
 @dataclass(frozen=True)
 class QuantizedGradient:
-    """Dequantized matrix plus the (codes, scale) pair that reproduces it."""
+    """Dequantized matrix (or stack) plus the (codes, scale) pair that
+    reproduces it; ``scale`` is per trailing (d, r) slice."""
 
     value: np.ndarray
-    scale: float
+    scale: float | np.ndarray
     bits: int
     codes: np.ndarray = field(repr=False)
 
 
-def scale_factor(g: np.ndarray) -> float:
-    """Normalization scale 2 * max|g|; 0 for the zero matrix."""
-    return float(2.0 * np.max(np.abs(g)))
+def scale_factor(g: np.ndarray) -> float | np.ndarray:
+    """Normalization scale 2 * max|g| per trailing (d, r) slice; 0 for a
+    zero slice. A float for input of at most two dimensions."""
+    g = np.asarray(g, dtype=float)
+    if g.ndim <= 2:
+        return float(2.0 * np.max(np.abs(g)))
+    return 2.0 * np.abs(g).reshape(g.shape[:-2] + (-1,)).max(axis=-1)
 
 
-def dequantize(codes: np.ndarray, scale: float, bits: int) -> np.ndarray:
-    """Reconstruct the matrix from grid indices and the scale factor."""
+def dequantize(codes: np.ndarray, scale: float | np.ndarray, bits: int) -> np.ndarray:
+    """Reconstruct the matrix from grid indices and the scale factor;
+    ``scale`` broadcasts against ``codes``."""
     levels = (1 << bits) - 1
     return scale * (np.asarray(codes, dtype=float) / levels - 0.5)
 
 
-def _zero(g: np.ndarray, bits: int) -> QuantizedGradient:
+def _normalize(g: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
+    """(scale, broadcastable nonzero scale, g shifted into [0, 1] per slice).
+
+    Zero slices are divided by 1 instead of 0; ``_finish`` zeroes them.
+    """
+    gamma = scale_factor(g)
+    safe = np.where(gamma == 0.0, 1.0, gamma)
+    if g.ndim > 2:
+        safe = safe[..., None, None]
+    return gamma, safe, g / safe + 0.5
+
+
+def _finish(
+    codes: np.ndarray, gamma: float | np.ndarray, safe: np.ndarray, bits: int
+) -> QuantizedGradient:
     # gamma = 0 has no grid; the only consistent output is the zero matrix.
-    codes = np.zeros(g.shape, dtype=np.int64)
-    return QuantizedGradient(np.zeros_like(g, dtype=float), 0.0, bits, codes)
-
-
-def _finish(g: np.ndarray, codes: np.ndarray, gamma: float, bits: int) -> QuantizedGradient:
+    # codes holds whole floats here, so dequantizing before the int cast
+    # gives the same values with one pass fewer.
+    zero = gamma == 0.0
+    value = dequantize(codes, safe, bits)
+    value[zero] = 0.0
     codes = codes.astype(np.int64)
-    return QuantizedGradient(dequantize(codes, gamma, bits), gamma, bits, codes)
+    codes[zero] = 0
+    return QuantizedGradient(value, gamma, bits, codes)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -130,28 +158,31 @@ def quantize_nearest(g: np.ndarray, spec: QuantizerSpec) -> QuantizedGradient:
     """Round-to-nearest grid snap (ties to even)."""
     if spec.mode != MODE_NEAREST:
         raise ValueError(f"spec.mode must be {MODE_NEAREST!r}, got {spec.mode!r}")
-    g = np.asarray(g, dtype=float)
-    gamma = scale_factor(g)
-    if gamma == 0.0:
-        return _zero(g, spec.bits)
-    codes = np.rint((g / gamma + 0.5) * spec.levels)
-    return _finish(g, codes, gamma, spec.bits)
+    gamma, safe, shifted = _normalize(np.asarray(g, dtype=float))
+    return _finish(np.rint(shifted * spec.levels), gamma, safe, spec.bits)
 
 
-def quantize_landing(g: np.ndarray, pgrad: np.ndarray, spec: QuantizerSpec) -> QuantizedGradient:
+def quantize_landing(
+    g: np.ndarray,
+    pgrad: np.ndarray,
+    spec: QuantizerSpec,
+    noise: np.ndarray | None = None,
+) -> QuantizedGradient:
     """Floor quantizer with round-up bits where the penalty gradient is positive.
 
     ``pgrad`` is the orthogonality-penalty gradient evaluated at the same
-    point as ``g``.
+    point as ``g``. ``noise`` (shape of ``g``, in normalized units) is added
+    to each normalized entry before flooring: the dithered quantizer passes
+    its uniform draws here.
     """
     if spec.mode not in (MODE_LANDING, MODE_DITHERED):
         raise ValueError(f"spec.mode must be {MODE_LANDING!r} or {MODE_DITHERED!r}")
     g, pgrad = _check_pair(g, pgrad)
-    gamma = scale_factor(g)
-    if gamma == 0.0:
-        return _zero(g, spec.bits)
-    codes = np.floor((g / gamma + 0.5) * spec.levels) + _direction_bits(pgrad)
-    return _finish(g, codes, gamma, spec.bits)
+    gamma, safe, shifted = _normalize(g)
+    if noise is not None:
+        shifted = shifted + noise
+    codes = np.floor(shifted * spec.levels) + _direction_bits(pgrad)
+    return _finish(codes, gamma, safe, spec.bits)
 
 
 def quantize_dithered(
@@ -164,19 +195,17 @@ def quantize_dithered(
 
     One uniform draw on (-0.5/(2^N - 1), +0.5/(2^N - 1)) is added to each
     normalized entry (row-major order) before flooring. ``rng`` must yield
-    i.i.d. uniforms; the caller owns the stream. The zero matrix consumes no
-    draws.
+    i.i.d. uniforms; the caller owns the stream. An all-zero input consumes
+    no draws.
     """
     if spec.mode != MODE_DITHERED:
         raise ValueError(f"spec.mode must be {MODE_DITHERED!r}, got {spec.mode!r}")
     g, pgrad = _check_pair(g, pgrad)
-    gamma = scale_factor(g)
-    if gamma == 0.0:
-        return _zero(g, spec.bits)
-    half = 0.5 / spec.levels
-    u = rng.uniform(-half, half, size=g.shape)
-    codes = np.floor((g / gamma + 0.5 + u) * spec.levels) + _direction_bits(pgrad)
-    return _finish(g, codes, gamma, spec.bits)
+    noise = None
+    if g.any():
+        half = 0.5 / spec.levels
+        noise = rng.uniform(-half, half, size=g.shape)
+    return quantize_landing(g, pgrad, spec, noise)
 
 
 def quantize(

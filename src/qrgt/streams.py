@@ -2,10 +2,16 @@
 
 Every source of randomness in a run (data generation, the shared initial
 point, MNIST row shuffling, per-agent dither) draws from its own stream so
-that, e.g., a bit-width sweep reuses the exact same data and initialization,
-and per-agent work can be scheduled in any order without changing results.
+that, e.g., a bit-width sweep reuses the exact same data and initialization.
 Streams are keyed by (master seed, stream id, *path) through numpy's
 SeedSequence spawn keys, which are stable across platforms.
+
+Dither is counter-based and laid out by (master seed, agent, epoch): agent
+i's Philox key is ``dither_key(master_seed, i)``, and epoch k draws from the
+counter block that starts at (0, 0, 0, k). No stream is shared between
+agents, and an epoch's draws do not depend on how much any earlier epoch
+consumed. The engine's ``_Engine._agent_rng`` positions one reused generator
+per agent at that block.
 """
 
 from __future__ import annotations
@@ -29,15 +35,3 @@ def dither_key(master_seed: int, agent: int) -> np.ndarray:
     """128-bit Philox key of one agent's dither stream."""
     seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(STREAM_DITHER, agent))
     return seq.generate_state(2, np.uint64)
-
-
-def dither_rng(master_seed: int, agent: int, epoch: int) -> np.random.Generator:
-    """Per-agent, per-epoch dither stream.
-
-    Counter-based: the agent owns the Philox key, the epoch selects a
-    disjoint counter block. Parallel-over-agents execution is therefore
-    bit-identical to sequential execution (no stream is shared), and an
-    epoch's draws do not depend on how much any earlier epoch consumed.
-    """
-    bg = np.random.Philox(counter=[0, 0, 0, epoch], key=dither_key(master_seed, agent))
-    return np.random.Generator(bg)

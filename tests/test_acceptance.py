@@ -319,24 +319,7 @@ def test_criterion_8_determinism(tmp_path, preset_instance):
     first = (tmp_path / "a.csv").read_bytes()
     execute(cfg)
     identical = (tmp_path / "a.csv").read_bytes() == first
-
-    alpha = 16 * 0.01 / preset_instance.total_rows
-    seq = run(preset_instance, RING16, AlgoConfig(alpha=alpha, bits=4, max_epochs=150, seed=7))
-    par = run(
-        preset_instance,
-        RING16,
-        AlgoConfig(alpha=alpha, bits=4, max_epochs=150, seed=7, parallel=True),
-    )
-    same_traces = all(
-        (a.ds, a.consensus_error, a.grad_norm, a.f_gap, a.dist_mean)
-        == (b.ds, b.consensus_error, b.grad_norm, b.f_gap, b.dist_mean)
-        for a, b in zip(seq.rows, par.rows)
-    )
-    report(
-        "criterion-8 determinism",
-        identical and same_traces,
-        f"byte-identical CSV: {identical}; parallel == sequential: {same_traces}",
-    )
+    report("criterion-8 determinism", identical, f"byte-identical CSV: {identical}")
 
 
 # ---------------------------------------------------------------- criterion 9

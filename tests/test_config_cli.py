@@ -220,9 +220,10 @@ class TestSweep:
         assert (tmp_path / "trace-bits2.csv").exists()
         assert (tmp_path / "trace-bits4.csv").exists()
         index = (tmp_path / "trace-index.csv").read_text().splitlines()
-        assert index[0] == "value,final_ds,final_consensus_error"
+        assert index[0] == "value,final_ds,final_consensus_error,termination"
         assert len(index) == 3
         assert index[1].startswith("2,")
+        assert index[1].endswith(",MaxEpochs")
 
     def test_single_value_sweep_matches_execute(self, tmp_path):
         cfg = parse_config(overrides=tiny_overrides(tmp_path, seed=5, bits=4))
@@ -290,6 +291,21 @@ class TestMain:
         )
         assert code == 0
         assert (tmp_path / "sw-index.csv").exists()
+
+    def test_sweep_with_diverging_value_writes_index_exit_3(self, tmp_path):
+        # alpha_hat = 1e9 diverges before completing one epoch: no final row
+        out = tmp_path / "sw.csv"
+        code = main(
+            [
+                "sweep", "--preset", "synthetic", "--max-epochs", "5", "--out", str(out),
+                "--key", "alpha_hat", "--values", "0.01,1e9",
+            ]
+        )
+        assert code == 3
+        index = (tmp_path / "sw-index.csv").read_text().splitlines()
+        assert len(index) == 3
+        assert index[1].startswith("0.01,") and index[1].endswith(",MaxEpochs")
+        assert index[2] == "1e9,nan,nan,Diverged"
 
     def test_flag_overrides_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"

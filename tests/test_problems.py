@@ -16,7 +16,7 @@ from qrgt import (
     solve_ground_truth,
     subspace_distance,
 )
-from qrgt.problems import DegenerateGapWarning, IdxFormatError, load_csv_matrix
+from qrgt.problems import DegenerateGapWarning, IdxFormatError
 
 MAGIC = 0x00000803
 
@@ -241,16 +241,6 @@ class TestMnist:
         c = load_mnist(path, n=4, r=2, seed=2)
         np.testing.assert_array_equal(a.local_data[0], b.local_data[0])
         assert not np.array_equal(a.local_data[0], c.local_data[0])
-
-
-class TestCsvLoader:
-    def test_roundtrip(self, tmp_path, rng):
-        data = rng.standard_normal((12, 5))
-        path = tmp_path / "data.csv"
-        np.savetxt(path, data, delimiter=",")
-        inst = load_csv_matrix(path, n=3, r=2, seed=0)
-        assert inst.total_rows == 12
-        assert inst.dims.d == 5
 
 
 class TestSmoothness:

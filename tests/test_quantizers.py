@@ -43,6 +43,17 @@ class ConstantDither:
         return np.full(size, low + (high - low) * self.fraction)
 
 
+class FixedDither:
+    """Stub stream: returns a given noise array (in normalized units)."""
+
+    def __init__(self, noise):
+        self.noise = noise
+
+    def uniform(self, low, high, size):
+        assert self.noise.shape == tuple(size)
+        return self.noise
+
+
 class TestSpec:
     @pytest.mark.parametrize("bits", [0, 33, -1])
     def test_bits_range(self, bits):
@@ -250,6 +261,44 @@ class TestDithered:
         q = quantize_dithered(np.zeros((3, 3)), np.zeros((3, 3)), dithered_spec(4), rng)
         assert q.scale == 0.0
         assert rng.bit_generator.state == before
+
+
+class TestStacked:
+    """A stacked (n, d, r) call equals the per-slice 2-D calls bit for bit."""
+
+    @pytest.mark.parametrize("mode", [MODE_NEAREST, MODE_LANDING, MODE_DITHERED])
+    def test_matches_per_slice_calls(self, mode):
+        rng = np.random.default_rng(12)
+        spec = QuantizerSpec(bits=4, mode=mode)
+        g = rng.uniform(-2, 2, size=(5, 6, 3)) * rng.uniform(0.1, 10.0, size=(5, 1, 1))
+        g[2] = 0.0
+        pgrad = rng.standard_normal(g.shape)
+        half = 0.5 / spec.levels
+        noise = rng.uniform(-half, half, size=g.shape)
+
+        def call(gi, pi, ni):
+            if mode == MODE_NEAREST:
+                return quantize_nearest(gi, spec)
+            if mode == MODE_LANDING:
+                return quantize_landing(gi, pi, spec)
+            return quantize_dithered(gi, pi, spec, FixedDither(ni))
+
+        stacked = call(g, pgrad, noise)
+        assert stacked.scale.shape == (5,)
+        assert stacked.value.shape == stacked.codes.shape == g.shape
+        for i in range(5):
+            single = call(g[i], pgrad[i], noise[i])
+            assert isinstance(single.scale, float)
+            assert stacked.value[i].tobytes() == single.value.tobytes()
+            assert stacked.codes[i].tobytes() == single.codes.tobytes()
+            assert stacked.scale[i] == single.scale
+        assert stacked.scale[2] == 0.0
+        assert not stacked.codes[2].any() and not stacked.value[2].any()
+
+    def test_scale_factor_per_slice(self):
+        g = np.zeros((2, 3, 4, 2))
+        g[0, 1, 2, 1] = -0.75
+        np.testing.assert_array_equal(scale_factor(g), [[0.0, 1.5, 0.0], [0.0, 0.0, 0.0]])
 
 
 class TestRangeInvariant:
