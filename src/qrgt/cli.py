@@ -8,7 +8,8 @@ each value's termination reason; a value that diverged before completing an
 epoch has nan metrics.
 
 Exit codes: 0 for a completed run (early stop or epoch cap), 2 for
-configuration errors (nothing is written), 3 for divergence (the partial
+configuration errors, including a step size over the safety bound with
+``enforce_safety`` set (nothing is written), 3 for divergence (the partial
 trace is still written).
 """
 
@@ -20,7 +21,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, algo_config, build_problem, build_topology, parse_config, with_value
-from .engine import TERMINATION_DIVERGED, RunTrace, run
+from .engine import TERMINATION_DIVERGED, RunTrace, StepSizeError, run
 
 CSV_HEADER = "epoch,consensus_error,grad_norm,f_gap,ds,dist_mean,wall_ms,wire_bits_cum"
 
@@ -138,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
             code, _ = execute(cfg)
             return code
         return sweep(cfg, args.key, [v for v in args.values.split(",") if v])
-    except (ConfigError, OSError) as exc:
+    except (ConfigError, StepSizeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

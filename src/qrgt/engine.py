@@ -18,24 +18,24 @@ error is exactly zero, and the tracker is seeded with the first gradient so
 that the tracker mean equals the gradient mean from epoch zero onward.
 
 The state of all agents is one ``TrackingState`` of stacked ``(n, d, r)``
-arrays. Dither streams are keyed by agent and epoch, so an epoch's draws do
-not depend on the order in which agents are processed or on earlier epochs.
+arrays. Each epoch's dither is one ``(n, d, r)`` block drawn from the stream
+of (seed, epoch), agent i taking slice i, so an epoch's draws do not depend
+on the order in which agents are processed or on earlier epochs.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .metrics import evaluate
 from .network import MixingMatrix, Topology, build_metropolis, mix
-from .problems import ProblemInstance, estimate_smoothness, local_euclidean_grad
+from .problems import ProblemInstance, estimate_smoothness
 from .quantizers import MODE_DITHERED, MODE_LANDING, QuantizerSpec, quantize_landing, scale_factor
 from .stiefel import SmoothnessConstants, penalty_grad, random_stiefel, retract, tangent_project
-from .streams import STREAM_INIT, dither_key, stream_rng
+from .streams import STREAM_DITHER, STREAM_INIT, stream_rng
 
 ALGO_QRGT = "qrgt"
 ALGO_RGT = "rgt"
@@ -55,7 +55,7 @@ __all__ = [
     "TraceRow",
     "RunDiagnostics",
     "RunTrace",
-    "StepSizeWarning",
+    "StepSizeError",
     "init_state",
     "qrgt_epoch",
     "rgt_epoch",
@@ -65,8 +65,9 @@ __all__ = [
 ]
 
 
-class StepSizeWarning(UserWarning):
-    """Configured step size exceeds the theoretical safety bound."""
+class StepSizeError(ValueError):
+    """Configured step size exceeds the theoretical safety bound while
+    ``enforce_safety`` is set; raised before the first epoch."""
 
 
 @dataclass
@@ -190,60 +191,25 @@ class _Engine:
         self.inst = inst
         self.mixing = mixing
         self.cfg = cfg
-        self.n = inst.n_agents
-        if all(g is not None for g in inst.grams):
-            self.grams = np.stack(inst.grams)
-        else:
-            self.grams = None
-        mode = MODE_DITHERED if cfg.dither else MODE_LANDING
-        self.qspec = QuantizerSpec(bits=cfg.bits, mode=mode, dither_seed=cfg.seed)
-        self._bitgens = [
-            np.random.Philox(key=dither_key(cfg.seed, i)) for i in range(self.n)
-        ]
-        self._gens = [np.random.Generator(bg) for bg in self._bitgens]
-
-    def _agent_rng(self, agent: int, epoch: int) -> np.random.Generator:
-        """Dither stream of (cfg.seed, agent, epoch), positioned at its start.
-
-        Stream layout: the agent's Philox key is ``dither_key(seed, agent)``
-        and the epoch selects the disjoint counter block (0, 0, 0, epoch), so
-        an epoch's draws do not depend on how much any earlier epoch
-        consumed. One generator per agent is reused: writing the counter and
-        clearing the output buffer reproduces a freshly built
-        ``Philox(counter=[0, 0, 0, epoch], key=dither_key(seed, agent))``.
-        """
-        bg = self._bitgens[agent]
-        state = bg.state
-        state["state"]["counter"][:] = (0, 0, 0, epoch)
-        state["buffer_pos"] = 4
-        state["has_uint32"] = 0
-        state["uinteger"] = 0
-        bg.state = state
-        return self._gens[agent]
+        self.qspec = QuantizerSpec(bits=cfg.bits, mode=MODE_DITHERED if cfg.dither else MODE_LANDING)
 
     def local_grads(self, X: np.ndarray) -> np.ndarray:
-        if self.grams is not None:
-            return -np.matmul(self.grams, X)
-        return np.stack(
-            [local_euclidean_grad(self.inst, i, X[i]) for i in range(self.n)]
-        )
+        return -np.matmul(self.inst.grams, X)
 
     def quantize_all(self, RG: np.ndarray, PG: np.ndarray, epoch: int):
         """Quantize every agent's gradient; returns (values, scales, ratios).
 
-        Each agent draws one uniform per entry from its own dither stream,
-        also for a zero gradient, whose draws go unused.
+        The dither is one uniform block of RG's shape drawn from the stream
+        of (cfg.seed, epoch); agent i's noise is slice i, also for a zero
+        gradient, whose draws go unused.
         """
         noise = None
         if self.cfg.dither:
             half = 0.5 / self.qspec.levels
-            shape = RG.shape[1:]
-            noise = np.stack(
-                [self._agent_rng(i, epoch).uniform(-half, half, shape) for i in range(self.n)]
-            )
+            noise = stream_rng(self.cfg.seed, STREAM_DITHER, epoch).uniform(-half, half, RG.shape)
         q = quantize_landing(RG, PG, self.qspec, noise)
         pscales = scale_factor(PG)
-        ratios = np.full(self.n, np.nan)
+        ratios = np.full(len(RG), np.nan)
         mask = pscales > 0.0
         ratios[mask] = q.scale[mask] / pscales[mask]
         return q.value, q.scale, ratios
@@ -252,7 +218,7 @@ class _Engine:
         """Shared start, trackers seeded with the first gradient; returns
         (state, largest quantizer scale, largest landing ratio)."""
         x0 = random_stiefel(self.inst.dims.d, self.inst.dims.r, stream_rng(self.cfg.seed, STREAM_INIT))
-        X = np.broadcast_to(x0, (self.n, *x0.shape)).copy()
+        X = np.broadcast_to(x0, (self.inst.n_agents, *x0.shape)).copy()
         RG = tangent_project(X, self.local_grads(X))
         if self.cfg.algorithm == ALGO_QRGT:
             G, scales, ratios = self.quantize_all(RG, penalty_grad(X), epoch=0)
@@ -270,7 +236,7 @@ class _Engine:
         direction = mix(self.mixing, st.x) - st.x - self.cfg.alpha * st.s
         Xi = tangent_project(st.x, direction)
         Xn = np.stack(
-            [retract(st.x[i], Xi[i], self.cfg.retraction) for i in range(self.n)]
+            [retract(x, xi, self.cfg.retraction) for x, xi in zip(st.x, Xi)]
         )
         Gn = tangent_project(Xn, self.local_grads(Xn))
         Sn = mix(self.mixing, st.s) + Gn - st.g
@@ -299,7 +265,7 @@ def qrgt_epoch(
     cfg: AlgoConfig,
     epoch: int = 1,
 ) -> TrackingState:
-    """One quantized tracking epoch; dither is keyed by (cfg.seed, agent, epoch)."""
+    """One quantized tracking epoch; dither is keyed by (cfg.seed, epoch)."""
     return _Engine(inst, mixing, cfg).qrgt_step(state, epoch)[0]
 
 
@@ -331,16 +297,15 @@ def run(
 
     Emits one trace row per completed epoch. ``full_diagnostics`` additionally
     records every agent's distance to the manifold each epoch (one small SVD
-    per agent per epoch).
+    per agent per epoch). With ``cfg.enforce_safety``, a step above
+    ``safety_step_bound`` raises ``StepSizeError`` before the first epoch.
     """
     mixing = build_metropolis(topology, cfg.t)
     if cfg.enforce_safety:
         bound = safety_step_bound(estimate_smoothness(inst), mixing.sigma2, inst.n_agents)
         if cfg.alpha > bound:
-            warnings.warn(
-                f"step size {cfg.alpha:.3g} exceeds the safety bound {bound:.3g}",
-                StepSizeWarning,
-                stacklevel=2,
+            raise StepSizeError(
+                f"enforce_safety: step size {cfg.alpha:.3g} exceeds the safety bound {bound:.3g}"
             )
     eng = _Engine(inst, mixing, cfg)
     d, r = inst.dims.d, inst.dims.r

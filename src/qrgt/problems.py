@@ -78,14 +78,18 @@ class SyntheticSpec:
 
 @dataclass
 class ProblemInstance:
-    """Per-agent data plus cached Grams and the centralized solution."""
+    """Per-agent data plus cached Grams and the centralized solution.
+
+    ``grams`` is the one ``(n, d, d)`` stack of local Grams A_i^T A_i, indexed
+    by agent; every local gradient is computed from it.
+    """
 
     local_data: tuple[np.ndarray, ...]
     dims: ManifoldDims
     x_star: np.ndarray
     f_star: float
     mean_gram: np.ndarray
-    grams: tuple[np.ndarray | None, ...]
+    grams: np.ndarray
     planted_basis: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -97,20 +101,15 @@ class ProblemInstance:
         return sum(a.shape[0] for a in self.local_data)
 
 
-def solve_ground_truth(local_data, r: int) -> tuple[np.ndarray, float]:
-    """Top-r right singular subspace of the stacked data and its objective.
+def solve_ground_truth(gram_sum: np.ndarray, n: int, r: int) -> tuple[np.ndarray, float]:
+    """Top-r eigenspace of the summed Gram sum_i A_i^T A_i (the top-r right
+    singular subspace of the stacked data of ``n`` agents) and its objective.
 
     Warns when the spectral gap at rank r is degenerate (the subspace, and
     hence any distance to it, is then defined only up to the gap).
     """
-    local_data = [np.asarray(a, dtype=float) for a in local_data]
-    d = local_data[0].shape[1]
-    if any(a.shape[1] != d for a in local_data):
-        raise ValueError("all agents must share the same column dimension")
-    total = np.zeros((d, d))
-    for a in local_data:
-        total += a.T @ a
-    eigvals, eigvecs = np.linalg.eigh(total)
+    d = gram_sum.shape[0]
+    eigvals, eigvecs = np.linalg.eigh(gram_sum)
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     if r < d and eigvals[r - 1] - eigvals[r] <= 1e-12 * max(1.0, eigvals[0]):
@@ -120,7 +119,6 @@ def solve_ground_truth(local_data, r: int) -> tuple[np.ndarray, float]:
             stacklevel=2,
         )
     x_star = eigvecs[:, order[:r]]
-    n = len(local_data)
     f_star = float(-0.5 * eigvals[:r].sum() / n)
     return x_star, f_star
 
@@ -129,21 +127,20 @@ def make_instance(local_data, r: int, planted_basis: np.ndarray | None = None) -
     """Assemble an instance: cache Grams, solve ground truth."""
     local_data = tuple(np.asarray(a, dtype=float) for a in local_data)
     d = local_data[0].shape[1]
+    if any(a.shape[1] != d for a in local_data):
+        raise ValueError("all agents must share the same column dimension")
     n = len(local_data)
-    # Gram caching pays off once m_i >= d: each gradient then costs O(d^2 r)
-    # instead of O(m_i d r).
-    grams = tuple(a.T @ a if a.shape[0] >= d else None for a in local_data)
-    mean_gram = np.zeros((d, d))
+    grams = np.empty((n, d, d))
     for a, gram in zip(local_data, grams):
-        mean_gram += gram if gram is not None else a.T @ a
-    mean_gram /= n
-    x_star, f_star = solve_ground_truth(local_data, r)
+        np.matmul(a.T, a, out=gram)
+    gram_sum = grams.sum(axis=0)
+    x_star, f_star = solve_ground_truth(gram_sum, n, r)
     return ProblemInstance(
         local_data=local_data,
         dims=ManifoldDims(d, r),
         x_star=x_star,
         f_star=f_star,
-        mean_gram=mean_gram,
+        mean_gram=gram_sum / n,
         grams=grams,
         planted_basis=planted_basis,
     )
@@ -153,11 +150,7 @@ def local_euclidean_grad(inst: ProblemInstance, agent: int, x: np.ndarray) -> np
     """Euclidean gradient of f_i at x: -A_i^T (A_i x)."""
     if not (0 <= agent < inst.n_agents):
         raise IndexError(f"agent {agent} out of range for n={inst.n_agents}")
-    gram = inst.grams[agent]
-    if gram is not None:
-        return -(gram @ x)
-    a = inst.local_data[agent]
-    return -(a.T @ (a @ x))
+    return -(inst.grams[agent] @ x)
 
 
 def global_objective(inst: ProblemInstance, x: np.ndarray) -> float:
@@ -226,15 +219,7 @@ def estimate_smoothness(inst: ProblemInstance) -> SmoothnessConstants:
     manifold: for x with orthonormal columns, ||G x||_F^2 is at most the sum
     of the top-r squared eigenvalues of G. The proximal radius is 1.
     """
-    r = inst.dims.r
     L = float(np.linalg.eigvalsh(inst.mean_gram)[-1])
-    L_f = 0.0
-    for agent in range(inst.n_agents):
-        gram = inst.grams[agent]
-        if gram is not None:
-            eig = np.linalg.eigvalsh(gram)[-r:]
-        else:
-            sv = np.linalg.svd(inst.local_data[agent], compute_uv=False)[:r]
-            eig = sv**2
-        L_f = max(L_f, float(np.sqrt(np.sum(eig**2))))
+    top = np.linalg.eigvalsh(inst.grams)[:, -inst.dims.r :]
+    L_f = float(np.sqrt(np.sum(top**2, axis=1)).max())
     return SmoothnessConstants(L=L, L_f=L_f)

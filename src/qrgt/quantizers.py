@@ -59,11 +59,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Bit-width, rounding mode, and dither seed of one quantizer."""
+    """Bit-width and rounding mode of one quantizer."""
 
     bits: int
     mode: str = MODE_DITHERED
-    dither_seed: int = 0
 
     def __post_init__(self) -> None:
         if not (1 <= self.bits <= 32):
@@ -233,27 +232,23 @@ def wire_size_bits(q: QuantizedGradient, spec: QuantizerSpec) -> int:
 def pack_codes(q: QuantizedGradient, spec: QuantizerSpec) -> bytes:
     """Serialize as a little-endian float64 scale followed by N-bit codes.
 
-    Codes are packed LSB-first in row-major entry order. Raises if any code
+    Codes are packed LSB-first in row-major entry order: bit j of entry k is
+    bit k*N + j of the code stream, and stream bit b is bit b % 8 of payload
+    byte 8 + b // 8; the last byte is zero-padded. Raises if any code
     falls outside [0, 2^N - 1] (possible at scale extremes for the landing
     and dithered modes, whose grid snap can step one slot past the grid).
     """
     codes = q.codes.ravel()
     if codes.size and (codes.min() < 0 or codes.max() > spec.levels):
         raise ValueError("codes outside the N-bit range cannot be packed")
-    word = 0
-    for i, c in enumerate(codes.tolist()):
-        word |= c << (i * spec.bits)
-    nbytes = (codes.size * spec.bits + 7) // 8
-    return struct.pack("<d", q.scale) + word.to_bytes(nbytes, "little")
+    bits = (codes[:, None] >> np.arange(spec.bits)) & 1
+    return struct.pack("<d", q.scale) + np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
 
 
 def unpack_codes(payload: bytes, shape: tuple[int, ...], spec: QuantizerSpec) -> QuantizedGradient:
     """Inverse of :func:`pack_codes`."""
     (scale,) = struct.unpack("<d", payload[:8])
-    word = int.from_bytes(payload[8:], "little")
     size = int(np.prod(shape))
-    mask = (1 << spec.bits) - 1
-    codes = np.array(
-        [(word >> (i * spec.bits)) & mask for i in range(size)], dtype=np.int64
-    ).reshape(shape)
+    bits = np.unpackbits(np.frombuffer(payload, np.uint8, offset=8), count=size * spec.bits, bitorder="little")
+    codes = (bits.reshape(size, spec.bits).astype(np.int64) << np.arange(spec.bits)).sum(axis=1).reshape(shape)
     return QuantizedGradient(dequantize(codes, scale, spec.bits), scale, spec.bits, codes)

@@ -270,6 +270,20 @@ class TestMain:
         assert not out.exists()
         assert "bits" in capsys.readouterr().err
 
+    def test_unsafe_step_refused_exit_2_no_csv(self, tmp_path, capsys):
+        path = tmp_path / "unsafe.cfg"
+        path.write_text(
+            "problem = synthetic\nn = 4\nm = 20\nd = 6\nr = 2\neigengap = 0.6\n"
+            "alpha_hat = 1000\nmax_epochs = 2\nenforce_safety = true\n"
+        )
+        out = tmp_path / "never.csv"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: enforce_safety: step size")
+
     def test_sweep_cli(self, tmp_path):
         out = tmp_path / "sw.csv"
         code = main(

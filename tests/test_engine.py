@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from qrgt import (
     manifold_defect,
     penalty_grad,
     qrgt_epoch,
-    quantize_dithered,
+    quantize_landing,
     retract,
     rgt_epoch,
     run,
@@ -27,12 +29,12 @@ from qrgt.engine import (
     TERMINATION_DIVERGED,
     TERMINATION_DS,
     TERMINATION_MAX_EPOCHS,
-    StepSizeWarning,
+    StepSizeError,
     _Engine,
 )
 from qrgt.network import MixingMatrix
 from qrgt.quantizers import MODE_DITHERED
-from qrgt.streams import dither_key
+from qrgt.streams import STREAM_DITHER, stream_rng
 
 
 def small_instance(seed=0, n=4, leading_sv=2.0):
@@ -181,12 +183,10 @@ class TestQrgtEpoch:
 
 
 class TestQuantizeAll:
-    def test_matches_per_agent_quantizer_on_fresh_streams(self):
-        # The stacked engine path equals the public per-agent quantizer fed
-        # by a freshly built Philox stream keyed by (seed, agent, epoch),
-        # also after the engine's reused generators served other epochs.
-        # d * r = 15 draws per agent leave a partly used Philox output
-        # buffer behind, which the next epoch's reset must discard.
+    def test_matches_quantizer_on_fresh_epoch_stream(self):
+        # The engine's quantizer equals the public stacked quantizer fed one
+        # (n, d, r) block from a freshly built (seed, epoch) dither stream,
+        # whatever epochs the engine served before.
         inst = generate_synthetic(
             SyntheticSpec(n=4, m=40, d=5, r=3, eigengap=0.6, leading_sv=2.0, seed=4)
         )
@@ -196,16 +196,31 @@ class TestQuantizeAll:
         RG = tangent_project(X, eng.local_grads(X))
         PG = penalty_grad(X)
         spec = QuantizerSpec(bits=3, mode=MODE_DITHERED)
-        eng.quantize_all(RG, PG, epoch=5)
-        for epoch in (7, 2):
+        half = 0.5 / spec.levels
+        for epoch in (5, 7, 2):
             values, scales, _ = eng.quantize_all(RG, PG, epoch)
-            for i in range(inst.n_agents):
-                rng = np.random.Generator(
-                    np.random.Philox(counter=[0, 0, 0, epoch], key=dither_key(cfg.seed, i))
-                )
-                q = quantize_dithered(RG[i], PG[i], spec, rng)
-                assert values[i].tobytes() == q.value.tobytes()
-                assert scales[i] == q.scale
+            noise = stream_rng(cfg.seed, STREAM_DITHER, epoch).uniform(-half, half, RG.shape)
+            q = quantize_landing(RG, PG, spec, noise)
+            assert values.tobytes() == q.value.tobytes()
+            assert scales.tobytes() == q.scale.tobytes()
+
+
+class TestEngineBuild:
+    def test_holds_no_copy_of_the_grams(self):
+        # The engine reads the instance's Gram stack in place; building one
+        # allocates far less than that stack.
+        inst = generate_synthetic(
+            SyntheticSpec(n=4, m=200, d=200, r=2, eigengap=0.6, leading_sv=2.0, seed=0)
+        )
+        cfg = AlgoConfig(alpha=1e-3, seed=0)
+        tracemalloc.start()
+        try:
+            eng = _Engine(inst, None, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert eng.inst is inst
+        assert peak < inst.grams.nbytes / 2
 
 
 class TestRgtEpoch:
@@ -316,10 +331,10 @@ class TestRun:
                 r2.dist_mean,
             )
 
-    def test_safety_warning(self):
+    def test_safety_refusal(self):
         inst = small_instance()
         cfg = AlgoConfig(alpha=10.0, max_epochs=1, seed=0, enforce_safety=True)
-        with pytest.warns(StepSizeWarning):
+        with pytest.raises(StepSizeError, match="step size 10 exceeds the safety bound"):
             run(inst, Topology.ring(4), cfg)
 
     def test_consensus_contraction_inequality(self):

@@ -76,11 +76,11 @@ class TestLocalGradient:
             assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
 
     def test_gram_and_direct_paths_agree(self, rng):
-        # Agents below the caching threshold (m_i < d) use the two-product path.
+        # An agent with fewer rows than columns (m_i < d) gets the same
+        # gradient from its Gram as from the two data products.
         tall = rng.standard_normal((10, 4))
         wide = rng.standard_normal((2, 4))
         inst = make_instance([tall, wide], r=2)
-        assert inst.grams[0] is not None and inst.grams[1] is None
         x = rng.standard_normal((4, 2))
         np.testing.assert_allclose(
             local_euclidean_grad(inst, 1, x), -(wide.T @ (wide @ x)), atol=1e-13
@@ -115,14 +115,14 @@ class TestGlobalObjective:
 class TestGroundTruth:
     def test_identity_single_agent(self):
         with pytest.warns(DegenerateGapWarning):
-            x_star, f_star = solve_ground_truth([np.eye(4)], r=2)
+            x_star, f_star = solve_ground_truth(np.eye(4), n=1, r=2)
         # Flat spectrum: any orthonormal pair is optimal; value is -r/2.
         assert f_star == pytest.approx(-1.0)
         assert np.allclose(x_star.T @ x_star, np.eye(2), atol=1e-12)
 
     def test_full_rank_spans_everything(self, rng):
         data = [rng.standard_normal((20, 4)) for _ in range(3)]
-        x_star, f_star = solve_ground_truth(data, r=4)
+        x_star, f_star = solve_ground_truth(sum(a.T @ a for a in data), n=3, r=4)
         frob_sq = sum(np.sum(a**2) for a in data)
         assert f_star == pytest.approx(-frob_sq / (2 * 3), rel=1e-12)
 

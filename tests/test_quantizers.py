@@ -1,7 +1,10 @@
+import struct
+
 import numpy as np
 import pytest
 
 from qrgt import (
+    QuantizedGradient,
     QuantizerSpec,
     dequantize,
     quantize,
@@ -337,6 +340,28 @@ class TestReconstruction:
         np.testing.assert_array_equal(back.codes, q.codes)
         assert back.scale == q.scale
         np.testing.assert_array_equal(back.value, q.value)
+
+    def test_pack_pinned_layout(self):
+        # 3-bit codes 1, 2, 3, 7 in row-major order, LSB-first: the code
+        # stream is 100 010 110 111, i.e. bytes 0b11010001, 0b00001110.
+        spec = nearest_spec(3)
+        codes = np.array([[1, 2], [3, 7]], dtype=np.int64)
+        q = QuantizedGradient(dequantize(codes, 0.5, 3), 0.5, 3, codes)
+        payload = pack_codes(q, spec)
+        assert payload == struct.pack("<d", 0.5) + bytes([0b11010001, 0b00001110])
+        np.testing.assert_array_equal(unpack_codes(payload, (2, 2), spec).codes, codes)
+
+    @pytest.mark.parametrize("bits", [1, 5, 8, 13, 32])
+    def test_pack_matches_big_integer_reference(self, bits):
+        rng = np.random.default_rng(bits)
+        spec = nearest_spec(bits)
+        codes = rng.integers(0, spec.levels, size=(7, 3), endpoint=True)
+        q = QuantizedGradient(dequantize(codes, 1.0, bits), 1.0, bits, codes)
+        word = 0
+        for i, c in enumerate(codes.ravel().tolist()):
+            word |= c << (i * bits)
+        expected = word.to_bytes((codes.size * bits + 7) // 8, "little")
+        assert pack_codes(q, spec)[8:] == expected
 
     def test_pack_rejects_out_of_range(self):
         # A direction bit on a top-of-grid entry overshoots the N-bit range.
