@@ -235,9 +235,7 @@ class _Engine:
     def rgt_step(self, st: TrackingState, epoch: int) -> tuple[TrackingState, float, float]:
         direction = mix(self.mixing, st.x) - st.x - self.cfg.alpha * st.s
         Xi = tangent_project(st.x, direction)
-        Xn = np.stack(
-            [retract(x, xi, self.cfg.retraction) for x, xi in zip(st.x, Xi)]
-        )
+        Xn = retract(st.x, Xi, self.cfg.retraction)
         Gn = tangent_project(Xn, self.local_grads(Xn))
         Sn = mix(self.mixing, st.s) + Gn - st.g
         return TrackingState(Xn, Sn, Gn), 0.0, np.nan

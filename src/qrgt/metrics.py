@@ -66,11 +66,12 @@ def consensus_error(stacked) -> float:
 
 def evaluate(stacked, inst: ProblemInstance) -> MetricRow:
     """All five metrics at the current agent variables."""
-    xbar = mean_point(stacked)
+    X = np.asarray(stacked, dtype=float)
+    xbar = np.mean(X, axis=0)
     rgrad = tangent_project(xbar, -(inst.mean_gram @ xbar))
     sv = np.linalg.svd(xbar, compute_uv=False)
     return MetricRow(
-        consensus_error=consensus_error(stacked),
+        consensus_error=float(np.linalg.norm(X - xbar)),
         grad_norm=float(np.linalg.norm(rgrad)),
         f_gap=global_objective(inst, xbar) - inst.f_star,
         ds=subspace_distance(xbar, inst.x_star),

@@ -205,10 +205,12 @@ def load_mnist(path, n: int, r: int = 5, seed: int = 0) -> ProblemInstance:
             f"{path}: expected {expected} bytes for {count}x{rows}x{cols} images, "
             f"got {len(raw)} (payload starts at byte 16)"
         )
-    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16)
-    data = pixels.reshape(count, rows * cols).astype(float) / 255.0
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)
     perm = stream_rng(seed, STREAM_SHUFFLE).permutation(count)
-    return make_instance(_split_rows(data[perm], n), r)
+    # Shuffle the bytes, then convert once: the agents' blocks are views of
+    # this one float64 array.
+    data = np.divide(pixels[perm], 255.0, dtype=float)
+    return make_instance(_split_rows(data, n), r)
 
 
 def estimate_smoothness(inst: ProblemInstance) -> SmoothnessConstants:

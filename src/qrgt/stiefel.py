@@ -5,9 +5,9 @@ iterates are allowed to drift off the manifold, so every operation accepts
 arbitrary (d, r) matrices and applies its formula as written; use
 ``manifold_defect`` / ``is_on_manifold`` to check feasibility explicitly.
 
-``tangent_project``, ``riemannian_grad``, ``penalty_grad`` and
-``landing_field`` broadcast over leading batch dimensions, so a stacked
-(n, d, r) array of agent variables is processed in one call.
+``tangent_project``, ``riemannian_grad``, ``penalty_grad``,
+``landing_field`` and ``retract`` broadcast over leading batch dimensions,
+so a stacked (n, d, r) array of agent variables is processed in one call.
 """
 
 from __future__ import annotations
@@ -179,13 +179,25 @@ def landing_field(
 
 
 def _qr_positive(a: np.ndarray) -> np.ndarray:
-    """Q factor with the sign convention diag(R) > 0, for reproducibility."""
+    """Q factor with the sign convention diag(R) > 0, for reproducibility.
+
+    Batched over leading dimensions; raises ``RetractionError`` if any
+    (d, r) slice is numerically rank-deficient, naming the first such slice
+    of a stack. A slice holding NaN passes the check and yields NaN.
+    """
     q, r = np.linalg.qr(a)
-    diag = np.abs(np.diagonal(r))
-    if diag.max() == 0.0 or diag.min() <= np.finfo(float).eps * max(a.shape) * diag.max():
-        raise RetractionError("QR retraction failed: argument is numerically rank-deficient")
-    signs = np.sign(np.diagonal(r))
-    return q * signs
+    rdiag = np.diagonal(r, axis1=-2, axis2=-1)
+    diag = np.abs(rdiag)
+    big = diag.max(axis=-1)
+    tol = np.finfo(float).eps * max(a.shape[-2:]) * big
+    deficient = (big == 0.0) | (diag.min(axis=-1) <= tol)
+    if deficient.any():
+        if a.ndim == 2:
+            raise RetractionError("QR retraction failed: argument is numerically rank-deficient")
+        first = np.unravel_index(np.argmax(deficient), deficient.shape)
+        where = ", ".join(str(int(i)) for i in first)
+        raise RetractionError(f"QR retraction failed: slice {where} is numerically rank-deficient")
+    return q * np.sign(rdiag)[..., None, :]
 
 
 def retract(x: np.ndarray, xi: np.ndarray, method: str = "qr") -> np.ndarray:
@@ -193,7 +205,8 @@ def retract(x: np.ndarray, xi: np.ndarray, method: str = "qr") -> np.ndarray:
 
     Both variants satisfy retract(x, 0) = x and agree with x + xi to first
     order. ``qr`` takes the sign-fixed Q factor of x + xi, ``polar`` its
-    orthogonal polar factor.
+    orthogonal polar factor. Stacked (..., d, r) input is retracted slice by
+    slice in one LAPACK call.
     """
     x = _check_matrix(x, "x")
     xi = _check_matrix(xi, "xi")

@@ -25,6 +25,8 @@ from qrgt import (
     step_size_bounds,
     tangent_project,
 )
+from qrgt import engine
+from qrgt.config import algo_config, build_problem, build_topology, parse_config
 from qrgt.engine import (
     TERMINATION_DIVERGED,
     TERMINATION_DS,
@@ -246,6 +248,48 @@ class TestRgtEpoch:
             g = tangent_project(x_ref, local_euclidean_grad(inst, 0, x_ref))
             x_ref = retract(x_ref, -cfg.alpha * g, retraction)
             np.testing.assert_allclose(state.x[0], x_ref, atol=1e-12)
+
+
+def per_agent_retract(x, xi, method):
+    """Reference retraction: one 2-D call per agent."""
+    return np.stack([retract(a, b, method) for a, b in zip(x, xi)])
+
+
+class TestBatchedRetraction:
+    @pytest.mark.parametrize("retraction", ["qr", "polar"])
+    def test_preset_epochs_match_per_agent_loop_bitwise(self, monkeypatch, retraction):
+        cfg = parse_config(
+            preset="synthetic", overrides={"algorithm": "rgt", "retraction": retraction}
+        )
+        inst = build_problem(cfg)
+        algo = algo_config(cfg, inst)
+        mixing = build_metropolis(build_topology(cfg), algo.t)
+
+        def advance(epochs=200):
+            eng = _Engine(inst, mixing, algo)
+            state = eng.initial_state()[0]
+            for epoch in range(1, epochs + 1):
+                state = eng.rgt_step(state, epoch)[0]
+            return state
+
+        batched = advance()
+        monkeypatch.setattr(engine, "retract", per_agent_retract)
+        reference = advance()
+        for name in ("x", "s", "g"):
+            assert getattr(batched, name).tobytes() == getattr(reference, name).tobytes()
+
+    def test_one_retract_call_per_epoch(self, monkeypatch):
+        calls = []
+
+        def counting(x, xi, method):
+            calls.append(x.shape)
+            return retract(x, xi, method)
+
+        monkeypatch.setattr(engine, "retract", counting)
+        cfg = AlgoConfig(alpha=5e-3, algorithm="rgt", max_epochs=7, seed=1)
+        trace = run(small_instance(seed=2), Topology.ring(4), cfg)
+        assert len(trace.rows) == 7
+        assert calls == [(4, 6, 2)] * 7
 
 
 class TestStepSizeBounds:

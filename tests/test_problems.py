@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -232,6 +233,20 @@ class TestMnist:
             row.tobytes() for a in inst.local_data for row in a
         )
         assert loaded == original
+
+    def test_peak_memory_holds_one_float_copy(self, tmp_path):
+        # The agents' blocks are views of a single float64 image matrix, and
+        # no second float64 copy exists while it is built.
+        path = tmp_path / "images.idx3"
+        write_idx3(path, self.make_images(count=20000, rows=10, cols=10, seed=3))
+        tracemalloc.start()
+        try:
+            inst = load_mnist(path, n=2, r=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.total_rows == 20000
+        assert peak < 1.5 * 20000 * 100 * 8
 
     def test_shuffle_depends_on_seed(self, tmp_path):
         path = tmp_path / "images.idx3"

@@ -216,8 +216,32 @@ class TestRetract:
 
     def test_rank_deficient_raises(self, rng):
         x = random_stiefel(5, 2, rng)
-        with pytest.raises(RetractionError):
+        with pytest.raises(RetractionError, match="argument is numerically rank-deficient"):
             retract(x, -x, "qr")
+
+    @pytest.mark.parametrize("method", ["qr", "polar"])
+    @pytest.mark.parametrize("shape", [(16, 10, 5), (4, 784, 5)])
+    def test_stack_matches_per_slice_bitwise(self, rng, method, shape):
+        x = rng.standard_normal(shape)
+        xi = 0.1 * rng.standard_normal(shape)
+        stacked = retract(x, xi, method)
+        per_slice = np.stack([retract(a, b, method) for a, b in zip(x, xi)])
+        assert stacked.tobytes() == per_slice.tobytes()
+
+    def test_rank_deficient_slice_named(self, rng):
+        x = np.stack([random_stiefel(5, 2, rng) for _ in range(6)])
+        xi = np.zeros_like(x)
+        xi[4] = -x[4]
+        with pytest.raises(RetractionError, match="slice 4 "):
+            retract(x, xi, "qr")
+
+    def test_nan_slice_flows_through(self, rng):
+        x = np.stack([random_stiefel(5, 2, rng) for _ in range(3)])
+        xi = np.zeros_like(x)
+        xi[1] = np.nan
+        y = retract(x, xi, "qr")
+        assert np.isnan(y[1]).all()
+        np.testing.assert_array_equal(y[[0, 2]], retract(x[[0, 2]], xi[[0, 2]], "qr"))
 
     def test_unknown_method(self, rng):
         x = random_stiefel(5, 2, rng)
