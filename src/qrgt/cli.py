@@ -10,7 +10,8 @@ epoch has nan metrics.
 Exit codes: 0 for a completed run (early stop or epoch cap), 2 for
 configuration errors, including a step size over the safety bound with
 ``enforce_safety`` set (nothing is written), 3 for divergence (the partial
-trace is still written).
+trace is still written, and one line names the epoch, the first agent that
+tripped, and the check: non-finite entries, or norm > 1e3 sqrt(r)).
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def execute(cfg: RunConfig) -> tuple[int, RunTrace]:
     else:
         summary = f"{trace.termination} before completing one epoch -> {cfg.out}"
     print(summary)
+    if trace.divergence:
+        print(trace.divergence)
     return (3 if trace.termination == TERMINATION_DIVERGED else 0), trace
 
 

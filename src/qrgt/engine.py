@@ -18,9 +18,10 @@ error is exactly zero, and the tracker is seeded with the first gradient so
 that the tracker mean equals the gradient mean from epoch zero onward.
 
 The state of all agents is one ``TrackingState`` of stacked ``(n, d, r)``
-arrays. Each epoch's dither is one ``(n, d, r)`` block drawn from the stream
-of (seed, epoch), agent i taking slice i, so an epoch's draws do not depend
-on the order in which agents are processed or on earlier epochs.
+arrays. Epoch k's dither is block k of (n, d, r) draws from the run's one
+dither stream, agent i taking slice i (layout in ``streams``): ``run``
+draws the blocks in order from one generator, and any other caller skips a
+fresh generator to block k, so a draw depends only on (seed, epoch).
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .metrics import evaluate
+from .metrics import consensus_error, evaluate
 from .network import MixingMatrix, Topology, build_metropolis, mix
 from .problems import ProblemInstance, estimate_smoothness
-from .quantizers import MODE_DITHERED, MODE_LANDING, QuantizerSpec, quantize_landing, scale_factor
+from .quantizers import MODE_DITHERED, MODE_LANDING, QuantizerSpec, dither_noise, scale_factor, snap
 from .stiefel import SmoothnessConstants, penalty_grad, random_stiefel, retract, tangent_project
 from .streams import STREAM_DITHER, STREAM_INIT, stream_rng
 
@@ -144,12 +145,17 @@ class RunDiagnostics:
 
 @dataclass
 class RunTrace:
-    """One row per completed epoch plus the reason the loop stopped."""
+    """One row per completed epoch plus the reason the loop stopped.
+
+    ``divergence`` is set only when ``termination`` is Diverged: one line
+    naming the epoch, the first agent that tripped, and the check.
+    """
 
     rows: list[TraceRow]
     termination: str
     sigma2: float
     diagnostics: RunDiagnostics
+    divergence: str | None = None
 
     @property
     def final(self) -> TraceRow:
@@ -192,6 +198,8 @@ class _Engine:
         self.mixing = mixing
         self.cfg = cfg
         self.qspec = QuantizerSpec(bits=cfg.bits, mode=MODE_DITHERED if cfg.dither else MODE_LANDING)
+        self._dither: np.random.Generator | None = None
+        self._dither_next: int | None = None  # the epoch whose block _dither stands at
 
     def local_grads(self, X: np.ndarray) -> np.ndarray:
         return -np.matmul(self.inst.grams, X)
@@ -199,20 +207,23 @@ class _Engine:
     def quantize_all(self, RG: np.ndarray, PG: np.ndarray, epoch: int):
         """Quantize every agent's gradient; returns (values, scales, ratios).
 
-        The dither is one uniform block of RG's shape drawn from the stream
-        of (cfg.seed, epoch); agent i's noise is slice i, also for a zero
-        gradient, whose draws go unused.
+        The dither of epoch k is block k of the run's one dither stream:
+        draws [k B, (k+1) B) of ``stream_rng(cfg.seed, STREAM_DITHER)``,
+        B = RG.size, agent i taking slice i (also for a zero gradient, whose
+        draws go unused). Consecutive epochs continue one generator; any
+        other epoch starts a fresh one advanced to its block, so a draw
+        depends only on (seed, epoch).
         """
         noise = None
         if self.cfg.dither:
-            half = 0.5 / self.qspec.levels
-            noise = stream_rng(self.cfg.seed, STREAM_DITHER, epoch).uniform(-half, half, RG.shape)
-        q = quantize_landing(RG, PG, self.qspec, noise)
+            if epoch != self._dither_next:
+                self._dither = stream_rng(self.cfg.seed, STREAM_DITHER)
+                self._dither.bit_generator.advance(epoch * RG.size)
+            self._dither_next = epoch + 1
+            noise = dither_noise(self._dither, self.qspec, RG.shape)
+        values, scales = snap(RG, PG, self.qspec, noise)
         pscales = scale_factor(PG)
-        ratios = np.full(len(RG), np.nan)
-        mask = pscales > 0.0
-        ratios[mask] = q.scale[mask] / pscales[mask]
-        return q.value, q.scale, ratios
+        return values, scales, scales / np.where(pscales > 0.0, pscales, np.nan)
 
     def initial_state(self) -> tuple[TrackingState, float, float]:
         """Shared start, trackers seeded with the first gradient; returns
@@ -226,10 +237,13 @@ class _Engine:
         return TrackingState(X, RG.copy(), RG), 0.0, float("nan")
 
     def qrgt_step(self, st: TrackingState, epoch: int) -> tuple[TrackingState, float, float]:
-        Xn = mix(self.mixing, st.x) - self.cfg.alpha * st.s
+        Xn = mix(self.mixing, st.x)
+        Xn -= self.cfg.alpha * st.s
         RG = tangent_project(Xn, self.local_grads(Xn))
         Gn, scales, ratios = self.quantize_all(RG, penalty_grad(Xn), epoch)
-        Sn = mix(self.mixing, st.s) + Gn - st.g
+        Sn = mix(self.mixing, st.s)
+        Sn += Gn
+        Sn -= st.g
         return TrackingState(Xn, Sn, Gn), float(scales.max()), _nanmax(ratios)
 
     def rgt_step(self, st: TrackingState, epoch: int) -> tuple[TrackingState, float, float]:
@@ -278,11 +292,22 @@ def rgt_epoch(
     return _Engine(inst, mixing, cfg).rgt_step(state, epoch)[0]
 
 
-def _diverged(X: np.ndarray, r: int) -> bool:
-    if not np.isfinite(X).all():
-        return True
-    norms = np.sqrt(np.sum(X.reshape(X.shape[0], -1) ** 2, axis=1))
-    return bool(norms.max() > 1e3 * np.sqrt(r))
+def _diverged(X: np.ndarray, r: int) -> str | None:
+    """None while every agent's iterate is finite with Frobenius norm at
+    most 1e3 sqrt(r); otherwise the first agent that tripped and the check.
+
+    One pass of per-agent squared norms decides; a NaN or infinite entry
+    makes its agent's norm NaN or infinite, which fails the comparison.
+    """
+    bound = 1e3 * np.sqrt(r)
+    norms = np.sqrt(np.einsum("ijk,ijk->i", X, X))
+    within = norms <= bound
+    if within.all():
+        return None
+    agent = int(np.argmin(within))
+    if not np.isfinite(X[agent]).all():
+        return f"agent {agent} has non-finite entries"
+    return f"agent {agent} has norm {norms[agent]:.4g} > 1e3*sqrt(r) = {bound:.4g}"
 
 
 def run(
@@ -311,15 +336,17 @@ def run(
     rows: list[TraceRow] = []
     diag = RunDiagnostics()
     termination = TERMINATION_MAX_EPOCHS
+    divergence = None
 
-    def record_diag(st: TrackingState, gamma_max, landing_ratio):
+    def record_diag(st: TrackingState, gamma_max, landing_ratio, x_consensus_sq):
         sbar = st.s.mean(axis=0)
         gbar = st.g.mean(axis=0)
         diag.tracker_residual.append(
             float(np.linalg.norm(sbar - gbar)) / max(1.0, float(np.linalg.norm(gbar)))
         )
-        diag.x_consensus_sq.append(float(np.sum((st.x - st.x.mean(axis=0)) ** 2)))
-        diag.s_consensus_sq.append(float(np.sum((st.s - sbar) ** 2)))
+        s_dev = st.s - sbar
+        diag.x_consensus_sq.append(x_consensus_sq)
+        diag.s_consensus_sq.append(float(np.vdot(s_dev, s_dev)))
         diag.gamma_max.append(gamma_max)
         diag.landing_ratio.append(landing_ratio)
         if full_diagnostics:
@@ -327,14 +354,16 @@ def run(
             diag.max_dist.append(float(np.sqrt(((sv - 1.0) ** 2).sum(axis=1)).max()))
 
     state, gamma_max, landing_ratio = eng.initial_state()
-    record_diag(state, gamma_max, landing_ratio)  # epoch-0 entry
+    record_diag(state, gamma_max, landing_ratio, consensus_error(state.x) ** 2)  # epoch-0 entry
     wire_cum = wire_per_epoch  # the initial gradient exchange is epoch 0's payload
     for epoch in range(1, cfg.max_epochs + 1):
         tic = time.perf_counter()
         state, gamma_max, landing_ratio = eng.step(state, epoch)
         wall_ms = (time.perf_counter() - tic) * 1e3
-        if _diverged(state.x, r):
+        why = _diverged(state.x, r)
+        if why is not None:
             termination = TERMINATION_DIVERGED
+            divergence = f"diverged at epoch {epoch}: {why}"
             break
         wire_cum += wire_per_epoch
         row = evaluate(state.x, inst)
@@ -350,8 +379,8 @@ def run(
                 wire_bits_cum=wire_cum,
             )
         )
-        record_diag(state, gamma_max, landing_ratio)
+        record_diag(state, gamma_max, landing_ratio, row.consensus_error**2)
         if row.ds <= cfg.ds_tolerance:
             termination = TERMINATION_DS
             break
-    return RunTrace(rows=rows, termination=termination, sigma2=mixing.sigma2, diagnostics=diag)
+    return RunTrace(rows, termination, mixing.sigma2, diag, divergence)

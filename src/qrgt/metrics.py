@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import ProblemInstance, global_objective
+from .problems import ProblemInstance
 from .stiefel import tangent_project
 
 __all__ = [
@@ -65,15 +65,20 @@ def consensus_error(stacked) -> float:
 
 
 def evaluate(stacked, inst: ProblemInstance) -> MetricRow:
-    """All five metrics at the current agent variables."""
+    """All five metrics at the current agent variables.
+
+    The averaged-Gram product is taken once and serves both the gradient
+    and the objective, with the arithmetic of ``global_objective``.
+    """
     X = np.asarray(stacked, dtype=float)
     xbar = np.mean(X, axis=0)
-    rgrad = tangent_project(xbar, -(inst.mean_gram @ xbar))
+    gram_x = inst.mean_gram @ xbar
+    rgrad = tangent_project(xbar, -gram_x)
     sv = np.linalg.svd(xbar, compute_uv=False)
     return MetricRow(
         consensus_error=float(np.linalg.norm(X - xbar)),
         grad_norm=float(np.linalg.norm(rgrad)),
-        f_gap=global_objective(inst, xbar) - inst.f_star,
+        f_gap=float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star,
         ds=subspace_distance(xbar, inst.x_star),
         dist_mean=float(np.sqrt(np.sum((sv - 1.0) ** 2))),
     )

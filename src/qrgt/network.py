@@ -204,6 +204,7 @@ def mix(mixing: MixingMatrix, stacked) -> np.ndarray:
     arrays; the result is the stacked (n, ...) array.
     """
     X = np.asarray(stacked, dtype=float)
-    if X.shape[0] != mixing.n:
-        raise ValueError(f"expected {mixing.n} stacked blocks, got {X.shape[0]}")
-    return np.tensordot(mixing.W_t, X, axes=(1, 0))
+    n = mixing.n
+    if X.shape[0] != n:
+        raise ValueError(f"expected {n} stacked blocks, got {X.shape[0]}")
+    return (mixing.W_t @ X.reshape(n, -1)).reshape(X.shape)

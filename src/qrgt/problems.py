@@ -161,17 +161,23 @@ def global_objective(inst: ProblemInstance, x: np.ndarray) -> float:
 def generate_synthetic(spec: SyntheticSpec) -> ProblemInstance:
     """Gaussian data re-spectrified to the eigengap-controlled profile.
 
-    Draws an (n*m) x d standard Gaussian matrix, replaces its singular
-    values by leading_sv * eigengap^(i/2), and splits the rows evenly
-    across agents. The planted top-r right factors are kept on the instance
-    for recovery checks.
+    Draws a standard Gaussian (m, d) block per agent (together the same
+    values as one (n*m) x d draw, row-major), replaces the singular values
+    of the stacked matrix G by leading_sv * eigengap^(i/2), and keeps each
+    agent's rows. The stacked matrix is never formed: its R factor comes
+    from a tall-skinny QR (the R factors of the blocks, stacked and
+    factored again), and with R = U S V^T each block b becomes
+    b V diag(sv / S) V^T, which is (G V S^-1) diag(sv) V^T restricted to
+    the block's rows. The planted top-r right factors are kept on the
+    instance for recovery checks.
     """
     rng = stream_rng(spec.seed, STREAM_DATA)
-    g = rng.standard_normal((spec.n * spec.m, spec.d))
-    u, _, vt = np.linalg.svd(g, full_matrices=False)
+    blocks = [rng.standard_normal((spec.m, spec.d)) for _ in range(spec.n)]
+    r_factor = np.linalg.qr(np.concatenate([np.linalg.qr(b, mode="r") for b in blocks]), mode="r")
+    _, s, vt = np.linalg.svd(r_factor)
     sv = spec.leading_sv * spec.eigengap ** (np.arange(spec.d) / 2.0)
-    a = (u * sv) @ vt
-    blocks = tuple(a[i * spec.m : (i + 1) * spec.m] for i in range(spec.n))
+    respectrify = (vt.T * (sv / s)) @ vt
+    blocks = [b @ respectrify for b in blocks]
     return make_instance(blocks, spec.r, planted_basis=vt.T[:, : spec.r].copy())
 
 

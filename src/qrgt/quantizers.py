@@ -25,6 +25,11 @@ A stack gets one scale per trailing ``(d, r)`` slice, so
 and an array of shape ``(...)`` otherwise; ``value`` and ``codes`` keep the
 input shape. Slice by slice, a stacked call equals the per-matrix calls bit
 for bit. A zero slice has no grid and gives zero values and zero codes.
+
+The landing/dithered arithmetic lives in one values-first core, ``snap``,
+which returns only the dequantized values and the scales; a run needs no
+more. The ``QuantizedGradient`` builders derive the integer codes from those
+values (the exact inverse of ``dequantize``) for the wire format.
 """
 
 from __future__ import annotations
@@ -48,6 +53,8 @@ __all__ = [
     "scale_factor",
     "dequantize",
     "quantize_nearest",
+    "snap",
+    "dither_noise",
     "quantize_landing",
     "quantize_dithered",
     "quantize",
@@ -111,27 +118,48 @@ def dequantize(codes: np.ndarray, scale: float | np.ndarray, bits: int) -> np.nd
 def _normalize(g: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """(scale, broadcastable nonzero scale, g shifted into [0, 1] per slice).
 
-    Zero slices are divided by 1 instead of 0; ``_finish`` zeroes them.
+    Zero slices are divided by 1 instead of 0; ``_dequantize_into`` zeroes them.
     """
     gamma = scale_factor(g)
     safe = np.where(gamma == 0.0, 1.0, gamma)
     if g.ndim > 2:
         safe = safe[..., None, None]
-    return gamma, safe, g / safe + 0.5
+    shifted = g / safe
+    shifted += 0.5
+    return gamma, safe, shifted
 
 
-def _finish(
-    codes: np.ndarray, gamma: float | np.ndarray, safe: np.ndarray, bits: int
-) -> QuantizedGradient:
-    # gamma = 0 has no grid; the only consistent output is the zero matrix.
-    # codes holds whole floats here, so dequantizing before the int cast
-    # gives the same values with one pass fewer.
-    zero = gamma == 0.0
-    value = dequantize(codes, safe, bits)
-    value[zero] = 0.0
-    codes = codes.astype(np.int64)
-    codes[zero] = 0
-    return QuantizedGradient(value, gamma, bits, codes)
+def _dequantize_into(idx: np.ndarray, gamma: float | np.ndarray, safe: np.ndarray, levels: int) -> np.ndarray:
+    """Turn float grid indices into values in place, as ``dequantize`` with
+    scale ``safe`` would; a zero slice (gamma = 0, no grid) becomes zero."""
+    idx /= levels
+    idx -= 0.5
+    idx *= safe
+    zero = np.equal(gamma, 0.0)
+    if zero.any():
+        idx[zero] = 0.0
+    return idx
+
+
+def _encode(value: np.ndarray, gamma: float | np.ndarray, levels: int) -> np.ndarray:
+    """Integer grid indices of snapped values: the inverse of ``dequantize``.
+
+    Recovered as rint((value / scale + 1/2) (2^N - 1)); the rounding error
+    before the rint is below 1e-5 for every N <= 32 and every normal, finite
+    scale, so the indices are exact. A zero slice gets zero codes.
+    """
+    zero = np.equal(gamma, 0.0)
+    safe = np.where(zero, 1.0, gamma)
+    if value.ndim > 2:
+        safe = safe[..., None, None]
+    codes = np.rint((value / safe + 0.5) * levels).astype(np.int64)
+    if zero.any():
+        codes[zero] = 0
+    return codes
+
+
+def _message(value: np.ndarray, gamma: float | np.ndarray, spec: QuantizerSpec) -> QuantizedGradient:
+    return QuantizedGradient(value, gamma, spec.bits, _encode(value, gamma, spec.levels))
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -157,8 +185,45 @@ def quantize_nearest(g: np.ndarray, spec: QuantizerSpec) -> QuantizedGradient:
     """Round-to-nearest grid snap (ties to even)."""
     if spec.mode != MODE_NEAREST:
         raise ValueError(f"spec.mode must be {MODE_NEAREST!r}, got {spec.mode!r}")
-    gamma, safe, shifted = _normalize(np.asarray(g, dtype=float))
-    return _finish(np.rint(shifted * spec.levels), gamma, safe, spec.bits)
+    gamma, safe, idx = _normalize(np.asarray(g, dtype=float))
+    idx *= spec.levels
+    np.rint(idx, out=idx)
+    return _message(_dequantize_into(idx, gamma, safe, spec.levels), gamma, spec)
+
+
+def snap(
+    g: np.ndarray,
+    pgrad: np.ndarray,
+    spec: QuantizerSpec,
+    noise: np.ndarray | None = None,
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """The landing grid snap, values first: (dequantized values, scales).
+
+    Each normalized entry, plus its ``noise`` (shape of ``g``, normalized
+    units; the dithered quantizer passes its uniform draws here), is
+    floored onto the grid and raised one step where the direction bit of
+    ``pgrad`` is set. This is the whole of the landing and dithered
+    arithmetic: ``quantize_landing`` and ``quantize_dithered`` derive their
+    codes from its values, and a run, which needs only values and scales,
+    calls it directly.
+    """
+    if spec.mode not in (MODE_LANDING, MODE_DITHERED):
+        raise ValueError(f"spec.mode must be {MODE_LANDING!r} or {MODE_DITHERED!r}")
+    g, pgrad = _check_pair(g, pgrad)
+    gamma, safe, idx = _normalize(g)
+    if noise is not None:
+        idx += noise
+    idx *= spec.levels
+    np.floor(idx, out=idx)
+    idx += _direction_bits(pgrad)
+    return _dequantize_into(idx, gamma, safe, spec.levels), gamma
+
+
+def dither_noise(rng: np.random.Generator, spec: QuantizerSpec, shape: tuple[int, ...]) -> np.ndarray:
+    """Half-step uniform dither on (-0.5/(2^N - 1), +0.5/(2^N - 1)), in
+    normalized units, drawn in row-major order."""
+    half = 0.5 / spec.levels
+    return rng.uniform(-half, half, size=shape)
 
 
 def quantize_landing(
@@ -170,18 +235,11 @@ def quantize_landing(
     """Floor quantizer with round-up bits where the penalty gradient is positive.
 
     ``pgrad`` is the orthogonality-penalty gradient evaluated at the same
-    point as ``g``. ``noise`` (shape of ``g``, in normalized units) is added
-    to each normalized entry before flooring: the dithered quantizer passes
-    its uniform draws here.
+    point as ``g``. ``noise`` is added before flooring, as in ``snap``; the
+    codes are derived from the snapped values.
     """
-    if spec.mode not in (MODE_LANDING, MODE_DITHERED):
-        raise ValueError(f"spec.mode must be {MODE_LANDING!r} or {MODE_DITHERED!r}")
-    g, pgrad = _check_pair(g, pgrad)
-    gamma, safe, shifted = _normalize(g)
-    if noise is not None:
-        shifted = shifted + noise
-    codes = np.floor(shifted * spec.levels) + _direction_bits(pgrad)
-    return _finish(codes, gamma, safe, spec.bits)
+    value, gamma = snap(g, pgrad, spec, noise)
+    return _message(value, gamma, spec)
 
 
 def quantize_dithered(
@@ -192,18 +250,14 @@ def quantize_dithered(
 ) -> QuantizedGradient:
     """Landing-directed quantizer with half-step uniform dither.
 
-    One uniform draw on (-0.5/(2^N - 1), +0.5/(2^N - 1)) is added to each
-    normalized entry (row-major order) before flooring. ``rng`` must yield
-    i.i.d. uniforms; the caller owns the stream. An all-zero input consumes
-    no draws.
+    One uniform draw of ``dither_noise`` is added to each normalized entry
+    (row-major order) before flooring. ``rng`` must yield i.i.d. uniforms;
+    the caller owns the stream. An all-zero input consumes no draws.
     """
     if spec.mode != MODE_DITHERED:
         raise ValueError(f"spec.mode must be {MODE_DITHERED!r}, got {spec.mode!r}")
     g, pgrad = _check_pair(g, pgrad)
-    noise = None
-    if g.any():
-        half = 0.5 / spec.levels
-        noise = rng.uniform(-half, half, size=g.shape)
+    noise = dither_noise(rng, spec, g.shape) if g.any() else None
     return quantize_landing(g, pgrad, spec, noise)
 
 

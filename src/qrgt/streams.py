@@ -6,10 +6,14 @@ that, e.g., a bit-width sweep reuses the exact same data and initialization.
 Streams are keyed by (master seed, stream id, *path) through numpy's
 SeedSequence spawn keys, which are stable across platforms.
 
-Dither is drawn per epoch: epoch k's noise for all agents is one (n, d, r)
-block from ``stream_rng(master_seed, STREAM_DITHER, k)``, and agent i's
-noise is slice i. An epoch's draws therefore do not depend on how much any
-earlier epoch consumed, nor on the order in which agents are processed.
+A run's dither is one stream, ``stream_rng(master_seed, STREAM_DITHER)``,
+cut into equal blocks of B = n*d*r uniform draws (one 64-bit output each):
+epoch k's noise for all agents is the (n, d, r) block of draws
+[k*B, (k+1)*B), and agent i's noise is slice i. A run draws the blocks in
+order from one generator; a caller that needs block k alone starts a fresh
+generator and skips to it with ``bit_generator.advance(k*B)``. A draw
+therefore depends only on (master seed, epoch), not on which epochs were
+drawn before it nor on the order in which agents are processed.
 """
 
 from __future__ import annotations

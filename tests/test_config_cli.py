@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -205,11 +206,20 @@ class TestExecute:
         row = lines[lines.index(CSV_HEADER) + 1].split(",")
         assert row[6] == "0.0"
 
-    def test_diverged_exit_code(self, tmp_path):
+    def test_diverged_exit_code(self, tmp_path, capsys):
         cfg = parse_config(overrides=tiny_overrides(tmp_path, alpha_hat=1e9, max_epochs=100))
         code, trace = execute(cfg)
         assert code == 3
         assert trace.termination == "Diverged"
+        # one line names the epoch, the first agent that tripped and the check
+        epoch = len(trace.rows) + 1
+        line = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("diverged at")]
+        assert line == [trace.divergence]
+        assert re.fullmatch(
+            rf"diverged at epoch {epoch}: agent \d+ has "
+            r"(non-finite entries|norm \S+ > 1e3\*sqrt\(r\) = 1414)",
+            trace.divergence,
+        )
 
 
 class TestSweep:

@@ -35,7 +35,7 @@ from qrgt.engine import (
     _Engine,
 )
 from qrgt.network import MixingMatrix
-from qrgt.quantizers import MODE_DITHERED
+from qrgt.quantizers import MODE_DITHERED, dither_noise
 from qrgt.streams import STREAM_DITHER, stream_rng
 
 
@@ -184,11 +184,20 @@ class TestQrgtEpoch:
         assert not np.array_equal(a.g[0], c.g[0])
 
 
+def advanced_dither(seed, epoch, shape, spec):
+    """Block ``epoch`` of the run's dither stream, from a fresh generator."""
+    rng = stream_rng(seed, STREAM_DITHER)
+    rng.bit_generator.advance(epoch * int(np.prod(shape)))
+    half = 0.5 / spec.levels
+    return rng.uniform(-half, half, shape)
+
+
 class TestQuantizeAll:
     def test_matches_quantizer_on_fresh_epoch_stream(self):
-        # The engine's quantizer equals the public stacked quantizer fed one
-        # (n, d, r) block from a freshly built (seed, epoch) dither stream,
-        # whatever epochs the engine served before.
+        # The engine's quantizer equals the public stacked quantizer fed
+        # block k of the run's dither stream (draws [kB, (k+1)B)), taken
+        # from a fresh generator advanced by kB, whatever epochs the engine
+        # served before: 5, 7 and 2 each jump, 3 continues after 2.
         inst = generate_synthetic(
             SyntheticSpec(n=4, m=40, d=5, r=3, eigengap=0.6, leading_sv=2.0, seed=4)
         )
@@ -198,13 +207,27 @@ class TestQuantizeAll:
         RG = tangent_project(X, eng.local_grads(X))
         PG = penalty_grad(X)
         spec = QuantizerSpec(bits=3, mode=MODE_DITHERED)
-        half = 0.5 / spec.levels
-        for epoch in (5, 7, 2):
+        for epoch in (5, 7, 2, 3):
             values, scales, _ = eng.quantize_all(RG, PG, epoch)
-            noise = stream_rng(cfg.seed, STREAM_DITHER, epoch).uniform(-half, half, RG.shape)
-            q = quantize_landing(RG, PG, spec, noise)
+            q = quantize_landing(RG, PG, spec, advanced_dither(cfg.seed, epoch, RG.shape, spec))
             assert values.tobytes() == q.value.tobytes()
             assert scales.tobytes() == q.scale.tobytes()
+
+    def test_run_draws_blocks_in_order(self, monkeypatch):
+        # run() continues one generator from epoch to epoch; each block it
+        # draws equals the advanced draw for that epoch, the init being 0.
+        drawn = []
+
+        def recording(rng, spec, shape):
+            drawn.append((spec, dither_noise(rng, spec, shape)))
+            return drawn[-1][1]
+
+        monkeypatch.setattr(engine, "dither_noise", recording)
+        cfg = AlgoConfig(alpha=1e-3, bits=5, max_epochs=6, seed=8)
+        trace = run(small_instance(seed=3), Topology.ring(4), cfg)
+        assert len(trace.rows) == 6 and len(drawn) == 7
+        for epoch, (spec, noise) in enumerate(drawn):
+            assert noise.tobytes() == advanced_dither(cfg.seed, epoch, noise.shape, spec).tobytes()
 
 
 class TestEngineBuild:
@@ -290,6 +313,122 @@ class TestBatchedRetraction:
         trace = run(small_instance(seed=2), Topology.ring(4), cfg)
         assert len(trace.rows) == 7
         assert calls == [(4, 6, 2)] * 7
+
+
+def old_divergence_rule(X, r):
+    """The two-pass rule the engine used to apply: any non-finite entry,
+    or some agent's Frobenius norm above 1e3 sqrt(r)."""
+    if not np.isfinite(X).all():
+        return True
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.sum(X.reshape(X.shape[0], -1) ** 2, axis=1))
+    return bool(norms.max() > 1e3 * np.sqrt(r))
+
+
+class TestDiverged:
+    def cases(self):
+        r = 2
+        bound = 1e3 * np.sqrt(r)
+        base = np.random.default_rng(4).standard_normal((5, 6, r))
+        unit = base[3] / np.linalg.norm(base[3])
+        for label, agent, entry in [
+            ("nan", 2, np.nan),
+            ("+inf", 1, np.inf),
+            ("-inf", 4, -np.inf),
+            ("overflow", 3, 1e200),  # finite entry whose square overflows
+        ]:
+            X = base.copy()
+            X[agent, 1, 0] = entry
+            yield label, X, agent
+        for label, factor in [("above", 1 + 1e-9), ("below", 1 - 1e-9), ("far below", 0.5)]:
+            X = base.copy()
+            X[3] = unit * bound * factor
+            yield label, X, 3
+        yield "healthy", base, None
+
+    def test_agrees_with_two_pass_rule(self):
+        for label, X, agent in self.cases():
+            why = engine._diverged(X, 2)
+            assert (why is not None) == old_divergence_rule(X, 2), label
+            if why is not None:
+                assert why.startswith(f"agent {agent} has "), (label, why)
+
+    def test_names_the_check(self):
+        checks = {label: engine._diverged(X, 2) for label, X, _ in self.cases()}
+        for label in ("nan", "+inf", "-inf"):
+            assert checks[label].endswith("non-finite entries")
+        assert checks["overflow"] == "agent 3 has norm inf > 1e3*sqrt(r) = 1414"
+        assert checks["above"] == "agent 3 has norm 1414 > 1e3*sqrt(r) = 1414"
+        assert checks["below"] is None and checks["healthy"] is None
+
+    def test_first_tripping_agent_is_named(self):
+        X = np.zeros((4, 3, 2))
+        X[2, 0, 0] = 5e3
+        X[3, 0, 0] = np.nan
+        assert engine._diverged(X, 2).startswith("agent 2 has norm 5000 > ")
+
+    def test_run_keeps_the_line(self):
+        inst = small_instance()
+        trace = run(inst, Topology.ring(4), AlgoConfig(alpha=1e6, max_epochs=200, seed=0))
+        assert trace.termination == TERMINATION_DIVERGED
+        assert trace.divergence.startswith(f"diverged at epoch {len(trace.rows) + 1}: agent ")
+        healthy = run(inst, Topology.ring(4), AlgoConfig(alpha=1e-3, max_epochs=3, seed=0))
+        assert healthy.divergence is None
+
+
+class TestBenchmarkHooks:
+    """The names a benchmark wraps to clock and trace a run: the module-level
+    evaluate, mix, tangent_project, penalty_grad and retract of the engine,
+    and _Engine.local_grads and _Engine.quantize_all."""
+
+    EPOCHS = 5
+
+    def counted_run(self, monkeypatch, algorithm, bits=4):
+        calls = {}
+        returned = []
+
+        def counter(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                out = fn(*args, **kwargs)
+                if name == "quantize_all":
+                    returned.append(out)
+                return out
+
+            return wrapped
+
+        for name in ("evaluate", "mix", "tangent_project", "penalty_grad", "retract"):
+            monkeypatch.setattr(engine, name, counter(name, getattr(engine, name)))
+        for name in ("local_grads", "quantize_all"):
+            monkeypatch.setattr(_Engine, name, counter(name, getattr(_Engine, name)))
+        cfg = AlgoConfig(alpha=1e-3, bits=bits, algorithm=algorithm, max_epochs=self.EPOCHS, seed=2)
+        trace = run(small_instance(seed=5), Topology.ring(4), cfg)
+        assert len(trace.rows) == self.EPOCHS
+        return calls, returned
+
+    def test_qrgt(self, monkeypatch):
+        calls, returned = self.counted_run(monkeypatch, "qrgt", bits=4)
+        k = self.EPOCHS
+        assert calls["evaluate"] == k
+        assert calls["quantize_all"] == k + 1  # once per epoch plus once at init
+        assert calls["mix"] == 2 * k
+        assert calls["local_grads"] == calls["tangent_project"] == calls["penalty_grad"] == k + 1
+        assert "retract" not in calls
+        levels = (1 << 4) - 1
+        for values, scales, ratios in returned:
+            assert values.shape == (4, 6, 2) and scales.shape == ratios.shape == (4,)
+            assert (scales > 0).all()
+            idx = (values / scales[:, None, None] + 0.5) * levels
+            np.testing.assert_allclose(idx, np.rint(idx), rtol=0, atol=1e-9)
+
+    def test_rgt(self, monkeypatch):
+        calls, _ = self.counted_run(monkeypatch, "rgt")
+        k = self.EPOCHS
+        assert calls["evaluate"] == k
+        assert calls["retract"] == k
+        assert calls["mix"] == 2 * k
+        assert calls["local_grads"] == k + 1
+        assert "quantize_all" not in calls and "penalty_grad" not in calls
 
 
 class TestStepSizeBounds:

@@ -18,6 +18,7 @@ from qrgt import (
     subspace_distance,
 )
 from qrgt.problems import DegenerateGapWarning, IdxFormatError
+from qrgt.streams import STREAM_DATA, stream_rng
 
 MAGIC = 0x00000803
 
@@ -172,6 +173,39 @@ class TestGenerateSynthetic:
     def test_row_split_even(self):
         inst = small_instance(n=4, m=50)
         assert [a.shape[0] for a in inst.local_data] == [50, 50, 50, 50]
+
+    @pytest.mark.parametrize("n, m, d", [(4, 50, 6), (16, 1000, 10), (3, 2, 5)])
+    def test_block_draws_equal_one_tall_draw(self, n, m, d):
+        # generate_synthetic draws one (m, d) block per agent: the same
+        # values, in the same order, as one (n*m, d) draw of the stream.
+        rng = stream_rng(7, STREAM_DATA)
+        blocks = [rng.standard_normal((m, d)) for _ in range(n)]
+        tall = stream_rng(7, STREAM_DATA).standard_normal((n * m, d))
+        assert np.concatenate(blocks).tobytes() == tall.tobytes()
+
+    @pytest.mark.parametrize("n, m, d", [(4, 50, 6), (3, 2, 5)])
+    def test_matches_tall_svd_construction(self, n, m, d):
+        # Reference: the SVD of the whole stacked draw, spectrum replaced.
+        spec = SyntheticSpec(n=n, m=m, d=d, r=2, eigengap=0.5, leading_sv=2.0, seed=3)
+        inst = generate_synthetic(spec)
+        g = stream_rng(spec.seed, STREAM_DATA).standard_normal((n * m, d))
+        u, _, vt = np.linalg.svd(g, full_matrices=False)
+        sv = spec.leading_sv * spec.eigengap ** (np.arange(d) / 2.0)
+        np.testing.assert_allclose(np.vstack(inst.local_data), (u * sv) @ vt, rtol=0, atol=1e-12)
+        planted = vt.T[:, :2]
+        np.testing.assert_allclose(
+            inst.planted_basis @ inst.planted_basis.T, planted @ planted.T, rtol=0, atol=1e-12
+        )
+
+    def test_square_case_spectrum_over_seeds(self):
+        # n*m = d: the stacked draw is square and at times ill-conditioned;
+        # the tall-skinny QR keeps the spectrum to 1e-10 on every seed
+        # (a factor from eigh(g^T g) misses by ~1e-8 on some of them).
+        sv = 0.5 ** (np.arange(4) / 2.0)
+        for seed in range(200):
+            inst = generate_synthetic(SyntheticSpec(n=2, m=2, d=4, r=2, eigengap=0.5, seed=seed))
+            got = np.linalg.svd(np.vstack(inst.local_data), compute_uv=False)
+            np.testing.assert_allclose(got, sv, rtol=1e-10, err_msg=f"seed {seed}")
 
 
 class TestMnist:

@@ -14,7 +14,15 @@ from qrgt import (
     scale_factor,
     wire_size_bits,
 )
-from qrgt.quantizers import MODE_DITHERED, MODE_LANDING, MODE_NEAREST, pack_codes, unpack_codes
+from qrgt.quantizers import (
+    MODE_DITHERED,
+    MODE_LANDING,
+    MODE_NEAREST,
+    dither_noise,
+    pack_codes,
+    snap,
+    unpack_codes,
+)
 
 
 def nearest_spec(bits):
@@ -302,6 +310,68 @@ class TestStacked:
         g = np.zeros((2, 3, 4, 2))
         g[0, 1, 2, 1] = -0.75
         np.testing.assert_array_equal(scale_factor(g), [[0.0, 1.5, 0.0], [0.0, 0.0, 0.0]])
+
+
+def codes_first_landing(g, pgrad, bits, noise=None):
+    """Reference: the codes-first arithmetic the quantizer used to run.
+    Float grid indices (floor plus direction bit) first, then values from
+    them; a zero slice gives zero values and codes."""
+    levels = (1 << bits) - 1
+    gamma = scale_factor(g)
+    safe = np.where(gamma == 0.0, 1.0, gamma)
+    if g.ndim > 2:
+        safe = safe[..., None, None]
+    shifted = g / safe + 0.5
+    if noise is not None:
+        shifted = shifted + noise
+    codes = np.floor(shifted * levels) + np.rint(0.5 * (1.0 + np.tanh(0.5 * pgrad)))
+    value = safe * (codes / levels - 0.5)
+    zero = gamma == 0.0
+    value[zero] = 0.0
+    codes[zero] = 0
+    return value, gamma, codes.astype(np.int64)
+
+
+class TestSnap:
+    """The values-first core against quantize_landing and the codes-first reference."""
+
+    @pytest.mark.parametrize("mode", [MODE_LANDING, MODE_DITHERED])
+    @pytest.mark.parametrize("bits", [1, 3, 8, 16, 32])
+    def test_matches_quantize_landing_and_reference(self, mode, bits):
+        rng = np.random.default_rng(bits)
+        spec = QuantizerSpec(bits=bits, mode=mode)
+        magnitudes = np.array([1e-300, 1e-8, 1.0, 0.0, 1e8, 1e300])[:, None, None]
+        g = rng.uniform(-2, 2, size=(6, 7, 3)) * magnitudes  # slice 3 all zero
+        pgrad = rng.standard_normal(g.shape)
+        pgrad[0, 0, :] = 0.0  # sigmoid ties round to 0
+        noise = dither_noise(rng, spec, g.shape) if mode == MODE_DITHERED else None
+        for gi, pi, ni in [(g, pgrad, noise), (g[2], pgrad[2], None if noise is None else noise[2])]:
+            values, scales = snap(gi, pi, spec, ni)
+            q = quantize_landing(gi, pi, spec, ni)
+            assert values.tobytes() == q.value.tobytes()
+            assert np.asarray(scales).tobytes() == np.asarray(q.scale).tobytes()
+            ref_value, ref_scale, ref_codes = codes_first_landing(gi, pi, bits, ni)
+            assert values.tobytes() == ref_value.tobytes()
+            assert np.asarray(scales).tobytes() == np.asarray(ref_scale).tobytes()
+            assert q.codes.tobytes() == ref_codes.tobytes()
+        stacked_values, stacked_scales = snap(g, pgrad, spec, noise)
+        assert stacked_scales[3] == 0.0 and not stacked_values[3].any()
+
+    def test_dithered_is_snap_with_its_draws(self):
+        rng = np.random.default_rng(21)
+        spec = dithered_spec(6)
+        g = rng.uniform(-1, 1, size=(4, 5, 2))
+        g[1] = 0.0
+        pgrad = rng.standard_normal(g.shape)
+        noise = dither_noise(np.random.default_rng(5), spec, g.shape)
+        q = quantize_dithered(g, pgrad, spec, np.random.default_rng(5))
+        values, scales = snap(g, pgrad, spec, noise)
+        assert q.value.tobytes() == values.tobytes()
+        assert q.scale.tobytes() == scales.tobytes()
+
+    def test_nearest_mode_rejected(self):
+        with pytest.raises(ValueError):
+            snap(np.ones((2, 2)), np.ones((2, 2)), nearest_spec(4))
 
 
 class TestRangeInvariant:
