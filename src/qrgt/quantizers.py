@@ -29,7 +29,8 @@ for bit. A zero slice has no grid and gives zero values and zero codes.
 The landing/dithered arithmetic lives in one values-first core, ``snap``,
 which returns only the dequantized values and the scales; a run needs no
 more. The ``QuantizedGradient`` builders derive the integer codes from those
-values (the exact inverse of ``dequantize``) for the wire format.
+values by inverting ``dequantize``, which is exact for every normal, finite
+scale.
 """
 
 from __future__ import annotations
@@ -115,15 +116,19 @@ def dequantize(codes: np.ndarray, scale: float | np.ndarray, bits: int) -> np.nd
     return scale * (np.asarray(codes, dtype=float) / levels - 0.5)
 
 
+def _nonzero_scale(gamma: float | np.ndarray, ndim: int) -> np.ndarray:
+    """``gamma`` with zeros replaced by 1, shaped to broadcast over (d, r) slices."""
+    safe = np.where(gamma == 0.0, 1.0, gamma)
+    return safe[..., None, None] if ndim > 2 else safe
+
+
 def _normalize(g: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
     """(scale, broadcastable nonzero scale, g shifted into [0, 1] per slice).
 
     Zero slices are divided by 1 instead of 0; ``_dequantize_into`` zeroes them.
     """
     gamma = scale_factor(g)
-    safe = np.where(gamma == 0.0, 1.0, gamma)
-    if g.ndim > 2:
-        safe = safe[..., None, None]
+    safe = _nonzero_scale(gamma, g.ndim)
     shifted = g / safe
     shifted += 0.5
     return gamma, safe, shifted
@@ -148,11 +153,8 @@ def _encode(value: np.ndarray, gamma: float | np.ndarray, levels: int) -> np.nda
     before the rint is below 1e-5 for every N <= 32 and every normal, finite
     scale, so the indices are exact. A zero slice gets zero codes.
     """
+    codes = np.rint((value / _nonzero_scale(gamma, value.ndim) + 0.5) * levels).astype(np.int64)
     zero = np.equal(gamma, 0.0)
-    safe = np.where(zero, 1.0, gamma)
-    if value.ndim > 2:
-        safe = safe[..., None, None]
-    codes = np.rint((value / safe + 0.5) * levels).astype(np.int64)
     if zero.any():
         codes[zero] = 0
     return codes
