@@ -29,17 +29,7 @@ from .problems import (
     make_instance,
     solve_ground_truth,
 )
-from .quantizers import (
-    QuantizedGradient,
-    QuantizerSpec,
-    dequantize,
-    quantize,
-    quantize_dithered,
-    quantize_landing,
-    quantize_nearest,
-    scale_factor,
-    wire_size_bits,
-)
+from .quantizers import QuantizerSpec, dequantize, encode, scale_factor, snap, wire_size_bits
 from .stiefel import (
     ManifoldDims,
     SmoothnessConstants,

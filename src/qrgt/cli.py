@@ -7,11 +7,14 @@ data and initialization are shared) and writes an index of final metrics and
 each value's termination reason; a value that diverged before completing an
 epoch has nan metrics.
 
-Exit codes: 0 for a completed run (early stop or epoch cap), 2 for
-configuration errors, including a step size over the safety bound with
-``enforce_safety`` set (nothing is written), 3 for divergence (the partial
-trace is still written, and one line names the epoch, the first agent that
-tripped, and the check: non-finite entries, or norm > 1e3 sqrt(r)).
+Exit codes: 0 for a completed run (early stop or epoch cap); 2 for a
+configuration error, including a step size over the safety bound with
+``enforce_safety`` set, or for unusable input (an edge file that is
+malformed or disconnected, an Erdos-Renyi draw that never connects, a
+malformed IDX file), reported as one ``error:`` line with nothing written
+for the failing run; 3 for divergence (the partial trace is still written,
+and one line names the epoch, the first agent that tripped, and the check:
+non-finite entries, or norm > 1e3 sqrt(r)).
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from pathlib import Path
 
 from .config import ConfigError, RunConfig, algo_config, build_problem, build_topology, parse_config, with_value
 from .engine import TERMINATION_DIVERGED, RunTrace, StepSizeError, run
+from .network import GraphError
+from .problems import IdxFormatError
 
 CSV_HEADER = "epoch,consensus_error,grad_norm,f_gap,ds,dist_mean,wall_ms,wire_bits_cum"
 
@@ -142,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
             code, _ = execute(cfg)
             return code
         return sweep(cfg, args.key, [v for v in args.values.split(",") if v])
-    except (ConfigError, StepSizeError, OSError) as exc:
+    except (ConfigError, StepSizeError, GraphError, IdxFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -34,7 +34,7 @@ import numpy as np
 from .metrics import consensus_error, evaluate
 from .network import MixingMatrix, Topology, build_metropolis, mix
 from .problems import ProblemInstance, estimate_smoothness
-from .quantizers import MODE_DITHERED, MODE_LANDING, QuantizerSpec, dither_noise, scale_factor, snap
+from .quantizers import QuantizerSpec, dither_noise, scale_factor, snap, wire_size_bits
 from .stiefel import SmoothnessConstants, penalty_grad, random_stiefel, retract, tangent_project
 from .streams import STREAM_DITHER, STREAM_INIT, stream_rng
 
@@ -197,7 +197,7 @@ class _Engine:
         self.inst = inst
         self.mixing = mixing
         self.cfg = cfg
-        self.qspec = QuantizerSpec(bits=cfg.bits, mode=MODE_DITHERED if cfg.dither else MODE_LANDING)
+        self.qspec = QuantizerSpec(bits=cfg.bits)
         self._dither: np.random.Generator | None = None
         self._dither_next: int | None = None  # the epoch whose block _dither stands at
 
@@ -332,7 +332,7 @@ def run(
             )
     eng = _Engine(inst, mixing, cfg)
     d, r = inst.dims.d, inst.dims.r
-    wire_per_epoch = inst.n_agents * (d * r * cfg.bits + 64) if cfg.algorithm == ALGO_QRGT else 0
+    wire_per_epoch = inst.n_agents * wire_size_bits(d * r, eng.qspec) if cfg.algorithm == ALGO_QRGT else 0
     rows: list[TraceRow] = []
     diag = RunDiagnostics()
     termination = TERMINATION_MAX_EPOCHS

@@ -130,10 +130,11 @@ class Topology:
             line = line.strip()
             if not line or line.startswith("#"):
                 continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise GraphError(f"{path}:{lineno}: expected 'i j', got {line!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
+            try:
+                i, j = (int(token) for token in line.split())
+            except ValueError:  # a token that is no integer, or not two tokens
+                raise GraphError(f"{path}:{lineno}: expected 'i j', got {line!r}") from None
+            pairs.append((i, j))
         if n is None:
             if not pairs:
                 raise GraphError(f"{path}: no edges")

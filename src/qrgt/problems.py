@@ -15,6 +15,7 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -197,7 +198,7 @@ def load_mnist(path, n: int, r: int = 5, seed: int = 0) -> ProblemInstance:
     the run seed, and split evenly across ``n`` agents (last agent absorbs
     the remainder).
     """
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     if len(raw) < 16:
         raise IdxFormatError(f"{path}: truncated header, got {len(raw)} bytes, need 16")
     magic, count, rows, cols = struct.unpack(">IIII", raw[:16])

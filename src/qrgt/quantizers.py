@@ -1,64 +1,47 @@
-"""N-bit uniform quantizers for gradient matrices.
+"""The N-bit landing quantizer of Q-RGT and its wire format.
 
-All three variants share the same fixed-point grid: entries are scaled by
-gamma = 2 * max|g| into [-0.5, 0.5], shifted to [0, 1], placed on the grid
-{0, 1/(2^N - 1), ..., 1}, then shifted and scaled back. They differ in how a
-value is snapped to the grid:
+Each agent sends its Riemannian gradient g as one message: a scale
+gamma = 2 * max|g| and one N-bit code per entry. The snap scales the entries
+by gamma into [-0.5, 0.5], shifts them to [0, 1], adds the optional
+half-step uniform dither, floors them onto the grid {0, 1/(2^N - 1), ..., 1}
+and raises each one step where the orthogonality-penalty gradient is
+positive, so the quantization error itself pulls iterates toward the
+manifold. Where the penalty gradient is zero (on the manifold) the snap is a
+pure floor.
 
-* ``nearest``   rounds to the nearest grid point (ties to even);
-* ``landing``   floors, then adds a per-entry direction bit derived from the
-  orthogonality-penalty gradient, so values round up where the penalty
-  gradient is positive and down where it is negative -- the quantization
-  error itself pulls iterates toward the manifold;
-* ``dithered``  is ``landing`` with uniform noise of half a grid step added
-  before flooring, to break up the systematic part of the rounding error.
+``snap`` is the one arithmetic path. It returns the dequantized values and
+the scales, which is all a run needs; ``encode`` recovers the integer codes
+from them by inverting ``dequantize``, exactly for every normal, finite
+scale. ``pack_codes`` and ``unpack_codes`` serialize one message, and
+``wire_size_bits`` is the size a run charges for it.
 
-The grid snap uses floor plus a {0, 1} bit, so a landing/dithered code can
-undershoot the grid by one step (dither below the bottom grid point) or
-overshoot it by one (direction bit on an entry already at the top). Codes
-are therefore kept as signed integers; ``pack_codes`` refuses anything that
-does not fit the advertised N-bit wire format.
+The floor plus a {0, 1} bit can undershoot the grid by one step (dither
+below the bottom grid point) or overshoot it by one (a raised entry already
+at the top). Codes are therefore signed integers, and ``pack_codes`` refuses
+any message with a code outside [0, 2^N - 1].
 
-Every quantizer accepts a single matrix or a stack of shape ``(..., d, r)``.
-A stack gets one scale per trailing ``(d, r)`` slice, so
-``QuantizedGradient.scale`` is a float for input of at most two dimensions
-and an array of shape ``(...)`` otherwise; ``value`` and ``codes`` keep the
-input shape. Slice by slice, a stacked call equals the per-matrix calls bit
-for bit. A zero slice has no grid and gives zero values and zero codes.
-
-The landing/dithered arithmetic lives in one values-first core, ``snap``,
-which returns only the dequantized values and the scales; a run needs no
-more. The ``QuantizedGradient`` builders derive the integer codes from those
-values by inverting ``dequantize``, which is exact for every normal, finite
-scale.
+``scale_factor``, ``snap`` and ``encode`` accept a single matrix or a stack
+of shape ``(..., d, r)``. A stack gets one scale per trailing ``(d, r)``
+slice: a float for input of at most two dimensions, an array of shape
+``(...)`` otherwise. Slice by slice, a stacked call equals the per-matrix
+calls bit for bit. A zero slice has no grid and gives zero values and zero
+codes.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-MODE_NEAREST = "nearest"
-MODE_LANDING = "landing"
-MODE_DITHERED = "dithered"
-_MODES = (MODE_NEAREST, MODE_LANDING, MODE_DITHERED)
-
 __all__ = [
-    "MODE_NEAREST",
-    "MODE_LANDING",
-    "MODE_DITHERED",
     "QuantizerSpec",
-    "QuantizedGradient",
     "scale_factor",
     "dequantize",
-    "quantize_nearest",
     "snap",
     "dither_noise",
-    "quantize_landing",
-    "quantize_dithered",
-    "quantize",
+    "encode",
     "wire_size_bits",
     "pack_codes",
     "unpack_codes",
@@ -67,16 +50,13 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuantizerSpec:
-    """Bit-width and rounding mode of one quantizer."""
+    """Bit-width of the quantizer."""
 
     bits: int
-    mode: str = MODE_DITHERED
 
     def __post_init__(self) -> None:
         if not (1 <= self.bits <= 32):
             raise ValueError(f"bits must be in [1, 32], got {self.bits}")
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
 
     @property
     def levels(self) -> int:
@@ -87,17 +67,6 @@ class QuantizerSpec:
     def step(self) -> float:
         """Grid spacing in normalized units."""
         return 1.0 / self.levels
-
-
-@dataclass(frozen=True)
-class QuantizedGradient:
-    """Dequantized matrix (or stack) plus the (codes, scale) pair that
-    reproduces it; ``scale`` is per trailing (d, r) slice."""
-
-    value: np.ndarray
-    scale: float | np.ndarray
-    bits: int
-    codes: np.ndarray = field(repr=False)
 
 
 def scale_factor(g: np.ndarray) -> float | np.ndarray:
@@ -122,77 +91,6 @@ def _nonzero_scale(gamma: float | np.ndarray, ndim: int) -> np.ndarray:
     return safe[..., None, None] if ndim > 2 else safe
 
 
-def _normalize(g: np.ndarray) -> tuple[float | np.ndarray, np.ndarray, np.ndarray]:
-    """(scale, broadcastable nonzero scale, g shifted into [0, 1] per slice).
-
-    Zero slices are divided by 1 instead of 0; ``_dequantize_into`` zeroes them.
-    """
-    gamma = scale_factor(g)
-    safe = _nonzero_scale(gamma, g.ndim)
-    shifted = g / safe
-    shifted += 0.5
-    return gamma, safe, shifted
-
-
-def _dequantize_into(idx: np.ndarray, gamma: float | np.ndarray, safe: np.ndarray, levels: int) -> np.ndarray:
-    """Turn float grid indices into values in place, as ``dequantize`` with
-    scale ``safe`` would; a zero slice (gamma = 0, no grid) becomes zero."""
-    idx /= levels
-    idx -= 0.5
-    idx *= safe
-    zero = np.equal(gamma, 0.0)
-    if zero.any():
-        idx[zero] = 0.0
-    return idx
-
-
-def _encode(value: np.ndarray, gamma: float | np.ndarray, levels: int) -> np.ndarray:
-    """Integer grid indices of snapped values: the inverse of ``dequantize``.
-
-    Recovered as rint((value / scale + 1/2) (2^N - 1)); the rounding error
-    before the rint is below 1e-5 for every N <= 32 and every normal, finite
-    scale, so the indices are exact. A zero slice gets zero codes.
-    """
-    codes = np.rint((value / _nonzero_scale(gamma, value.ndim) + 0.5) * levels).astype(np.int64)
-    zero = np.equal(gamma, 0.0)
-    if zero.any():
-        codes[zero] = 0
-    return codes
-
-
-def _message(value: np.ndarray, gamma: float | np.ndarray, spec: QuantizerSpec) -> QuantizedGradient:
-    return QuantizedGradient(value, gamma, spec.bits, _encode(value, gamma, spec.levels))
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    # overflow-free logistic: 1 / (1 + e^-z) = (1 + tanh(z/2)) / 2
-    return 0.5 * (1.0 + np.tanh(0.5 * np.asarray(z, dtype=float)))
-
-
-def _direction_bits(pgrad: np.ndarray) -> np.ndarray:
-    # rint ties to even, so the on-manifold case sigmoid(0) = 0.5 gives 0
-    # and the landing quantizer degenerates to a pure floor.
-    return np.rint(_sigmoid(pgrad))
-
-
-def _check_pair(g: np.ndarray, pgrad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    g = np.asarray(g, dtype=float)
-    pgrad = np.asarray(pgrad, dtype=float)
-    if g.shape != pgrad.shape:
-        raise ValueError(f"shape mismatch: g is {g.shape}, pgrad is {pgrad.shape}")
-    return g, pgrad
-
-
-def quantize_nearest(g: np.ndarray, spec: QuantizerSpec) -> QuantizedGradient:
-    """Round-to-nearest grid snap (ties to even)."""
-    if spec.mode != MODE_NEAREST:
-        raise ValueError(f"spec.mode must be {MODE_NEAREST!r}, got {spec.mode!r}")
-    gamma, safe, idx = _normalize(np.asarray(g, dtype=float))
-    idx *= spec.levels
-    np.rint(idx, out=idx)
-    return _message(_dequantize_into(idx, gamma, safe, spec.levels), gamma, spec)
-
-
 def snap(
     g: np.ndarray,
     pgrad: np.ndarray,
@@ -201,24 +99,35 @@ def snap(
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """The landing grid snap, values first: (dequantized values, scales).
 
-    Each normalized entry, plus its ``noise`` (shape of ``g``, normalized
-    units; the dithered quantizer passes its uniform draws here), is
-    floored onto the grid and raised one step where the direction bit of
-    ``pgrad`` is set. This is the whole of the landing and dithered
-    arithmetic: ``quantize_landing`` and ``quantize_dithered`` derive their
-    codes from its values, and a run, which needs only values and scales,
-    calls it directly.
+    ``pgrad`` is the orthogonality-penalty gradient at the same point as
+    ``g``. Each normalized entry, plus its ``noise`` (shape of ``g``,
+    normalized units, as drawn by ``dither_noise``; none for the undithered
+    snap), is floored onto the grid and raised one step where the direction
+    bit of ``pgrad`` is set.
     """
-    if spec.mode not in (MODE_LANDING, MODE_DITHERED):
-        raise ValueError(f"spec.mode must be {MODE_LANDING!r} or {MODE_DITHERED!r}")
-    g, pgrad = _check_pair(g, pgrad)
-    gamma, safe, idx = _normalize(g)
+    g = np.asarray(g, dtype=float)
+    pgrad = np.asarray(pgrad, dtype=float)
+    if g.shape != pgrad.shape:
+        raise ValueError(f"shape mismatch: g is {g.shape}, pgrad is {pgrad.shape}")
+    gamma = scale_factor(g)
+    safe = _nonzero_scale(gamma, g.ndim)  # a zero slice is divided by 1, then zeroed
+    idx = g / safe
+    idx += 0.5
     if noise is not None:
         idx += noise
     idx *= spec.levels
     np.floor(idx, out=idx)
-    idx += _direction_bits(pgrad)
-    return _dequantize_into(idx, gamma, safe, spec.levels), gamma
+    # The direction bit is rint(sigmoid(pgrad)), the sigmoid written as
+    # (1 + tanh(z/2)) / 2 to avoid overflow; rint ties to even, so
+    # pgrad = 0 gives 0 and the snap is a pure floor on the manifold.
+    idx += np.rint(0.5 * (1.0 + np.tanh(0.5 * pgrad)))
+    idx /= spec.levels
+    idx -= 0.5
+    idx *= safe
+    zero = np.equal(gamma, 0.0)
+    if zero.any():
+        idx[zero] = 0.0
+    return idx, gamma
 
 
 def dither_noise(rng: np.random.Generator, spec: QuantizerSpec, shape: tuple[int, ...]) -> np.ndarray:
@@ -228,83 +137,52 @@ def dither_noise(rng: np.random.Generator, spec: QuantizerSpec, shape: tuple[int
     return rng.uniform(-half, half, size=shape)
 
 
-def quantize_landing(
-    g: np.ndarray,
-    pgrad: np.ndarray,
-    spec: QuantizerSpec,
-    noise: np.ndarray | None = None,
-) -> QuantizedGradient:
-    """Floor quantizer with round-up bits where the penalty gradient is positive.
+def encode(values: np.ndarray, scales: float | np.ndarray, spec: QuantizerSpec) -> np.ndarray:
+    """Integer grid indices of snapped values: the inverse of ``dequantize``.
 
-    ``pgrad`` is the orthogonality-penalty gradient evaluated at the same
-    point as ``g``. ``noise`` is added before flooring, as in ``snap``; the
-    codes are derived from the snapped values.
+    Recovered as rint((value / scale + 1/2) (2^N - 1)); the rounding error
+    before the rint is below 1e-5 for every N <= 32 and every normal, finite
+    scale, so the indices are exact. A zero slice gets zero codes.
     """
-    value, gamma = snap(g, pgrad, spec, noise)
-    return _message(value, gamma, spec)
+    codes = np.rint((values / _nonzero_scale(scales, values.ndim) + 0.5) * spec.levels).astype(np.int64)
+    zero = np.equal(scales, 0.0)
+    if zero.any():
+        codes[zero] = 0
+    return codes
 
 
-def quantize_dithered(
-    g: np.ndarray,
-    pgrad: np.ndarray,
-    spec: QuantizerSpec,
-    rng: np.random.Generator,
-) -> QuantizedGradient:
-    """Landing-directed quantizer with half-step uniform dither.
-
-    One uniform draw of ``dither_noise`` is added to each normalized entry
-    (row-major order) before flooring. ``rng`` must yield i.i.d. uniforms;
-    the caller owns the stream. An all-zero input consumes no draws.
-    """
-    if spec.mode != MODE_DITHERED:
-        raise ValueError(f"spec.mode must be {MODE_DITHERED!r}, got {spec.mode!r}")
-    g, pgrad = _check_pair(g, pgrad)
-    noise = dither_noise(rng, spec, g.shape) if g.any() else None
-    return quantize_landing(g, pgrad, spec, noise)
+def wire_size_bits(entries: int, spec: QuantizerSpec) -> int:
+    """Size of one message of ``entries`` codes: N bits per entry plus one
+    64-bit scale. The ``pack_codes`` payload is this, rounded up to bytes."""
+    return entries * spec.bits + 64
 
 
-def quantize(
-    g: np.ndarray,
-    pgrad: np.ndarray | None,
-    spec: QuantizerSpec,
-    rng: np.random.Generator | None = None,
-) -> QuantizedGradient:
-    """Dispatch on spec.mode."""
-    if spec.mode == MODE_NEAREST:
-        return quantize_nearest(g, spec)
-    if spec.mode == MODE_LANDING:
-        return quantize_landing(g, pgrad, spec)
-    if rng is None:
-        raise ValueError("dithered mode needs an rng")
-    return quantize_dithered(g, pgrad, spec, rng)
-
-
-def wire_size_bits(q: QuantizedGradient, spec: QuantizerSpec) -> int:
-    """Nominal payload size of one quantized message: N bits per entry plus
-    one 64-bit scale."""
-    return q.codes.size * spec.bits + 64
-
-
-def pack_codes(q: QuantizedGradient, spec: QuantizerSpec) -> bytes:
-    """Serialize as a little-endian float64 scale followed by N-bit codes.
+def pack_codes(codes: np.ndarray, scale: float, spec: QuantizerSpec) -> bytes:
+    """Serialize one message as a little-endian float64 scale followed by
+    N-bit codes.
 
     Codes are packed LSB-first in row-major entry order: bit j of entry k is
     bit k*N + j of the code stream, and stream bit b is bit b % 8 of payload
-    byte 8 + b // 8; the last byte is zero-padded. Raises if any code
-    falls outside [0, 2^N - 1] (possible at scale extremes for the landing
-    and dithered modes, whose grid snap can step one slot past the grid).
+    byte 8 + b // 8; the last byte is zero-padded. Raises if ``scale`` is not
+    a scalar or any code falls outside [0, 2^N - 1].
     """
-    codes = q.codes.ravel()
+    if np.ndim(scale) != 0:
+        raise ValueError(f"one message has one scale, got an array of shape {np.shape(scale)}")
+    codes = np.asarray(codes).ravel()
     if codes.size and (codes.min() < 0 or codes.max() > spec.levels):
         raise ValueError("codes outside the N-bit range cannot be packed")
     bits = (codes[:, None] >> np.arange(spec.bits)) & 1
-    return struct.pack("<d", q.scale) + np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
+    return struct.pack("<d", scale) + np.packbits(bits.astype(np.uint8), bitorder="little").tobytes()
 
 
-def unpack_codes(payload: bytes, shape: tuple[int, ...], spec: QuantizerSpec) -> QuantizedGradient:
-    """Inverse of :func:`pack_codes`."""
-    (scale,) = struct.unpack("<d", payload[:8])
+def unpack_codes(payload: bytes, shape: tuple[int, ...], spec: QuantizerSpec) -> tuple[np.ndarray, float]:
+    """Inverse of :func:`pack_codes`: (codes of ``shape``, scale). Raises
+    unless the payload is exactly 8 + ceil(size N / 8) bytes long."""
     size = int(np.prod(shape))
+    expected = 8 + (size * spec.bits + 7) // 8
+    if len(payload) != expected:
+        raise ValueError(f"payload of {len(payload)} bytes, expected {expected} for {size} {spec.bits}-bit codes")
+    (scale,) = struct.unpack("<d", payload[:8])
     bits = np.unpackbits(np.frombuffer(payload, np.uint8, offset=8), count=size * spec.bits, bitorder="little")
     codes = (bits.reshape(size, spec.bits).astype(np.int64) << np.arange(spec.bits)).sum(axis=1).reshape(shape)
-    return QuantizedGradient(dequantize(codes, scale, spec.bits), scale, spec.bits, codes)
+    return codes, scale

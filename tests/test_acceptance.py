@@ -24,20 +24,19 @@ from qrgt import (
     manifold_defect,
     penalty,
     penalty_grad,
-    quantize_dithered,
-    quantize_nearest,
     random_stiefel,
     retract,
     run,
     safety_step_bound,
+    snap,
     subspace_distance,
     tangent_project,
 )
 from qrgt.cli import execute
 from qrgt.config import parse_config
-from qrgt.quantizers import MODE_DITHERED, MODE_NEAREST, dequantize
+from qrgt.quantizers import dequantize, dither_noise, encode
 
-from test_quantizers import ConstantDither, ZeroDither, exact_dithered_floor_expectation
+from test_quantizers import constant_noise, exact_dithered_floor_expectation
 
 
 def report(name: str, ok: bool, detail: str = ""):
@@ -129,25 +128,26 @@ def test_criterion_2_quantizer_suite():
     # exhaustive 1-D scan: anchor entry pins gamma = 2
     scan = np.linspace(-1.0, 1.0, 4001)
     for bits in (2, 4, 8):
-        spec = QuantizerSpec(bits=bits, mode=MODE_DITHERED)
+        spec = QuantizerSpec(bits=bits)
         step = 2.0 / spec.levels
         g = np.stack([scan, np.ones_like(scan)], axis=1)
+        noises = [np.zeros_like(g)] + [constant_noise(spec, g.shape, f) for f in (1e-9, 1 - 1e-9)]
         for pg_val in (-5.0, 0.0, 5.0):
             pgrad = np.full_like(g, pg_val)
-            for dither in (ZeroDither(), ConstantDither(1e-9), ConstantDither(1 - 1e-9)):
-                q = quantize_dithered(g, pgrad, spec, dither)
-                assert np.abs(q.value - g).max() <= 1.5 * step + 1e-12
+            for noise in noises:
+                values, _ = snap(g, pgrad, spec, noise)
+                assert np.abs(values - g).max() <= 1.5 * step + 1e-12
 
     # Monte Carlo bias of the dithered quantizer, 1e5 draws
     g = np.array([[0.31, -0.5], [0.11, 0.47]])
     pgrad = np.zeros_like(g)
-    spec = QuantizerSpec(bits=4, mode=MODE_DITHERED)
+    spec = QuantizerSpec(bits=4)
     rng = np.random.default_rng(2024)
     n_draws = 100_000
     total = np.zeros_like(g)
     total_sq = np.zeros_like(g)
     for _ in range(n_draws):
-        v = quantize_dithered(g, pgrad, spec, rng).value
+        v, _ = snap(g, pgrad, spec, dither_noise(rng, spec, g.shape))
         total += v
         total_sq += v * v
     mean = total / n_draws
@@ -157,9 +157,11 @@ def test_criterion_2_quantizer_suite():
     assert np.abs(mean - g).max() <= 1.0 / spec.levels
 
     # bit-exact code/scale reconstruction
-    spec_n = QuantizerSpec(bits=6, mode=MODE_NEAREST)
-    gq = quantize_nearest(np.random.default_rng(5).uniform(-2, 2, (9, 4)), spec_n)
-    np.testing.assert_array_equal(dequantize(gq.codes, gq.scale, 6), gq.value)
+    spec = QuantizerSpec(bits=6)
+    rng = np.random.default_rng(5)
+    g = rng.uniform(-2, 2, (9, 4))
+    values, scale = snap(g, rng.standard_normal(g.shape), spec, dither_noise(rng, spec, g.shape))
+    np.testing.assert_array_equal(dequantize(encode(values, scale, spec), scale, 6), values)
 
     elapsed = time.perf_counter() - tic
     report("criterion-2 quantizers", elapsed < 10.0, f"scan+MC+reconstruction in {elapsed:.2f}s (budget 10s)")

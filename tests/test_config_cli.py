@@ -294,6 +294,36 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("error: enforce_safety: step size")
 
+    @pytest.mark.parametrize(
+        "lines, fragment",
+        [
+            ("topology = edges\nedge_file = {tmp}/token.txt\n", "token.txt:2: expected 'i j', got '1 two'"),
+            ("topology = edges\nedge_file = {tmp}/split.txt\n", "graph is not connected"),
+            ("topology = er\ntopology_p = 1e-6\n", "no connected Erdos-Renyi draw in 1000 attempts"),
+            ("problem = mnist\nmnist_path = {tmp}/short.idx3\n", "expected 336 bytes"),
+        ],
+        ids=["edge-token", "disconnected-edges", "er-never-connects", "truncated-idx"],
+    )
+    def test_bad_input_exit_2_one_line_no_csv(self, tmp_path, capsys, monkeypatch, lines, fragment):
+        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+        (tmp_path / "token.txt").write_text("0 1\n1 two\n")
+        (tmp_path / "split.txt").write_text("0 1\n2 3\n")
+        idx = tmp_path / "short.idx3"
+        write_idx3(idx, np.zeros((20, 4, 4), dtype=np.uint8))
+        idx.write_bytes(idx.read_bytes()[:-5])
+        path = tmp_path / "bad.cfg"
+        path.write_text(
+            "problem = synthetic\nn = 4\nm = 20\nd = 6\nr = 2\nmax_epochs = 2\n"
+            + lines.format(tmp=tmp_path)
+        )
+        out = tmp_path / "never.csv"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and fragment in err[0]
+
     def test_sweep_cli(self, tmp_path):
         out = tmp_path / "sw.csv"
         code = main(

@@ -17,11 +17,11 @@ from qrgt import (
     manifold_defect,
     penalty_grad,
     qrgt_epoch,
-    quantize_landing,
     retract,
     rgt_epoch,
     run,
     safety_step_bound,
+    snap,
     step_size_bounds,
     tangent_project,
 )
@@ -35,7 +35,7 @@ from qrgt.engine import (
     _Engine,
 )
 from qrgt.network import MixingMatrix
-from qrgt.quantizers import MODE_DITHERED, dither_noise
+from qrgt.quantizers import dither_noise
 from qrgt.streams import STREAM_DITHER, stream_rng
 
 
@@ -206,12 +206,12 @@ class TestQuantizeAll:
         X = init_state(inst, cfg).x + 0.05 * np.random.default_rng(1).standard_normal((4, 5, 3))
         RG = tangent_project(X, eng.local_grads(X))
         PG = penalty_grad(X)
-        spec = QuantizerSpec(bits=3, mode=MODE_DITHERED)
+        spec = QuantizerSpec(bits=3)
         for epoch in (5, 7, 2, 3):
             values, scales, _ = eng.quantize_all(RG, PG, epoch)
-            q = quantize_landing(RG, PG, spec, advanced_dither(cfg.seed, epoch, RG.shape, spec))
-            assert values.tobytes() == q.value.tobytes()
-            assert scales.tobytes() == q.scale.tobytes()
+            ref_values, ref_scales = snap(RG, PG, spec, advanced_dither(cfg.seed, epoch, RG.shape, spec))
+            assert values.tobytes() == ref_values.tobytes()
+            assert scales.tobytes() == ref_scales.tobytes()
 
     def test_run_draws_blocks_in_order(self, monkeypatch):
         # run() continues one generator from epoch to epoch; each block it

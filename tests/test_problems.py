@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -245,6 +246,15 @@ class TestMnist:
         path.write_bytes(b"\x00\x00\x08")
         with pytest.raises(IdxFormatError, match="header"):
             load_mnist(path, n=4)
+
+    def test_file_closed_on_malformed_input(self, tmp_path):
+        path = tmp_path / "stub.idx3"
+        path.write_bytes(b"\x00\x00\x08")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(IdxFormatError):
+                load_mnist(path, n=4)
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_remainder_goes_to_last_agent(self, tmp_path):
         path = tmp_path / "images.idx3"

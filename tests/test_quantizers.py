@@ -3,66 +3,22 @@ import struct
 import numpy as np
 import pytest
 
-from qrgt import (
-    QuantizedGradient,
-    QuantizerSpec,
-    dequantize,
-    quantize,
-    quantize_dithered,
-    quantize_landing,
-    quantize_nearest,
-    scale_factor,
-    wire_size_bits,
-)
-from qrgt.quantizers import (
-    MODE_DITHERED,
-    MODE_LANDING,
-    MODE_NEAREST,
-    dither_noise,
-    pack_codes,
-    snap,
-    unpack_codes,
-)
+from qrgt import QuantizerSpec, dequantize, encode, scale_factor, snap, wire_size_bits
+from qrgt.config import algo_config, build_problem, build_topology, parse_config
+from qrgt.engine import _Engine, run
+from qrgt.quantizers import dither_noise, pack_codes, unpack_codes
 
 
-def nearest_spec(bits):
-    return QuantizerSpec(bits=bits, mode=MODE_NEAREST)
+def constant_noise(spec, shape, fraction):
+    """Dither noise pinned to a fraction of its range (-half, +half) step."""
+    half = 0.5 / spec.levels
+    return np.full(shape, -half + 2.0 * half * fraction)
 
 
-def landing_spec(bits):
-    return QuantizerSpec(bits=bits, mode=MODE_LANDING)
-
-
-def dithered_spec(bits):
-    return QuantizerSpec(bits=bits, mode=MODE_DITHERED)
-
-
-class ZeroDither:
-    """Stub stream: degenerate dither, all draws zero."""
-
-    def uniform(self, low, high, size):
-        return np.zeros(size)
-
-
-class ConstantDither:
-    """Stub stream: every draw pinned to a fraction of the allowed range."""
-
-    def __init__(self, fraction):
-        self.fraction = fraction
-
-    def uniform(self, low, high, size):
-        return np.full(size, low + (high - low) * self.fraction)
-
-
-class FixedDither:
-    """Stub stream: returns a given noise array (in normalized units)."""
-
-    def __init__(self, noise):
-        self.noise = noise
-
-    def uniform(self, low, high, size):
-        assert self.noise.shape == tuple(size)
-        return self.noise
+def quantized(g, pgrad, spec, noise=None):
+    """(values, scales, codes) of one snap."""
+    values, scales = snap(g, pgrad, spec, noise)
+    return values, scales, encode(values, scales, spec)
 
 
 class TestSpec:
@@ -70,10 +26,6 @@ class TestSpec:
     def test_bits_range(self, bits):
         with pytest.raises(ValueError):
             QuantizerSpec(bits=bits)
-
-    def test_bad_mode(self):
-        with pytest.raises(ValueError):
-            QuantizerSpec(bits=4, mode="stochastic")
 
     def test_step(self):
         assert QuantizerSpec(bits=2).levels == 3
@@ -92,89 +44,49 @@ class TestScaleFactor:
         assert scale_factor(np.array([0.3, -0.5])) == 1.0
 
 
-class TestNearest:
-    def test_hand_evaluated(self):
-        # gamma = 1; shifted = [0.8, 0.0]; *3 = [2.4, 0] -> [2, 0];
-        # /3 - 1/2 = [1/6, -1/2].
-        g = np.array([[0.3], [-0.5]])
-        q = quantize_nearest(g, nearest_spec(2))
-        assert q.scale == 1.0
-        np.testing.assert_array_equal(q.codes, [[2], [0]])
-        np.testing.assert_allclose(q.value, [[1 / 6], [-0.5]], rtol=0, atol=1e-15)
-
-    def test_zero_matrix(self):
-        q = quantize_nearest(np.zeros((2, 3)), nearest_spec(4))
-        assert q.scale == 0.0
-        np.testing.assert_array_equal(q.value, 0.0)
-
-    @pytest.mark.parametrize("bits", [2, 4, 8])
-    def test_grid_points_are_fixed(self, bits):
-        spec = nearest_spec(bits)
-        gamma = 1.7
-        codes = np.arange(spec.levels + 1)
-        g = gamma * (codes / spec.levels - 0.5)
-        q = quantize_nearest(g, spec)
-        np.testing.assert_array_equal(q.value, g)
-        np.testing.assert_array_equal(q.codes, codes)
-
-    @pytest.mark.parametrize("bits", [2, 4, 8])
-    def test_half_step_error_bound(self, bits):
-        # Max error of round-to-nearest is half a grid step, at every width.
-        spec = nearest_spec(bits)
-        rng = np.random.default_rng(bits)
-        g = rng.uniform(-3, 3, size=(40, 7))
-        q = quantize_nearest(g, spec)
-        step = q.scale / spec.levels
-        assert np.abs(q.value - g).max() <= 0.5 * step * (1 + 1e-12)
-
-    def test_mode_enforced(self):
-        with pytest.raises(ValueError):
-            quantize_nearest(np.ones((2, 2)), landing_spec(4))
-
-
 class TestLanding:
     def test_strongly_negative_pgrad_is_floor(self):
         rng = np.random.default_rng(0)
         g = rng.uniform(-1, 1, size=(5, 4))
-        q = quantize_landing(g, np.full_like(g, -10.0), landing_spec(3))
-        qn = quantize_nearest(g, nearest_spec(3))
-        assert np.all(q.value <= qn.value + 1e-15)
+        spec = QuantizerSpec(3)
+        values, scale, codes = quantized(g, np.full_like(g, -10.0), spec)
+        np.testing.assert_array_equal(codes, np.floor((g / scale + 0.5) * spec.levels))
         # floor never exceeds the input
-        assert np.all(q.value <= g + 1e-15)
+        assert np.all(values <= g + 1e-15)
 
     def test_strongly_positive_pgrad_is_one_step_above_floor(self):
         rng = np.random.default_rng(1)
         g = rng.uniform(-1, 1, size=(5, 4))
-        spec = landing_spec(3)
-        up = quantize_landing(g, np.full_like(g, +10.0), spec)
-        down = quantize_landing(g, np.full_like(g, -10.0), spec)
-        step = up.scale / spec.levels
-        np.testing.assert_allclose(up.value - down.value, step, rtol=0, atol=1e-15)
-        assert np.all(up.value >= g - step)
+        spec = QuantizerSpec(3)
+        up, scale = snap(g, np.full_like(g, +10.0), spec)
+        down, _ = snap(g, np.full_like(g, -10.0), spec)
+        step = scale / spec.levels
+        np.testing.assert_allclose(up - down, step, rtol=0, atol=1e-15)
+        assert np.all(up >= g - step)
 
     def test_zero_pgrad_ties_to_floor(self):
         # sigmoid(0) = 0.5 rounds to 0 under ties-to-even.
         rng = np.random.default_rng(2)
         g = rng.uniform(-1, 1, size=(6, 2))
-        spec = landing_spec(4)
-        tie = quantize_landing(g, np.zeros_like(g), spec)
-        down = quantize_landing(g, np.full_like(g, -10.0), spec)
-        np.testing.assert_array_equal(tie.value, down.value)
+        spec = QuantizerSpec(4)
+        tie, _ = snap(g, np.zeros_like(g), spec)
+        down, _ = snap(g, np.full_like(g, -10.0), spec)
+        np.testing.assert_array_equal(tie, down)
 
     def test_direction_bit_pattern(self):
         rng = np.random.default_rng(3)
         g = rng.uniform(-2, 2, size=(8, 3))
         pgrad = rng.standard_normal((8, 3))
-        spec = landing_spec(5)
-        q = quantize_landing(g, pgrad, spec)
-        floor_only = quantize_landing(g, np.full_like(g, -10.0), spec)
-        step = q.scale / spec.levels
-        bits = np.rint((q.value - floor_only.value) / step)
+        spec = QuantizerSpec(5)
+        values, scale = snap(g, pgrad, spec)
+        floor_only, _ = snap(g, np.full_like(g, -10.0), spec)
+        step = scale / spec.levels
+        bits = np.rint((values - floor_only) / step)
         np.testing.assert_array_equal(bits, (pgrad > 0).astype(float))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            quantize_landing(np.ones((2, 2)), np.ones((3, 2)), landing_spec(4))
+            snap(np.ones((2, 2)), np.ones((3, 2)), QuantizerSpec(4))
 
 
 def exact_dithered_floor_expectation(g, pgrad, gamma, bits):
@@ -201,9 +113,10 @@ class TestDithered:
         rng = np.random.default_rng(4)
         g = rng.uniform(-1, 1, size=(6, 4))
         pgrad = rng.standard_normal((6, 4))
-        qd = quantize_dithered(g, pgrad, dithered_spec(3), ZeroDither())
-        ql = quantize_landing(g, pgrad, landing_spec(3))
-        np.testing.assert_array_equal(qd.value, ql.value)
+        spec = QuantizerSpec(3)
+        dithered, _ = snap(g, pgrad, spec, np.zeros_like(g))
+        landing, _ = snap(g, pgrad, spec)
+        np.testing.assert_array_equal(dithered, landing)
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_monte_carlo_mean_matches_exact_integral(self, bits):
@@ -212,13 +125,13 @@ class TestDithered:
         # within one grid step of the input.
         g = np.array([[0.31, -0.5], [0.11, 0.47]])
         pgrad = np.zeros_like(g)
-        spec = dithered_spec(bits)
+        spec = QuantizerSpec(bits)
         rng = np.random.default_rng(1000 + bits)
         n_draws = 100_000
         total = np.zeros_like(g)
         total_sq = np.zeros_like(g)
         for _ in range(n_draws):
-            v = quantize_dithered(g, pgrad, spec, rng).value
+            v, _ = snap(g, pgrad, spec, dither_noise(rng, spec, g.shape))
             total += v
             total_sq += v * v
         mean = total / n_draws
@@ -235,76 +148,61 @@ class TestDithered:
         # Dense 1-D scan with a fixed anchor entry pinning gamma = 2.
         # Floor error <= 1 step, dither <= 1/2 step, direction bit <= 1 step:
         # the combination never exceeds 1.5 steps.
-        spec = dithered_spec(bits)
+        spec = QuantizerSpec(bits)
         step = 2.0 / spec.levels
         scan = np.linspace(-1.0, 1.0, 4001)
-        dithers = [ZeroDither(), ConstantDither(1e-9), ConstantDither(1 - 1e-9), ConstantDither(0.25)]
+        g = np.stack([scan, np.ones_like(scan)], axis=1)
         for pg_val in (-5.0, 0.0, 5.0):
-            for dither in dithers:
-                g = np.stack([scan, np.ones_like(scan)], axis=1)
-                pgrad = np.full_like(g, pg_val)
-                q = quantize_dithered(g, pgrad, spec, dither)
-                assert q.scale == 2.0
-                assert np.abs(q.value - g).max() <= 1.5 * step + 1e-12
+            pgrad = np.full_like(g, pg_val)
+            noises = [np.zeros_like(g)] + [constant_noise(spec, g.shape, f) for f in (1e-9, 1 - 1e-9, 0.25)]
+            for noise in noises:
+                values, scale = snap(g, pgrad, spec, noise)
+                assert scale == 2.0
+                assert np.abs(values - g).max() <= 1.5 * step + 1e-12
 
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_error_bound_random_dither(self, bits):
-        spec = dithered_spec(bits)
+        spec = QuantizerSpec(bits)
         rng = np.random.default_rng(55)
         for _ in range(20):
             g = rng.uniform(-3, 3, size=(10, 6))
             pgrad = rng.standard_normal((10, 6)) * 5
-            q = quantize_dithered(g, pgrad, spec, rng)
-            step = q.scale / spec.levels
-            assert np.abs(q.value - g).max() <= 1.5 * step * (1 + 1e-12)
+            values, scale = snap(g, pgrad, spec, dither_noise(rng, spec, g.shape))
+            step = scale / spec.levels
+            assert np.abs(values - g).max() <= 1.5 * step * (1 + 1e-12)
 
     def test_seeded_determinism(self):
         g = np.random.default_rng(6).uniform(-1, 1, size=(5, 5))
         pgrad = np.zeros_like(g)
-        spec = dithered_spec(4)
-        a = quantize_dithered(g, pgrad, spec, np.random.default_rng(99))
-        b = quantize_dithered(g, pgrad, spec, np.random.default_rng(99))
-        np.testing.assert_array_equal(a.value, b.value)
-
-    def test_zero_matrix_consumes_no_draws(self):
-        rng = np.random.default_rng(7)
-        before = rng.bit_generator.state
-        q = quantize_dithered(np.zeros((3, 3)), np.zeros((3, 3)), dithered_spec(4), rng)
-        assert q.scale == 0.0
-        assert rng.bit_generator.state == before
+        spec = QuantizerSpec(4)
+        a, _ = snap(g, pgrad, spec, dither_noise(np.random.default_rng(99), spec, g.shape))
+        b, _ = snap(g, pgrad, spec, dither_noise(np.random.default_rng(99), spec, g.shape))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestStacked:
     """A stacked (n, d, r) call equals the per-slice 2-D calls bit for bit."""
 
-    @pytest.mark.parametrize("mode", [MODE_NEAREST, MODE_LANDING, MODE_DITHERED])
+    @pytest.mark.parametrize("mode", ["landing", "dithered"])
     def test_matches_per_slice_calls(self, mode):
         rng = np.random.default_rng(12)
-        spec = QuantizerSpec(bits=4, mode=mode)
+        spec = QuantizerSpec(4)
         g = rng.uniform(-2, 2, size=(5, 6, 3)) * rng.uniform(0.1, 10.0, size=(5, 1, 1))
         g[2] = 0.0
         pgrad = rng.standard_normal(g.shape)
-        half = 0.5 / spec.levels
-        noise = rng.uniform(-half, half, size=g.shape)
+        noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else None
 
-        def call(gi, pi, ni):
-            if mode == MODE_NEAREST:
-                return quantize_nearest(gi, spec)
-            if mode == MODE_LANDING:
-                return quantize_landing(gi, pi, spec)
-            return quantize_dithered(gi, pi, spec, FixedDither(ni))
-
-        stacked = call(g, pgrad, noise)
-        assert stacked.scale.shape == (5,)
-        assert stacked.value.shape == stacked.codes.shape == g.shape
+        values, scales, codes = quantized(g, pgrad, spec, noise)
+        assert scales.shape == (5,)
+        assert values.shape == codes.shape == g.shape
         for i in range(5):
-            single = call(g[i], pgrad[i], noise[i])
-            assert isinstance(single.scale, float)
-            assert stacked.value[i].tobytes() == single.value.tobytes()
-            assert stacked.codes[i].tobytes() == single.codes.tobytes()
-            assert stacked.scale[i] == single.scale
-        assert stacked.scale[2] == 0.0
-        assert not stacked.codes[2].any() and not stacked.value[2].any()
+            single = quantized(g[i], pgrad[i], spec, None if noise is None else noise[i])
+            assert isinstance(single[1], float)
+            assert values[i].tobytes() == single[0].tobytes()
+            assert codes[i].tobytes() == single[2].tobytes()
+            assert scales[i] == single[1]
+        assert scales[2] == 0.0
+        assert not codes[2].any() and not values[2].any()
 
     def test_scale_factor_per_slice(self):
         g = np.zeros((2, 3, 4, 2))
@@ -333,131 +231,184 @@ def codes_first_landing(g, pgrad, bits, noise=None):
 
 
 class TestSnap:
-    """The values-first core against quantize_landing and the codes-first reference."""
+    """The values-first snap and ``encode`` against the codes-first reference."""
 
-    @pytest.mark.parametrize("mode", [MODE_LANDING, MODE_DITHERED])
+    @pytest.mark.parametrize("mode", ["landing", "dithered"])
     @pytest.mark.parametrize("bits", [1, 3, 8, 16, 32])
-    def test_matches_quantize_landing_and_reference(self, mode, bits):
+    def test_matches_codes_first_reference(self, mode, bits):
         rng = np.random.default_rng(bits)
-        spec = QuantizerSpec(bits=bits, mode=mode)
+        spec = QuantizerSpec(bits)
         magnitudes = np.array([1e-300, 1e-8, 1.0, 0.0, 1e8, 1e300])[:, None, None]
         g = rng.uniform(-2, 2, size=(6, 7, 3)) * magnitudes  # slice 3 all zero
         pgrad = rng.standard_normal(g.shape)
         pgrad[0, 0, :] = 0.0  # sigmoid ties round to 0
-        noise = dither_noise(rng, spec, g.shape) if mode == MODE_DITHERED else None
+        noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else None
         for gi, pi, ni in [(g, pgrad, noise), (g[2], pgrad[2], None if noise is None else noise[2])]:
-            values, scales = snap(gi, pi, spec, ni)
-            q = quantize_landing(gi, pi, spec, ni)
-            assert values.tobytes() == q.value.tobytes()
-            assert np.asarray(scales).tobytes() == np.asarray(q.scale).tobytes()
+            values, scales, codes = quantized(gi, pi, spec, ni)
             ref_value, ref_scale, ref_codes = codes_first_landing(gi, pi, bits, ni)
             assert values.tobytes() == ref_value.tobytes()
             assert np.asarray(scales).tobytes() == np.asarray(ref_scale).tobytes()
-            assert q.codes.tobytes() == ref_codes.tobytes()
+            assert codes.tobytes() == ref_codes.tobytes()
         stacked_values, stacked_scales = snap(g, pgrad, spec, noise)
         assert stacked_scales[3] == 0.0 and not stacked_values[3].any()
 
     def test_dithered_is_snap_with_its_draws(self):
+        # dither_noise is one row-major uniform draw per entry on
+        # (-half, +half) step, zero slices included; snap adds it before
+        # flooring, as the codes-first reference does.
+        spec = QuantizerSpec(6)
         rng = np.random.default_rng(21)
-        spec = dithered_spec(6)
         g = rng.uniform(-1, 1, size=(4, 5, 2))
         g[1] = 0.0
         pgrad = rng.standard_normal(g.shape)
+        half = 0.5 / spec.levels
         noise = dither_noise(np.random.default_rng(5), spec, g.shape)
-        q = quantize_dithered(g, pgrad, spec, np.random.default_rng(5))
-        values, scales = snap(g, pgrad, spec, noise)
-        assert q.value.tobytes() == values.tobytes()
-        assert q.scale.tobytes() == scales.tobytes()
-
-    def test_nearest_mode_rejected(self):
-        with pytest.raises(ValueError):
-            snap(np.ones((2, 2)), np.ones((2, 2)), nearest_spec(4))
+        assert noise.tobytes() == np.random.default_rng(5).uniform(-half, half, g.shape).tobytes()
+        assert np.abs(noise).max() < half
+        values, scales, codes = quantized(g, pgrad, spec, noise)
+        ref_value, ref_scale, ref_codes = codes_first_landing(g, pgrad, spec.bits, noise)
+        assert values.tobytes() == ref_value.tobytes()
+        assert scales.tobytes() == ref_scale.tobytes()
+        assert codes.tobytes() == ref_codes.tobytes()
 
 
 class TestRangeInvariant:
-    @pytest.mark.parametrize("mode", [MODE_NEAREST, MODE_LANDING, MODE_DITHERED])
+    @pytest.mark.parametrize("mode", ["landing", "dithered"])
     @pytest.mark.parametrize("bits", [1, 2, 8, 16])
     def test_output_range(self, mode, bits):
         rng = np.random.default_rng(bits)
-        spec = QuantizerSpec(bits=bits, mode=mode)
+        spec = QuantizerSpec(bits)
         for _ in range(10):
             g = rng.uniform(-4, 4, size=(6, 3))
             pgrad = rng.standard_normal((6, 3))
-            q = quantize(g, pgrad, spec, rng=rng)
-            slack = 1.5 * q.scale / spec.levels
-            assert q.value.min() >= g.min() - slack - 1e-12
-            assert q.value.max() <= g.max() + slack + 1e-12
+            noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else None
+            values, scale = snap(g, pgrad, spec, noise)
+            slack = 1.5 * scale / spec.levels
+            assert values.min() >= g.min() - slack - 1e-12
+            assert values.max() <= g.max() + slack + 1e-12
 
 
 class TestReconstruction:
-    @pytest.mark.parametrize("mode", [MODE_NEAREST, MODE_LANDING, MODE_DITHERED])
+    @pytest.mark.parametrize("mode", ["landing", "dithered"])
     def test_codes_scale_reproduce_value(self, mode):
         rng = np.random.default_rng(8)
-        spec = QuantizerSpec(bits=6, mode=mode)
+        spec = QuantizerSpec(6)
         g = rng.uniform(-2, 2, size=(7, 4))
-        q = quantize(g, rng.standard_normal((7, 4)), spec, rng=rng)
-        np.testing.assert_array_equal(dequantize(q.codes, q.scale, spec.bits), q.value)
+        pgrad = rng.standard_normal((7, 4))
+        noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else None
+        values, scale, codes = quantized(g, pgrad, spec, noise)
+        np.testing.assert_array_equal(dequantize(codes, scale, spec.bits), values)
 
     @pytest.mark.parametrize("bits", [1, 3, 8, 12])
     def test_pack_roundtrip(self, bits):
+        # A snap with every direction bit clear stays on the N-bit grid.
         rng = np.random.default_rng(9)
-        spec = nearest_spec(bits)
+        spec = QuantizerSpec(bits)
         g = rng.uniform(-1, 1, size=(5, 3))
-        q = quantize_nearest(g, spec)
-        payload = pack_codes(q, spec)
-        assert len(payload) == 8 + (q.codes.size * bits + 7) // 8
-        back = unpack_codes(payload, q.codes.shape, spec)
-        np.testing.assert_array_equal(back.codes, q.codes)
-        assert back.scale == q.scale
-        np.testing.assert_array_equal(back.value, q.value)
+        values, scale, codes = quantized(g, np.full_like(g, -10.0), spec)
+        payload = pack_codes(codes, scale, spec)
+        assert len(payload) == 8 + (codes.size * bits + 7) // 8
+        back, back_scale = unpack_codes(payload, codes.shape, spec)
+        np.testing.assert_array_equal(back, codes)
+        assert back_scale == scale
+        np.testing.assert_array_equal(dequantize(back, back_scale, bits), values)
 
     def test_pack_pinned_layout(self):
         # 3-bit codes 1, 2, 3, 7 in row-major order, LSB-first: the code
         # stream is 100 010 110 111, i.e. bytes 0b11010001, 0b00001110.
-        spec = nearest_spec(3)
+        spec = QuantizerSpec(3)
         codes = np.array([[1, 2], [3, 7]], dtype=np.int64)
-        q = QuantizedGradient(dequantize(codes, 0.5, 3), 0.5, 3, codes)
-        payload = pack_codes(q, spec)
+        payload = pack_codes(codes, 0.5, spec)
         assert payload == struct.pack("<d", 0.5) + bytes([0b11010001, 0b00001110])
-        np.testing.assert_array_equal(unpack_codes(payload, (2, 2), spec).codes, codes)
+        np.testing.assert_array_equal(unpack_codes(payload, (2, 2), spec)[0], codes)
 
     @pytest.mark.parametrize("bits", [1, 5, 8, 13, 32])
     def test_pack_matches_big_integer_reference(self, bits):
         rng = np.random.default_rng(bits)
-        spec = nearest_spec(bits)
+        spec = QuantizerSpec(bits)
         codes = rng.integers(0, spec.levels, size=(7, 3), endpoint=True)
-        q = QuantizedGradient(dequantize(codes, 1.0, bits), 1.0, bits, codes)
         word = 0
         for i, c in enumerate(codes.ravel().tolist()):
             word |= c << (i * bits)
         expected = word.to_bytes((codes.size * bits + 7) // 8, "little")
-        assert pack_codes(q, spec)[8:] == expected
+        assert pack_codes(codes, 1.0, spec)[8:] == expected
 
     def test_pack_rejects_out_of_range(self):
         # A direction bit on a top-of-grid entry overshoots the N-bit range.
-        spec = landing_spec(2)
+        spec = QuantizerSpec(2)
         g = np.array([[0.5], [-0.5]])
-        q = quantize_landing(g, np.full_like(g, 10.0), spec)
-        assert q.codes.max() == spec.levels + 1
+        _, scale, codes = quantized(g, np.full_like(g, 10.0), spec)
+        assert codes.max() == spec.levels + 1
         with pytest.raises(ValueError):
-            pack_codes(q, spec)
+            pack_codes(codes, scale, spec)
+
+    def test_pack_refuses_a_stack_of_scales(self):
+        spec = QuantizerSpec(4)
+        with pytest.raises(ValueError, match=r"shape \(2,\)"):
+            pack_codes(np.zeros((2, 3, 2), dtype=np.int64), np.array([1.0, 2.0]), spec)
+
+    @pytest.mark.parametrize("bits", [3, 8])
+    def test_unpack_checks_payload_length(self, bits):
+        # 7 entries: 8 + ceil(7 N / 8) bytes, the last byte partly padding
+        # at 3 bits. A short payload would otherwise decode its missing
+        # bytes as zero codes.
+        spec = QuantizerSpec(bits)
+        codes = np.random.default_rng(bits).integers(0, spec.levels, size=(7, 1), endpoint=True)
+        payload = pack_codes(codes, 1.0, spec)
+        assert len(payload) == 8 + (7 * bits + 7) // 8
+        for bad in (payload[:-3], payload + b"\x00"):
+            with pytest.raises(ValueError, match="payload"):
+                unpack_codes(bad, codes.shape, spec)
+        np.testing.assert_array_equal(unpack_codes(payload, codes.shape, spec)[0], codes)
 
 
 class TestWireSize:
     def test_values(self):
-        rng = np.random.default_rng(10)
-        g = rng.standard_normal((10, 5))
-        q8 = quantize_nearest(g, nearest_spec(8))
-        assert wire_size_bits(q8, nearest_spec(8)) == 464
-        g1 = np.ones((1, 1))
-        q1 = quantize_nearest(g1, nearest_spec(1))
-        assert wire_size_bits(q1, nearest_spec(1)) == 65
+        assert wire_size_bits(50, QuantizerSpec(8)) == 464
+        assert wire_size_bits(1, QuantizerSpec(1)) == 65
 
     def test_code_portion_linear_in_bits(self):
-        rng = np.random.default_rng(11)
-        g = rng.standard_normal((6, 6))
-        q32 = quantize_nearest(g, nearest_spec(32))
-        q8 = quantize_nearest(g, nearest_spec(8))
-        code32 = wire_size_bits(q32, nearest_spec(32)) - 64
-        code8 = wire_size_bits(q8, nearest_spec(8)) - 64
+        code32 = wire_size_bits(36, QuantizerSpec(32)) - 64
+        code8 = wire_size_bits(36, QuantizerSpec(8)) - 64
         assert code32 == 4 * code8
+
+
+class TestRunMessages:
+    """Every message a preset Q-RGT run sends, through the wire format."""
+
+    @pytest.mark.parametrize("bits", [2, 8])
+    def test_in_range_messages_round_trip_and_others_are_refused(self, bits, monkeypatch):
+        cfg = parse_config(preset="synthetic", overrides={"bits": bits, "max_epochs": 200, "ds_tol": 0.0})
+        inst = build_problem(cfg)
+        spec = QuantizerSpec(bits)
+        sent = []
+        quantize_all = _Engine.quantize_all
+
+        def recording(self, RG, PG, epoch):
+            values, scales, ratios = quantize_all(self, RG, PG, epoch)
+            sent.append((values.copy(), scales.copy()))
+            return values, scales, ratios
+
+        monkeypatch.setattr(_Engine, "quantize_all", recording)
+        trace = run(inst, build_topology(cfg), algo_config(cfg, inst))
+        assert len(trace.rows) == 200 and len(sent) == 201
+
+        entries = inst.dims.d * inst.dims.r
+        packed = refused = 0
+        for values, scales in sent:
+            codes = encode(values, scales, spec)
+            for value, scale, code in zip(values, scales, codes):
+                if code.min() >= 0 and code.max() <= spec.levels:
+                    payload = pack_codes(code, scale, spec)
+                    assert 0 <= 8 * len(payload) - wire_size_bits(entries, spec) < 8
+                    back, back_scale = unpack_codes(payload, code.shape, spec)
+                    assert back.tobytes() == code.tobytes()
+                    assert back_scale == scale
+                    assert dequantize(back, back_scale, bits).tobytes() == value.tobytes()
+                    packed += 1
+                else:
+                    with pytest.raises(ValueError, match="N-bit range"):
+                        pack_codes(code, scale, spec)
+                    refused += 1
+        assert packed + refused == 201 * inst.n_agents
+        assert packed > 0 and refused > 0
