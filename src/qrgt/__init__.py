@@ -27,7 +27,9 @@ from .problems import (
     load_mnist,
     local_euclidean_grad,
     make_instance,
+    mnist_blocks,
     solve_ground_truth,
+    synthetic_blocks,
 )
 from .quantizers import QuantizerSpec, dequantize, encode, scale_factor, snap, wire_size_bits
 from .stiefel import (

@@ -5,7 +5,9 @@ comments carry the fully resolved configuration. `qrgt sweep` repeats a base
 configuration over a list of values for one key (same seed throughout, so
 data and initialization are shared) and writes an index of final metrics and
 each value's termination reason; a value that diverged before completing an
-epoch has nan metrics.
+epoch has nan metrics. Every value is resolved before the first run, and when
+a later value stops with exit 2 the index of the values already run is still
+written.
 
 Exit codes: 0 for a completed run (early stop or epoch cap); 2 for a
 configuration error, including a step size over the safety bound with
@@ -80,26 +82,44 @@ def execute(cfg: RunConfig) -> tuple[int, RunTrace]:
 
 
 def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
-    """Run cfg once per value of ``key``; write per-value traces and an index."""
+    """Run cfg once per value of ``key``; write per-value traces and an index.
+
+    Every value is resolved before the first run, so a bad value writes
+    nothing. An unsafe step or unusable input met by a later value
+    (``StepSizeError``, ``GraphError``, ``IdxFormatError``) still leaves the
+    index of the values already run, then propagates.
+    """
     if key not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
     field_name = SWEEP_KEYS[key]
     out = Path(cfg.out)
+    runs = [
+        (raw, with_value(with_value(cfg, field_name, raw), "out",
+                         str(out.with_name(f"{out.stem}-{field_name}{raw}{out.suffix}"))))
+        for raw in values
+    ]
     index_lines = ["value,final_ds,final_consensus_error,termination"]
     status = 0
-    for raw in values:
-        run_cfg = with_value(cfg, field_name, raw)
-        run_cfg = with_value(run_cfg, "out", str(out.with_name(f"{out.stem}-{field_name}{raw}{out.suffix}")))
-        code, trace = execute(run_cfg)
-        status = max(status, code)
-        ds = consensus = float("nan")  # diverged before completing an epoch
-        if trace.rows:
-            ds, consensus = trace.final.ds, trace.final.consensus_error
-        index_lines.append(f"{raw},{ds!r},{consensus!r},{trace.termination}")
+    try:
+        for raw, run_cfg in runs:
+            code, trace = execute(run_cfg)
+            status = max(status, code)
+            ds = consensus = float("nan")  # diverged before completing an epoch
+            if trace.rows:
+                ds, consensus = trace.final.ds, trace.final.consensus_error
+            index_lines.append(f"{raw},{ds!r},{consensus!r},{trace.termination}")
+    except (StepSizeError, GraphError, IdxFormatError):
+        if len(index_lines) > 1:
+            _write_index(out, index_lines)
+        raise
+    _write_index(out, index_lines)
+    return status
+
+
+def _write_index(out: Path, index_lines: list[str]) -> None:
     index_path = out.with_name(f"{out.stem}-index{out.suffix}")
     index_path.write_text("\n".join(index_lines) + "\n")
     print(f"sweep index -> {index_path}")
-    return status
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:

@@ -8,12 +8,15 @@ at the configuration layer.
 
 Ground truth (the top-r right singular subspace of the stacked data and its
 objective value) is solved at construction time via a d x d eigendecomposition.
+An instance keeps the Grams A_i^T A_i, not the blocks: ``synthetic_blocks``
+and ``mnist_blocks`` produce the blocks one at a time for ``make_instance``.
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -31,7 +34,9 @@ __all__ = [
     "local_euclidean_grad",
     "global_objective",
     "solve_ground_truth",
+    "synthetic_blocks",
     "generate_synthetic",
+    "mnist_blocks",
     "load_mnist",
     "estimate_smoothness",
 ]
@@ -79,13 +84,15 @@ class SyntheticSpec:
 
 @dataclass
 class ProblemInstance:
-    """Per-agent data plus cached Grams and the centralized solution.
+    """What the engine and the metrics read of a problem: per-agent row
+    counts, cached Grams and the centralized solution.
 
     ``grams`` is the one ``(n, d, d)`` stack of local Grams A_i^T A_i, indexed
-    by agent; every local gradient is computed from it.
+    by agent; every local gradient is computed from it. The data blocks A_i
+    themselves are not kept (see ``synthetic_blocks`` and ``mnist_blocks``).
     """
 
-    local_data: tuple[np.ndarray, ...]
+    row_counts: tuple[int, ...]
     dims: ManifoldDims
     x_star: np.ndarray
     f_star: float
@@ -95,11 +102,11 @@ class ProblemInstance:
 
     @property
     def n_agents(self) -> int:
-        return len(self.local_data)
+        return len(self.row_counts)
 
     @property
     def total_rows(self) -> int:
-        return sum(a.shape[0] for a in self.local_data)
+        return sum(self.row_counts)
 
 
 def solve_ground_truth(gram_sum: np.ndarray, n: int, r: int) -> tuple[np.ndarray, float]:
@@ -124,20 +131,36 @@ def solve_ground_truth(gram_sum: np.ndarray, n: int, r: int) -> tuple[np.ndarray
     return x_star, f_star
 
 
-def make_instance(local_data, r: int, planted_basis: np.ndarray | None = None) -> ProblemInstance:
-    """Assemble an instance: cache Grams, solve ground truth."""
-    local_data = tuple(np.asarray(a, dtype=float) for a in local_data)
-    d = local_data[0].shape[1]
-    if any(a.shape[1] != d for a in local_data):
-        raise ValueError("all agents must share the same column dimension")
-    n = len(local_data)
-    grams = np.empty((n, d, d))
-    for a, gram in zip(local_data, grams):
-        np.matmul(a.T, a, out=gram)
+def make_instance(
+    row_counts, blocks, r: int, planted_basis: np.ndarray | None = None
+) -> ProblemInstance:
+    """Assemble an instance from agent i's block A_i (``row_counts[i]`` x d).
+
+    ``blocks`` is any iterable of the blocks in agent order. Each block's Gram
+    is written into the one preallocated ``(n, d, d)`` stack and the block is
+    dropped before the next one is drawn, so a lazy producer keeps at most
+    one block alive. Only the row counts, the Grams and the ground truth are
+    kept.
+    """
+    row_counts = tuple(int(m) for m in row_counts)
+    n = len(row_counts)
+    blocks = iter(blocks)
+    grams = None
+    for i, m in enumerate(row_counts):
+        a = np.asarray(next(blocks), dtype=float)
+        if grams is None:
+            d = a.shape[1]
+            grams = np.empty((n, d, d))
+        if a.shape != (m, d):
+            raise ValueError(f"agent {i}: block is {a.shape}, expected ({m}, {d})")
+        np.matmul(a.T, a, out=grams[i])
+        # Drop the block before the next one is built: the loop variable
+        # would otherwise hold it while the producer makes the next.
+        del a
     gram_sum = grams.sum(axis=0)
     x_star, f_star = solve_ground_truth(gram_sum, n, r)
     return ProblemInstance(
-        local_data=local_data,
+        row_counts=row_counts,
         dims=ManifoldDims(d, r),
         x_star=x_star,
         f_star=f_star,
@@ -159,7 +182,7 @@ def global_objective(inst: ProblemInstance, x: np.ndarray) -> float:
     return float(-0.5 * np.sum(x * (inst.mean_gram @ x)))
 
 
-def generate_synthetic(spec: SyntheticSpec) -> ProblemInstance:
+def synthetic_blocks(spec: SyntheticSpec) -> tuple[Iterator[np.ndarray], np.ndarray]:
     """Gaussian data re-spectrified to the eigengap-controlled profile.
 
     Draws a standard Gaussian (m, d) block per agent (together the same
@@ -169,34 +192,39 @@ def generate_synthetic(spec: SyntheticSpec) -> ProblemInstance:
     from a tall-skinny QR (the R factors of the blocks, stacked and
     factored again), and with R = U S V^T each block b becomes
     b V diag(sv / S) V^T, which is (G V S^-1) diag(sv) V^T restricted to
-    the block's rows. The planted top-r right factors are kept on the
-    instance for recovery checks.
+    the block's rows.
+
+    Returns a generator of the n re-spectrified blocks, each made when it
+    is reached, and the planted top-r right factors (d x r).
     """
     rng = stream_rng(spec.seed, STREAM_DATA)
-    blocks = [rng.standard_normal((spec.m, spec.d)) for _ in range(spec.n)]
-    r_factor = np.linalg.qr(np.concatenate([np.linalg.qr(b, mode="r") for b in blocks]), mode="r")
+    raw = [rng.standard_normal((spec.m, spec.d)) for _ in range(spec.n)]
+    r_factor = np.linalg.qr(np.concatenate([np.linalg.qr(b, mode="r") for b in raw]), mode="r")
     _, s, vt = np.linalg.svd(r_factor)
     sv = spec.leading_sv * spec.eigengap ** (np.arange(spec.d) / 2.0)
     respectrify = (vt.T * (sv / s)) @ vt
-    blocks = [b @ respectrify for b in blocks]
-    return make_instance(blocks, spec.r, planted_basis=vt.T[:, : spec.r].copy())
+    return (b @ respectrify for b in raw), vt.T[:, : spec.r].copy()
 
 
-def _split_rows(data: np.ndarray, n: int) -> tuple[np.ndarray, ...]:
-    """Even split; the last agent absorbs the remainder."""
-    base = data.shape[0] // n
-    bounds = [base * i for i in range(n)] + [data.shape[0]]
-    return tuple(data[bounds[i] : bounds[i + 1]] for i in range(n))
+def generate_synthetic(spec: SyntheticSpec) -> ProblemInstance:
+    """Instance of ``synthetic_blocks(spec)``: n agents of m rows each, with
+    the planted basis kept for recovery checks."""
+    blocks, planted_basis = synthetic_blocks(spec)
+    return make_instance((spec.m,) * spec.n, blocks, spec.r, planted_basis=planted_basis)
 
 
-def load_mnist(path, n: int, r: int = 5, seed: int = 0) -> ProblemInstance:
-    """Load an IDX3 image file, scale to [0, 1], shuffle, and partition.
+def mnist_blocks(path, n: int, seed: int = 0) -> tuple[tuple[int, ...], Iterator[np.ndarray]]:
+    """Check an IDX3 image file and return the agents' row counts and a
+    generator of their blocks.
 
     The file must carry the big-endian magic 0x00000803 followed by the
     image count, row count, and column count, then one unsigned byte per
-    pixel. Rows are flattened to vectors of length rows*cols, shuffled with
-    the run seed, and split evenly across ``n`` agents (last agent absorbs
-    the remainder).
+    pixel, and hold at least one image per agent. Rows are flattened to
+    vectors of length rows*cols, shuffled with the run seed, and split
+    evenly across ``n`` agents (last agent absorbs the remainder). A block
+    is gathered from the file's bytes and scaled to [0, 1] as float64 only
+    when the generator reaches it, so neither the shuffled bytes nor the
+    float64 matrix of the whole file is ever built.
     """
     raw = Path(path).read_bytes()
     if len(raw) < 16:
@@ -212,12 +240,21 @@ def load_mnist(path, n: int, r: int = 5, seed: int = 0) -> ProblemInstance:
             f"{path}: expected {expected} bytes for {count}x{rows}x{cols} images, "
             f"got {len(raw)} (payload starts at byte 16)"
         )
+    if count < n:
+        raise IdxFormatError(f"{path}: {count} images for {n} agents, need at least one per agent")
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=16).reshape(count, rows * cols)
     perm = stream_rng(seed, STREAM_SHUFFLE).permutation(count)
-    # Shuffle the bytes, then convert once: the agents' blocks are views of
-    # this one float64 array.
-    data = np.divide(pixels[perm], 255.0, dtype=float)
-    return make_instance(_split_rows(data, n), r)
+    base = count // n
+    bounds = [base * i for i in range(n)] + [count]
+    spans = list(zip(bounds, bounds[1:]))
+    row_counts = tuple(hi - lo for lo, hi in spans)
+    return row_counts, (np.divide(pixels[perm[lo:hi]], 255.0, dtype=float) for lo, hi in spans)
+
+
+def load_mnist(path, n: int, r: int = 5, seed: int = 0) -> ProblemInstance:
+    """Instance of ``mnist_blocks(path, n, seed)``: at most one agent's
+    float64 block exists at a time, and only its Gram is kept."""
+    return make_instance(*mnist_blocks(path, n, seed), r)
 
 
 def estimate_smoothness(inst: ProblemInstance) -> SmoothnessConstants:

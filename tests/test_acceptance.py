@@ -22,6 +22,7 @@ from qrgt import (
     generate_synthetic,
     load_mnist,
     manifold_defect,
+    mnist_blocks,
     penalty,
     penalty_grad,
     random_stiefel,
@@ -352,10 +353,15 @@ def test_criterion_9_mnist_protocol(tmp_path):
     inst = load_mnist(path, n=16, r=5, seed=0)
     assert inst.total_rows == 60000
     assert inst.dims.d == 784
-    sizes = [a.shape[0] for a in inst.local_data]
+    assert inst.row_counts == (3750,) * 16
+    # the instance keeps no pixels: check the blocks as the loader makes them
+    row_counts, blocks = mnist_blocks(path, n=16, seed=0)
+    sizes, stacked_min, stacked_max = [], np.inf, -np.inf
+    for a in blocks:
+        sizes.append(a.shape[0])
+        stacked_min, stacked_max = min(stacked_min, a.min()), max(stacked_max, a.max())
+    assert row_counts == inst.row_counts
     assert sizes == [3750] * 16
-    stacked_min = min(a.min() for a in inst.local_data)
-    stacked_max = max(a.max() for a in inst.local_data)
     assert 0.0 <= stacked_min and stacked_max <= 1.0
 
     alpha = 0.01 / 60000

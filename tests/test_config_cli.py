@@ -324,6 +324,56 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("error: ") and fragment in err[0]
 
+    def test_fewer_images_than_agents_exit_2_no_csv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+        idx = tmp_path / "ten.idx3"
+        write_idx3(idx, np.zeros((10, 4, 4), dtype=np.uint8))
+        out = tmp_path / "never.csv"
+        code = main(["run", "--preset", "mnist", "--mnist-path", str(idx), "--n", "16", "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "10 images for 16 agents" in err[0]
+
+    def test_sweep_bad_value_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = main(
+            [
+                "sweep", "--preset", "synthetic", "--max-epochs", "2", "--out", str(out),
+                "--key", "bits", "--values", "8,99",
+            ]
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: bits")
+
+    def test_sweep_later_input_error_keeps_index_exit_2(self, tmp_path, capsys):
+        # topology_p = 1e-6 never yields a connected Erdos-Renyi draw on n=4
+        path = tmp_path / "er.cfg"
+        path.write_text(
+            "problem = synthetic\nn = 4\nm = 20\nd = 6\nr = 2\nmax_epochs = 2\ntopology = er\n"
+        )
+        out = tmp_path / "sw.csv"
+        code = main(
+            [
+                "sweep", "--config", str(path), "--out", str(out),
+                "--key", "topology.p", "--values", "0.5,1e-6,0.9",
+            ]
+        )
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "er.cfg", "sw-index.csv", "sw-topology_p0.5.csv",
+        ]
+        index = (tmp_path / "sw-index.csv").read_text().splitlines()
+        assert len(index) == 2
+        assert index[1].startswith("0.5,") and index[1].endswith(",MaxEpochs")
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "no connected Erdos-Renyi draw" in err[0]
+
     def test_sweep_cli(self, tmp_path):
         out = tmp_path / "sw.csv"
         code = main(

@@ -47,7 +47,7 @@ def small_instance(seed=0, n=4, leading_sv=2.0):
 
 def single_agent_identity_instance(d=5, r=2):
     with pytest.warns(Warning):
-        return make_instance([np.eye(d)], r=r)
+        return make_instance((d,), [np.eye(d)], r=r)
 
 
 def identity_mixing(n=1):
@@ -262,7 +262,7 @@ class TestRgtEpoch:
     def test_single_agent_reduces_to_centralized_descent(self, retraction):
         inst = single_agent_identity_instance(d=6, r=2)
         # break the flat spectrum so the gradient is nonzero
-        inst = make_instance([np.diag([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])], r=2)
+        inst = make_instance((6,), [np.diag([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])], r=2)
         cfg = AlgoConfig(alpha=1e-2, algorithm="rgt", retraction=retraction, seed=8)
         state = init_state(inst, cfg)
         x_ref = state.x[0].copy()

@@ -14,12 +14,14 @@ from qrgt import (
     load_mnist,
     local_euclidean_grad,
     make_instance,
+    mnist_blocks,
     random_stiefel,
     solve_ground_truth,
     subspace_distance,
+    synthetic_blocks,
 )
 from qrgt.problems import DegenerateGapWarning, IdxFormatError
-from qrgt.streams import STREAM_DATA, stream_rng
+from qrgt.streams import STREAM_DATA, STREAM_SHUFFLE, stream_rng
 
 MAGIC = 0x00000803
 
@@ -30,10 +32,23 @@ def write_idx3(path, images: np.ndarray) -> None:
     path.write_bytes(header + images.tobytes())
 
 
-def small_instance(seed=0, n=4, m=50, d=6, r=2, eigengap=0.5):
-    return generate_synthetic(
-        SyntheticSpec(n=n, m=m, d=d, r=r, eigengap=eigengap, leading_sv=2.0, seed=seed)
-    )
+def small_spec(seed=0, n=4, m=50, d=6, r=2, eigengap=0.5):
+    return SyntheticSpec(n=n, m=m, d=d, r=r, eigengap=eigengap, leading_sv=2.0, seed=seed)
+
+
+def small_instance(**kw):
+    return generate_synthetic(small_spec(**kw))
+
+
+def synthetic_data(spec):
+    """The agents' blocks of a synthetic instance, as a list."""
+    return list(synthetic_blocks(spec)[0])
+
+
+def mnist_data(path, n, seed):
+    """The agents' row counts and blocks of an IDX3 file, as a list."""
+    row_counts, blocks = mnist_blocks(path, n, seed)
+    return row_counts, list(blocks)
 
 
 class TestSyntheticSpec:
@@ -54,7 +69,7 @@ class TestLocalGradient:
 
     @pytest.mark.filterwarnings("ignore::qrgt.problems.DegenerateGapWarning")
     def test_identity_data(self, rng):
-        inst = make_instance([np.eye(5)], r=2)
+        inst = make_instance((5,), [np.eye(5)], r=2)
         x = random_stiefel(5, 2, rng)
         np.testing.assert_allclose(local_euclidean_grad(inst, 0, x), -x, atol=1e-14)
 
@@ -67,7 +82,7 @@ class TestLocalGradient:
         # f_i(x) = -||A_i x||^2 / 2 via central differences, step 1e-6.
         inst = small_instance(seed=3)
         rng = np.random.default_rng(4)
-        a = inst.local_data[1]
+        a = synthetic_data(small_spec(seed=3))[1]
         eps = 1e-6
         for _ in range(20):
             x = rng.standard_normal((6, 2))
@@ -83,7 +98,7 @@ class TestLocalGradient:
         # gradient from its Gram as from the two data products.
         tall = rng.standard_normal((10, 4))
         wide = rng.standard_normal((2, 4))
-        inst = make_instance([tall, wide], r=2)
+        inst = make_instance((10, 2), [tall, wide], r=2)
         x = rng.standard_normal((4, 2))
         np.testing.assert_allclose(
             local_euclidean_grad(inst, 1, x), -(wide.T @ (wide @ x)), atol=1e-13
@@ -143,15 +158,14 @@ class TestGroundTruth:
 class TestGenerateSynthetic:
     def test_spectrum_profile(self):
         spec = SyntheticSpec(n=16, m=1000, d=10, r=5, eigengap=0.8, leading_sv=3.0, seed=1)
-        inst = generate_synthetic(spec)
-        stacked = np.vstack(inst.local_data)
+        stacked = np.vstack(synthetic_data(spec))
         sv = np.linalg.svd(stacked, compute_uv=False)
         expected = 3.0 * 0.8 ** (np.arange(10) / 2)
         np.testing.assert_allclose(sv, expected, rtol=1e-8)
 
     def test_consecutive_ratio_is_sqrt_gap(self):
-        inst = small_instance(seed=2, eigengap=0.6)
-        sv = np.linalg.svd(np.vstack(inst.local_data), compute_uv=False)
+        data = synthetic_data(small_spec(seed=2, eigengap=0.6))
+        sv = np.linalg.svd(np.vstack(data), compute_uv=False)
         np.testing.assert_allclose(sv[1:] / sv[:-1], np.sqrt(0.6), rtol=1e-8)
 
     def test_relative_gap_monotone_in_eigengap(self):
@@ -159,21 +173,23 @@ class TestGenerateSynthetic:
         # eigengap parameter approaches 1.
         gaps = []
         for delta in (0.3, 0.5, 0.7, 0.9):
-            inst = small_instance(seed=11, eigengap=delta)
-            sv = np.linalg.svd(np.vstack(inst.local_data), compute_uv=False)
+            data = synthetic_data(small_spec(seed=11, eigengap=delta))
+            sv = np.linalg.svd(np.vstack(data), compute_uv=False)
             gaps.append(sv[1] / sv[2])  # r = 2
         assert all(a > b for a, b in zip(gaps, gaps[1:]))
 
     def test_seed_determinism(self):
+        for x, y in zip(synthetic_data(small_spec(seed=12)), synthetic_data(small_spec(seed=12))):
+            np.testing.assert_array_equal(x, y)
         a = small_instance(seed=12)
         b = small_instance(seed=12)
-        for x, y in zip(a.local_data, b.local_data):
-            np.testing.assert_array_equal(x, y)
+        np.testing.assert_array_equal(a.grams, b.grams)
         np.testing.assert_array_equal(a.x_star, b.x_star)
 
     def test_row_split_even(self):
         inst = small_instance(n=4, m=50)
-        assert [a.shape[0] for a in inst.local_data] == [50, 50, 50, 50]
+        assert inst.row_counts == (50, 50, 50, 50)
+        assert [a.shape for a in synthetic_data(small_spec(n=4, m=50))] == [(50, 6)] * 4
 
     @pytest.mark.parametrize("n, m, d", [(4, 50, 6), (16, 1000, 10), (3, 2, 5)])
     def test_block_draws_equal_one_tall_draw(self, n, m, d):
@@ -192,7 +208,7 @@ class TestGenerateSynthetic:
         g = stream_rng(spec.seed, STREAM_DATA).standard_normal((n * m, d))
         u, _, vt = np.linalg.svd(g, full_matrices=False)
         sv = spec.leading_sv * spec.eigengap ** (np.arange(d) / 2.0)
-        np.testing.assert_allclose(np.vstack(inst.local_data), (u * sv) @ vt, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.vstack(synthetic_data(spec)), (u * sv) @ vt, rtol=0, atol=1e-12)
         planted = vt.T[:, :2]
         np.testing.assert_allclose(
             inst.planted_basis @ inst.planted_basis.T, planted @ planted.T, rtol=0, atol=1e-12
@@ -204,9 +220,32 @@ class TestGenerateSynthetic:
         # (a factor from eigh(g^T g) misses by ~1e-8 on some of them).
         sv = 0.5 ** (np.arange(4) / 2.0)
         for seed in range(200):
-            inst = generate_synthetic(SyntheticSpec(n=2, m=2, d=4, r=2, eigengap=0.5, seed=seed))
-            got = np.linalg.svd(np.vstack(inst.local_data), compute_uv=False)
+            data = synthetic_data(SyntheticSpec(n=2, m=2, d=4, r=2, eigengap=0.5, seed=seed))
+            got = np.linalg.svd(np.vstack(data), compute_uv=False)
             np.testing.assert_allclose(got, sv, rtol=1e-10, err_msg=f"seed {seed}")
+
+
+class TestMakeInstance:
+    def test_streamed_grams_equal_full_block_grams(self):
+        spec = SyntheticSpec(n=16, m=1000, d=10, r=5, eigengap=0.8, seed=2)
+        inst = generate_synthetic(spec)
+        data = synthetic_data(spec)
+        assert len(data) == inst.n_agents == 16
+        for gram, a in zip(inst.grams, data):
+            assert gram.tobytes() == np.matmul(a.T, a).tobytes()
+
+    def test_keeps_row_counts_not_blocks(self, rng):
+        blocks = [rng.standard_normal((m, 4)) for m in (3, 7, 2)]
+        inst = make_instance((3, 7, 2), iter(blocks), r=2)
+        assert inst.row_counts == (3, 7, 2)
+        assert inst.n_agents == 3 and inst.total_rows == 12
+        np.testing.assert_array_equal(inst.mean_gram, sum(a.T @ a for a in blocks) / 3)
+
+    @pytest.mark.parametrize("row_counts, shapes", [((3, 4), [(3, 4), (4, 5)]), ((3, 4), [(3, 4), (5, 4)])])
+    def test_block_shape_mismatch_rejected(self, rng, row_counts, shapes):
+        blocks = [rng.standard_normal(shape) for shape in shapes]
+        with pytest.raises(ValueError, match="agent 1: block is"):
+            make_instance(row_counts, blocks, r=2)
 
 
 class TestMnist:
@@ -221,7 +260,8 @@ class TestMnist:
         assert inst.n_agents == 4
         assert inst.total_rows == 40
         assert inst.dims.d == 20
-        stacked = np.vstack(inst.local_data)
+        stacked = np.vstack(mnist_data(path, n=4, seed=1)[1])
+        assert stacked.shape == (40, 20)
         assert stacked.min() >= 0.0 and stacked.max() <= 1.0
 
     def test_bad_magic_rejected(self, tmp_path):
@@ -260,7 +300,10 @@ class TestMnist:
         path = tmp_path / "images.idx3"
         write_idx3(path, self.make_images(count=50))
         inst = load_mnist(path, n=16, r=2, seed=0)
-        sizes = [a.shape[0] for a in inst.local_data]
+        row_counts, blocks = mnist_data(path, n=16, seed=0)
+        assert inst.row_counts == row_counts
+        sizes = [a.shape[0] for a in blocks]
+        assert list(row_counts) == sizes
         assert sizes[:-1] == [3] * 15
         assert sizes[-1] == 5
 
@@ -269,12 +312,11 @@ class TestMnist:
         path = tmp_path / "images.idx3"
         images = self.make_images(count=30, rows=3, cols=3, seed=5)
         write_idx3(path, images)
-        inst = load_mnist(path, n=4, r=2, seed=9)
         original = Counter(
             (images.reshape(30, -1).astype(float) / 255.0)[i].tobytes() for i in range(30)
         )
         loaded = Counter(
-            row.tobytes() for a in inst.local_data for row in a
+            row.tobytes() for a in mnist_data(path, n=4, seed=9)[1] for row in a
         )
         assert loaded == original
 
@@ -292,21 +334,63 @@ class TestMnist:
         assert inst.total_rows == 20000
         assert peak < 1.5 * 20000 * 100 * 8
 
+    def test_fewer_images_than_agents_rejected(self, tmp_path):
+        path = tmp_path / "images.idx3"
+        write_idx3(path, self.make_images(count=10))
+        with pytest.raises(IdxFormatError, match="10 images for 16 agents"):
+            load_mnist(path, n=16)
+
+    def test_streamed_grams_equal_full_block_grams(self, tmp_path):
+        # Reference: the whole shuffled float64 matrix, split into row views,
+        # and the Gram of each view; the streamed stack matches bit for bit.
+        path = tmp_path / "images.idx3"
+        images = self.make_images(count=203, rows=6, cols=7, seed=4)
+        write_idx3(path, images)
+        perm = stream_rng(5, STREAM_SHUFFLE).permutation(203)
+        full = np.divide(images.reshape(203, -1)[perm], 255.0, dtype=float)
+        inst = load_mnist(path, n=6, r=2, seed=5)
+        bounds = [0, 33, 66, 99, 132, 165, 203]
+        for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            a = full[lo:hi]
+            assert inst.grams[i].tobytes() == np.matmul(a.T, a).tobytes()
+
+    def test_peak_memory_below_one_block_pair(self, tmp_path):
+        # n=8: each agent's float64 block is 1/8 of the data. The blocks are
+        # made one at a time and dropped once their Gram is written, so the
+        # peak stays well below the float64 data size (two blocks alive at
+        # once would reach about 0.45 of it; one full matrix, 1.0).
+        path = tmp_path / "images.idx3"
+        write_idx3(path, self.make_images(count=20000, rows=10, cols=10, seed=3))
+        tracemalloc.start()
+        try:
+            inst = load_mnist(path, n=8, r=5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert inst.total_rows == 20000
+        assert peak < 0.5 * 20000 * 100 * 8
+
     def test_shuffle_depends_on_seed(self, tmp_path):
         path = tmp_path / "images.idx3"
         write_idx3(path, self.make_images(count=64, seed=2))
-        a = load_mnist(path, n=4, r=2, seed=1)
-        b = load_mnist(path, n=4, r=2, seed=1)
-        c = load_mnist(path, n=4, r=2, seed=2)
-        np.testing.assert_array_equal(a.local_data[0], b.local_data[0])
-        assert not np.array_equal(a.local_data[0], c.local_data[0])
+        a = mnist_data(path, n=4, seed=1)[1]
+        b = mnist_data(path, n=4, seed=1)[1]
+        c = mnist_data(path, n=4, seed=2)[1]
+        np.testing.assert_array_equal(a[0], b[0])
+        assert not np.array_equal(a[0], c[0])
+        np.testing.assert_array_equal(
+            load_mnist(path, n=4, r=2, seed=1).grams, load_mnist(path, n=4, r=2, seed=1).grams
+        )
+        assert not np.array_equal(
+            load_mnist(path, n=4, r=2, seed=1).grams, load_mnist(path, n=4, r=2, seed=2).grams
+        )
 
 
 class TestSmoothness:
     def test_diagonal_case_exact(self):
         # One agent, A = diag(2, 1): gram eigenvalues {4, 1}; L = 4 and
         # L_f = sqrt(4^2 + 1^2) for r = 2.
-        inst = make_instance([np.diag([2.0, 1.0])], r=2)
+        inst = make_instance((2,), [np.diag([2.0, 1.0])], r=2)
         consts = estimate_smoothness(inst)
         assert consts.L == pytest.approx(4.0, rel=1e-12)
         assert consts.L_f == pytest.approx(np.sqrt(17.0), rel=1e-12)
