@@ -27,7 +27,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, algo_config, build_problem, build_topology, parse_config, with_value
-from .engine import TERMINATION_DIVERGED, RunTrace, StepSizeError, run
+from .engine import ALGO_QRGT, TERMINATION_DIVERGED, RunTrace, StepSizeError, run
 from .network import GraphError
 from .problems import IdxFormatError
 
@@ -69,10 +69,8 @@ def execute(cfg: RunConfig) -> tuple[int, RunTrace]:
     write_trace_csv(cfg.out, cfg, trace)
     if trace.rows:
         final = trace.final
-        summary = (
-            f"{trace.termination} after {final.epoch} epochs: "
-            f"final ds={final.ds:.3e}, quantized payload {final.wire_bits_cum} bits -> {cfg.out}"
-        )
+        payload = f", quantized payload {final.wire_bits_cum} bits" if cfg.algorithm == ALGO_QRGT else ""
+        summary = f"{trace.termination} after {final.epoch} epochs: final ds={final.ds:.3e}{payload} -> {cfg.out}"
     else:
         summary = f"{trace.termination} before completing one epoch -> {cfg.out}"
     print(summary)

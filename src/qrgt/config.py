@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .engine import ALGO_QRGT, ALGO_RGT, AlgoConfig
 from .network import Topology
-from .problems import ProblemInstance, SyntheticSpec, generate_synthetic, load_mnist
+from .problems import ProblemInstance, SyntheticSpec, generate_synthetic, idx_image_size, load_mnist
 from .streams import STREAM_TOPOLOGY, stream_rng
 
 MNIST_PATH_ENV = "QRGT_MNIST_PATH"
@@ -151,6 +151,15 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"t: must be >= 1, got {cfg.t}")
     if cfg.n < 2:
         raise ConfigError(f"n: need at least 2 agents, got {cfg.n}")
+    for key in ("m", "d", "r"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key}: must be >= 1, got {getattr(cfg, key)}")
+    if cfg.leading_sv <= 0:
+        raise ConfigError(f"leading_sv: must be positive, got {cfg.leading_sv}")
+    if cfg.problem == "synthetic" and cfg.r > cfg.d:
+        raise ConfigError(f"r: must be at most d = {cfg.d}, got {cfg.r}")
+    if cfg.problem == "synthetic" and cfg.n * cfg.m < cfg.d:
+        raise ConfigError(f"m: need n*m >= d = {cfg.d} for full rank, got n*m = {cfg.n * cfg.m}")
     if cfg.retraction not in ("qr", "polar"):
         raise ConfigError(f"retraction: must be 'qr' or 'polar', got {cfg.retraction!r}")
     return cfg
@@ -211,6 +220,9 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
     path = os.environ.get(MNIST_PATH_ENV, cfg.mnist_path)
     if not path:
         raise ConfigError(f"mnist_path: set the key or the {MNIST_PATH_ENV} env var")
+    size = idx_image_size(path)
+    if cfg.r > size:
+        raise ConfigError(f"r: must be at most the image size {size} of {path}, got {cfg.r}")
     return load_mnist(path, n=cfg.n, r=cfg.r, seed=cfg.seed)
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "synthetic_blocks",
     "generate_synthetic",
     "mnist_blocks",
+    "idx_image_size",
     "load_mnist",
     "estimate_smoothness",
 ]
@@ -227,13 +228,7 @@ def mnist_blocks(path, n: int, seed: int = 0) -> tuple[tuple[int, ...], Iterator
     float64 matrix of the whole file is ever built.
     """
     raw = Path(path).read_bytes()
-    if len(raw) < 16:
-        raise IdxFormatError(f"{path}: truncated header, got {len(raw)} bytes, need 16")
-    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != MNIST_IMAGE_MAGIC:
-        raise IdxFormatError(
-            f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{MNIST_IMAGE_MAGIC:08x}"
-        )
+    count, rows, cols = _idx_header(raw, path)
     expected = 16 + count * rows * cols
     if len(raw) != expected:
         raise IdxFormatError(
@@ -249,6 +244,25 @@ def mnist_blocks(path, n: int, seed: int = 0) -> tuple[tuple[int, ...], Iterator
     spans = list(zip(bounds, bounds[1:]))
     row_counts = tuple(hi - lo for lo, hi in spans)
     return row_counts, (np.divide(pixels[perm[lo:hi]], 255.0, dtype=float) for lo, hi in spans)
+
+
+def _idx_header(raw: bytes, path) -> tuple[int, int, int]:
+    """(image count, rows, cols) from the first 16 bytes of an IDX3 image file."""
+    if len(raw) < 16:
+        raise IdxFormatError(f"{path}: truncated header, got {len(raw)} bytes, need 16")
+    magic, count, rows, cols = struct.unpack(">IIII", raw[:16])
+    if magic != MNIST_IMAGE_MAGIC:
+        raise IdxFormatError(
+            f"{path}: bad magic 0x{magic:08x} at byte 0, expected 0x{MNIST_IMAGE_MAGIC:08x}"
+        )
+    return count, rows, cols
+
+
+def idx_image_size(path) -> int:
+    """Pixels per image (rows*cols), read from an IDX3 image file's header alone."""
+    with open(path, "rb") as f:
+        _, rows, cols = _idx_header(f.read(16), path)
+    return rows * cols
 
 
 def load_mnist(path, n: int, r: int = 5, seed: int = 0) -> ProblemInstance:

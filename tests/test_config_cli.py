@@ -336,6 +336,48 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "10 images for 16 agents" in err[0]
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("r", "20"), ("r", "0"), ("d", "0"), ("m", "0"), ("leading_sv", "-1")],
+    )
+    def test_out_of_range_size_exit_2_no_csv(self, tmp_path, capsys, key, value):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"preset = synthetic\n{key} = {value}\n")
+        out = tmp_path / "never.csv"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {key}: ")
+
+    def test_rank_above_image_size_exit_2_no_csv(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+        idx = tmp_path / "big.idx3"
+        write_idx3(idx, np.zeros((16, 28, 28), dtype=np.uint8))
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"preset = mnist\nmnist_path = {idx}\nr = 900\n")
+        out = tmp_path / "never.csv"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: r: ") and "image size 784" in err[0]
+
+    @pytest.mark.parametrize("algo, payload", [("qrgt", True), ("rgt", False)])
+    def test_summary_names_payload_for_qrgt_only(self, tmp_path, capsys, algo, payload):
+        out = tmp_path / "s.csv"
+        code = main(
+            ["run", "--preset", "synthetic", "--algo", algo, "--max-epochs", "2", "--out", str(out)]
+        )
+        assert code == 0
+        summary = capsys.readouterr().out.splitlines()
+        assert len(summary) == 1
+        assert summary[0].startswith("MaxEpochs after 2 epochs: final ds=")
+        assert ("quantized payload" in summary[0]) is payload
+        assert summary[0].endswith(f" -> {out}")
+
     def test_sweep_bad_value_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         code = main(

@@ -1,4 +1,11 @@
+import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -52,6 +59,29 @@ def single_agent_identity_instance(d=5, r=2):
 
 def identity_mixing(n=1):
     return MixingMatrix(W=np.eye(n), sigma2=0.0, t=1, W_t=np.eye(n))
+
+
+def python_c(script, env):
+    """Run ``python -c script`` on this package's sources; fails on a nonzero exit."""
+    src = str(Path(engine.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+@pytest.fixture
+def split_forced(monkeypatch):
+    """Split local_grads on any Gram stack, over two threads unless a test
+    patches engine._THREADS further; a pool made here is shut down afterwards."""
+    monkeypatch.setattr(engine, "SPLIT_GRAM_BYTES", 0)
+    monkeypatch.setattr(engine, "_THREADS", 2)
+    monkeypatch.setattr(engine, "_pool", None)
+    yield
+    if engine._pool is not None:
+        engine._pool.shutdown(wait=True)
 
 
 class TestAlgoConfig:
@@ -386,9 +416,11 @@ class TestBenchmarkHooks:
     def counted_run(self, monkeypatch, algorithm, bits=4):
         calls = {}
         returned = []
+        threads = set()
 
         def counter(name, fn):
             def wrapped(*args, **kwargs):
+                threads.add(threading.get_ident())
                 calls[name] = calls.get(name, 0) + 1
                 out = fn(*args, **kwargs)
                 if name == "quantize_all":
@@ -404,6 +436,7 @@ class TestBenchmarkHooks:
         cfg = AlgoConfig(alpha=1e-3, bits=bits, algorithm=algorithm, max_epochs=self.EPOCHS, seed=2)
         trace = run(small_instance(seed=5), Topology.ring(4), cfg)
         assert len(trace.rows) == self.EPOCHS
+        assert threads == {threading.main_thread().ident}  # one span stack, one thread
         return calls, returned
 
     def test_qrgt(self, monkeypatch):
@@ -429,6 +462,145 @@ class TestBenchmarkHooks:
         assert calls["mix"] == 2 * k
         assert calls["local_grads"] == k + 1
         assert "quantize_all" not in calls and "penalty_grad" not in calls
+
+    @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
+    def test_hooks_stay_on_main_thread_when_split(self, monkeypatch, split_forced, algorithm):
+        split_calls = []
+        neg_matmul = engine._neg_matmul
+
+        def recording(G, X, out, lo, hi):
+            split_calls.append((lo, hi))
+            neg_matmul(G, X, out, lo, hi)
+
+        monkeypatch.setattr(engine, "_neg_matmul", recording)
+        calls, _ = self.counted_run(monkeypatch, algorithm)
+        assert calls["local_grads"] == self.EPOCHS + 1
+        assert sorted(split_calls) == [(0, 2)] * (self.EPOCHS + 1) + [(2, 4)] * (self.EPOCHS + 1)
+
+
+class TestAgentParallelGrads:
+    """local_grads split over threads gives the one-thread result bit for bit."""
+
+    def preset(self, algorithm):
+        cfg = parse_config(preset="synthetic", overrides={"algorithm": algorithm})
+        inst = build_problem(cfg)
+        algo = algo_config(cfg, inst)
+        return inst, build_topology(cfg), algo
+
+    @staticmethod
+    def advance(inst, mixing, algo, epochs):
+        eng = _Engine(inst, mixing, algo)
+        state = eng.initial_state()[0]
+        for epoch in range(1, epochs + 1):
+            state = eng.step(state, epoch)[0]
+        return eng, state
+
+    @staticmethod
+    def rows(trace):
+        return [dataclasses.replace(row, wall_ms=0.0) for row in trace.rows]
+
+    @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
+    def test_preset_epochs_bit_equal(self, monkeypatch, split_forced, algorithm):
+        inst, topology, algo = self.preset(algorithm)
+        algo = dataclasses.replace(algo, max_epochs=200)
+        mixing = build_metropolis(topology, algo.t)
+        split_eng, split = self.advance(inst, mixing, algo, 200)
+        split_rows = self.rows(run(inst, topology, algo))
+        assert split_eng._chunks == [(0, 8), (8, 16)]
+        with monkeypatch.context() as patch:
+            patch.setattr(engine, "SPLIT_GRAM_BYTES", 1 << 62)
+            serial_eng, serial = self.advance(inst, mixing, algo, 200)
+            serial_rows = self.rows(run(inst, topology, algo))
+        assert serial_eng._chunks is None
+        for name in ("x", "s", "g"):
+            assert getattr(split, name).tobytes() == getattr(serial, name).tobytes()
+        assert len(split_rows) == 200 and split_rows == serial_rows
+
+    def test_uneven_chunks_bit_equal(self, monkeypatch, split_forced):
+        monkeypatch.setattr(engine, "_THREADS", 3)
+        inst = small_instance(seed=3, n=5)
+        mixing = build_metropolis(Topology.ring(5), 1)
+        algo = AlgoConfig(alpha=1e-3, bits=4, seed=4)
+        eng, split = self.advance(inst, mixing, algo, 50)
+        assert eng._chunks == [(0, 1), (1, 3), (3, 5)]
+        assert engine._pool._max_workers == 3
+        X = split.x
+        assert eng.local_grads(X).tobytes() == (-np.matmul(inst.grams, X)).tobytes()
+        monkeypatch.setattr(engine, "SPLIT_GRAM_BYTES", 1 << 62)
+        serial_eng, serial = self.advance(inst, mixing, algo, 50)
+        assert serial_eng._chunks is None
+        for name in ("x", "s", "g"):
+            assert getattr(split, name).tobytes() == getattr(serial, name).tobytes()
+
+    def test_single_agent_never_splits(self, split_forced):
+        inst = single_agent_identity_instance()
+        eng = _Engine(inst, identity_mixing(), AlgoConfig(alpha=0.1))
+        assert eng._chunks is None
+        eng.initial_state()
+        assert engine._pool is None
+
+    def test_below_threshold_starts_no_thread(self, monkeypatch):
+        monkeypatch.setattr(engine, "_THREADS", 2)  # only the size decides
+        monkeypatch.setattr(engine, "_pool", None)
+        inst, topology, algo = self.preset("qrgt")
+        assert inst.grams.nbytes < engine.SPLIT_GRAM_BYTES
+        before = threading.active_count()
+        trace = run(inst, topology, dataclasses.replace(algo, max_epochs=20))
+        assert len(trace.rows) == 20
+        assert threading.active_count() == before
+        assert engine._pool is None
+
+    @pytest.mark.parametrize(
+        "environ, one",
+        [
+            ({}, False),
+            ({"OPENBLAS_NUM_THREADS": "1"}, True),
+            ({"OMP_NUM_THREADS": " 1 "}, True),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}, True),
+            ({"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, False),
+            ({"MKL_NUM_THREADS": "2"}, False),
+        ],
+    )
+    def test_blas_one_thread(self, environ, one):
+        assert engine._blas_one_thread(environ) is one
+
+    @pytest.mark.parametrize("blas_threads", [None, "1"])
+    def test_thread_count_read_at_import(self, blas_threads):
+        env = {k: v for k, v in os.environ.items() if k not in engine._BLAS_THREAD_VARS}
+        if blas_threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = blas_threads
+        proc = python_c("from qrgt import engine; print(engine._THREADS)", env)
+        expected = len(os.sched_getaffinity(0)) if blas_threads else 1
+        assert int(proc.stdout) == expected
+
+    def test_forked_child_makes_its_own_pool(self, split_forced):
+        inst = small_instance(seed=1)
+        cfg = AlgoConfig(alpha=1e-3, max_epochs=3)
+        assert len(run(inst, Topology.ring(4), cfg).rows) == 3
+        assert engine._pool is not None
+        child = multiprocessing.get_context("fork").Process(
+            target=run, args=(inst, Topology.ring(4), cfg)
+        )
+        child.start()
+        child.join(timeout=60)
+        if child.is_alive():
+            child.kill()
+            child.join()
+        assert child.exitcode == 0
+        child.close()
+
+    def test_idle_workers_do_not_hold_the_process_open(self):
+        script = (
+            "from qrgt import engine, SyntheticSpec, Topology, AlgoConfig, generate_synthetic, run\n"
+            "engine.SPLIT_GRAM_BYTES = 0\n"
+            "engine._THREADS = 2\n"
+            "inst = generate_synthetic(SyntheticSpec(n=4, m=40, d=6, r=2, eigengap=0.6, seed=0))\n"
+            "trace = run(inst, Topology.ring(4), AlgoConfig(alpha=1e-3, max_epochs=3))\n"
+            "assert len(trace.rows) == 3 and engine._pool is not None\n"
+            "print('done')\n"
+        )
+        proc = python_c(script, dict(os.environ))
+        assert proc.stdout.strip() == "done"
 
 
 class TestStepSizeBounds:
