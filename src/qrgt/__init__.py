@@ -9,23 +9,18 @@ from .engine import (
     AlgoConfig,
     RunTrace,
     TrackingState,
-    init_state,
-    qrgt_epoch,
-    rgt_epoch,
     run,
     safety_step_bound,
     step_size_bounds,
 )
-from .metrics import MetricRow, consensus_error, evaluate, mean_point, subspace_distance
+from .metrics import MetricRow, consensus_error, evaluate, subspace_distance
 from .network import MixingMatrix, Topology, build_metropolis, mix, second_singular_value
 from .problems import (
     ProblemInstance,
     SyntheticSpec,
     estimate_smoothness,
     generate_synthetic,
-    global_objective,
     load_mnist,
-    local_euclidean_grad,
     make_instance,
     mnist_blocks,
     solve_ground_truth,
@@ -36,14 +31,9 @@ from .stiefel import (
     ManifoldDims,
     SmoothnessConstants,
     distance_to_manifold,
-    is_on_manifold,
-    landing_field,
-    manifold_defect,
-    penalty,
     penalty_grad,
     random_stiefel,
     retract,
-    riemannian_grad,
     tangent_project,
 )
 

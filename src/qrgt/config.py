@@ -12,6 +12,7 @@ alpha_hat / total_rows for MNIST-style datasets.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -62,7 +63,6 @@ class RunConfig:
     ds_tol: float = 1e-8
     retraction: str = "qr"
     seed: int = 0
-    dither: bool = True
     enforce_safety: bool = False
     timing: bool = False
     out: str = "trace.csv"
@@ -102,7 +102,7 @@ PRESETS: dict[str, dict] = {
     ),
 }
 
-_BOOL_KEYS = {"dither", "enforce_safety", "timing"}
+_BOOL_KEYS = {"enforce_safety", "timing"}
 _INT_KEYS = {"n", "m", "d", "r", "bits", "t", "max_epochs", "seed"}
 _FLOAT_KEYS = {"eigengap", "leading_sv", "topology_p", "alpha_hat", "ds_tol"}
 _ALL_KEYS = {f.name for f in fields(RunConfig)}
@@ -127,6 +127,9 @@ def _coerce(key: str, raw: str):
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
+    for key in sorted(_FLOAT_KEYS):
+        if not math.isfinite(getattr(cfg, key)):
+            raise ConfigError(f"{key}: must be finite, got {getattr(cfg, key)}")
     if cfg.problem not in ("synthetic", "mnist"):
         raise ConfigError(f"problem: must be 'synthetic' or 'mnist', got {cfg.problem!r}")
     if cfg.algorithm not in (ALGO_QRGT, ALGO_RGT):
@@ -162,6 +165,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"m: need n*m >= d = {cfg.d} for full rank, got n*m = {cfg.n * cfg.m}")
     if cfg.retraction not in ("qr", "polar"):
         raise ConfigError(f"retraction: must be 'qr' or 'polar', got {cfg.retraction!r}")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
     return cfg
 
 
@@ -255,7 +260,6 @@ def algo_config(cfg: RunConfig, inst: ProblemInstance) -> AlgoConfig:
         algorithm=cfg.algorithm,
         retraction=cfg.retraction,
         enforce_safety=cfg.enforce_safety,
-        dither=cfg.dither,
     )
 
 

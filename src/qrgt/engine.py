@@ -18,10 +18,10 @@ error is exactly zero, and the tracker is seeded with the first gradient so
 that the tracker mean equals the gradient mean from epoch zero onward.
 
 The state of all agents is one ``TrackingState`` of stacked ``(n, d, r)``
-arrays. Epoch k's dither is block k of (n, d, r) draws from the run's one
-dither stream, agent i taking slice i (layout in ``streams``): ``run``
-draws the blocks in order from one generator, and any other caller skips a
-fresh generator to block k, so a draw depends only on (seed, epoch).
+arrays, and ``run`` is the one driver of the recursion. Epoch k's dither is
+block k of (n, d, r) draws from the run's one dither stream, agent i taking
+slice i (layout in ``streams``); the engine draws the blocks in order from
+one generator, the initial state taking block 0.
 
 Each agent computes its local gradient on its own. When the Gram stack
 reaches ``SPLIT_GRAM_BYTES`` (MNIST-sized data, not the d=10 preset), BLAS is
@@ -51,7 +51,14 @@ from .metrics import consensus_error, evaluate
 from .network import MixingMatrix, Topology, build_metropolis, mix
 from .problems import ProblemInstance, estimate_smoothness
 from .quantizers import QuantizerSpec, dither_noise, scale_factor, snap, wire_size_bits
-from .stiefel import SmoothnessConstants, penalty_grad, random_stiefel, retract, tangent_project
+from .stiefel import (
+    SmoothnessConstants,
+    distance_to_manifold,
+    penalty_grad,
+    random_stiefel,
+    retract,
+    tangent_project,
+)
 from .streams import STREAM_DITHER, STREAM_INIT, stream_rng
 
 ALGO_QRGT = "qrgt"
@@ -95,9 +102,6 @@ __all__ = [
     "RunDiagnostics",
     "RunTrace",
     "StepSizeError",
-    "init_state",
-    "qrgt_epoch",
-    "rgt_epoch",
     "step_size_bounds",
     "safety_step_bound",
     "run",
@@ -122,7 +126,6 @@ class AlgoConfig:
     algorithm: str = ALGO_QRGT
     retraction: str = "qr"
     enforce_safety: bool = False
-    dither: bool = True
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
@@ -229,15 +232,14 @@ def safety_step_bound(consts: SmoothnessConstants, sigma2: float, n: int) -> flo
 
 
 class _Engine:
-    """Stacked-array implementation shared by the epoch functions and run()."""
+    """Stacked-array implementation of one run's epochs, driven by run()."""
 
-    def __init__(self, inst: ProblemInstance, mixing: MixingMatrix | None, cfg: AlgoConfig):
+    def __init__(self, inst: ProblemInstance, mixing: MixingMatrix, cfg: AlgoConfig):
         self.inst = inst
         self.mixing = mixing
         self.cfg = cfg
         self.qspec = QuantizerSpec(bits=cfg.bits)
-        self._dither: np.random.Generator | None = None
-        self._dither_next: int | None = None  # the epoch whose block _dither stands at
+        self._dither = stream_rng(cfg.seed, STREAM_DITHER)
         n = inst.n_agents
         threads = min(_THREADS, n)
         self._chunks: list[tuple[int, int]] | None = None  # agent ranges, one per thread
@@ -255,23 +257,15 @@ class _Engine:
             future.result()
         return out
 
-    def quantize_all(self, RG: np.ndarray, PG: np.ndarray, epoch: int):
+    def quantize_all(self, RG: np.ndarray, PG: np.ndarray):
         """Quantize every agent's gradient; returns (values, scales, ratios).
 
-        The dither of epoch k is block k of the run's one dither stream:
-        draws [k B, (k+1) B) of ``stream_rng(cfg.seed, STREAM_DITHER)``,
+        The k-th call takes block k of the run's one dither stream: draws
+        [k B, (k+1) B) of ``stream_rng(cfg.seed, STREAM_DITHER)``,
         B = RG.size, agent i taking slice i (also for a zero gradient, whose
-        draws go unused). Consecutive epochs continue one generator; any
-        other epoch starts a fresh one advanced to its block, so a draw
-        depends only on (seed, epoch).
+        draws go unused).
         """
-        noise = None
-        if self.cfg.dither:
-            if epoch != self._dither_next:
-                self._dither = stream_rng(self.cfg.seed, STREAM_DITHER)
-                self._dither.bit_generator.advance(epoch * RG.size)
-            self._dither_next = epoch + 1
-            noise = dither_noise(self._dither, self.qspec, RG.shape)
+        noise = dither_noise(self._dither, self.qspec, RG.shape)
         values, scales = snap(RG, PG, self.qspec, noise)
         pscales = scale_factor(PG)
         return values, scales, scales / np.where(pscales > 0.0, pscales, np.nan)
@@ -283,21 +277,21 @@ class _Engine:
         X = np.broadcast_to(x0, (self.inst.n_agents, *x0.shape)).copy()
         RG = tangent_project(X, self.local_grads(X))
         if self.cfg.algorithm == ALGO_QRGT:
-            G, scales, ratios = self.quantize_all(RG, penalty_grad(X), epoch=0)
+            G, scales, ratios = self.quantize_all(RG, penalty_grad(X))
             return TrackingState(X, G.copy(), G), float(scales.max()), _nanmax(ratios)
         return TrackingState(X, RG.copy(), RG), 0.0, float("nan")
 
-    def qrgt_step(self, st: TrackingState, epoch: int) -> tuple[TrackingState, float, float]:
+    def qrgt_step(self, st: TrackingState) -> tuple[TrackingState, float, float]:
         Xn = mix(self.mixing, st.x)
         Xn -= self.cfg.alpha * st.s
         RG = tangent_project(Xn, self.local_grads(Xn))
-        Gn, scales, ratios = self.quantize_all(RG, penalty_grad(Xn), epoch)
+        Gn, scales, ratios = self.quantize_all(RG, penalty_grad(Xn))
         Sn = mix(self.mixing, st.s)
         Sn += Gn
         Sn -= st.g
         return TrackingState(Xn, Sn, Gn), float(scales.max()), _nanmax(ratios)
 
-    def rgt_step(self, st: TrackingState, epoch: int) -> tuple[TrackingState, float, float]:
+    def rgt_step(self, st: TrackingState) -> tuple[TrackingState, float, float]:
         direction = mix(self.mixing, st.x) - st.x - self.cfg.alpha * st.s
         Xi = tangent_project(st.x, direction)
         Xn = retract(st.x, Xi, self.cfg.retraction)
@@ -305,10 +299,10 @@ class _Engine:
         Sn = mix(self.mixing, st.s) + Gn - st.g
         return TrackingState(Xn, Sn, Gn), 0.0, np.nan
 
-    def step(self, st: TrackingState, epoch: int) -> tuple[TrackingState, float, float]:
+    def step(self, st: TrackingState) -> tuple[TrackingState, float, float]:
         if self.cfg.algorithm == ALGO_QRGT:
-            return self.qrgt_step(st, epoch)
-        return self.rgt_step(st, epoch)
+            return self.qrgt_step(st)
+        return self.rgt_step(st)
 
 
 def _neg_matmul(G: np.ndarray, X: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
@@ -364,33 +358,6 @@ def _pin_worker(slots: itertools.count) -> None:
 def _nanmax(values: np.ndarray) -> float:
     finite = values[np.isfinite(values)]
     return float(finite.max()) if finite.size else float("nan")
-
-
-def init_state(inst: ProblemInstance, cfg: AlgoConfig) -> TrackingState:
-    """Shared random on-manifold start; trackers seeded with the first gradient."""
-    return _Engine(inst, None, cfg).initial_state()[0]  # mixing is not used during init
-
-
-def qrgt_epoch(
-    state: TrackingState,
-    inst: ProblemInstance,
-    mixing: MixingMatrix,
-    cfg: AlgoConfig,
-    epoch: int = 1,
-) -> TrackingState:
-    """One quantized tracking epoch; dither is keyed by (cfg.seed, epoch)."""
-    return _Engine(inst, mixing, cfg).qrgt_step(state, epoch)[0]
-
-
-def rgt_epoch(
-    state: TrackingState,
-    inst: ProblemInstance,
-    mixing: MixingMatrix,
-    cfg: AlgoConfig,
-    epoch: int = 1,
-) -> TrackingState:
-    """One retraction-based tracking epoch with exact gradients."""
-    return _Engine(inst, mixing, cfg).rgt_step(state, epoch)[0]
 
 
 def _diverged(X: np.ndarray, r: int) -> str | None:
@@ -451,15 +418,14 @@ def run(
         diag.gamma_max.append(gamma_max)
         diag.landing_ratio.append(landing_ratio)
         if full_diagnostics:
-            sv = np.linalg.svd(st.x, compute_uv=False)
-            diag.max_dist.append(float(np.sqrt(((sv - 1.0) ** 2).sum(axis=1)).max()))
+            diag.max_dist.append(float(distance_to_manifold(st.x).max()))
 
     state, gamma_max, landing_ratio = eng.initial_state()
     record_diag(state, gamma_max, landing_ratio, consensus_error(state.x) ** 2)  # epoch-0 entry
     wire_cum = wire_per_epoch  # the initial gradient exchange is epoch 0's payload
     for epoch in range(1, cfg.max_epochs + 1):
         tic = time.perf_counter()
-        state, gamma_max, landing_ratio = eng.step(state, epoch)
+        state, gamma_max, landing_ratio = eng.step(state)
         wall_ms = (time.perf_counter() - tic) * 1e3
         why = _diverged(state.x, r)
         if why is not None:

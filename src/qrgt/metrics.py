@@ -1,9 +1,9 @@
 """Evaluation metrics for decentralized runs.
 
-All metrics are computed at the raw Euclidean mean of the agent variables,
-which generally lies off the manifold; the tangent-projection formula is
-applied there as written, and the mean's distance to the manifold is
-reported alongside as a diagnostic.
+All metrics are computed at the raw Euclidean mean of the agent variables
+(``np.mean`` over the agent axis), which generally lies off the manifold;
+the tangent-projection formula is applied there as written, and the mean's
+``distance_to_manifold`` is reported alongside as a diagnostic.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import ProblemInstance
-from .stiefel import tangent_project
+from .stiefel import distance_to_manifold, tangent_project
 
 __all__ = [
     "MetricRow",
-    "mean_point",
     "subspace_distance",
     "consensus_error",
     "evaluate",
@@ -33,11 +32,6 @@ class MetricRow:
     f_gap: float
     ds: float
     dist_mean: float
-
-
-def mean_point(stacked) -> np.ndarray:
-    """Arithmetic mean of the agent variables (not projected to the manifold)."""
-    return np.mean(np.asarray(stacked, dtype=float), axis=0)
 
 
 def subspace_distance(x: np.ndarray, xstar: np.ndarray) -> float:
@@ -61,24 +55,23 @@ def subspace_distance(x: np.ndarray, xstar: np.ndarray) -> float:
 def consensus_error(stacked) -> float:
     """Frobenius norm of the stacked deviation from the mean."""
     X = np.asarray(stacked, dtype=float)
-    return float(np.linalg.norm(X - mean_point(X)))
+    return float(np.linalg.norm(X - np.mean(X, axis=0)))
 
 
 def evaluate(stacked, inst: ProblemInstance) -> MetricRow:
     """All five metrics at the current agent variables.
 
     The averaged-Gram product is taken once and serves both the gradient
-    and the objective, with the arithmetic of ``global_objective``.
+    and the objective f(x) = -tr(x^T mean_gram x) / 2.
     """
     X = np.asarray(stacked, dtype=float)
     xbar = np.mean(X, axis=0)
     gram_x = inst.mean_gram @ xbar
     rgrad = tangent_project(xbar, -gram_x)
-    sv = np.linalg.svd(xbar, compute_uv=False)
     return MetricRow(
         consensus_error=float(np.linalg.norm(X - xbar)),
         grad_norm=float(np.linalg.norm(rgrad)),
         f_gap=float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star,
         ds=subspace_distance(xbar, inst.x_star),
-        dist_mean=float(np.sqrt(np.sum((sv - 1.0) ** 2))),
+        dist_mean=float(distance_to_manifold(xbar)),
     )

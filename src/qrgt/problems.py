@@ -31,8 +31,6 @@ __all__ = [
     "IdxFormatError",
     "DegenerateGapWarning",
     "make_instance",
-    "local_euclidean_grad",
-    "global_objective",
     "solve_ground_truth",
     "synthetic_blocks",
     "generate_synthetic",
@@ -169,18 +167,6 @@ def make_instance(
         grams=grams,
         planted_basis=planted_basis,
     )
-
-
-def local_euclidean_grad(inst: ProblemInstance, agent: int, x: np.ndarray) -> np.ndarray:
-    """Euclidean gradient of f_i at x: -A_i^T (A_i x)."""
-    if not (0 <= agent < inst.n_agents):
-        raise IndexError(f"agent {agent} out of range for n={inst.n_agents}")
-    return -(inst.grams[agent] @ x)
-
-
-def global_objective(inst: ProblemInstance, x: np.ndarray) -> float:
-    """f(x) = -sum_i tr(x^T A_i^T A_i x) / (2n)."""
-    return float(-0.5 * np.sum(x * (inst.mean_gram @ x)))
 
 
 def synthetic_blocks(spec: SyntheticSpec) -> tuple[Iterator[np.ndarray], np.ndarray]:

@@ -2,38 +2,29 @@
 
 Points and tangent vectors are plain (d, r) float arrays. Quantized
 iterates are allowed to drift off the manifold, so every operation accepts
-arbitrary (d, r) matrices and applies its formula as written; use
-``manifold_defect`` / ``is_on_manifold`` to check feasibility explicitly.
+arbitrary (d, r) matrices and applies its formula as written;
+``distance_to_manifold`` measures how far they drift.
 
-``tangent_project``, ``riemannian_grad``, ``penalty_grad``,
-``landing_field`` and ``retract`` broadcast over leading batch dimensions,
-so a stacked (n, d, r) array of agent variables is processed in one call.
+``tangent_project`` (which maps a Euclidean gradient to the Riemannian
+one), ``penalty_grad``, ``distance_to_manifold`` and ``retract`` broadcast
+over leading batch dimensions, so a stacked (n, d, r) array of agent
+variables is processed in one call.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-ON_MANIFOLD_TOL = 1e-8
-
 __all__ = [
-    "ON_MANIFOLD_TOL",
     "ManifoldDims",
     "SmoothnessConstants",
     "RetractionError",
-    "DegenerateProjectionWarning",
-    "manifold_defect",
-    "is_on_manifold",
     "tangent_project",
-    "riemannian_grad",
     "distance_to_manifold",
-    "penalty",
     "penalty_grad",
     "retract",
-    "landing_field",
     "random_stiefel",
 ]
 
@@ -42,27 +33,16 @@ class RetractionError(RuntimeError):
     """QR retraction received a numerically rank-deficient argument."""
 
 
-class DegenerateProjectionWarning(UserWarning):
-    """Nearest manifold point is not unique (rank-deficient input)."""
-
-
 @dataclass(frozen=True)
 class ManifoldDims:
-    """Shape of St(d, r) plus its proximal-smoothness radius.
-
-    The radius is 1 for the Stiefel manifold (and would be 1/sqrt(2) for the
-    Grassmann variant, which is out of scope here).
-    """
+    """Shape of St(d, r)."""
 
     d: int
     r: int
-    proximal_radius: float = 1.0
 
     def __post_init__(self) -> None:
         if not (1 <= self.r <= self.d):
             raise ValueError(f"need 1 <= r <= d, got d={self.d}, r={self.r}")
-        if self.proximal_radius <= 0:
-            raise ValueError("proximal_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,14 +53,12 @@ class SmoothnessConstants:
     normal-component bound (max gradient norm on the manifold divided by the
     proximal radius). Their sum ``L_g`` bounds smoothness along the manifold;
     ``L_m`` extends it to the off-manifold region the quantized iterates live
-    in and defaults to ``L_g``. ``landing_weight`` scales the penalty term of
-    the reference landing field.
+    in and defaults to ``L_g``.
     """
 
     L: float
     L_f: float
     L_m: float | None = None
-    landing_weight: float = 1.0
 
     def __post_init__(self) -> None:
         if self.L <= 0 or self.L_f <= 0:
@@ -108,15 +86,6 @@ def _gram_defect(x: np.ndarray) -> np.ndarray:
     return xt @ x - np.eye(x.shape[-1])
 
 
-def manifold_defect(x: np.ndarray) -> float:
-    """Frobenius norm of x^T x - I_r (0 exactly on the manifold)."""
-    return float(np.linalg.norm(_gram_defect(_check_matrix(x, "x"))))
-
-
-def is_on_manifold(x: np.ndarray, tol: float = ON_MANIFOLD_TOL) -> bool:
-    return manifold_defect(x) <= tol
-
-
 def tangent_project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Orthogonal projection of y onto the tangent space at x.
 
@@ -133,49 +102,21 @@ def tangent_project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y - 0.5 * (x @ sym)
 
 
-def riemannian_grad(x: np.ndarray, egrad: np.ndarray) -> np.ndarray:
-    """Riemannian gradient: tangent projection of the Euclidean gradient."""
-    return tangent_project(x, egrad)
-
-
-def distance_to_manifold(x: np.ndarray) -> float:
-    """Frobenius distance from x to St(d, r).
+def distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
+    """Frobenius distance from x to St(d, r), one per (d, r) slice.
 
     Equals sqrt(sum_i (sigma_i - 1)^2) over the singular values of x; the
-    nearest manifold point is the polar factor. A rank-deficient x still
-    gets a value, with a warning because the nearest point is not unique.
+    nearest manifold point is the polar factor (not unique when x is
+    rank-deficient, though the distance is).
     """
-    x = _check_matrix(x, "x")
-    s = np.linalg.svd(x, compute_uv=False)
-    if s.min() <= 1e-12 * max(1.0, s.max()):
-        warnings.warn(
-            "rank-deficient input: nearest Stiefel point is not unique",
-            DegenerateProjectionWarning,
-            stacklevel=2,
-        )
-    return float(np.sqrt(np.sum((s - 1.0) ** 2)))
-
-
-def penalty(x: np.ndarray) -> float:
-    """Orthogonality penalty ||x^T x - I_r||_F^2."""
-    return float(np.sum(_gram_defect(_check_matrix(x, "x")) ** 2))
+    sv = np.linalg.svd(_check_matrix(x, "x"), compute_uv=False)
+    return np.sqrt(((sv - 1.0) ** 2).sum(axis=-1))
 
 
 def penalty_grad(x: np.ndarray) -> np.ndarray:
     """Gradient of the orthogonality penalty: 4 x (x^T x - I_r)."""
     x = _check_matrix(x, "x")
     return 4.0 * (x @ _gram_defect(x))
-
-
-def landing_field(
-    x: np.ndarray, egrad: np.ndarray, consts: SmoothnessConstants
-) -> np.ndarray:
-    """Riemannian gradient plus the weighted penalty pull toward the manifold.
-
-    This is the deterministic field the direction-biased quantizer emulates;
-    it is used only as a reference in tests and diagnostics.
-    """
-    return riemannian_grad(x, egrad) + consts.landing_weight * penalty_grad(x)
 
 
 def _qr_positive(a: np.ndarray) -> np.ndarray:

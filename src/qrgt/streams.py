@@ -10,10 +10,9 @@ A run's dither is one stream, ``stream_rng(master_seed, STREAM_DITHER)``,
 cut into equal blocks of B = n*d*r uniform draws (one 64-bit output each):
 epoch k's noise for all agents is the (n, d, r) block of draws
 [k*B, (k+1)*B), and agent i's noise is slice i. A run draws the blocks in
-order from one generator; a caller that needs block k alone starts a fresh
-generator and skips to it with ``bit_generator.advance(k*B)``. A draw
-therefore depends only on (master seed, epoch), not on which epochs were
-drawn before it nor on the order in which agents are processed.
+order from one generator, so a draw depends only on (master seed, epoch),
+not on the order in which agents are processed; a fresh generator skipped
+with ``bit_generator.advance(k*B)`` reproduces block k.
 """
 
 from __future__ import annotations

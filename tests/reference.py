@@ -1,0 +1,29 @@
+"""Reference formulas the tests check the package against; no run uses them."""
+
+import numpy as np
+
+
+def _gram_defect(x: np.ndarray) -> np.ndarray:
+    """x^T x - I, batched over leading dimensions."""
+    x = np.asarray(x, dtype=float)
+    return np.swapaxes(x, -1, -2) @ x - np.eye(x.shape[-1])
+
+
+def manifold_defect(x: np.ndarray) -> float:
+    """Frobenius norm of x^T x - I_r (0 exactly on the manifold)."""
+    return float(np.linalg.norm(_gram_defect(x)))
+
+
+def penalty(x: np.ndarray) -> float:
+    """Orthogonality penalty ||x^T x - I_r||_F^2, whose gradient is ``penalty_grad``."""
+    return float(np.sum(_gram_defect(x) ** 2))
+
+
+def local_grad(inst, agent: int, x: np.ndarray) -> np.ndarray:
+    """Agent ``agent``'s Euclidean gradient -A_i^T A_i x, from its Gram."""
+    return -(inst.grams[agent] @ x)
+
+
+def global_objective(inst, x: np.ndarray) -> float:
+    """f(x) = -sum_i tr(x^T A_i^T A_i x) / (2n)."""
+    return float(-0.5 * np.sum(x * (inst.mean_gram @ x)))

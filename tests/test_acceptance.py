@@ -21,9 +21,7 @@ from qrgt import (
     estimate_smoothness,
     generate_synthetic,
     load_mnist,
-    manifold_defect,
     mnist_blocks,
-    penalty,
     penalty_grad,
     random_stiefel,
     retract,
@@ -37,6 +35,7 @@ from qrgt.cli import execute
 from qrgt.config import parse_config
 from qrgt.quantizers import dequantize, dither_noise, encode
 
+from reference import manifold_defect, penalty
 from test_quantizers import constant_noise, exact_dithered_floor_expectation
 
 

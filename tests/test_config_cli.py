@@ -117,10 +117,12 @@ class TestParseConfig:
 
     def test_bool_coercion(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("dither = false\ntiming = on\n")
+        path.write_text("enforce_safety = yes\ntiming = on\n")
         cfg = parse_config(file=path)
-        assert cfg.dither is False
-        assert cfg.timing is True
+        assert cfg.enforce_safety is True and cfg.timing is True
+        path.write_text("enforce_safety = false\ntiming = 0\n")
+        cfg = parse_config(file=path)
+        assert cfg.enforce_safety is False and cfg.timing is False
 
 
 class TestBuilders:
@@ -338,7 +340,11 @@ class TestMain:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("r", "20"), ("r", "0"), ("d", "0"), ("m", "0"), ("leading_sv", "-1")],
+        [
+            ("r", "20"), ("r", "0"), ("d", "0"), ("m", "0"), ("leading_sv", "-1"),
+            ("leading_sv", "nan"), ("leading_sv", "inf"), ("alpha_hat", "nan"), ("alpha_hat", "inf"),
+            ("ds_tol", "nan"), ("seed", "-1"),
+        ],
     )
     def test_out_of_range_size_exit_2_no_csv(self, tmp_path, capsys, key, value):
         path = tmp_path / "bad.cfg"

@@ -17,15 +17,11 @@ from qrgt import (
     SyntheticSpec,
     Topology,
     build_metropolis,
+    distance_to_manifold,
     generate_synthetic,
-    init_state,
-    local_euclidean_grad,
     make_instance,
-    manifold_defect,
     penalty_grad,
-    qrgt_epoch,
     retract,
-    rgt_epoch,
     run,
     safety_step_bound,
     snap,
@@ -45,6 +41,8 @@ from qrgt.network import MixingMatrix
 from qrgt.quantizers import dither_noise
 from qrgt.streams import STREAM_DITHER, stream_rng
 
+from reference import local_grad, manifold_defect
+
 
 def small_instance(seed=0, n=4, leading_sv=2.0):
     return generate_synthetic(
@@ -59,6 +57,16 @@ def single_agent_identity_instance(d=5, r=2):
 
 def identity_mixing(n=1):
     return MixingMatrix(W=np.eye(n), sigma2=0.0, t=1, W_t=np.eye(n))
+
+
+def ring_engine(inst, cfg):
+    """The engine of a run of ``cfg`` on ``inst`` over a ring."""
+    return _Engine(inst, build_metropolis(Topology.ring(inst.n_agents), cfg.t), cfg)
+
+
+def start(inst, cfg):
+    """The initial state of a run of ``cfg`` on ``inst``."""
+    return ring_engine(inst, cfg).initial_state()[0]
 
 
 def python_c(script, env):
@@ -107,35 +115,35 @@ class TestAlgoConfig:
 class TestInit:
     def test_shared_start_zero_consensus(self):
         inst = small_instance()
-        state = init_state(inst, AlgoConfig(alpha=1e-3, seed=5))
+        state = start(inst, AlgoConfig(alpha=1e-3, seed=5))
         for x in state.x[1:]:
             np.testing.assert_array_equal(x, state.x[0])
 
     def test_start_on_manifold(self):
         inst = small_instance()
-        state = init_state(inst, AlgoConfig(alpha=1e-3, seed=5))
+        state = start(inst, AlgoConfig(alpha=1e-3, seed=5))
         assert manifold_defect(state.x[0]) <= 1e-10
 
     def test_tracker_seeded_with_first_gradient(self):
         inst = small_instance()
-        state = init_state(inst, AlgoConfig(alpha=1e-3, seed=5))
+        state = start(inst, AlgoConfig(alpha=1e-3, seed=5))
         for i in range(inst.n_agents):
             np.testing.assert_array_equal(state.s[i], state.g[i])
 
     def test_seed_determinism(self):
         inst = small_instance()
-        a = init_state(inst, AlgoConfig(alpha=1e-3, seed=9))
-        b = init_state(inst, AlgoConfig(alpha=1e-3, seed=9))
-        c = init_state(inst, AlgoConfig(alpha=1e-3, seed=10))
+        a = start(inst, AlgoConfig(alpha=1e-3, seed=9))
+        b = start(inst, AlgoConfig(alpha=1e-3, seed=9))
+        c = start(inst, AlgoConfig(alpha=1e-3, seed=10))
         np.testing.assert_array_equal(a.x[0], b.x[0])
         assert not np.array_equal(a.x[0], c.x[0])
 
     def test_rgt_tracker_is_exact_gradient(self):
         inst = small_instance()
         cfg = AlgoConfig(alpha=1e-3, seed=5, algorithm="rgt")
-        state = init_state(inst, cfg)
+        state = start(inst, cfg)
         for i in range(inst.n_agents):
-            expected = tangent_project(state.x[i], local_euclidean_grad(inst, i, state.x[i]))
+            expected = tangent_project(state.x[i], local_grad(inst, i, state.x[i]))
             np.testing.assert_array_equal(state.s[i], expected)
 
 
@@ -146,9 +154,10 @@ class TestQrgtEpoch:
         # scale), so one epoch leaves the iterate in place.
         inst = single_agent_identity_instance()
         cfg = AlgoConfig(alpha=1e-2, bits=32, seed=3)
-        state = init_state(inst, cfg)
+        eng = _Engine(inst, identity_mixing(), cfg)
+        state = eng.initial_state()[0]
         assert np.abs(state.s[0]).max() <= 1e-14
-        after = qrgt_epoch(state, inst, identity_mixing(), cfg, epoch=1)
+        after = eng.qrgt_step(state)[0]
         np.testing.assert_allclose(after.x[0], state.x[0], rtol=0, atol=1e-15)
 
     def test_tracker_mean_identity_over_run(self):
@@ -164,27 +173,26 @@ class TestQrgtEpoch:
         assert max(trace.diagnostics.tracker_residual) <= 1e-10
 
     def test_full_precision_matches_exact_tracking_loop(self):
-        # bits = 32 without dither is indistinguishable (to 1e-6 over 100
-        # epochs) from the same tracking recursion with exact gradients.
+        # bits = 32 is indistinguishable (to 1e-6 over 100 epochs) from the
+        # same tracking recursion with exact gradients.
         inst = generate_synthetic(
             SyntheticSpec(n=16, m=100, d=10, r=5, eigengap=0.8, leading_sv=20.0, seed=7)
         )
         mixing = build_metropolis(Topology.ring(16))
         alpha = 1e-4
-        cfg = AlgoConfig(alpha=alpha, bits=32, dither=False, seed=11)
-        state = init_state(inst, cfg)
-        for epoch in range(1, 101):
-            state = qrgt_epoch(state, inst, mixing, cfg, epoch=epoch)
+        cfg = AlgoConfig(alpha=alpha, bits=32, seed=11)
+        eng = _Engine(inst, mixing, cfg)
+        state = eng.initial_state()[0]
+        x0 = state.x[0].copy()
+        for _ in range(100):
+            state = eng.step(state)[0]
 
         # independent plain-numpy reference
-        ref_cfg = AlgoConfig(alpha=alpha, bits=32, dither=False, seed=11)
-        ref = init_state(inst, ref_cfg)
-        x0 = ref.x[0]
         n = inst.n_agents
         X = np.stack([x0] * n)
         G = np.stack(
             [
-                tangent_project(x0, local_euclidean_grad(inst, i, x0))
+                tangent_project(x0, local_grad(inst, i, x0))
                 for i in range(n)
             ]
         )
@@ -193,7 +201,7 @@ class TestQrgtEpoch:
             X = np.tensordot(mixing.W_t, X, axes=(1, 0)) - alpha * S
             Gn = np.stack(
                 [
-                    tangent_project(X[i], local_euclidean_grad(inst, i, X[i]))
+                    tangent_project(X[i], local_grad(inst, i, X[i]))
                     for i in range(n)
                 ]
             )
@@ -202,13 +210,16 @@ class TestQrgtEpoch:
         assert np.abs(state.x - X).max() <= 1e-6
 
     def test_epoch_keyed_dither_reproducible(self):
+        # Two engines of one seed draw the same epoch-1 dither; the next
+        # epoch's draw differs, even from the same state.
         inst = small_instance(seed=4)
-        mixing = build_metropolis(Topology.ring(4))
         cfg = AlgoConfig(alpha=1e-3, bits=3, seed=6)
-        state = init_state(inst, cfg)
-        a = qrgt_epoch(state, inst, mixing, cfg, epoch=1)
-        b = qrgt_epoch(state, inst, mixing, cfg, epoch=1)
-        c = qrgt_epoch(state, inst, mixing, cfg, epoch=2)
+        first, second = ring_engine(inst, cfg), ring_engine(inst, cfg)
+        state = first.initial_state()[0]
+        second.initial_state()
+        a = first.step(state)[0]
+        b = second.step(state)[0]
+        c = first.step(state)[0]
         np.testing.assert_array_equal(a.x[0], b.x[0])
         np.testing.assert_array_equal(a.g[0], b.g[0])
         assert not np.array_equal(a.g[0], c.g[0])
@@ -224,21 +235,20 @@ def advanced_dither(seed, epoch, shape, spec):
 
 class TestQuantizeAll:
     def test_matches_quantizer_on_fresh_epoch_stream(self):
-        # The engine's quantizer equals the public stacked quantizer fed
-        # block k of the run's dither stream (draws [kB, (k+1)B)), taken
-        # from a fresh generator advanced by kB, whatever epochs the engine
-        # served before: 5, 7 and 2 each jump, 3 continues after 2.
+        # The engine's k-th quantizer call equals the public stacked
+        # quantizer fed block k of the run's dither stream (draws
+        # [kB, (k+1)B)), taken from a fresh generator advanced by kB.
         inst = generate_synthetic(
             SyntheticSpec(n=4, m=40, d=5, r=3, eigengap=0.6, leading_sv=2.0, seed=4)
         )
         cfg = AlgoConfig(alpha=1e-3, bits=3, seed=6)
-        eng = _Engine(inst, None, cfg)
-        X = init_state(inst, cfg).x + 0.05 * np.random.default_rng(1).standard_normal((4, 5, 3))
+        eng = ring_engine(inst, cfg)
+        X = start(inst, cfg).x + 0.05 * np.random.default_rng(1).standard_normal((4, 5, 3))
         RG = tangent_project(X, eng.local_grads(X))
         PG = penalty_grad(X)
         spec = QuantizerSpec(bits=3)
-        for epoch in (5, 7, 2, 3):
-            values, scales, _ = eng.quantize_all(RG, PG, epoch)
+        for epoch in range(4):
+            values, scales, _ = eng.quantize_all(RG, PG)
             ref_values, ref_scales = snap(RG, PG, spec, advanced_dither(cfg.seed, epoch, RG.shape, spec))
             assert values.tobytes() == ref_values.tobytes()
             assert scales.tobytes() == ref_scales.tobytes()
@@ -268,9 +278,10 @@ class TestEngineBuild:
             SyntheticSpec(n=4, m=200, d=200, r=2, eigengap=0.6, leading_sv=2.0, seed=0)
         )
         cfg = AlgoConfig(alpha=1e-3, seed=0)
+        mixing = build_metropolis(Topology.ring(4))
         tracemalloc.start()
         try:
-            eng = _Engine(inst, None, cfg)
+            eng = _Engine(inst, mixing, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -283,9 +294,10 @@ class TestRgtEpoch:
         inst = small_instance(seed=2)
         mixing = build_metropolis(Topology.ring(4))
         cfg = AlgoConfig(alpha=5e-3, algorithm="rgt", seed=1)
-        state = init_state(inst, cfg)
-        for epoch in range(1, 30):
-            state = rgt_epoch(state, inst, mixing, cfg, epoch=epoch)
+        eng = _Engine(inst, mixing, cfg)
+        state = eng.initial_state()[0]
+        for _ in range(1, 30):
+            state = eng.rgt_step(state)[0]
             assert max(manifold_defect(x) for x in state.x) <= 1e-8
 
     @pytest.mark.parametrize("retraction", ["qr", "polar"])
@@ -294,11 +306,12 @@ class TestRgtEpoch:
         # break the flat spectrum so the gradient is nonzero
         inst = make_instance((6,), [np.diag([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])], r=2)
         cfg = AlgoConfig(alpha=1e-2, algorithm="rgt", retraction=retraction, seed=8)
-        state = init_state(inst, cfg)
+        eng = _Engine(inst, identity_mixing(), cfg)
+        state = eng.initial_state()[0]
         x_ref = state.x[0].copy()
-        for epoch in range(1, 20):
-            state = rgt_epoch(state, inst, identity_mixing(), cfg, epoch=epoch)
-            g = tangent_project(x_ref, local_euclidean_grad(inst, 0, x_ref))
+        for _ in range(1, 20):
+            state = eng.rgt_step(state)[0]
+            g = tangent_project(x_ref, local_grad(inst, 0, x_ref))
             x_ref = retract(x_ref, -cfg.alpha * g, retraction)
             np.testing.assert_allclose(state.x[0], x_ref, atol=1e-12)
 
@@ -321,8 +334,8 @@ class TestBatchedRetraction:
         def advance(epochs=200):
             eng = _Engine(inst, mixing, algo)
             state = eng.initial_state()[0]
-            for epoch in range(1, epochs + 1):
-                state = eng.rgt_step(state, epoch)[0]
+            for _ in range(epochs):
+                state = eng.rgt_step(state)[0]
             return state
 
         batched = advance()
@@ -491,8 +504,8 @@ class TestAgentParallelGrads:
     def advance(inst, mixing, algo, epochs):
         eng = _Engine(inst, mixing, algo)
         state = eng.initial_state()[0]
-        for epoch in range(1, epochs + 1):
-            state = eng.step(state, epoch)[0]
+        for _ in range(epochs):
+            state = eng.step(state)[0]
         return eng, state
 
     @staticmethod
@@ -717,3 +730,30 @@ class TestRun:
         trace = run(inst, Topology.ring(4), cfg, full_diagnostics=True)
         assert len(trace.diagnostics.max_dist) == len(trace.rows) + 1
         assert all(np.isfinite(v) for v in trace.diagnostics.max_dist)
+
+    def test_distances_are_distance_to_manifold(self, monkeypatch):
+        # dist_mean and max_dist are distance_to_manifold bit for bit, and
+        # that is the singular-value formula the two used to inline.
+        seen = []
+        evaluate = engine.evaluate
+
+        def recording(X, inst):
+            seen.append(X.copy())
+            return evaluate(X, inst)
+
+        monkeypatch.setattr(engine, "evaluate", recording)
+        inst = small_instance(seed=2)
+        cfg = AlgoConfig(alpha=5e-2, bits=3, max_epochs=6, seed=4)
+        trace = run(inst, Topology.ring(4), cfg, full_diagnostics=True)
+        assert len(trace.rows) == len(seen) == 6
+        x0 = start(inst, cfg).x
+        for X, row, max_dist in zip([x0, *seen], [None, *trace.rows], trace.diagnostics.max_dist):
+            sv = np.linalg.svd(X, compute_uv=False)
+            assert max_dist == float(distance_to_manifold(X).max())
+            assert max_dist == float(np.sqrt(((sv - 1.0) ** 2).sum(axis=1)).max())
+            if row is not None:
+                xbar = X.mean(axis=0)
+                sv = np.linalg.svd(xbar, compute_uv=False)
+                assert row.dist_mean == float(distance_to_manifold(xbar))
+                assert row.dist_mean == float(np.sqrt(np.sum((sv - 1.0) ** 2)))
+                assert row.dist_mean > 0.0

