@@ -23,30 +23,26 @@ block k of (n, d, r) draws from the run's one dither stream, agent i taking
 slice i (layout in ``streams``); the engine draws the blocks in order from
 one generator, the initial state taking block 0.
 
-Each agent computes its local gradient on its own. When the Gram stack
-reaches ``SPLIT_GRAM_BYTES`` (MNIST-sized data, not the d=10 preset), BLAS is
-pinned to one thread and the process may run on at least two CPUs,
-``_Engine.local_grads`` cuts the agent axis into one contiguous chunk per
-CPU (no more chunks than agents) and hands them to one lazily created module
-pool with a worker pinned to each CPU. The calling thread waits for them, so
-whatever wraps ``local_grads`` still runs on that thread only. Each agent's
-product is the same 2-D BLAS call as on one thread, so the results are
-bit-identical. The CPUs and the BLAS thread variables are read once, at
-import: ``taskset`` bounds the threads, and the BLAS thread setting is read,
-never changed.
+Each agent computes its local gradient on its own. On a Gram stack large
+enough for the agent split of ``workers`` (MNIST-sized data, BLAS pinned to
+one thread, at least two CPUs), ``_Engine.local_grads`` runs one agent chunk
+per CPU on the pinned pool, the same chunks the instance's Gram stack was
+built on; otherwise it is one stacked matmul on the calling thread. The
+calling thread waits for the chunks, so whatever wraps ``local_grads``
+still runs on that thread only, and each agent's product is the same 2-D
+BLAS call as on one thread, so the results are bit-identical.
 """
 
 from __future__ import annotations
 
-import itertools
-import os
-import threading
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
+from . import workers
 from .metrics import consensus_error, evaluate
 from .network import MixingMatrix, Topology, build_metropolis, mix
 from .problems import ProblemInstance, estimate_smoothness
@@ -67,28 +63,6 @@ ALGO_RGT = "rgt"
 TERMINATION_MAX_EPOCHS = "MaxEpochs"
 TERMINATION_DS = "DsTolerance"
 TERMINATION_DIVERGED = "Diverged"
-
-# Gram stacks at least this large have their local gradients split across
-# threads; below it, waking a worker costs more than the split saves.
-SPLIT_GRAM_BYTES = 32 * 2**20
-# The BLAS thread variables; the split runs only when those set all say 1.
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _blas_one_thread(environ) -> bool:
-    """Whether the BLAS thread variables pin BLAS to one thread: at least one
-    is set, and every one set says 1. Split threads each calling a threaded
-    BLAS contend for the same CPUs and run slower than one thread."""
-    values = [environ[v].strip() for v in _BLAS_THREAD_VARS if v in environ]
-    return bool(values) and all(v == "1" for v in values)
-
-
-# The CPUs this process may use and the thread count, read once at import: a
-# caller that later pins its own thread to one CPU does not turn the split off.
-_CPU_LIST = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-_THREADS = len(_CPU_LIST) if _blas_one_thread(os.environ) else 1
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 __all__ = [
     "ALGO_QRGT",
@@ -128,16 +102,16 @@ class AlgoConfig:
     enforce_safety: bool = False
 
     def __post_init__(self) -> None:
-        if self.alpha <= 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
+        if not (math.isfinite(self.alpha) and self.alpha > 0):
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.algorithm not in (ALGO_QRGT, ALGO_RGT):
             raise ValueError(f"algorithm must be 'qrgt' or 'rgt', got {self.algorithm!r}")
         if self.retraction not in ("qr", "polar"):
             raise ValueError(f"retraction must be 'qr' or 'polar', got {self.retraction!r}")
-        if self.ds_tolerance < 0:
-            raise ValueError("ds_tolerance must be nonnegative")
+        if not (math.isfinite(self.ds_tolerance) and self.ds_tolerance >= 0):
+            raise ValueError(f"ds_tolerance must be nonnegative and finite, got {self.ds_tolerance}")
         QuantizerSpec(bits=self.bits)  # range check
 
 
@@ -240,21 +214,17 @@ class _Engine:
         self.cfg = cfg
         self.qspec = QuantizerSpec(bits=cfg.bits)
         self._dither = stream_rng(cfg.seed, STREAM_DITHER)
-        n = inst.n_agents
-        threads = min(_THREADS, n)
-        self._chunks: list[tuple[int, int]] | None = None  # agent ranges, one per thread
-        if threads > 1 and inst.grams.nbytes >= SPLIT_GRAM_BYTES:
-            edges = [n * k // threads for k in range(threads + 1)]
-            self._chunks = list(zip(edges, edges[1:]))
+        chunks = workers.agent_chunks(inst.n_agents, inst.grams.nbytes)
+        # Agent ranges, one per thread; None for the one stacked matmul.
+        self._chunks: list[tuple[int, int]] | None = chunks if len(chunks) > 1 else None
 
     def local_grads(self, X: np.ndarray) -> np.ndarray:
         if self._chunks is None:
             return -np.matmul(self.inst.grams, X)
         out = np.empty(X.shape)
-        pool = _worker_pool()
-        futures = [pool.submit(_neg_matmul, self.inst.grams, X, out, lo, hi) for lo, hi in self._chunks]
-        for future in futures:
-            future.result()
+        workers.run_chunks(
+            [partial(workers._neg_matmul, self.inst.grams, X, out, lo, hi) for lo, hi in self._chunks]
+        )
         return out
 
     def quantize_all(self, RG: np.ndarray, PG: np.ndarray):
@@ -303,56 +273,6 @@ class _Engine:
         if self.cfg.algorithm == ALGO_QRGT:
             return self.qrgt_step(st)
         return self.rgt_step(st)
-
-
-def _neg_matmul(G: np.ndarray, X: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    """out[lo:hi] = -(G[lo:hi] @ X[lo:hi]), by the per-agent BLAS calls of -np.matmul(G, X).
-
-    One 2-D matmul per agent: numpy releases the GIL inside each, while a
-    stacked matmul over a few agents holds it throughout (two threads on
-    halves of the stack took as long as one thread on all of it).
-    """
-    for i in range(lo, hi):
-        np.matmul(G[i], X[i], out=out[i])
-    np.negative(out[lo:hi], out=out[lo:hi])
-
-
-def _worker_pool() -> ThreadPoolExecutor:
-    """The module's one pool of ``_THREADS`` workers, created on first use."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(
-                max_workers=_THREADS,
-                thread_name_prefix="qrgt-grads",
-                initializer=_pin_worker,
-                initargs=(itertools.count(),),
-            )
-        return _pool
-
-
-def _forget_pool() -> None:
-    """In a forked child: the parent's workers do not exist there, and a
-    task handed to their pool would never run, so the child makes its own."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _pin_worker(slots: itertools.count) -> None:
-    """Pin the new worker to the next CPU of ``_CPU_LIST``, round robin.
-
-    Left free, the scheduler runs a short burst of two threads on one CPU
-    while the other idles; pinned, each chunk has a CPU of its own. A CPU
-    that has left the process's affinity since import leaves the worker free.
-    """
-    try:
-        os.sched_setaffinity(0, {_CPU_LIST[next(slots) % len(_CPU_LIST)]})
-    except OSError:
-        pass
 
 
 def _nanmax(values: np.ndarray) -> float:

@@ -8,20 +8,27 @@ at the configuration layer.
 
 Ground truth (the top-r right singular subspace of the stacked data and its
 objective value) is solved at construction time via a d x d eigendecomposition.
-An instance keeps the Grams A_i^T A_i, not the blocks: ``synthetic_blocks``
-and ``mnist_blocks`` produce the blocks one at a time for ``make_instance``.
+An instance keeps the Grams A_i^T A_i, not the blocks. ``synthetic_blocks``
+and ``mnist_blocks`` are block producers: each writes agent i's block into a
+buffer ``make_instance`` hands it, and ``make_instance`` turns the block into
+its Gram before the buffer takes the next agent's block. On a Gram stack
+large enough for the agent split of ``workers``, the agents are built in one
+chunk per CPU on the pinned pool, each chunk with its own buffer; otherwise
+in one chunk on the calling thread.
 """
 
 from __future__ import annotations
 
 import struct
 import warnings
-from collections.abc import Iterator
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import workers
 from .stiefel import ManifoldDims, SmoothnessConstants
 from .streams import STREAM_DATA, STREAM_SHUFFLE, stream_rng
 
@@ -41,6 +48,10 @@ __all__ = [
 ]
 
 MNIST_IMAGE_MAGIC = 0x00000803
+
+# A block producer: fill(i, out) writes agent i's block A_i into ``out``, a
+# float64 (m_i, d) array it neither keeps nor resizes.
+BlockFill = Callable[[int, np.ndarray], None]
 
 
 class IdxFormatError(ValueError):
@@ -131,36 +142,38 @@ def solve_ground_truth(gram_sum: np.ndarray, n: int, r: int) -> tuple[np.ndarray
 
 
 def make_instance(
-    row_counts, blocks, r: int, planted_basis: np.ndarray | None = None
+    row_counts, d: int, fill: BlockFill, r: int, planted_basis: np.ndarray | None = None
 ) -> ProblemInstance:
-    """Assemble an instance from agent i's block A_i (``row_counts[i]`` x d).
+    """Assemble an instance from agent i's block A_i (``row_counts[i]`` x d),
+    which ``fill(i, out)`` writes into ``out``.
 
-    ``blocks`` is any iterable of the blocks in agent order. Each block's Gram
-    is written into the one preallocated ``(n, d, d)`` stack and the block is
-    dropped before the next one is drawn, so a lazy producer keeps at most
-    one block alive. Only the row counts, the Grams and the ground truth are
-    kept.
+    Each block's Gram is written into the one preallocated ``(n, d, d)``
+    stack. The agents are cut into the chunks of ``workers.agent_chunks``;
+    the calling thread allocates one float64 buffer per chunk, and each
+    agent of the chunk fills it in turn, so at most one block per chunk
+    exists. The buffers belong to the caller, not to the worker threads: a
+    block allocated on a worker stays resident in that thread's malloc arena
+    after it is freed. Only the row counts, the Grams and the ground truth
+    are kept.
     """
     row_counts = tuple(int(m) for m in row_counts)
     n = len(row_counts)
-    blocks = iter(blocks)
-    grams = None
-    for i, m in enumerate(row_counts):
-        a = np.asarray(next(blocks), dtype=float)
-        if grams is None:
-            d = a.shape[1]
-            grams = np.empty((n, d, d))
-        if a.shape != (m, d):
-            raise ValueError(f"agent {i}: block is {a.shape}, expected ({m}, {d})")
-        np.matmul(a.T, a, out=grams[i])
-        # Drop the block before the next one is built: the loop variable
-        # would otherwise hold it while the producer makes the next.
-        del a
+    if n < 1:
+        raise ValueError("need at least one agent")
+    dims = ManifoldDims(d, r)
+    grams = np.empty((n, d, d))
+    chunks = workers.agent_chunks(n, grams.nbytes)
+    workers.run_chunks(
+        [
+            partial(_chunk_grams, fill, row_counts, grams, np.empty((max(row_counts[lo:hi]), d)), lo, hi)
+            for lo, hi in chunks
+        ]
+    )
     gram_sum = grams.sum(axis=0)
     x_star, f_star = solve_ground_truth(gram_sum, n, r)
     return ProblemInstance(
         row_counts=row_counts,
-        dims=ManifoldDims(d, r),
+        dims=dims,
         x_star=x_star,
         f_star=f_star,
         mean_gram=gram_sum / n,
@@ -169,7 +182,18 @@ def make_instance(
     )
 
 
-def synthetic_blocks(spec: SyntheticSpec) -> tuple[Iterator[np.ndarray], np.ndarray]:
+def _chunk_grams(
+    fill: BlockFill, row_counts: tuple[int, ...], grams: np.ndarray, buf: np.ndarray, lo: int, hi: int
+) -> None:
+    """grams[i] = A_i^T A_i for agents lo..hi-1, each block filled into the
+    first ``row_counts[i]`` rows of ``buf``."""
+    for i in range(lo, hi):
+        a = buf[: row_counts[i]]
+        fill(i, a)
+        np.matmul(a.T, a, out=grams[i])
+
+
+def synthetic_blocks(spec: SyntheticSpec) -> tuple[BlockFill, np.ndarray]:
     """Gaussian data re-spectrified to the eigengap-controlled profile.
 
     Draws a standard Gaussian (m, d) block per agent (together the same
@@ -181,8 +205,8 @@ def synthetic_blocks(spec: SyntheticSpec) -> tuple[Iterator[np.ndarray], np.ndar
     b V diag(sv / S) V^T, which is (G V S^-1) diag(sv) V^T restricted to
     the block's rows.
 
-    Returns a generator of the n re-spectrified blocks, each made when it
-    is reached, and the planted top-r right factors (d x r).
+    Returns the producer of the n re-spectrified (m, d) blocks, each made
+    when it is filled, and the planted top-r right factors (d x r).
     """
     rng = stream_rng(spec.seed, STREAM_DATA)
     raw = [rng.standard_normal((spec.m, spec.d)) for _ in range(spec.n)]
@@ -190,27 +214,31 @@ def synthetic_blocks(spec: SyntheticSpec) -> tuple[Iterator[np.ndarray], np.ndar
     _, s, vt = np.linalg.svd(r_factor)
     sv = spec.leading_sv * spec.eigengap ** (np.arange(spec.d) / 2.0)
     respectrify = (vt.T * (sv / s)) @ vt
-    return (b @ respectrify for b in raw), vt.T[:, : spec.r].copy()
+
+    def fill(i: int, out: np.ndarray) -> None:
+        np.matmul(raw[i], respectrify, out=out)
+
+    return fill, vt.T[:, : spec.r].copy()
 
 
 def generate_synthetic(spec: SyntheticSpec) -> ProblemInstance:
     """Instance of ``synthetic_blocks(spec)``: n agents of m rows each, with
     the planted basis kept for recovery checks."""
-    blocks, planted_basis = synthetic_blocks(spec)
-    return make_instance((spec.m,) * spec.n, blocks, spec.r, planted_basis=planted_basis)
+    fill, planted_basis = synthetic_blocks(spec)
+    return make_instance((spec.m,) * spec.n, spec.d, fill, spec.r, planted_basis=planted_basis)
 
 
-def mnist_blocks(path, n: int, seed: int = 0) -> tuple[tuple[int, ...], Iterator[np.ndarray]]:
-    """Check an IDX3 image file and return the agents' row counts and a
-    generator of their blocks.
+def mnist_blocks(path, n: int, seed: int = 0) -> tuple[tuple[int, ...], int, BlockFill]:
+    """Check an IDX3 image file and return the agents' row counts, the image
+    size d = rows*cols and the producer of their blocks.
 
     The file must carry the big-endian magic 0x00000803 followed by the
     image count, row count, and column count, then one unsigned byte per
     pixel, and hold at least one image per agent. Rows are flattened to
     vectors of length rows*cols, shuffled with the run seed, and split
     evenly across ``n`` agents (last agent absorbs the remainder). A block
-    is gathered from the file's bytes and scaled to [0, 1] as float64 only
-    when the generator reaches it, so neither the shuffled bytes nor the
+    is gathered from the file's bytes and scaled to [0, 1] into the float64
+    buffer only when it is filled, so neither the shuffled bytes nor the
     float64 matrix of the whole file is ever built.
     """
     raw = Path(path).read_bytes()
@@ -229,7 +257,12 @@ def mnist_blocks(path, n: int, seed: int = 0) -> tuple[tuple[int, ...], Iterator
     bounds = [base * i for i in range(n)] + [count]
     spans = list(zip(bounds, bounds[1:]))
     row_counts = tuple(hi - lo for lo, hi in spans)
-    return row_counts, (np.divide(pixels[perm[lo:hi]], 255.0, dtype=float) for lo, hi in spans)
+
+    def fill(i: int, out: np.ndarray) -> None:
+        lo, hi = spans[i]
+        np.divide(np.take(pixels, perm[lo:hi], axis=0), 255.0, out=out)
+
+    return row_counts, rows * cols, fill
 
 
 def _idx_header(raw: bytes, path) -> tuple[int, int, int]:
@@ -253,7 +286,8 @@ def idx_image_size(path) -> int:
 
 def load_mnist(path, n: int, r: int = 5, seed: int = 0) -> ProblemInstance:
     """Instance of ``mnist_blocks(path, n, seed)``: at most one agent's
-    float64 block exists at a time, and only its Gram is kept."""
+    float64 block per chunk of ``make_instance`` exists at a time, and only
+    its Gram is kept."""
     return make_instance(*mnist_blocks(path, n, seed), r)
 
 

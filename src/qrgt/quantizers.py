@@ -2,8 +2,8 @@
 
 Each agent sends its Riemannian gradient g as one message: a scale
 gamma = 2 * max|g| and one N-bit code per entry. The snap scales the entries
-by gamma into [-0.5, 0.5], shifts them to [0, 1], adds the optional
-half-step uniform dither, floors them onto the grid {0, 1/(2^N - 1), ..., 1}
+by gamma into [-0.5, 0.5], shifts them to [0, 1], adds the half-step
+uniform dither, floors them onto the grid {0, 1/(2^N - 1), ..., 1}
 and raises each one step where the orthogonality-penalty gradient is
 positive, so the quantization error itself pulls iterates toward the
 manifold. Where the penalty gradient is zero (on the manifold) the snap is a
@@ -95,13 +95,13 @@ def snap(
     g: np.ndarray,
     pgrad: np.ndarray,
     spec: QuantizerSpec,
-    noise: np.ndarray | None = None,
+    noise: np.ndarray,
 ) -> tuple[np.ndarray, float | np.ndarray]:
     """The landing grid snap, values first: (dequantized values, scales).
 
     ``pgrad`` is the orthogonality-penalty gradient at the same point as
     ``g``. Each normalized entry, plus its ``noise`` (shape of ``g``,
-    normalized units, as drawn by ``dither_noise``; none for the undithered
+    normalized units, as drawn by ``dither_noise``; zeros for the undithered
     snap), is floored onto the grid and raised one step where the direction
     bit of ``pgrad`` is set.
     """
@@ -113,8 +113,7 @@ def snap(
     safe = _nonzero_scale(gamma, g.ndim)  # a zero slice is divided by 1, then zeroed
     idx = g / safe
     idx += 0.5
-    if noise is not None:
-        idx += noise
+    idx += noise
     idx *= spec.levels
     np.floor(idx, out=idx)
     # The direction bit is rint(sigmoid(pgrad)), the sigmoid written as

@@ -1,0 +1,131 @@
+"""The agent split: which agents each thread handles, and the pinned pool
+that runs them.
+
+A per-agent job over a large Gram stack (building the stack in
+``problems.make_instance``, and the local gradients of ``_Engine``) is cut
+into contiguous agent chunks by ``agent_chunks``, and ``run_chunks`` runs one
+task per chunk. The rule: the Gram stack holds at least
+``SPLIT_GRAM_BYTES`` (MNIST-sized data, not the d=10 preset), BLAS is pinned
+to one thread, and the process may run on at least two CPUs; then there is
+one chunk per CPU, no more chunks than agents. Otherwise there is one chunk,
+run on the calling thread, and no thread is started.
+
+Several chunks run on one lazily created module pool with a worker pinned
+to each CPU, while the calling thread waits. Each agent's product is the
+same 2-D BLAS call on any thread, so a split result equals the one-thread
+result bit for bit. The CPUs and the BLAS thread variables are read once,
+at import: ``taskset`` bounds the threads, and the BLAS thread setting is
+read, never changed.
+"""
+
+from __future__ import annotations
+
+import itertools
+import os
+import threading
+from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+
+__all__ = ["SPLIT_GRAM_BYTES", "agent_chunks", "run_chunks"]
+
+# Gram stacks at least this large have their per-agent work split across
+# threads; below it, waking a worker costs more than the split saves.
+SPLIT_GRAM_BYTES = 32 * 2**20
+# The BLAS thread variables; the split runs only when those set all say 1.
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_one_thread(environ) -> bool:
+    """Whether the BLAS thread variables pin BLAS to one thread: at least one
+    is set, and every one set says 1. Split threads each calling a threaded
+    BLAS contend for the same CPUs and run slower than one thread."""
+    values = [environ[v].strip() for v in _BLAS_THREAD_VARS if v in environ]
+    return bool(values) and all(v == "1" for v in values)
+
+
+# The CPUs this process may use and the thread count, read once at import: a
+# caller that later pins its own thread to one CPU does not turn the split off.
+_CPU_LIST = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+_THREADS = len(_CPU_LIST) if _blas_one_thread(os.environ) else 1
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def agent_chunks(n: int, gram_bytes: int) -> list[tuple[int, int]]:
+    """Contiguous agent ranges [lo, hi) covering agents 0..n-1, one per
+    thread: as many as ``_THREADS`` (at most ``n``) when a Gram stack of
+    ``gram_bytes`` reaches ``SPLIT_GRAM_BYTES``, otherwise one."""
+    threads = min(_THREADS, n) if gram_bytes >= SPLIT_GRAM_BYTES else 1
+    edges = [n * k // threads for k in range(threads + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def run_chunks(tasks: list[Callable[[], None]]) -> None:
+    """Run one task per agent chunk and wait for all of them.
+
+    A single task runs on the calling thread and starts no thread; several
+    run on the pinned pool. Every task finishes before this returns or
+    raises, and the first failed task's error, in chunk order, is raised
+    here, on the calling thread.
+    """
+    if len(tasks) == 1:
+        tasks[0]()
+        return
+    pool = _worker_pool()
+    futures = [pool.submit(task) for task in tasks]
+    errors = [future.exception() for future in futures]
+    for error in errors:
+        if error is not None:
+            raise error
+
+
+def _neg_matmul(G: np.ndarray, X: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
+    """out[lo:hi] = -(G[lo:hi] @ X[lo:hi]), by the per-agent BLAS calls of -np.matmul(G, X).
+
+    One 2-D matmul per agent: numpy releases the GIL inside each, while a
+    stacked matmul over a few agents holds it throughout (two threads on
+    halves of the stack took as long as one thread on all of it).
+    """
+    for i in range(lo, hi):
+        np.matmul(G[i], X[i], out=out[i])
+    np.negative(out[lo:hi], out=out[lo:hi])
+
+
+def _worker_pool() -> ThreadPoolExecutor:
+    """The module's one pool of ``_THREADS`` workers, created on first use."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(
+                max_workers=_THREADS,
+                thread_name_prefix="qrgt-agents",
+                initializer=_pin_worker,
+                initargs=(itertools.count(),),
+            )
+        return _pool
+
+
+def _forget_pool() -> None:
+    """In a forked child: the parent's workers do not exist there, and a
+    task handed to their pool would never run, so the child makes its own."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _pin_worker(slots: itertools.count) -> None:
+    """Pin the new worker to the next CPU of ``_CPU_LIST``, round robin.
+
+    Left free, the scheduler runs a short burst of two threads on one CPU
+    while the other idles; pinned, each chunk has a CPU of its own. A CPU
+    that has left the process's affinity since import leaves the worker free.
+    """
+    try:
+        os.sched_setaffinity(0, {_CPU_LIST[next(slots) % len(_CPU_LIST)]})
+    except OSError:
+        pass

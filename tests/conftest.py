@@ -1,12 +1,25 @@
 import numpy as np
 import pytest
 
-from qrgt import random_stiefel, tangent_project
+from qrgt import random_stiefel, tangent_project, workers
 
 
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240611)
+
+
+@pytest.fixture
+def split_forced(monkeypatch):
+    """Split the per-agent work on any Gram stack, over two threads unless a
+    test patches workers._THREADS further; a pool made here is shut down
+    afterwards."""
+    monkeypatch.setattr(workers, "SPLIT_GRAM_BYTES", 0)
+    monkeypatch.setattr(workers, "_THREADS", 2)
+    monkeypatch.setattr(workers, "_pool", None)
+    yield
+    if workers._pool is not None:
+        workers._pool.shutdown(wait=True)
 
 
 def random_tangent(x: np.ndarray, rng: np.random.Generator, norm: float = 1.0) -> np.ndarray:

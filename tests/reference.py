@@ -1,4 +1,5 @@
-"""Reference formulas the tests check the package against; no run uses them."""
+"""Reference formulas the tests check the package against, and the data
+helpers they build instances with; no run uses them."""
 
 import numpy as np
 
@@ -27,3 +28,24 @@ def local_grad(inst, agent: int, x: np.ndarray) -> np.ndarray:
 def global_objective(inst, x: np.ndarray) -> float:
     """f(x) = -sum_i tr(x^T A_i^T A_i x) / (2n)."""
     return float(-0.5 * np.sum(x * (inst.mean_gram @ x)))
+
+
+def fill_from(blocks):
+    """A block producer for ``make_instance`` that copies agent i's block
+    from the list ``blocks``."""
+
+    def fill(i: int, out: np.ndarray) -> None:
+        out[...] = blocks[i]
+
+    return fill
+
+
+def filled_blocks(row_counts, d: int, fill) -> list[np.ndarray]:
+    """Every agent's block from the producer ``fill``, each in its own
+    float64 (m_i, d) array."""
+    blocks = []
+    for i, m in enumerate(row_counts):
+        a = np.empty((m, d))
+        fill(i, a)
+        blocks.append(a)
+    return blocks

@@ -354,13 +354,13 @@ def test_criterion_9_mnist_protocol(tmp_path):
     assert inst.dims.d == 784
     assert inst.row_counts == (3750,) * 16
     # the instance keeps no pixels: check the blocks as the loader makes them
-    row_counts, blocks = mnist_blocks(path, n=16, seed=0)
-    sizes, stacked_min, stacked_max = [], np.inf, -np.inf
-    for a in blocks:
-        sizes.append(a.shape[0])
+    row_counts, d, fill = mnist_blocks(path, n=16, seed=0)
+    assert row_counts == inst.row_counts and d == 784
+    stacked_min, stacked_max = np.inf, -np.inf
+    a = np.empty((3750, d))
+    for i in range(16):
+        fill(i, a)
         stacked_min, stacked_max = min(stacked_min, a.min()), max(stacked_max, a.max())
-    assert row_counts == inst.row_counts
-    assert sizes == [3750] * 16
     assert 0.0 <= stacked_min and stacked_max <= 1.0
 
     alpha = 0.01 / 60000

@@ -28,7 +28,7 @@ from qrgt import (
     step_size_bounds,
     tangent_project,
 )
-from qrgt import engine
+from qrgt import engine, workers
 from qrgt.config import algo_config, build_problem, build_topology, parse_config
 from qrgt.engine import (
     TERMINATION_DIVERGED,
@@ -41,7 +41,7 @@ from qrgt.network import MixingMatrix
 from qrgt.quantizers import dither_noise
 from qrgt.streams import STREAM_DITHER, stream_rng
 
-from reference import local_grad, manifold_defect
+from reference import fill_from, local_grad, manifold_defect
 
 
 def small_instance(seed=0, n=4, leading_sv=2.0):
@@ -52,7 +52,7 @@ def small_instance(seed=0, n=4, leading_sv=2.0):
 
 def single_agent_identity_instance(d=5, r=2):
     with pytest.warns(Warning):
-        return make_instance((d,), [np.eye(d)], r=r)
+        return make_instance((d,), d, fill_from([np.eye(d)]), r=r)
 
 
 def identity_mixing(n=1):
@@ -80,18 +80,6 @@ def python_c(script, env):
     return proc
 
 
-@pytest.fixture
-def split_forced(monkeypatch):
-    """Split local_grads on any Gram stack, over two threads unless a test
-    patches engine._THREADS further; a pool made here is shut down afterwards."""
-    monkeypatch.setattr(engine, "SPLIT_GRAM_BYTES", 0)
-    monkeypatch.setattr(engine, "_THREADS", 2)
-    monkeypatch.setattr(engine, "_pool", None)
-    yield
-    if engine._pool is not None:
-        engine._pool.shutdown(wait=True)
-
-
 class TestAlgoConfig:
     def test_defaults_valid(self):
         AlgoConfig(alpha=0.1)
@@ -110,6 +98,13 @@ class TestAlgoConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(ValueError):
             AlgoConfig(**kwargs)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", ["alpha", "ds_tolerance"])
+    def test_non_finite_rejected(self, name, value):
+        # nan passes every ordered comparison's negation: nan <= 0 is false
+        with pytest.raises(ValueError, match=f"^{name} must be .* and finite, got {value}$"):
+            AlgoConfig(**{"alpha": 0.1, name: value})
 
 
 class TestInit:
@@ -304,7 +299,7 @@ class TestRgtEpoch:
     def test_single_agent_reduces_to_centralized_descent(self, retraction):
         inst = single_agent_identity_instance(d=6, r=2)
         # break the flat spectrum so the gradient is nonzero
-        inst = make_instance((6,), [np.diag([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])], r=2)
+        inst = make_instance((6,), 6, fill_from([np.diag([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])]), r=2)
         cfg = AlgoConfig(alpha=1e-2, algorithm="rgt", retraction=retraction, seed=8)
         eng = _Engine(inst, identity_mixing(), cfg)
         state = eng.initial_state()[0]
@@ -479,13 +474,13 @@ class TestBenchmarkHooks:
     @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
     def test_hooks_stay_on_main_thread_when_split(self, monkeypatch, split_forced, algorithm):
         split_calls = []
-        neg_matmul = engine._neg_matmul
+        neg_matmul = workers._neg_matmul
 
         def recording(G, X, out, lo, hi):
             split_calls.append((lo, hi))
             neg_matmul(G, X, out, lo, hi)
 
-        monkeypatch.setattr(engine, "_neg_matmul", recording)
+        monkeypatch.setattr(workers, "_neg_matmul", recording)
         calls, _ = self.counted_run(monkeypatch, algorithm)
         assert calls["local_grads"] == self.EPOCHS + 1
         assert sorted(split_calls) == [(0, 2)] * (self.EPOCHS + 1) + [(2, 4)] * (self.EPOCHS + 1)
@@ -521,7 +516,7 @@ class TestAgentParallelGrads:
         split_rows = self.rows(run(inst, topology, algo))
         assert split_eng._chunks == [(0, 8), (8, 16)]
         with monkeypatch.context() as patch:
-            patch.setattr(engine, "SPLIT_GRAM_BYTES", 1 << 62)
+            patch.setattr(workers, "SPLIT_GRAM_BYTES", 1 << 62)
             serial_eng, serial = self.advance(inst, mixing, algo, 200)
             serial_rows = self.rows(run(inst, topology, algo))
         assert serial_eng._chunks is None
@@ -530,16 +525,16 @@ class TestAgentParallelGrads:
         assert len(split_rows) == 200 and split_rows == serial_rows
 
     def test_uneven_chunks_bit_equal(self, monkeypatch, split_forced):
-        monkeypatch.setattr(engine, "_THREADS", 3)
+        monkeypatch.setattr(workers, "_THREADS", 3)
         inst = small_instance(seed=3, n=5)
         mixing = build_metropolis(Topology.ring(5), 1)
         algo = AlgoConfig(alpha=1e-3, bits=4, seed=4)
         eng, split = self.advance(inst, mixing, algo, 50)
         assert eng._chunks == [(0, 1), (1, 3), (3, 5)]
-        assert engine._pool._max_workers == 3
+        assert workers._pool._max_workers == 3
         X = split.x
         assert eng.local_grads(X).tobytes() == (-np.matmul(inst.grams, X)).tobytes()
-        monkeypatch.setattr(engine, "SPLIT_GRAM_BYTES", 1 << 62)
+        monkeypatch.setattr(workers, "SPLIT_GRAM_BYTES", 1 << 62)
         serial_eng, serial = self.advance(inst, mixing, algo, 50)
         assert serial_eng._chunks is None
         for name in ("x", "s", "g"):
@@ -550,18 +545,18 @@ class TestAgentParallelGrads:
         eng = _Engine(inst, identity_mixing(), AlgoConfig(alpha=0.1))
         assert eng._chunks is None
         eng.initial_state()
-        assert engine._pool is None
+        assert workers._pool is None
 
     def test_below_threshold_starts_no_thread(self, monkeypatch):
-        monkeypatch.setattr(engine, "_THREADS", 2)  # only the size decides
-        monkeypatch.setattr(engine, "_pool", None)
+        monkeypatch.setattr(workers, "_THREADS", 2)  # only the size decides
+        monkeypatch.setattr(workers, "_pool", None)
         inst, topology, algo = self.preset("qrgt")
-        assert inst.grams.nbytes < engine.SPLIT_GRAM_BYTES
+        assert inst.grams.nbytes < workers.SPLIT_GRAM_BYTES
         before = threading.active_count()
         trace = run(inst, topology, dataclasses.replace(algo, max_epochs=20))
         assert len(trace.rows) == 20
         assert threading.active_count() == before
-        assert engine._pool is None
+        assert workers._pool is None
 
     @pytest.mark.parametrize(
         "environ, one",
@@ -575,14 +570,14 @@ class TestAgentParallelGrads:
         ],
     )
     def test_blas_one_thread(self, environ, one):
-        assert engine._blas_one_thread(environ) is one
+        assert workers._blas_one_thread(environ) is one
 
     @pytest.mark.parametrize("blas_threads", [None, "1"])
     def test_thread_count_read_at_import(self, blas_threads):
-        env = {k: v for k, v in os.environ.items() if k not in engine._BLAS_THREAD_VARS}
+        env = {k: v for k, v in os.environ.items() if k not in workers._BLAS_THREAD_VARS}
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
-        proc = python_c("from qrgt import engine; print(engine._THREADS)", env)
+        proc = python_c("from qrgt import workers; print(workers._THREADS)", env)
         expected = len(os.sched_getaffinity(0)) if blas_threads else 1
         assert int(proc.stdout) == expected
 
@@ -590,7 +585,7 @@ class TestAgentParallelGrads:
         inst = small_instance(seed=1)
         cfg = AlgoConfig(alpha=1e-3, max_epochs=3)
         assert len(run(inst, Topology.ring(4), cfg).rows) == 3
-        assert engine._pool is not None
+        assert workers._pool is not None
         child = multiprocessing.get_context("fork").Process(
             target=run, args=(inst, Topology.ring(4), cfg)
         )
@@ -604,12 +599,12 @@ class TestAgentParallelGrads:
 
     def test_idle_workers_do_not_hold_the_process_open(self):
         script = (
-            "from qrgt import engine, SyntheticSpec, Topology, AlgoConfig, generate_synthetic, run\n"
-            "engine.SPLIT_GRAM_BYTES = 0\n"
-            "engine._THREADS = 2\n"
+            "from qrgt import workers, SyntheticSpec, Topology, AlgoConfig, generate_synthetic, run\n"
+            "workers.SPLIT_GRAM_BYTES = 0\n"
+            "workers._THREADS = 2\n"
             "inst = generate_synthetic(SyntheticSpec(n=4, m=40, d=6, r=2, eigengap=0.6, seed=0))\n"
             "trace = run(inst, Topology.ring(4), AlgoConfig(alpha=1e-3, max_epochs=3))\n"
-            "assert len(trace.rows) == 3 and engine._pool is not None\n"
+            "assert len(trace.rows) == 3 and workers._pool is not None\n"
             "print('done')\n"
         )
         proc = python_c(script, dict(os.environ))

@@ -1,4 +1,5 @@
 import struct
+import threading
 import tracemalloc
 import warnings
 from collections import Counter
@@ -18,10 +19,12 @@ from qrgt import (
     subspace_distance,
     synthetic_blocks,
 )
+from qrgt import problems, workers
+from qrgt.config import build_problem, parse_config
 from qrgt.problems import DegenerateGapWarning, IdxFormatError
 from qrgt.streams import STREAM_DATA, STREAM_SHUFFLE, stream_rng
 
-from reference import global_objective, local_grad
+from reference import fill_from, filled_blocks, global_objective, local_grad
 
 MAGIC = 0x00000803
 
@@ -42,13 +45,13 @@ def small_instance(**kw):
 
 def synthetic_data(spec):
     """The agents' blocks of a synthetic instance, as a list."""
-    return list(synthetic_blocks(spec)[0])
+    return filled_blocks((spec.m,) * spec.n, spec.d, synthetic_blocks(spec)[0])
 
 
 def mnist_data(path, n, seed):
     """The agents' row counts and blocks of an IDX3 file, as a list."""
-    row_counts, blocks = mnist_blocks(path, n, seed)
-    return row_counts, list(blocks)
+    row_counts, d, fill = mnist_blocks(path, n, seed)
+    return row_counts, filled_blocks(row_counts, d, fill)
 
 
 class TestSyntheticSpec:
@@ -69,7 +72,7 @@ class TestLocalGradient:
 
     @pytest.mark.filterwarnings("ignore::qrgt.problems.DegenerateGapWarning")
     def test_identity_data(self, rng):
-        inst = make_instance((5,), [np.eye(5)], r=2)
+        inst = make_instance((5,), 5, fill_from([np.eye(5)]), r=2)
         x = random_stiefel(5, 2, rng)
         np.testing.assert_allclose(local_grad(inst, 0, x), -x, atol=1e-14)
 
@@ -98,7 +101,7 @@ class TestLocalGradient:
         # gradient from its Gram as from the two data products.
         tall = rng.standard_normal((10, 4))
         wide = rng.standard_normal((2, 4))
-        inst = make_instance((10, 2), [tall, wide], r=2)
+        inst = make_instance((10, 2), 4, fill_from([tall, wide]), r=2)
         x = rng.standard_normal((4, 2))
         np.testing.assert_allclose(
             local_grad(inst, 1, x), -(wide.T @ (wide @ x)), atol=1e-13
@@ -236,16 +239,14 @@ class TestMakeInstance:
 
     def test_keeps_row_counts_not_blocks(self, rng):
         blocks = [rng.standard_normal((m, 4)) for m in (3, 7, 2)]
-        inst = make_instance((3, 7, 2), iter(blocks), r=2)
+        inst = make_instance((3, 7, 2), 4, fill_from(blocks), r=2)
         assert inst.row_counts == (3, 7, 2)
         assert inst.n_agents == 3 and inst.total_rows == 12
         np.testing.assert_array_equal(inst.mean_gram, sum(a.T @ a for a in blocks) / 3)
 
-    @pytest.mark.parametrize("row_counts, shapes", [((3, 4), [(3, 4), (4, 5)]), ((3, 4), [(3, 4), (5, 4)])])
-    def test_block_shape_mismatch_rejected(self, rng, row_counts, shapes):
-        blocks = [rng.standard_normal(shape) for shape in shapes]
-        with pytest.raises(ValueError, match="agent 1: block is"):
-            make_instance(row_counts, blocks, r=2)
+    def test_no_agents_rejected(self):
+        with pytest.raises(ValueError, match="need at least one agent"):
+            make_instance((), 4, fill_from([]), r=2)
 
 
 class TestMnist:
@@ -386,11 +387,112 @@ class TestMnist:
         )
 
 
+class TestSplitBuild:
+    """make_instance split over the pinned pool builds the one-thread
+    instance bit for bit, with one caller-owned buffer per chunk."""
+
+    @staticmethod
+    def recorded_build(monkeypatch, build):
+        """``build()`` and the (lo, hi, buffer rows, thread) of each chunk it ran."""
+        chunks = []
+        chunk_grams = problems._chunk_grams
+
+        def recording(fill, row_counts, grams, buf, lo, hi):
+            chunks.append((lo, hi, buf.shape[0], threading.current_thread() is threading.main_thread()))
+            chunk_grams(fill, row_counts, grams, buf, lo, hi)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(problems, "_chunk_grams", recording)
+            inst = build()
+        return inst, sorted(chunks)
+
+    def assert_serial_equal(self, monkeypatch, split, build):
+        with monkeypatch.context() as patch:
+            patch.setattr(workers, "SPLIT_GRAM_BYTES", 1 << 62)
+            serial, chunks = self.recorded_build(monkeypatch, build)
+        assert chunks == [(0, split.n_agents, max(split.row_counts), True)]
+        assert split.row_counts == serial.row_counts
+        assert split.grams.tobytes() == serial.grams.tobytes()
+        assert split.mean_gram.tobytes() == serial.mean_gram.tobytes()
+        assert split.x_star.tobytes() == serial.x_star.tobytes()
+        assert split.f_star == serial.f_star
+
+    def test_synthetic_preset_bit_equal(self, monkeypatch, split_forced):
+        cfg = parse_config(preset="synthetic")
+        split, chunks = self.recorded_build(monkeypatch, lambda: build_problem(cfg))
+        assert chunks == [(0, 8, 1000, False), (8, 16, 1000, False)]
+        self.assert_serial_equal(monkeypatch, split, lambda: build_problem(cfg))
+
+    def test_idx_uneven_three_chunks_bit_equal(self, monkeypatch, split_forced, tmp_path):
+        # 53 images over 5 agents: rows (10, 10, 10, 10, 13), chunks of 1, 2 and 2
+        # agents; the last chunk's buffer has 13 rows and agent 3 fills 10 of them.
+        monkeypatch.setattr(workers, "_THREADS", 3)
+        path = tmp_path / "images.idx3"
+        write_idx3(path, TestMnist().make_images(count=53, seed=8))
+        build = lambda: load_mnist(path, n=5, r=2, seed=3)
+        split, chunks = self.recorded_build(monkeypatch, build)
+        assert chunks == [(0, 1, 10, False), (1, 3, 10, False), (3, 5, 13, False)]
+        assert split.row_counts == (10, 10, 10, 10, 13)
+        self.assert_serial_equal(monkeypatch, split, build)
+
+    @pytest.mark.parametrize("failing, named", [({3}, 3), ({1, 3}, 1)])
+    def test_producer_error_reaches_caller(self, monkeypatch, split_forced, failing, named):
+        # n=4 on two threads: chunks (0, 2) and (2, 4). The first failing
+        # agent in chunk order is named, as the one-thread build names it.
+        blocks = [np.random.default_rng(i).standard_normal((3, 4)) for i in range(4)]
+
+        def fill(i, out):
+            if i in failing:
+                raise ValueError(f"agent {i}: no data")
+            out[...] = blocks[i]
+
+        with pytest.raises(ValueError, match=f"^agent {named}: no data$"):
+            make_instance((3,) * 4, 4, fill, r=2)
+        pool = workers._pool
+        assert pool is not None
+        with monkeypatch.context() as patch:
+            patch.setattr(workers, "SPLIT_GRAM_BYTES", 1 << 62)
+            with pytest.raises(ValueError, match=f"^agent {named}: no data$"):
+                make_instance((3,) * 4, 4, fill, r=2)
+        # the same pool builds the next instance
+        inst = make_instance((3,) * 4, 4, fill_from(blocks), r=2)
+        assert workers._pool is pool
+        for i, a in enumerate(blocks):
+            assert inst.grams[i].tobytes() == np.matmul(a.T, a).tobytes()
+
+    def test_split_peak_adds_one_block_per_extra_chunk(self, monkeypatch, split_forced):
+        # Three chunks of 1, 2 and 2 agents, each block 1 MiB: the split
+        # build may hold two more blocks than the one-thread build, in its
+        # two extra buffers, plus 64 KiB for the futures and the tasks.
+        monkeypatch.setattr(workers, "_THREADS", 3)
+        m, d = 2048, 64
+        rng = np.random.default_rng(6)
+        blocks = [rng.standard_normal((m, d)) for _ in range(5)]
+        fill = fill_from(blocks)
+        make_instance((m,) * 5, d, fill, r=2)  # start the pool before tracing
+
+        def peak():
+            tracemalloc.start()
+            try:
+                make_instance((m,) * 5, d, fill, r=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        split = peak()
+        with monkeypatch.context() as patch:
+            patch.setattr(workers, "SPLIT_GRAM_BYTES", 1 << 62)
+            serial = peak()
+        block = m * d * 8
+        assert serial >= block + 5 * d * d * 8  # the one buffer and the Grams
+        assert split <= serial + 2 * block + 64 * 1024
+
+
 class TestSmoothness:
     def test_diagonal_case_exact(self):
         # One agent, A = diag(2, 1): gram eigenvalues {4, 1}; L = 4 and
         # L_f = sqrt(4^2 + 1^2) for r = 2.
-        inst = make_instance((2,), [np.diag([2.0, 1.0])], r=2)
+        inst = make_instance((2,), 2, fill_from([np.diag([2.0, 1.0])]), r=2)
         consts = estimate_smoothness(inst)
         assert consts.L == pytest.approx(4.0, rel=1e-12)
         assert consts.L_f == pytest.approx(np.sqrt(17.0), rel=1e-12)

@@ -15,7 +15,7 @@ def constant_noise(spec, shape, fraction):
     return np.full(shape, -half + 2.0 * half * fraction)
 
 
-def quantized(g, pgrad, spec, noise=None):
+def quantized(g, pgrad, spec, noise):
     """(values, scales, codes) of one snap."""
     values, scales = snap(g, pgrad, spec, noise)
     return values, scales, encode(values, scales, spec)
@@ -49,7 +49,7 @@ class TestLanding:
         rng = np.random.default_rng(0)
         g = rng.uniform(-1, 1, size=(5, 4))
         spec = QuantizerSpec(3)
-        values, scale, codes = quantized(g, np.full_like(g, -10.0), spec)
+        values, scale, codes = quantized(g, np.full_like(g, -10.0), spec, np.zeros_like(g))
         np.testing.assert_array_equal(codes, np.floor((g / scale + 0.5) * spec.levels))
         # floor never exceeds the input
         assert np.all(values <= g + 1e-15)
@@ -58,8 +58,8 @@ class TestLanding:
         rng = np.random.default_rng(1)
         g = rng.uniform(-1, 1, size=(5, 4))
         spec = QuantizerSpec(3)
-        up, scale = snap(g, np.full_like(g, +10.0), spec)
-        down, _ = snap(g, np.full_like(g, -10.0), spec)
+        up, scale = snap(g, np.full_like(g, +10.0), spec, np.zeros_like(g))
+        down, _ = snap(g, np.full_like(g, -10.0), spec, np.zeros_like(g))
         step = scale / spec.levels
         np.testing.assert_allclose(up - down, step, rtol=0, atol=1e-15)
         assert np.all(up >= g - step)
@@ -69,8 +69,8 @@ class TestLanding:
         rng = np.random.default_rng(2)
         g = rng.uniform(-1, 1, size=(6, 2))
         spec = QuantizerSpec(4)
-        tie, _ = snap(g, np.zeros_like(g), spec)
-        down, _ = snap(g, np.full_like(g, -10.0), spec)
+        tie, _ = snap(g, np.zeros_like(g), spec, np.zeros_like(g))
+        down, _ = snap(g, np.full_like(g, -10.0), spec, np.zeros_like(g))
         np.testing.assert_array_equal(tie, down)
 
     def test_direction_bit_pattern(self):
@@ -78,15 +78,15 @@ class TestLanding:
         g = rng.uniform(-2, 2, size=(8, 3))
         pgrad = rng.standard_normal((8, 3))
         spec = QuantizerSpec(5)
-        values, scale = snap(g, pgrad, spec)
-        floor_only, _ = snap(g, np.full_like(g, -10.0), spec)
+        values, scale = snap(g, pgrad, spec, np.zeros_like(g))
+        floor_only, _ = snap(g, np.full_like(g, -10.0), spec, np.zeros_like(g))
         step = scale / spec.levels
         bits = np.rint((values - floor_only) / step)
         np.testing.assert_array_equal(bits, (pgrad > 0).astype(float))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            snap(np.ones((2, 2)), np.ones((3, 2)), QuantizerSpec(4))
+            snap(np.ones((2, 2)), np.ones((3, 2)), QuantizerSpec(4), np.zeros((2, 2)))
 
 
 def exact_dithered_floor_expectation(g, pgrad, gamma, bits):
@@ -109,15 +109,6 @@ def exact_dithered_floor_expectation(g, pgrad, gamma, bits):
 
 
 class TestDithered:
-    def test_zero_stub_equals_landing(self):
-        rng = np.random.default_rng(4)
-        g = rng.uniform(-1, 1, size=(6, 4))
-        pgrad = rng.standard_normal((6, 4))
-        spec = QuantizerSpec(3)
-        dithered, _ = snap(g, pgrad, spec, np.zeros_like(g))
-        landing, _ = snap(g, pgrad, spec)
-        np.testing.assert_array_equal(dithered, landing)
-
     @pytest.mark.parametrize("bits", [2, 4, 8])
     def test_monte_carlo_mean_matches_exact_integral(self, bits):
         # 1e5 dithered draws of one fixed matrix with pgrad = 0: the mean
@@ -190,13 +181,13 @@ class TestStacked:
         g = rng.uniform(-2, 2, size=(5, 6, 3)) * rng.uniform(0.1, 10.0, size=(5, 1, 1))
         g[2] = 0.0
         pgrad = rng.standard_normal(g.shape)
-        noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else None
+        noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else np.zeros_like(g)
 
         values, scales, codes = quantized(g, pgrad, spec, noise)
         assert scales.shape == (5,)
         assert values.shape == codes.shape == g.shape
         for i in range(5):
-            single = quantized(g[i], pgrad[i], spec, None if noise is None else noise[i])
+            single = quantized(g[i], pgrad[i], spec, noise[i])
             assert isinstance(single[1], float)
             assert values[i].tobytes() == single[0].tobytes()
             assert codes[i].tobytes() == single[2].tobytes()
@@ -210,7 +201,7 @@ class TestStacked:
         np.testing.assert_array_equal(scale_factor(g), [[0.0, 1.5, 0.0], [0.0, 0.0, 0.0]])
 
 
-def codes_first_landing(g, pgrad, bits, noise=None):
+def codes_first_landing(g, pgrad, bits, noise):
     """Reference: the codes-first arithmetic the quantizer used to run.
     Float grid indices (floor plus direction bit) first, then values from
     them; a zero slice gives zero values and codes."""
@@ -219,9 +210,7 @@ def codes_first_landing(g, pgrad, bits, noise=None):
     safe = np.where(gamma == 0.0, 1.0, gamma)
     if g.ndim > 2:
         safe = safe[..., None, None]
-    shifted = g / safe + 0.5
-    if noise is not None:
-        shifted = shifted + noise
+    shifted = g / safe + 0.5 + noise
     codes = np.floor(shifted * levels) + np.rint(0.5 * (1.0 + np.tanh(0.5 * pgrad)))
     value = safe * (codes / levels - 0.5)
     zero = gamma == 0.0
@@ -242,8 +231,8 @@ class TestSnap:
         g = rng.uniform(-2, 2, size=(6, 7, 3)) * magnitudes  # slice 3 all zero
         pgrad = rng.standard_normal(g.shape)
         pgrad[0, 0, :] = 0.0  # sigmoid ties round to 0
-        noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else None
-        for gi, pi, ni in [(g, pgrad, noise), (g[2], pgrad[2], None if noise is None else noise[2])]:
+        noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else np.zeros_like(g)
+        for gi, pi, ni in [(g, pgrad, noise), (g[2], pgrad[2], noise[2])]:
             values, scales, codes = quantized(gi, pi, spec, ni)
             ref_value, ref_scale, ref_codes = codes_first_landing(gi, pi, bits, ni)
             assert values.tobytes() == ref_value.tobytes()
@@ -281,7 +270,7 @@ class TestRangeInvariant:
         for _ in range(10):
             g = rng.uniform(-4, 4, size=(6, 3))
             pgrad = rng.standard_normal((6, 3))
-            noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else None
+            noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else np.zeros_like(g)
             values, scale = snap(g, pgrad, spec, noise)
             slack = 1.5 * scale / spec.levels
             assert values.min() >= g.min() - slack - 1e-12
@@ -295,7 +284,7 @@ class TestReconstruction:
         spec = QuantizerSpec(6)
         g = rng.uniform(-2, 2, size=(7, 4))
         pgrad = rng.standard_normal((7, 4))
-        noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else None
+        noise = dither_noise(rng, spec, g.shape) if mode == "dithered" else np.zeros_like(g)
         values, scale, codes = quantized(g, pgrad, spec, noise)
         np.testing.assert_array_equal(dequantize(codes, scale, spec.bits), values)
 
@@ -305,7 +294,7 @@ class TestReconstruction:
         rng = np.random.default_rng(9)
         spec = QuantizerSpec(bits)
         g = rng.uniform(-1, 1, size=(5, 3))
-        values, scale, codes = quantized(g, np.full_like(g, -10.0), spec)
+        values, scale, codes = quantized(g, np.full_like(g, -10.0), spec, np.zeros_like(g))
         payload = pack_codes(codes, scale, spec)
         assert len(payload) == 8 + (codes.size * bits + 7) // 8
         back, back_scale = unpack_codes(payload, codes.shape, spec)
@@ -337,7 +326,7 @@ class TestReconstruction:
         # A direction bit on a top-of-grid entry overshoots the N-bit range.
         spec = QuantizerSpec(2)
         g = np.array([[0.5], [-0.5]])
-        _, scale, codes = quantized(g, np.full_like(g, 10.0), spec)
+        _, scale, codes = quantized(g, np.full_like(g, 10.0), spec, np.zeros_like(g))
         assert codes.max() == spec.levels + 1
         with pytest.raises(ValueError):
             pack_codes(codes, scale, spec)
