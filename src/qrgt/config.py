@@ -1,9 +1,11 @@
 """Run configuration: flat key=value files, presets, and CLI overrides.
 
 Precedence, lowest to highest: built-in defaults, preset, config file, CLI
-flags. Every knob is a flat ``key = value`` line; ``#`` starts a comment.
-Unknown keys are errors, as are out-of-range values, and both name the
-offending key.
+flags. The ``QRGT_MNIST_PATH`` environment variable supplies ``mnist_path``
+for an MNIST run only when none of those sets it, so the resolved config
+names the file that is read. Every knob is a flat ``key = value`` line;
+``#`` starts a comment. Unknown keys are errors, as are out-of-range values,
+and both name the offending key.
 
 The user-facing step size ``alpha_hat`` is normalized by the data volume:
 the effective step is n * alpha_hat / total_rows for synthetic data and
@@ -207,6 +209,8 @@ def parse_config(
             raise ConfigError(f"unknown key {key!r}")
         if value is not None:
             merged[key] = value
+    if merged.get("problem") == "mnist" and not merged.get("mnist_path"):
+        merged["mnist_path"] = os.environ.get(MNIST_PATH_ENV, "")
     return _validate(RunConfig(**merged))
 
 
@@ -222,7 +226,7 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
             seed=cfg.seed,
         )
         return generate_synthetic(spec)
-    path = os.environ.get(MNIST_PATH_ENV, cfg.mnist_path)
+    path = cfg.mnist_path
     if not path:
         raise ConfigError(f"mnist_path: set the key or the {MNIST_PATH_ENV} env var")
     size = idx_image_size(path)

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import workers
 from .problems import ProblemInstance
 from .stiefel import distance_to_manifold, tangent_project
 
@@ -61,17 +62,26 @@ def consensus_error(stacked) -> float:
 def evaluate(stacked, inst: ProblemInstance) -> MetricRow:
     """All five metrics at the current agent variables.
 
-    The averaged-Gram product is taken once and serves both the gradient
-    and the objective f(x) = -tr(x^T mean_gram x) / 2.
+    The averaged-Gram product is taken once, negated, and serves both the
+    gradient and the objective f(x) = -tr(x^T mean_gram x) / 2. On the
+    instances whose local gradients take the transposed products (Gram
+    stacks of at least ``workers.SPLIT_GRAM_BYTES``; see
+    ``workers._neg_matmul``) it is taken as (xbar^T mean_gram)^T, which
+    equals mean_gram @ xbar because mean_gram is symmetric and is faster at
+    d = 784; on smaller instances, as the d = 10 preset, the plain product
+    is the faster one (README, "Threads").
     """
     X = np.asarray(stacked, dtype=float)
     xbar = np.mean(X, axis=0)
-    gram_x = inst.mean_gram @ xbar
-    rgrad = tangent_project(xbar, -gram_x)
+    if inst.grams.nbytes >= workers.SPLIT_GRAM_BYTES:
+        neg_gram_x = np.negative((xbar.T @ inst.mean_gram).T, order="C")
+    else:
+        neg_gram_x = -(inst.mean_gram @ xbar)
+    rgrad = tangent_project(xbar, neg_gram_x)
     return MetricRow(
         consensus_error=float(np.linalg.norm(X - xbar)),
         grad_norm=float(np.linalg.norm(rgrad)),
-        f_gap=float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star,
+        f_gap=float(0.5 * np.sum(xbar * neg_gram_x)) - inst.f_star,
         ds=subspace_distance(xbar, inst.x_star),
         dist_mean=float(distance_to_manifold(xbar)),
     )

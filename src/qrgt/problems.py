@@ -100,6 +100,9 @@ class ProblemInstance:
     ``grams`` is the one ``(n, d, d)`` stack of local Grams A_i^T A_i, indexed
     by agent; every local gradient is computed from it. The data blocks A_i
     themselves are not kept (see ``synthetic_blocks`` and ``mnist_blocks``).
+    Each ``grams[i]`` and ``mean_gram`` equals its transpose bit for bit
+    (numpy computes ``a.T @ a`` as one triangle and mirrors it), so a product
+    G @ x may be taken as (x^T G)^T, as the engine and the metrics do.
     """
 
     row_counts: tuple[int, ...]

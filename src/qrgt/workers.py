@@ -11,11 +11,14 @@ one chunk per CPU, no more chunks than agents. Otherwise there is one chunk,
 run on the calling thread, and no thread is started.
 
 Several chunks run on one lazily created module pool with a worker pinned
-to each CPU, while the calling thread waits. Each agent's product is the
-same 2-D BLAS call on any thread, so a split result equals the one-thread
-result bit for bit. The CPUs and the BLAS thread variables are read once,
-at import: ``taskset`` bounds the threads, and the BLAS thread setting is
-read, never changed.
+to each CPU, while the calling thread waits. ``_neg_matmul`` is the local
+gradients' per-agent kernel: it takes each product of a symmetric Gram with
+the thin iterate as ``X_i^T G_i``, the orientation OpenBLAS runs faster on
+Grams this large, and an agent's product is the same 2-D BLAS call on any
+thread and in any chunking, so a split result equals the one-chunk result
+bit for bit. The CPUs and the BLAS thread variables are read once, at
+import: ``taskset`` bounds the threads, and the BLAS thread setting is read,
+never changed.
 """
 
 from __future__ import annotations
@@ -81,16 +84,27 @@ def run_chunks(tasks: list[Callable[[], None]]) -> None:
             raise error
 
 
-def _neg_matmul(G: np.ndarray, X: np.ndarray, out: np.ndarray, lo: int, hi: int) -> None:
-    """out[lo:hi] = -(G[lo:hi] @ X[lo:hi]), by the per-agent BLAS calls of -np.matmul(G, X).
+def _neg_matmul(
+    G: np.ndarray, X: np.ndarray, out: np.ndarray, buf: np.ndarray, lo: int, hi: int
+) -> None:
+    """out[lo:hi] = -(G[lo:hi] @ X[lo:hi]) for symmetric Grams, each product
+    taken as (X_i^T G_i)^T through ``buf``, a C-contiguous (r, d) array.
 
-    One 2-D matmul per agent: numpy releases the GIL inside each, while a
-    stacked matmul over a few agents holds it throughout (two threads on
-    halves of the stack took as long as one thread on all of it).
+    numpy hands a row-major ``G_i @ X_i`` (d x d by d x r) to BLAS as a
+    column-major GEMM with M = r, and at r = 5 the kernel leaves most of each
+    vector lane idle; ``X_i^T G_i`` runs as a GEMM with M = d instead. At
+    d = 784 that halved the product's time on OpenBLAS. Each entry is a sum
+    of the same d products either way, and on OpenBLAS the result was
+    bit-equal to ``-np.matmul(G, X)``. BLAS does not promise that; the tests
+    compare the two at d = 784 and on the d = 10 preset. One
+    ``np.negative`` per agent writes the sign-flipped transpose back; a
+    (d, r) ``out=`` view in place of ``buf`` would take numpy's matmul off
+    BLAS. One 2-D matmul per agent also lets two threads overlap: numpy
+    releases the GIL inside each, while a stacked matmul holds it throughout.
     """
     for i in range(lo, hi):
-        np.matmul(G[i], X[i], out=out[i])
-    np.negative(out[lo:hi], out=out[lo:hi])
+        np.matmul(X[i].T, G[i], out=buf)
+        np.negative(buf.T, out=out[i])
 
 
 def _worker_pool() -> ThreadPoolExecutor:

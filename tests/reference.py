@@ -3,6 +3,8 @@ helpers they build instances with; no run uses them."""
 
 import numpy as np
 
+from qrgt import make_instance
+
 
 def _gram_defect(x: np.ndarray) -> np.ndarray:
     """x^T x - I, batched over leading dimensions."""
@@ -49,3 +51,10 @@ def filled_blocks(row_counts, d: int, fill) -> list[np.ndarray]:
         fill(i, a)
         blocks.append(a)
     return blocks
+
+
+def wide_instance(n: int = 4, m: int = 100, d: int = 784, r: int = 5, seed: int = 0):
+    """An instance at the MNIST image size d = 784: n Gaussian (m, d) blocks,
+    each Gram a^T a (n = 4: about 20 MB of Grams)."""
+    rng = np.random.default_rng(seed)
+    return make_instance((m,) * n, d, fill_from([rng.standard_normal((m, d)) for _ in range(n)]), r)

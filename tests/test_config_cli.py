@@ -148,6 +148,47 @@ class TestBuilders:
         inst = build_problem(cfg)
         assert inst.total_rows == 40
 
+    @staticmethod
+    def two_idx_files(tmp_path):
+        """a.idx3 with 60 images and b.idx3 with 64, both 4x5 pixels."""
+        rng = np.random.default_rng(2)
+        paths = tmp_path / "a.idx3", tmp_path / "b.idx3"
+        for path, count in zip(paths, (60, 64)):
+            write_idx3(path, rng.integers(0, 256, size=(count, 4, 5), dtype=np.uint8))
+        return paths
+
+    @pytest.mark.parametrize("via", ["flag", "file"])
+    def test_set_mnist_path_beats_env_var(self, tmp_path, monkeypatch, via):
+        a, b = self.two_idx_files(tmp_path)
+        monkeypatch.setenv("QRGT_MNIST_PATH", str(b))
+        if via == "flag":
+            cfg = parse_config(overrides={"problem": "mnist", "mnist_path": str(a), "n": 4, "r": 2})
+        else:
+            path = tmp_path / "run.cfg"
+            path.write_text(f"problem = mnist\nmnist_path = {a}\nn = 4\nr = 2\n")
+            cfg = parse_config(file=path)
+        assert cfg.mnist_path == str(a)
+        assert build_problem(cfg).total_rows == 60
+
+    def test_env_var_fills_unset_mnist_path(self, tmp_path, monkeypatch):
+        _, b = self.two_idx_files(tmp_path)
+        monkeypatch.setenv("QRGT_MNIST_PATH", str(b))
+        cfg = parse_config(preset="mnist", overrides={"n": 4, "r": 2})
+        assert cfg.mnist_path == str(b)
+        assert build_problem(cfg).total_rows == 64
+        assert parse_config(preset="synthetic").mnist_path == ""
+
+    def test_csv_names_the_file_read(self, tmp_path, monkeypatch):
+        a, b = self.two_idx_files(tmp_path)
+        args = ["run", "--preset", "mnist", "--n", "4", "--max-epochs", "3", "--mnist-path", str(a)]
+        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+        assert main(args + ["--out", str(tmp_path / "alone.csv")]) == 0
+        monkeypatch.setenv("QRGT_MNIST_PATH", str(b))
+        assert main(args + ["--out", str(tmp_path / "with_env.csv")]) == 0
+        alone = (tmp_path / "alone.csv").read_text()
+        assert f"# mnist_path = {a}\n" in alone
+        assert (tmp_path / "with_env.csv").read_text().replace("with_env.csv", "alone.csv") == alone
+
     def test_mnist_path_missing(self, monkeypatch):
         monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
         cfg = parse_config(overrides={"problem": "mnist"})

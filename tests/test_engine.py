@@ -41,7 +41,7 @@ from qrgt.network import MixingMatrix
 from qrgt.quantizers import dither_noise
 from qrgt.streams import STREAM_DITHER, stream_rng
 
-from reference import fill_from, local_grad, manifold_defect
+from reference import fill_from, local_grad, manifold_defect, wide_instance
 
 
 def small_instance(seed=0, n=4, leading_sv=2.0):
@@ -476,9 +476,9 @@ class TestBenchmarkHooks:
         split_calls = []
         neg_matmul = workers._neg_matmul
 
-        def recording(G, X, out, lo, hi):
+        def recording(G, X, out, buf, lo, hi):
             split_calls.append((lo, hi))
-            neg_matmul(G, X, out, lo, hi)
+            neg_matmul(G, X, out, buf, lo, hi)
 
         monkeypatch.setattr(workers, "_neg_matmul", recording)
         calls, _ = self.counted_run(monkeypatch, algorithm)
@@ -543,9 +543,26 @@ class TestAgentParallelGrads:
     def test_single_agent_never_splits(self, split_forced):
         inst = single_agent_identity_instance()
         eng = _Engine(inst, identity_mixing(), AlgoConfig(alpha=0.1))
-        assert eng._chunks is None
+        assert eng._chunks == [(0, 1)]  # one chunk, on the calling thread
         eng.initial_state()
         assert workers._pool is None
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        return wide_instance()
+
+    @pytest.mark.parametrize("threads, chunks", [(2, [(0, 2), (2, 4)]), (1, [(0, 4)])])
+    def test_wide_grams_bit_equal(self, monkeypatch, split_forced, wide, threads, chunks):
+        # The transposed per-agent kernel, split and in one chunk on the
+        # calling thread, against the stacked product at d = 784.
+        monkeypatch.setattr(workers, "_THREADS", threads)
+        eng = _Engine(wide, identity_mixing(4), AlgoConfig(alpha=1e-3))
+        assert eng._chunks == chunks
+        rng = np.random.default_rng(threads)
+        for _ in range(5):
+            X = rng.standard_normal((4, 784, 5))
+            assert eng.local_grads(X).tobytes() == (-np.matmul(wide.grams, X)).tobytes()
+        assert (workers._pool is not None) == (threads > 1)
 
     def test_below_threshold_starts_no_thread(self, monkeypatch):
         monkeypatch.setattr(workers, "_THREADS", 2)  # only the size decides

@@ -11,7 +11,10 @@ from qrgt import (
     subspace_distance,
 )
 
+from qrgt import metrics, workers
+
 from conftest import stiefel_points
+from reference import wide_instance
 
 
 def random_orthogonal(r, rng):
@@ -120,3 +123,39 @@ class TestEvaluate:
         assert row.consensus_error > 0
         assert row.dist_mean > 0  # Euclidean mean leaves the manifold
         assert np.isfinite([row.grad_norm, row.f_gap, row.ds]).all()
+
+
+class TestEvaluateProduct:
+    """evaluate's mean_gram @ xbar, taken as (xbar^T mean_gram)^T on large
+    Gram stacks, is byte-equal to the plain product, at d = 784 and on the
+    preset, on either side of the size threshold."""
+
+    @pytest.fixture(scope="class", params=["wide", "preset"])
+    def inst(self, request):
+        if request.param == "wide":
+            return wide_instance()
+        return generate_synthetic(
+            SyntheticSpec(n=16, m=1000, d=10, r=5, eigengap=0.8, leading_sv=300.0, seed=0)
+        )
+
+    @pytest.mark.parametrize("threshold", [0, 1 << 62])
+    def test_gram_product_bit_equal(self, inst, monkeypatch, threshold):
+        monkeypatch.setattr(workers, "SPLIT_GRAM_BYTES", threshold)
+        seen = []
+        project = metrics.tangent_project
+
+        def recording(x, y):
+            assert y.flags.c_contiguous  # the layout the plain product has
+            seen.append(y.copy())
+            return project(x, y)
+
+        monkeypatch.setattr(metrics, "tangent_project", recording)
+        rng = np.random.default_rng(7)
+        n, d, r = inst.n_agents, inst.dims.d, inst.dims.r
+        for k in range(10):
+            X = rng.standard_normal((n, d, r))
+            row = evaluate(X, inst)
+            xbar = np.mean(X, axis=0)
+            gram_x = inst.mean_gram @ xbar
+            assert seen[k].tobytes() == (-gram_x).tobytes()
+            assert row.f_gap == float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star

@@ -488,6 +488,30 @@ class TestSplitBuild:
         assert split <= serial + 2 * block + 64 * 1024
 
 
+def assert_symmetric_grams(inst):
+    assert inst.grams.tobytes() == np.swapaxes(inst.grams, 1, 2).tobytes()
+    assert inst.mean_gram.tobytes() == inst.mean_gram.T.tobytes()
+
+
+class TestGramSymmetry:
+    """Every Gram and the mean Gram equal their transposes byte for byte,
+    which the transposed products of the engine and the metrics rely on."""
+
+    def build_all(self, tmp_path):
+        path = tmp_path / "images.idx3"
+        write_idx3(path, TestMnist().make_images(count=53, seed=8))
+        return [build_problem(parse_config(preset="synthetic")), load_mnist(path, n=5, r=2, seed=3)]
+
+    def test_one_thread_build(self, tmp_path):
+        for inst in self.build_all(tmp_path):
+            assert_symmetric_grams(inst)
+
+    def test_split_build(self, monkeypatch, split_forced, tmp_path):
+        monkeypatch.setattr(workers, "_THREADS", 3)
+        for inst in self.build_all(tmp_path):
+            assert_symmetric_grams(inst)
+
+
 class TestSmoothness:
     def test_diagonal_case_exact(self):
         # One agent, A = diag(2, 1): gram eigenvalues {4, 1}; L = 4 and
