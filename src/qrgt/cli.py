@@ -82,13 +82,15 @@ def execute(cfg: RunConfig) -> tuple[int, RunTrace]:
 def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
     """Run cfg once per value of ``key``; write per-value traces and an index.
 
-    Every value is resolved before the first run, so a bad value writes
-    nothing. An unsafe step or unusable input met by a later value
-    (``StepSizeError``, ``GraphError``, ``IdxFormatError``) still leaves the
-    index of the values already run, then propagates.
+    Every value is resolved before the first run, so a bad value, or no
+    value at all, writes nothing. An unsafe step or unusable input met by a
+    later value (``StepSizeError``, ``GraphError``, ``IdxFormatError``)
+    still leaves the index of the values already run, then propagates.
     """
     if key not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
+    if not values:
+        raise ConfigError("values: need at least one value to sweep over")
     field_name = SWEEP_KEYS[key]
     out = Path(cfg.out)
     runs = [

@@ -63,7 +63,6 @@ class RunConfig:
     t: int = 1
     max_epochs: int = 1000
     ds_tol: float = 1e-8
-    retraction: str = "qr"
     seed: int = 0
     enforce_safety: bool = False
     timing: bool = False
@@ -165,8 +164,6 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"r: must be at most d = {cfg.d}, got {cfg.r}")
     if cfg.problem == "synthetic" and cfg.n * cfg.m < cfg.d:
         raise ConfigError(f"m: need n*m >= d = {cfg.d} for full rank, got n*m = {cfg.n * cfg.m}")
-    if cfg.retraction not in ("qr", "polar"):
-        raise ConfigError(f"retraction: must be 'qr' or 'polar', got {cfg.retraction!r}")
     if cfg.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
     return cfg
@@ -262,7 +259,6 @@ def algo_config(cfg: RunConfig, inst: ProblemInstance) -> AlgoConfig:
         ds_tolerance=cfg.ds_tol,
         seed=cfg.seed,
         algorithm=cfg.algorithm,
-        retraction=cfg.retraction,
         enforce_safety=cfg.enforce_safety,
     )
 

@@ -155,11 +155,6 @@ class MixingMatrix:
     def n(self) -> int:
         return self.W.shape[0]
 
-    @property
-    def sigma2_effective(self) -> float:
-        """Contraction factor of the cached power, sigma_2^t."""
-        return self.sigma2**self.t
-
 
 def second_singular_value(W: np.ndarray) -> float:
     """Second largest singular value of a symmetric doubly stochastic W."""

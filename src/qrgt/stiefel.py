@@ -51,22 +51,16 @@ class SmoothnessConstants:
 
     ``L`` is the Euclidean Lipschitz constant of the gradient, ``L_f`` the
     normal-component bound (max gradient norm on the manifold divided by the
-    proximal radius). Their sum ``L_g`` bounds smoothness along the manifold;
-    ``L_m`` extends it to the off-manifold region the quantized iterates live
-    in and defaults to ``L_g``.
+    proximal radius). Their sum ``L_g`` bounds smoothness along the manifold
+    and sets the step-size bounds.
     """
 
     L: float
     L_f: float
-    L_m: float | None = None
 
     def __post_init__(self) -> None:
         if self.L <= 0 or self.L_f <= 0:
             raise ValueError("L and L_f must be positive")
-        if self.L_m is None:
-            object.__setattr__(self, "L_m", self.L_g)
-        elif self.L_m < self.L_g * (1 - 1e-12):
-            raise ValueError(f"L_m={self.L_m} must be >= L_g={self.L_g}")
 
     @property
     def L_g(self) -> float:
@@ -141,24 +135,18 @@ def _qr_positive(a: np.ndarray) -> np.ndarray:
     return q * np.sign(rdiag)[..., None, :]
 
 
-def retract(x: np.ndarray, xi: np.ndarray, method: str = "qr") -> np.ndarray:
+def retract(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     """Map the tangent step xi at x back onto the manifold.
 
-    Both variants satisfy retract(x, 0) = x and agree with x + xi to first
-    order. ``qr`` takes the sign-fixed Q factor of x + xi, ``polar`` its
-    orthogonal polar factor. Stacked (..., d, r) input is retracted slice by
-    slice in one LAPACK call.
+    Takes the sign-fixed Q factor of x + xi, so retract(x, 0) = x and the
+    result agrees with x + xi to first order. Stacked (..., d, r) input is
+    retracted slice by slice in one LAPACK call.
     """
     x = _check_matrix(x, "x")
     xi = _check_matrix(xi, "xi")
     if x.shape != xi.shape:
         raise ValueError(f"shape mismatch: x is {x.shape}, xi is {xi.shape}")
-    if method == "qr":
-        return _qr_positive(x + xi)
-    if method == "polar":
-        u, _, vt = np.linalg.svd(x + xi, full_matrices=False)
-        return u @ vt
-    raise ValueError(f"unknown retraction method {method!r}")
+    return _qr_positive(x + xi)
 
 
 def random_stiefel(d: int, r: int, rng: np.random.Generator) -> np.ndarray:

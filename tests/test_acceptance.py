@@ -101,13 +101,9 @@ def test_criterion_1_geometry_suite():
 
         xi = tangent_project(x, rng.standard_normal((d, r)))
         xi /= np.linalg.norm(xi)
-        for method in ("qr", "polar"):
-            assert manifold_defect(retract(x, 0.3 * xi, method)) <= 1e-10
-            errs = [
-                np.linalg.norm(retract(x, t * xi, method) - (x + t * xi))
-                for t in (1e-2, 1e-3)
-            ]
-            assert 1.85 <= np.log10(errs[0] / errs[1]) <= 2.15
+        assert manifold_defect(retract(x, 0.3 * xi)) <= 1e-10
+        errs = [np.linalg.norm(retract(x, t * xi) - (x + t * xi)) for t in (1e-2, 1e-3)]
+        assert 1.85 <= np.log10(errs[0] / errs[1]) <= 2.15
 
         z = rng.standard_normal((d, r))
         h = rng.standard_normal((d, r))
@@ -279,8 +275,9 @@ def test_criterion_6_rate_law():
     ratio_g = g2[:K].min() / g2[: 2 * K].min()
     assert 1.3 <= ratio_g <= 4.0, f"grad-norm ratio {ratio_g:.2f} outside [1.3, 4]"
 
-    # consensus starts at exactly zero and needs a few mixing times to reach
-    # its working level, so its minimum is taken after a burn-in window
+    # consensus starts at zero, up to the rounding of the agent mean, and
+    # needs a few mixing times to reach its working level, so its minimum is
+    # taken after a burn-in window
     c2 = np.array([row.consensus_error for row in trace.rows]) ** 2
     burn = 1000
     ratio_c = c2[burn:K].min() / c2[burn : 2 * K].min()

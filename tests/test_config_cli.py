@@ -72,10 +72,12 @@ class TestParseConfig:
         assert cfg.seed == 7
         assert cfg.alpha_hat == 0.5
 
-    def test_unknown_file_key(self, tmp_path):
+    @pytest.mark.parametrize("line", ["bitz = 4", "retraction = qr"], ids=["bitz", "retraction"])
+    def test_unknown_file_key(self, tmp_path, line):
         path = tmp_path / "run.cfg"
-        path.write_text("bitz = 4\n")
-        with pytest.raises(ConfigError, match="bitz"):
+        path.write_text(line + "\n")
+        key = line.split()[0]
+        with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
             parse_config(file=path)
 
     def test_malformed_line(self, tmp_path):
@@ -214,11 +216,10 @@ class TestBuilders:
         assert a.edges == b.edges
 
     def test_algo_config_fields(self):
-        cfg = parse_config(overrides={"algorithm": "rgt", "retraction": "polar", "bits": 3})
+        cfg = parse_config(overrides={"algorithm": "rgt", "bits": 3})
         inst = build_problem(parse_config(overrides=dict(n=4, m=20, d=6, r=2)))
         ac = algo_config(cfg, inst)
         assert ac.algorithm == "rgt"
-        assert ac.retraction == "polar"
         assert ac.bits == 3
 
 
@@ -438,6 +439,17 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: bits")
+
+    def test_sweep_empty_values_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "e.csv"
+        code = main(
+            ["sweep", "--preset", "synthetic", "--out", str(out), "--key", "bits", "--values", ","]
+        )
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: values: ")
 
     def test_sweep_later_input_error_keeps_index_exit_2(self, tmp_path, capsys):
         # topology_p = 1e-6 never yields a connected Erdos-Renyi draw on n=4

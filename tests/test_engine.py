@@ -66,7 +66,7 @@ def ring_engine(inst, cfg):
 
 def start(inst, cfg):
     """The initial state of a run of ``cfg`` on ``inst``."""
-    return ring_engine(inst, cfg).initial_state()[0]
+    return ring_engine(inst, cfg).initial_state()
 
 
 def python_c(script, env):
@@ -90,7 +90,6 @@ class TestAlgoConfig:
             dict(alpha=0.0),
             dict(alpha=0.1, max_epochs=0),
             dict(alpha=0.1, algorithm="dgd"),
-            dict(alpha=0.1, retraction="cayley"),
             dict(alpha=0.1, bits=0),
             dict(alpha=0.1, ds_tolerance=-1.0),
         ],
@@ -150,9 +149,9 @@ class TestQrgtEpoch:
         inst = single_agent_identity_instance()
         cfg = AlgoConfig(alpha=1e-2, bits=32, seed=3)
         eng = _Engine(inst, identity_mixing(), cfg)
-        state = eng.initial_state()[0]
+        state = eng.initial_state()
         assert np.abs(state.s[0]).max() <= 1e-14
-        after = eng.qrgt_step(state)[0]
+        after = eng.qrgt_step(state)
         np.testing.assert_allclose(after.x[0], state.x[0], rtol=0, atol=1e-15)
 
     def test_tracker_mean_identity_over_run(self):
@@ -177,10 +176,10 @@ class TestQrgtEpoch:
         alpha = 1e-4
         cfg = AlgoConfig(alpha=alpha, bits=32, seed=11)
         eng = _Engine(inst, mixing, cfg)
-        state = eng.initial_state()[0]
+        state = eng.initial_state()
         x0 = state.x[0].copy()
         for _ in range(100):
-            state = eng.step(state)[0]
+            state = eng.step(state)
 
         # independent plain-numpy reference
         n = inst.n_agents
@@ -210,11 +209,11 @@ class TestQrgtEpoch:
         inst = small_instance(seed=4)
         cfg = AlgoConfig(alpha=1e-3, bits=3, seed=6)
         first, second = ring_engine(inst, cfg), ring_engine(inst, cfg)
-        state = first.initial_state()[0]
+        state = first.initial_state()
         second.initial_state()
-        a = first.step(state)[0]
-        b = second.step(state)[0]
-        c = first.step(state)[0]
+        a = first.step(state)
+        b = second.step(state)
+        c = first.step(state)
         np.testing.assert_array_equal(a.x[0], b.x[0])
         np.testing.assert_array_equal(a.g[0], b.g[0])
         assert not np.array_equal(a.g[0], c.g[0])
@@ -290,47 +289,43 @@ class TestRgtEpoch:
         mixing = build_metropolis(Topology.ring(4))
         cfg = AlgoConfig(alpha=5e-3, algorithm="rgt", seed=1)
         eng = _Engine(inst, mixing, cfg)
-        state = eng.initial_state()[0]
+        state = eng.initial_state()
         for _ in range(1, 30):
-            state = eng.rgt_step(state)[0]
+            state = eng.rgt_step(state)
             assert max(manifold_defect(x) for x in state.x) <= 1e-8
 
-    @pytest.mark.parametrize("retraction", ["qr", "polar"])
-    def test_single_agent_reduces_to_centralized_descent(self, retraction):
+    def test_single_agent_reduces_to_centralized_descent(self):
         inst = single_agent_identity_instance(d=6, r=2)
         # break the flat spectrum so the gradient is nonzero
         inst = make_instance((6,), 6, fill_from([np.diag([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])]), r=2)
-        cfg = AlgoConfig(alpha=1e-2, algorithm="rgt", retraction=retraction, seed=8)
+        cfg = AlgoConfig(alpha=1e-2, algorithm="rgt", seed=8)
         eng = _Engine(inst, identity_mixing(), cfg)
-        state = eng.initial_state()[0]
+        state = eng.initial_state()
         x_ref = state.x[0].copy()
         for _ in range(1, 20):
-            state = eng.rgt_step(state)[0]
+            state = eng.rgt_step(state)
             g = tangent_project(x_ref, local_grad(inst, 0, x_ref))
-            x_ref = retract(x_ref, -cfg.alpha * g, retraction)
+            x_ref = retract(x_ref, -cfg.alpha * g)
             np.testing.assert_allclose(state.x[0], x_ref, atol=1e-12)
 
 
-def per_agent_retract(x, xi, method):
+def per_agent_retract(x, xi):
     """Reference retraction: one 2-D call per agent."""
-    return np.stack([retract(a, b, method) for a, b in zip(x, xi)])
+    return np.stack([retract(a, b) for a, b in zip(x, xi)])
 
 
 class TestBatchedRetraction:
-    @pytest.mark.parametrize("retraction", ["qr", "polar"])
-    def test_preset_epochs_match_per_agent_loop_bitwise(self, monkeypatch, retraction):
-        cfg = parse_config(
-            preset="synthetic", overrides={"algorithm": "rgt", "retraction": retraction}
-        )
+    def test_preset_epochs_match_per_agent_loop_bitwise(self, monkeypatch):
+        cfg = parse_config(preset="synthetic", overrides={"algorithm": "rgt"})
         inst = build_problem(cfg)
         algo = algo_config(cfg, inst)
         mixing = build_metropolis(build_topology(cfg), algo.t)
 
         def advance(epochs=200):
             eng = _Engine(inst, mixing, algo)
-            state = eng.initial_state()[0]
+            state = eng.initial_state()
             for _ in range(epochs):
-                state = eng.rgt_step(state)[0]
+                state = eng.rgt_step(state)
             return state
 
         batched = advance()
@@ -342,9 +337,9 @@ class TestBatchedRetraction:
     def test_one_retract_call_per_epoch(self, monkeypatch):
         calls = []
 
-        def counting(x, xi, method):
+        def counting(x, xi):
             calls.append(x.shape)
-            return retract(x, xi, method)
+            return retract(x, xi)
 
         monkeypatch.setattr(engine, "retract", counting)
         cfg = AlgoConfig(alpha=5e-3, algorithm="rgt", max_epochs=7, seed=1)
@@ -456,8 +451,8 @@ class TestBenchmarkHooks:
         assert calls["local_grads"] == calls["tangent_project"] == calls["penalty_grad"] == k + 1
         assert "retract" not in calls
         levels = (1 << 4) - 1
-        for values, scales, ratios in returned:
-            assert values.shape == (4, 6, 2) and scales.shape == ratios.shape == (4,)
+        for values, scales, empty in returned:
+            assert values.shape == (4, 6, 2) and scales.shape == (4,) and empty is None
             assert (scales > 0).all()
             idx = (values / scales[:, None, None] + 0.5) * levels
             np.testing.assert_allclose(idx, np.rint(idx), rtol=0, atol=1e-9)
@@ -498,9 +493,9 @@ class TestAgentParallelGrads:
     @staticmethod
     def advance(inst, mixing, algo, epochs):
         eng = _Engine(inst, mixing, algo)
-        state = eng.initial_state()[0]
+        state = eng.initial_state()
         for _ in range(epochs):
-            state = eng.step(state)[0]
+            state = eng.step(state)
         return eng, state
 
     @staticmethod
@@ -630,11 +625,10 @@ class TestAgentParallelGrads:
 
 class TestStepSizeBounds:
     def test_hand_arithmetic(self):
-        consts = SmoothnessConstants(L=0.5, L_f=0.5)  # L_m = 1
+        consts = SmoothnessConstants(L=0.5, L_f=0.5)  # L_g = 1
         bounds = step_size_bounds(consts, sigma2=1 / 3, n=16)
         assert bounds["descent"] == pytest.approx(0.125)
         assert bounds["consensus"] == pytest.approx((2 / 3) ** 2 / 16)
-        assert bounds["stability"] == pytest.approx((2 / 3) ** 2 / 4)
         assert bounds["rate"] == pytest.approx(np.sqrt(16 * (2 / 3) ** 3 / 3) / 16)
         assert bounds["consensus_rate"] == pytest.approx((16 * (2 / 3) ** 3) ** 0.25 / 16)
         assert safety_step_bound(consts, 1 / 3, 16) == pytest.approx(1 / 36)

@@ -168,7 +168,7 @@ class TestMix:
             dev_before = np.linalg.norm(X - X.mean(axis=0))
             out = mix(mixing, X)
             dev_after = np.linalg.norm(out - out.mean(axis=0))
-            assert dev_after <= mixing.sigma2_effective * dev_before + 1e-10
+            assert dev_after <= mixing.sigma2**t * dev_before + 1e-10
 
     def test_length_mismatch(self, rng):
         mixing = build_metropolis(Topology.ring(4))

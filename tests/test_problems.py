@@ -520,7 +520,6 @@ class TestSmoothness:
         consts = estimate_smoothness(inst)
         assert consts.L == pytest.approx(4.0, rel=1e-12)
         assert consts.L_f == pytest.approx(np.sqrt(17.0), rel=1e-12)
-        assert consts.L_m == pytest.approx(consts.L_g)
 
     def test_bounds_hold_on_manifold(self, rng):
         inst = small_instance(seed=13)

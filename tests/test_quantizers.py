@@ -374,9 +374,10 @@ class TestRunMessages:
         quantize_all = _Engine.quantize_all
 
         def recording(self, RG, PG):
-            values, scales, ratios = quantize_all(self, RG, PG)
+            values, scales, empty = quantize_all(self, RG, PG)
+            assert empty is None
             sent.append((values.copy(), scales.copy()))
-            return values, scales, ratios
+            return values, scales, empty
 
         monkeypatch.setattr(_Engine, "quantize_all", recording)
         trace = run(inst, build_topology(cfg), algo_config(cfg, inst))

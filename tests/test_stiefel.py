@@ -31,15 +31,6 @@ class TestSmoothnessConstants:
     def test_lg_is_sum(self):
         c = SmoothnessConstants(L=2.0, L_f=3.0)
         assert c.L_g == 5.0
-        assert c.L_m == 5.0  # defaults to L_g
-
-    def test_lm_below_lg_rejected(self):
-        with pytest.raises(ValueError):
-            SmoothnessConstants(L=2.0, L_f=3.0, L_m=4.0)
-
-    def test_lm_above_lg_ok(self):
-        c = SmoothnessConstants(L=1.0, L_f=1.0, L_m=7.0)
-        assert c.L_m == 7.0
 
 
 class TestTangentProject:
@@ -177,36 +168,25 @@ class TestPenalty:
 
 
 class TestRetract:
-    @pytest.mark.parametrize("method", ["qr", "polar"])
-    def test_zero_step_identity(self, rng, method):
+    def test_zero_step_identity(self, rng):
         x = random_stiefel(6, 3, rng)
-        np.testing.assert_allclose(retract(x, np.zeros_like(x), method), x, atol=1e-12)
+        np.testing.assert_allclose(retract(x, np.zeros_like(x)), x, atol=1e-12)
 
-    @pytest.mark.parametrize("method", ["qr", "polar"])
-    def test_feasibility(self, method):
+    def test_feasibility(self):
         rng = np.random.default_rng(23)
         for x in stiefel_points(8, 3, 100, seed=29):
             xi = random_tangent(x, rng, norm=rng.uniform(0.01, 2.0))
-            y = retract(x, xi, method)
+            y = retract(x, xi)
             assert manifold_defect(y) <= 1e-10
 
-    def test_polar_of_orthonormal_sum(self, rng):
-        # If x + xi already has orthonormal columns the polar factor is itself.
-        x = np.eye(4, 2)
-        xi = np.zeros((4, 2))
-        xi[2, 0] = 1.0
-        y = (x + xi) / np.linalg.norm((x + xi), axis=0)
-        np.testing.assert_allclose(retract(y, np.zeros_like(y), "polar"), y, atol=1e-12)
-
-    @pytest.mark.parametrize("method", ["qr", "polar"])
-    def test_second_order_error_ratio(self, method):
+    def test_second_order_error_ratio(self):
         # ||R_x(t xi) - (x + t xi)|| should scale like t^2: the error ratio
         # between t = 1e-2 and t = 1e-3 sits near 100.
         rng = np.random.default_rng(31)
         for x in stiefel_points(8, 3, 100, seed=37):
             xi = random_tangent(x, rng)
             errs = [
-                np.linalg.norm(retract(x, t * xi, method) - (x + t * xi))
+                np.linalg.norm(retract(x, t * xi) - (x + t * xi))
                 for t in (1e-2, 1e-3)
             ]
             slope = np.log10(errs[0] / errs[1])
@@ -215,15 +195,14 @@ class TestRetract:
     def test_rank_deficient_raises(self, rng):
         x = random_stiefel(5, 2, rng)
         with pytest.raises(RetractionError, match="argument is numerically rank-deficient"):
-            retract(x, -x, "qr")
+            retract(x, -x)
 
-    @pytest.mark.parametrize("method", ["qr", "polar"])
     @pytest.mark.parametrize("shape", [(16, 10, 5), (4, 784, 5)])
-    def test_stack_matches_per_slice_bitwise(self, rng, method, shape):
+    def test_stack_matches_per_slice_bitwise(self, rng, shape):
         x = rng.standard_normal(shape)
         xi = 0.1 * rng.standard_normal(shape)
-        stacked = retract(x, xi, method)
-        per_slice = np.stack([retract(a, b, method) for a, b in zip(x, xi)])
+        stacked = retract(x, xi)
+        per_slice = np.stack([retract(a, b) for a, b in zip(x, xi)])
         assert stacked.tobytes() == per_slice.tobytes()
 
     def test_rank_deficient_slice_named(self, rng):
@@ -231,17 +210,12 @@ class TestRetract:
         xi = np.zeros_like(x)
         xi[4] = -x[4]
         with pytest.raises(RetractionError, match="slice 4 "):
-            retract(x, xi, "qr")
+            retract(x, xi)
 
     def test_nan_slice_flows_through(self, rng):
         x = np.stack([random_stiefel(5, 2, rng) for _ in range(3)])
         xi = np.zeros_like(x)
         xi[1] = np.nan
-        y = retract(x, xi, "qr")
+        y = retract(x, xi)
         assert np.isnan(y[1]).all()
-        np.testing.assert_array_equal(y[[0, 2]], retract(x[[0, 2]], xi[[0, 2]], "qr"))
-
-    def test_unknown_method(self, rng):
-        x = random_stiefel(5, 2, rng)
-        with pytest.raises(ValueError):
-            retract(x, np.zeros_like(x), "cayley")
+        np.testing.assert_array_equal(y[[0, 2]], retract(x[[0, 2]], xi[[0, 2]]))
