@@ -17,19 +17,24 @@ malformed IDX file), reported as one ``error:`` line with nothing written
 for the failing run; 3 for divergence (the partial trace is still written,
 and one line names the epoch, the first agent that tripped, and the check:
 non-finite entries, or norm > 1e3 sqrt(r)).
+
+A warning of the package's own (a degenerate spectral gap, uniform mixing
+weights) is printed as one ``warning:`` line on stderr, and the run goes on.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, algo_config, build_problem, build_topology, parse_config, with_value
 from .engine import ALGO_QRGT, TERMINATION_DIVERGED, RunTrace, StepSizeError, run
-from .network import GraphError
-from .problems import IdxFormatError
+from .network import GraphError, UniformMixingWarning
+from .problems import DegenerateGapWarning, IdxFormatError
 
 CSV_HEADER = "epoch,consensus_error,grad_norm,f_gap,ds,dist_mean,wall_ms,wire_bits_cum"
 
@@ -149,6 +154,21 @@ def _overrides(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list[str] | None = None) -> int:
+    with warnings.catch_warnings():
+        warnings.showwarning = partial(_show_warning, warnings.showwarning)
+        return _main(argv)
+
+
+def _show_warning(default, message, category, filename, lineno, file=None, line=None) -> None:
+    """One ``warning: <message>`` line on stderr for the package's warnings;
+    any other warning is shown by ``default``."""
+    if issubclass(category, (DegenerateGapWarning, UniformMixingWarning)):
+        print(f"warning: {message}", file=sys.stderr)
+    else:
+        default(message, category, filename, lineno, file, line)
+
+
+def _main(argv: list[str] | None) -> int:
     parser = argparse.ArgumentParser(
         prog="qrgt",
         description="Decentralized eigenvector computation with quantized gradient tracking",

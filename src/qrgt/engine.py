@@ -47,7 +47,7 @@ from functools import partial
 import numpy as np
 
 from . import workers
-from .metrics import consensus_error, evaluate
+from .metrics import _mean, _norm, consensus_error, evaluate
 from .network import MixingMatrix, Topology, build_metropolis, mix
 from .problems import ProblemInstance, estimate_smoothness
 from .quantizers import QuantizerSpec, dither_noise, snap, wire_size_bits
@@ -143,10 +143,13 @@ class TraceRow:
 class RunDiagnostics:
     """Per-epoch internals kept out of the CSV: used by invariant tests.
 
-    Entry 0 describes the initial state, so each list holds one more entry
-    than the trace has rows. ``tracker_residual`` is
-    ||mean(s) - mean(g)|| / max(1, ||mean(g)||), and ``max_dist`` (only
-    when requested) the largest per-agent distance to the manifold.
+    Entry 0 describes the initial state, so a filled list holds one more
+    entry than the trace has rows. Every run fills ``tracker_residual``,
+    ||mean(s) - mean(g)|| / max(1, ||mean(g)||). Only a run with
+    ``diagnostics`` set fills the other three, which stay empty otherwise:
+    ``x_consensus_sq`` and ``s_consensus_sq``, the squared Frobenius
+    deviations of ``x`` and ``s`` from their agent means, and ``max_dist``,
+    the largest per-agent distance to the manifold.
     """
 
     tracker_residual: list[float] = field(default_factory=list)
@@ -216,9 +219,19 @@ class _Engine:
             else None
         )
 
+    @property
+    def step(self):
+        """The epoch of the configured algorithm, ``qrgt_step`` or
+        ``rgt_step``; ``run`` looks it up once. A property, not an attribute
+        set in ``__init__``: a bound method stored on the engine would make a
+        reference cycle that keeps a finished run's instance alive until the
+        garbage collector runs."""
+        return self.qrgt_step if self.cfg.algorithm == ALGO_QRGT else self.rgt_step
+
     def local_grads(self, X: np.ndarray) -> np.ndarray:
         if self._chunks is None:
-            return -np.matmul(self.inst.grams, X)
+            out = np.matmul(self.inst.grams, X)
+            return np.negative(out, out=out)
         out = np.empty(X.shape)
         # One (r, d) buffer per chunk, allocated here on the calling thread.
         workers.run_chunks(
@@ -262,17 +275,16 @@ class _Engine:
         return TrackingState(Xn, Sn, Gn)
 
     def rgt_step(self, st: TrackingState) -> TrackingState:
-        direction = mix(self.mixing, st.x) - st.x - self.cfg.alpha * st.s
+        direction = mix(self.mixing, st.x)
+        direction -= st.x
+        direction -= self.cfg.alpha * st.s
         Xi = tangent_project(st.x, direction)
         Xn = retract(st.x, Xi)
         Gn = tangent_project(Xn, self.local_grads(Xn))
-        Sn = mix(self.mixing, st.s) + Gn - st.g
+        Sn = mix(self.mixing, st.s)
+        Sn += Gn
+        Sn -= st.g
         return TrackingState(Xn, Sn, Gn)
-
-    def step(self, st: TrackingState) -> TrackingState:
-        if self.cfg.algorithm == ALGO_QRGT:
-            return self.qrgt_step(st)
-        return self.rgt_step(st)
 
 
 def _diverged(X: np.ndarray, r: int) -> str | None:
@@ -282,7 +294,7 @@ def _diverged(X: np.ndarray, r: int) -> str | None:
     One pass of per-agent squared norms decides; a NaN or infinite entry
     makes its agent's norm NaN or infinite, which fails the comparison.
     """
-    bound = 1e3 * np.sqrt(r)
+    bound = 1e3 * math.sqrt(r)
     norms = np.sqrt(np.einsum("ijk,ijk->i", X, X))
     within = norms <= bound
     if within.all():
@@ -297,14 +309,16 @@ def run(
     inst: ProblemInstance,
     topology: Topology,
     cfg: AlgoConfig,
-    full_diagnostics: bool = False,
+    diagnostics: bool = False,
 ) -> RunTrace:
     """Execute epochs until max_epochs, the early-stop threshold, or divergence.
 
-    Emits one trace row per completed epoch. ``full_diagnostics`` additionally
-    records every agent's distance to the manifold each epoch (one small SVD
-    per agent per epoch). With ``cfg.enforce_safety``, a step above
-    ``safety_step_bound`` raises ``StepSizeError`` before the first epoch.
+    Emits one trace row per completed epoch, and fills
+    ``RunDiagnostics.tracker_residual`` every epoch. ``diagnostics``
+    additionally fills ``x_consensus_sq``, ``s_consensus_sq`` and
+    ``max_dist`` (one small SVD per agent per epoch); no row depends on it.
+    With ``cfg.enforce_safety``, a step above ``safety_step_bound`` raises
+    ``StepSizeError`` before the first epoch.
     """
     mixing = build_metropolis(topology, cfg.t)
     if cfg.enforce_safety:
@@ -321,25 +335,29 @@ def run(
     termination = TERMINATION_MAX_EPOCHS
     divergence = None
 
-    def record_diag(st: TrackingState, x_consensus_sq):
-        sbar = st.s.mean(axis=0)
-        gbar = st.g.mean(axis=0)
-        diag.tracker_residual.append(
-            float(np.linalg.norm(sbar - gbar)) / max(1.0, float(np.linalg.norm(gbar)))
-        )
-        s_dev = st.s - sbar
-        diag.x_consensus_sq.append(x_consensus_sq)
-        diag.s_consensus_sq.append(float(np.vdot(s_dev, s_dev)))
-        if full_diagnostics:
+    def record_diag(st: TrackingState, x_consensus: float | None) -> None:
+        sbar = _mean(st.s)
+        gbar = _mean(st.g)
+        if diagnostics:
+            if x_consensus is None:
+                x_consensus = consensus_error(st.x)
+            s_dev = st.s - sbar
+            diag.x_consensus_sq.append(x_consensus**2)
+            diag.s_consensus_sq.append(float(np.vdot(s_dev, s_dev)))
             diag.max_dist.append(float(distance_to_manifold(st.x).max()))
+        gbar_norm = _norm(gbar)
+        sbar -= gbar
+        diag.tracker_residual.append(_norm(sbar) / max(1.0, gbar_norm))
 
     state = eng.initial_state()
-    record_diag(state, consensus_error(state.x) ** 2)  # epoch-0 entry
+    record_diag(state, None)  # epoch-0 entry
     wire_cum = wire_per_epoch  # the initial gradient exchange is epoch 0's payload
+    step = eng.step
+    clock = time.perf_counter
     for epoch in range(1, cfg.max_epochs + 1):
-        tic = time.perf_counter()
-        state = eng.step(state)
-        wall_ms = (time.perf_counter() - tic) * 1e3
+        tic = clock()
+        state = step(state)
+        wall_ms = (clock() - tic) * 1e3
         why = _diverged(state.x, r)
         if why is not None:
             termination = TERMINATION_DIVERGED
@@ -359,7 +377,7 @@ def run(
                 wire_bits_cum=wire_cum,
             )
         )
-        record_diag(state, row.consensus_error**2)
+        record_diag(state, row.consensus_error)
         if row.ds <= cfg.ds_tolerance:
             termination = TERMINATION_DS
             break

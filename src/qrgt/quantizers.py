@@ -75,7 +75,9 @@ def scale_factor(g: np.ndarray) -> float | np.ndarray:
     g = np.asarray(g, dtype=float)
     if g.ndim <= 2:
         return float(2.0 * np.max(np.abs(g)))
-    return 2.0 * np.abs(g).reshape(g.shape[:-2] + (-1,)).max(axis=-1)
+    gamma = np.maximum.reduce(np.abs(g).reshape(g.shape[:-2] + (-1,)), axis=-1)
+    gamma *= 2.0
+    return gamma
 
 
 def dequantize(codes: np.ndarray, scale: float | np.ndarray, bits: int) -> np.ndarray:
@@ -83,6 +85,10 @@ def dequantize(codes: np.ndarray, scale: float | np.ndarray, bits: int) -> np.nd
     ``scale`` broadcasts against ``codes``."""
     levels = (1 << bits) - 1
     return scale * (np.asarray(codes, dtype=float) / levels - 0.5)
+
+
+# The largest double whose sigmoid direction bit is 0: see ``snap``.
+_DIRECTION_THRESHOLD = 2.0**-52
 
 
 def _nonzero_scale(gamma: float | np.ndarray, ndim: int) -> np.ndarray:
@@ -104,28 +110,39 @@ def snap(
     normalized units, as drawn by ``dither_noise``; zeros for the undithered
     snap), is floored onto the grid and raised one step where the direction
     bit of ``pgrad`` is set.
+
+    The direction bit is rint(sigmoid(pgrad)), which in exact arithmetic is
+    ``pgrad > 0``. In floats the sigmoid, written (1 + tanh(pgrad/2)) / 2,
+    rounds to exactly 1/2 for every pgrad up to 2^-52, and rint ties 1/2 to
+    0; the bit is therefore taken as ``pgrad > 2^-52``, equal to the
+    sigmoid form on every double (pinned by the tests). So pgrad = 0 gives
+    0 and the snap is a pure floor on the manifold. A NaN pgrad gives bit 0
+    (the sigmoid form gave a NaN value); a run never reaches that, since an
+    iterate whose penalty gradient is not finite fails the divergence check
+    in the same epoch.
     """
     g = np.asarray(g, dtype=float)
     pgrad = np.asarray(pgrad, dtype=float)
     if g.shape != pgrad.shape:
         raise ValueError(f"shape mismatch: g is {g.shape}, pgrad is {pgrad.shape}")
     gamma = scale_factor(g)
-    safe = _nonzero_scale(gamma, g.ndim)  # a zero slice is divided by 1, then zeroed
+    has_zero = not gamma.all() if g.ndim > 2 else gamma == 0.0
+    if has_zero:  # a zero slice is divided by 1, then zeroed
+        safe = _nonzero_scale(gamma, g.ndim)
+    else:
+        safe = gamma[..., None, None] if g.ndim > 2 else gamma
+    levels = spec.levels
     idx = g / safe
     idx += 0.5
     idx += noise
-    idx *= spec.levels
+    idx *= levels
     np.floor(idx, out=idx)
-    # The direction bit is rint(sigmoid(pgrad)), the sigmoid written as
-    # (1 + tanh(z/2)) / 2 to avoid overflow; rint ties to even, so
-    # pgrad = 0 gives 0 and the snap is a pure floor on the manifold.
-    idx += np.rint(0.5 * (1.0 + np.tanh(0.5 * pgrad)))
-    idx /= spec.levels
+    np.add(idx, pgrad > _DIRECTION_THRESHOLD, out=idx)
+    idx /= levels
     idx -= 0.5
     idx *= safe
-    zero = np.equal(gamma, 0.0)
-    if zero.any():
-        idx[zero] = 0.0
+    if has_zero:
+        idx[np.equal(gamma, 0.0)] = 0.0
     return idx, gamma
 
 

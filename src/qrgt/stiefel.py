@@ -14,6 +14,7 @@ variables is processed in one call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -74,10 +75,24 @@ def _check_matrix(x: np.ndarray, name: str) -> np.ndarray:
     return x
 
 
-def _gram_defect(x: np.ndarray) -> np.ndarray:
-    """x^T x - I, batched over leading dimensions."""
-    xt = np.swapaxes(x, -1, -2)
-    return xt @ x - np.eye(x.shape[-1])
+@cache
+def _eye(r: int) -> np.ndarray:
+    """The r x r identity, made once per r and read-only."""
+    eye = np.eye(r)
+    eye.flags.writeable = False
+    return eye
+
+
+def _tangent_project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``tangent_project`` without the argument checks.
+
+    Takes the one product M = x^T y and uses M + M^T for x^T y + y^T x;
+    y^T x came out bit-equal to M^T on OpenBLAS, which the tests check.
+    """
+    m = x.swapaxes(-1, -2) @ y
+    out = x @ (m + m.swapaxes(-1, -2))
+    out *= 0.5
+    return np.subtract(y, out, out=out)
 
 
 def tangent_project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -90,10 +105,14 @@ def tangent_project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     y = _check_matrix(y, "y")
     if x.shape[-2:] != y.shape[-2:]:
         raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
-    xt = np.swapaxes(x, -1, -2)
-    yt = np.swapaxes(y, -1, -2)
-    sym = xt @ y + yt @ x
-    return y - 0.5 * (x @ sym)
+    return _tangent_project(x, y)
+
+
+def _distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
+    """``distance_to_manifold`` without the argument check."""
+    sv = np.linalg.svd(x, compute_uv=False)
+    sv -= 1.0
+    return np.sqrt(np.add.reduce(sv * sv, axis=-1))
 
 
 def distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
@@ -103,14 +122,17 @@ def distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
     nearest manifold point is the polar factor (not unique when x is
     rank-deficient, though the distance is).
     """
-    sv = np.linalg.svd(_check_matrix(x, "x"), compute_uv=False)
-    return np.sqrt(((sv - 1.0) ** 2).sum(axis=-1))
+    return _distance_to_manifold(_check_matrix(x, "x"))
 
 
 def penalty_grad(x: np.ndarray) -> np.ndarray:
     """Gradient of the orthogonality penalty: 4 x (x^T x - I_r)."""
     x = _check_matrix(x, "x")
-    return 4.0 * (x @ _gram_defect(x))
+    defect = x.swapaxes(-1, -2) @ x
+    defect -= _eye(x.shape[-1])
+    out = x @ defect
+    out *= 4.0
+    return out
 
 
 def _qr_positive(a: np.ndarray) -> np.ndarray:

@@ -426,6 +426,17 @@ class TestMain:
         assert ("quantized payload" in summary[0]) is payload
         assert summary[0].endswith(f" -> {out}")
 
+    @pytest.mark.parametrize("flags", [["--n", "2"], ["--topology", "complete"]])
+    def test_package_warning_is_one_line(self, tmp_path, capsys, flags):
+        out = tmp_path / "w.csv"
+        code = main(["run", "--preset", "synthetic", *flags, "--max-epochs", "20", "--out", str(out)])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "warning: sigma_2 = 0 (uniform weights): consensus is exact in one step"
+        ]
+        assert captured.out.startswith("MaxEpochs after 20 epochs: ")
+
     def test_sweep_bad_value_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "b.csv"
         code = main(

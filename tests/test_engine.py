@@ -1,10 +1,12 @@
 import dataclasses
+import gc
 import multiprocessing
 import os
 import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +43,7 @@ from qrgt.network import MixingMatrix
 from qrgt.quantizers import dither_noise
 from qrgt.streams import STREAM_DITHER, stream_rng
 
-from reference import fill_from, local_grad, manifold_defect, wide_instance
+from reference import fill_from, local_grad, manifold_defect, reference_run, wide_instance
 
 
 def small_instance(seed=0, n=4, leading_sv=2.0):
@@ -719,10 +721,11 @@ class TestRun:
         for t in (1, 2):
             inst = small_instance(seed=6)
             cfg = AlgoConfig(alpha=1e-2, t=t, bits=4, max_epochs=150, seed=13)
-            trace = run(inst, Topology.ring(4), cfg)
+            trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
             sig = trace.sigma2**t
             xs = trace.diagnostics.x_consensus_sq
             ss = trace.diagnostics.s_consensus_sq
+            assert len(xs) == len(ss) == len(trace.rows) + 1 == 151
             for k in range(1, len(xs)):
                 bound = (
                     0.5 * (1 + sig) * sig * xs[k - 1]
@@ -730,12 +733,31 @@ class TestRun:
                 )
                 assert xs[k] <= bound + 1e-8
 
-    def test_full_diagnostics_max_dist(self):
+    def test_finished_run_frees_its_instance(self):
+        # No reference cycle holds the engine, so the instance goes with the
+        # last reference to it, without waiting for the garbage collector (on
+        # the MNIST shape a second instance is 80 MB of Grams).
+        inst = small_instance()
+        ref = weakref.ref(inst)
+        gc.disable()
+        try:
+            for algorithm in ("qrgt", "rgt"):
+                run(inst, Topology.ring(4), AlgoConfig(alpha=1e-3, max_epochs=2, seed=0, algorithm=algorithm))
+            del inst
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_diagnostics_switch(self):
         inst = small_instance()
         cfg = AlgoConfig(alpha=1e-3, max_epochs=5, seed=0)
-        trace = run(inst, Topology.ring(4), cfg, full_diagnostics=True)
-        assert len(trace.diagnostics.max_dist) == len(trace.rows) + 1
-        assert all(np.isfinite(v) for v in trace.diagnostics.max_dist)
+        full = run(inst, Topology.ring(4), cfg, diagnostics=True).diagnostics
+        for name in ("tracker_residual", "x_consensus_sq", "s_consensus_sq", "max_dist"):
+            values = getattr(full, name)
+            assert len(values) == 6 and all(np.isfinite(v) for v in values)
+        lean = run(inst, Topology.ring(4), cfg).diagnostics
+        assert lean.tracker_residual == full.tracker_residual
+        assert lean.x_consensus_sq == lean.s_consensus_sq == lean.max_dist == []
 
     def test_distances_are_distance_to_manifold(self, monkeypatch):
         # dist_mean and max_dist are distance_to_manifold bit for bit, and
@@ -750,7 +772,7 @@ class TestRun:
         monkeypatch.setattr(engine, "evaluate", recording)
         inst = small_instance(seed=2)
         cfg = AlgoConfig(alpha=5e-2, bits=3, max_epochs=6, seed=4)
-        trace = run(inst, Topology.ring(4), cfg, full_diagnostics=True)
+        trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
         assert len(trace.rows) == len(seen) == 6
         x0 = start(inst, cfg).x
         for X, row, max_dist in zip([x0, *seen], [None, *trace.rows], trace.diagnostics.max_dist):
@@ -763,3 +785,60 @@ class TestRun:
                 assert row.dist_mean == float(distance_to_manifold(xbar))
                 assert row.dist_mean == float(np.sqrt(np.sum((sv - 1.0) ** 2)))
                 assert row.dist_mean > 0.0
+
+
+class TestReferenceRun:
+    """run() gives the bits of reference.reference_run, the epoch arithmetic
+    written out with numpy's wrapped calls, two products in the tangent
+    projection and the tanh direction bit: every row field but the timing
+    wall_ms, the stop reason, and every diagnostic list."""
+
+    @staticmethod
+    def bits(values):
+        return np.array(values, dtype=float).tobytes()
+
+    def check(self, inst, topology, cfg):
+        rows, termination, diag = reference_run(inst, topology, cfg)
+        full = run(inst, topology, cfg, diagnostics=True)
+        lean = run(inst, topology, cfg)
+        for trace in (full, lean):
+            assert trace.termination == termination
+            got = [
+                (r.epoch, r.consensus_error, r.grad_norm, r.f_gap, r.ds, r.dist_mean, r.wire_bits_cum)
+                for r in trace.rows
+            ]
+            assert [(row[0], row[-1]) for row in got] == [(row[0], row[-1]) for row in rows]
+            assert self.bits([row[1:-1] for row in got]) == self.bits([row[1:-1] for row in rows])
+            assert self.bits(trace.diagnostics.tracker_residual) == self.bits(diag["tracker_residual"])
+        for name, values in diag.items():
+            assert len(values) == len(rows) + 1
+            assert self.bits(getattr(full.diagnostics, name)) == self.bits(values), name
+        assert lean.diagnostics.x_consensus_sq == lean.diagnostics.s_consensus_sq == lean.diagnostics.max_dist == []
+        return rows, termination
+
+    @staticmethod
+    def preset(**overrides):
+        cfg = parse_config(preset="synthetic", overrides=overrides)
+        inst = build_problem(cfg)
+        return inst, build_topology(cfg), algo_config(cfg, inst)
+
+    @pytest.mark.parametrize("bits", [2, 8])
+    def test_preset_qrgt(self, bits):
+        rows, termination = self.check(*self.preset(bits=bits, max_epochs=2000))
+        assert len(rows) == 2000 and termination == TERMINATION_MAX_EPOCHS
+
+    def test_preset_rgt_to_its_stop(self):
+        inst, topology, algo = self.preset(algorithm="rgt")
+        rows, termination = self.check(inst, topology, algo)
+        assert termination == TERMINATION_DS and rows[-1][4] <= algo.ds_tolerance
+        assert len(rows) < algo.max_epochs
+
+    @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
+    def test_wide_instance_split(self, split_forced, algorithm):
+        # d = 784: the transposed products of local_grads and evaluate.
+        inst = wide_instance()
+        cfg = AlgoConfig(alpha=1e-4, bits=8, algorithm=algorithm, max_epochs=3, seed=1)
+        assert _Engine(inst, build_metropolis(Topology.ring(4), 1), cfg)._chunks == [(0, 2), (2, 4)]
+        rows, _ = self.check(inst, Topology.ring(4), cfg)
+        assert len(rows) == 3
+

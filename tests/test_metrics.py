@@ -142,14 +142,14 @@ class TestEvaluateProduct:
     def test_gram_product_bit_equal(self, inst, monkeypatch, threshold):
         monkeypatch.setattr(workers, "SPLIT_GRAM_BYTES", threshold)
         seen = []
-        project = metrics.tangent_project
+        project = metrics._tangent_project
 
         def recording(x, y):
             assert y.flags.c_contiguous  # the layout the plain product has
             seen.append(y.copy())
             return project(x, y)
 
-        monkeypatch.setattr(metrics, "tangent_project", recording)
+        monkeypatch.setattr(metrics, "_tangent_project", recording)
         rng = np.random.default_rng(7)
         n, d, r = inst.n_agents, inst.dims.d, inst.dims.r
         for k in range(10):

@@ -89,6 +89,54 @@ class TestLanding:
             snap(np.ones((2, 2)), np.ones((3, 2)), QuantizerSpec(4), np.zeros((2, 2)))
 
 
+class TestDirectionBit:
+    """snap's direction bit, pgrad > 2^-52, against the sigmoid form
+    rint((1 + tanh(pgrad / 2)) / 2) that it replaced, on the doubles where
+    the two could part: the threshold and the 8 doubles on each side of it,
+    signed zeros, subnormals, huge values and infinities."""
+
+    THRESHOLD = 2.0**-52
+
+    @staticmethod
+    def sigmoid_bit(p):
+        return np.rint(0.5 * (1.0 + np.tanh(0.5 * p)))
+
+    @classmethod
+    def probes(cls):
+        below = [cls.THRESHOLD]
+        above = [cls.THRESHOLD]
+        for _ in range(8):
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        tiny = np.finfo(float).tiny
+        edges = [0.0, -0.0, 5e-324, -5e-324, tiny / 2, -tiny / 2, 1e300, -1e300, np.inf, -np.inf]
+        return np.array(below + above[1:] + edges)
+
+    def test_forms_agree(self):
+        p = self.probes()
+        assert p.size == 27
+        np.testing.assert_array_equal(p > self.THRESHOLD, self.sigmoid_bit(p))
+        # the sigmoid form turns from 0 to 1 between the threshold and the next double
+        assert self.sigmoid_bit(self.THRESHOLD) == 0.0
+        assert self.sigmoid_bit(np.nextafter(self.THRESHOLD, np.inf)) == 1.0
+
+    def test_snap_raises_by_the_sigmoid_bit(self):
+        p = self.probes()[:, None]
+        g = np.random.default_rng(4).uniform(-1, 1, size=p.shape)
+        spec = QuantizerSpec(6)
+        values, scale = snap(g, p, spec, np.zeros_like(g))
+        floor_only, _ = snap(g, np.full_like(g, -1.0), spec, np.zeros_like(g))
+        np.testing.assert_array_equal(np.rint((values - floor_only) / (scale / spec.levels)), self.sigmoid_bit(p))
+
+    def test_nan_pgrad_gives_bit_zero(self):
+        # The sigmoid form gave a NaN value here.
+        g = np.array([[0.3, -0.2], [0.1, 0.05]])
+        spec = QuantizerSpec(4)
+        values, scale = snap(g, np.array([[np.nan, -1.0], [1.0, np.nan]]), spec, np.zeros_like(g))
+        floor_only, _ = snap(g, np.full_like(g, -1.0), spec, np.zeros_like(g))
+        np.testing.assert_array_equal(np.rint((values - floor_only) / (scale / spec.levels)), [[0, 0], [1, 0]])
+
+
 def exact_dithered_floor_expectation(g, pgrad, gamma, bits):
     """Independent oracle: exact integral of the dithered-floor quantizer.
 
