@@ -10,13 +10,14 @@ a later value stops with exit 2 the index of the values already run is still
 written.
 
 Exit codes: 0 for a completed run (early stop or epoch cap); 2 for a
-configuration error, including a step size over the safety bound with
-``enforce_safety`` set, or for unusable input (an edge file that is
-malformed or disconnected, an Erdos-Renyi draw that never connects, a
-malformed IDX file), reported as one ``error:`` line with nothing written
+configuration error (an unknown key, a value out of range, such as a
+``leading_sv`` whose square overflows) or for unusable input (an edge file
+that is malformed or disconnected, an Erdos-Renyi draw that never connects,
+a malformed IDX file), reported as one ``error:`` line with nothing written
 for the failing run; 3 for divergence (the partial trace is still written,
 and one line names the epoch, the first agent that tripped, and the check:
-non-finite entries, or norm > 1e3 sqrt(r)).
+non-finite entries, or norm > 1e3 sqrt(r)). A diverging run reports that
+line alone: the CLI runs with numpy's floating-point warnings off.
 
 A warning of the package's own (a degenerate spectral gap, uniform mixing
 weights) is printed as one ``warning:`` line on stderr, and the run goes on.
@@ -31,8 +32,10 @@ from dataclasses import fields
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, algo_config, build_problem, build_topology, parse_config, with_value
-from .engine import ALGO_QRGT, TERMINATION_DIVERGED, RunTrace, StepSizeError, run
+from .engine import ALGO_QRGT, TERMINATION_DIVERGED, RunTrace, run
 from .network import GraphError, UniformMixingWarning
 from .problems import DegenerateGapWarning, IdxFormatError
 
@@ -88,9 +91,9 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
     """Run cfg once per value of ``key``; write per-value traces and an index.
 
     Every value is resolved before the first run, so a bad value, or no
-    value at all, writes nothing. An unsafe step or unusable input met by a
-    later value (``StepSizeError``, ``GraphError``, ``IdxFormatError``)
-    still leaves the index of the values already run, then propagates.
+    value at all, writes nothing. Unusable input met by a later value
+    (``GraphError``, ``IdxFormatError``) still leaves the index of the
+    values already run, then propagates.
     """
     if key not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
@@ -113,7 +116,7 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
             if trace.rows:
                 ds, consensus = trace.final.ds, trace.final.consensus_error
             index_lines.append(f"{raw},{ds!r},{consensus!r},{trace.termination}")
-    except (StepSizeError, GraphError, IdxFormatError):
+    except (GraphError, IdxFormatError):
         if len(index_lines) > 1:
             _write_index(out, index_lines)
         raise
@@ -146,15 +149,15 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _overrides(args: argparse.Namespace) -> dict:
-    keys = [
-        "bits", "algorithm", "topology", "n", "t", "alpha_hat", "seed",
-        "max_epochs", "ds_tol", "out", "mnist_path", "timing",
-    ]
-    return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+    """The flags given whose names are RunConfig fields."""
+    names = {f.name for f in fields(RunConfig)}
+    return {k: v for k, v in vars(args).items() if k in names and v is not None}
 
 
 def main(argv: list[str] | None = None) -> int:
-    with warnings.catch_warnings():
+    # numpy's floating-point warnings off: a diverging run is reported by the
+    # divergence check's one line, not by the overflows that led to it.
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.showwarning = partial(_show_warning, warnings.showwarning)
         return _main(argv)
 
@@ -182,12 +185,12 @@ def _main(argv: list[str] | None) -> int:
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     args = parser.parse_args(argv)
     try:
-        cfg = parse_config(file=args.config, overrides=_overrides(args), preset=args.preset)
+        cfg = parse_config(file=args.config, overrides=_overrides(args))
         if args.command == "run":
             code, _ = execute(cfg)
             return code
         return sweep(cfg, args.key, [v for v in args.values.split(",") if v])
-    except (ConfigError, StepSizeError, GraphError, IdxFormatError, OSError) as exc:
+    except (ConfigError, GraphError, IdxFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

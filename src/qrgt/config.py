@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .engine import ALGO_QRGT, ALGO_RGT, AlgoConfig
 from .network import Topology
@@ -64,7 +65,6 @@ class RunConfig:
     max_epochs: int = 1000
     ds_tol: float = 1e-8
     seed: int = 0
-    enforce_safety: bool = False
     timing: bool = False
     out: str = "trace.csv"
     preset: str = ""
@@ -103,32 +103,27 @@ PRESETS: dict[str, dict] = {
     ),
 }
 
-_BOOL_KEYS = {"enforce_safety", "timing"}
-_INT_KEYS = {"n", "m", "d", "r", "bits", "t", "max_epochs", "seed"}
-_FLOAT_KEYS = {"eigengap", "leading_sv", "topology_p", "alpha_hat", "ds_tol"}
-_ALL_KEYS = {f.name for f in fields(RunConfig)}
+# Each key's type, read from its declaration in RunConfig.
+_KEY_TYPES: dict[str, type] = get_type_hints(RunConfig)
 
 
 def _coerce(key: str, raw: str):
+    kind = _KEY_TYPES[key]
     try:
-        if key in _BOOL_KEYS:
+        if kind is bool:
             lowered = raw.strip().lower()
             if lowered in ("true", "1", "yes", "on"):
                 return True
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(raw)
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-        return raw.strip()
+        return raw.strip() if kind is str else kind(raw)
     except ValueError:
         raise ConfigError(f"invalid value for key {key!r}: {raw!r}") from None
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    for key in sorted(_FLOAT_KEYS):
+    for key in sorted(k for k, kind in _KEY_TYPES.items() if kind is float):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key}: must be finite, got {getattr(cfg, key)}")
     if cfg.problem not in ("synthetic", "mnist"):
@@ -160,6 +155,8 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"{key}: must be >= 1, got {getattr(cfg, key)}")
     if cfg.leading_sv <= 0:
         raise ConfigError(f"leading_sv: must be positive, got {cfg.leading_sv}")
+    if not math.isfinite(cfg.leading_sv * cfg.leading_sv):  # the Grams scale with its square
+        raise ConfigError(f"leading_sv: its square must be a finite float64, got {cfg.leading_sv}")
     if cfg.problem == "synthetic" and cfg.r > cfg.d:
         raise ConfigError(f"r: must be at most d = {cfg.d}, got {cfg.r}")
     if cfg.problem == "synthetic" and cfg.n * cfg.m < cfg.d:
@@ -178,7 +175,7 @@ def _read_file_keys(path: str | Path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
         values[key] = _coerce(key, raw)
     return values
@@ -202,7 +199,7 @@ def parse_config(
         merged["preset"] = preset_name
     merged.update(file_keys)
     for key, value in (overrides or {}).items():
-        if key not in _ALL_KEYS:
+        if key not in _KEY_TYPES:
             raise ConfigError(f"unknown key {key!r}")
         if value is not None:
             merged[key] = value
@@ -259,13 +256,12 @@ def algo_config(cfg: RunConfig, inst: ProblemInstance) -> AlgoConfig:
         ds_tolerance=cfg.ds_tol,
         seed=cfg.seed,
         algorithm=cfg.algorithm,
-        enforce_safety=cfg.enforce_safety,
     )
 
 
 def with_value(cfg: RunConfig, key: str, value) -> RunConfig:
     """Copy of cfg with one key replaced (sweep support)."""
-    if key not in _ALL_KEYS:
+    if key not in _KEY_TYPES:
         raise ConfigError(f"unknown key {key!r}")
     if isinstance(value, str):
         value = _coerce(key, value)

@@ -49,7 +49,7 @@ import numpy as np
 from . import workers
 from .metrics import _mean, _norm, consensus_error, evaluate
 from .network import MixingMatrix, Topology, build_metropolis, mix
-from .problems import ProblemInstance, estimate_smoothness
+from .problems import ProblemInstance
 from .quantizers import QuantizerSpec, dither_noise, snap, wire_size_bits
 from .stiefel import (
     SmoothnessConstants,
@@ -79,16 +79,10 @@ __all__ = [
     "TraceRow",
     "RunDiagnostics",
     "RunTrace",
-    "StepSizeError",
     "step_size_bounds",
     "safety_step_bound",
     "run",
 ]
-
-
-class StepSizeError(ValueError):
-    """Configured step size exceeds the theoretical safety bound while
-    ``enforce_safety`` is set; raised before the first epoch."""
 
 
 @dataclass
@@ -102,7 +96,6 @@ class AlgoConfig:
     ds_tolerance: float = 0.0
     seed: int = 0
     algorithm: str = ALGO_QRGT
-    enforce_safety: bool = False
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
@@ -317,16 +310,8 @@ def run(
     ``RunDiagnostics.tracker_residual`` every epoch. ``diagnostics``
     additionally fills ``x_consensus_sq``, ``s_consensus_sq`` and
     ``max_dist`` (one small SVD per agent per epoch); no row depends on it.
-    With ``cfg.enforce_safety``, a step above ``safety_step_bound`` raises
-    ``StepSizeError`` before the first epoch.
     """
     mixing = build_metropolis(topology, cfg.t)
-    if cfg.enforce_safety:
-        bound = safety_step_bound(estimate_smoothness(inst), mixing.sigma2, inst.n_agents)
-        if cfg.alpha > bound:
-            raise StepSizeError(
-                f"enforce_safety: step size {cfg.alpha:.3g} exceeds the safety bound {bound:.3g}"
-            )
     eng = _Engine(inst, mixing, cfg)
     d, r = inst.dims.d, inst.dims.r
     wire_per_epoch = inst.n_agents * wire_size_bits(d * r, eng.qspec) if cfg.algorithm == ALGO_QRGT else 0

@@ -19,6 +19,7 @@ in one chunk on the calling thread.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from collections.abc import Callable
@@ -89,6 +90,8 @@ class SyntheticSpec:
             )
         if self.leading_sv <= 0:
             raise ValueError("leading_sv must be positive")
+        if not math.isfinite(self.leading_sv * self.leading_sv):
+            raise ValueError(f"leading_sv must have a finite square, got {self.leading_sv}")
         ManifoldDims(self.d, self.r)
 
 

@@ -20,12 +20,12 @@ below the bottom grid point) or overshoot it by one (a raised entry already
 at the top). Codes are therefore signed integers, and ``pack_codes`` refuses
 any message with a code outside [0, 2^N - 1].
 
-``scale_factor``, ``snap`` and ``encode`` accept a single matrix or a stack
-of shape ``(..., d, r)``. A stack gets one scale per trailing ``(d, r)``
-slice: a float for input of at most two dimensions, an array of shape
-``(...)`` otherwise. Slice by slice, a stacked call equals the per-matrix
-calls bit for bit. A zero slice has no grid and gives zero values and zero
-codes.
+``scale_factor``, ``snap`` and ``encode`` take a stack of shape
+``(..., d, r)`` and give it one scale per trailing ``(d, r)`` slice, an
+array of shape ``(...)``. A single matrix is a stack with no leading axes;
+its scale is an ``np.float64``. Slice by slice, a stacked call equals the
+per-matrix calls bit for bit. A zero slice has no grid and gives zero values
+and zero codes.
 """
 
 from __future__ import annotations
@@ -71,10 +71,8 @@ class QuantizerSpec:
 
 def scale_factor(g: np.ndarray) -> float | np.ndarray:
     """Normalization scale 2 * max|g| per trailing (d, r) slice; 0 for a
-    zero slice. A float for input of at most two dimensions."""
+    zero slice."""
     g = np.asarray(g, dtype=float)
-    if g.ndim <= 2:
-        return float(2.0 * np.max(np.abs(g)))
     gamma = np.maximum.reduce(np.abs(g).reshape(g.shape[:-2] + (-1,)), axis=-1)
     gamma *= 2.0
     return gamma
@@ -91,10 +89,9 @@ def dequantize(codes: np.ndarray, scale: float | np.ndarray, bits: int) -> np.nd
 _DIRECTION_THRESHOLD = 2.0**-52
 
 
-def _nonzero_scale(gamma: float | np.ndarray, ndim: int) -> np.ndarray:
+def _nonzero_scale(gamma: float | np.ndarray) -> np.ndarray:
     """``gamma`` with zeros replaced by 1, shaped to broadcast over (d, r) slices."""
-    safe = np.where(gamma == 0.0, 1.0, gamma)
-    return safe[..., None, None] if ndim > 2 else safe
+    return np.where(gamma == 0.0, 1.0, gamma)[..., None, None]
 
 
 def snap(
@@ -126,11 +123,9 @@ def snap(
     if g.shape != pgrad.shape:
         raise ValueError(f"shape mismatch: g is {g.shape}, pgrad is {pgrad.shape}")
     gamma = scale_factor(g)
-    has_zero = not gamma.all() if g.ndim > 2 else gamma == 0.0
-    if has_zero:  # a zero slice is divided by 1, then zeroed
-        safe = _nonzero_scale(gamma, g.ndim)
-    else:
-        safe = gamma[..., None, None] if g.ndim > 2 else gamma
+    has_zero = not gamma.all()
+    # a zero slice is divided by 1, then zeroed
+    safe = _nonzero_scale(gamma) if has_zero else gamma[..., None, None]
     levels = spec.levels
     idx = g / safe
     idx += 0.5
@@ -160,7 +155,7 @@ def encode(values: np.ndarray, scales: float | np.ndarray, spec: QuantizerSpec) 
     before the rint is below 1e-5 for every N <= 32 and every normal, finite
     scale, so the indices are exact. A zero slice gets zero codes.
     """
-    codes = np.rint((values / _nonzero_scale(scales, values.ndim) + 0.5) * spec.levels).astype(np.int64)
+    codes = np.rint((values / _nonzero_scale(scales) + 0.5) * spec.levels).astype(np.int64)
     zero = np.equal(scales, 0.0)
     if zero.any():
         codes[zero] = 0

@@ -1,9 +1,15 @@
+import dataclasses
+import os
 import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qrgt import cli
 from qrgt.cli import CSV_HEADER, execute, main, sweep, write_trace_csv
 from qrgt.config import (
     ConfigError,
@@ -72,7 +78,11 @@ class TestParseConfig:
         assert cfg.seed == 7
         assert cfg.alpha_hat == 0.5
 
-    @pytest.mark.parametrize("line", ["bitz = 4", "retraction = qr"], ids=["bitz", "retraction"])
+    @pytest.mark.parametrize(
+        "line",
+        ["bitz = 4", "retraction = qr", "enforce_safety = true"],
+        ids=["bitz", "retraction", "enforce_safety"],
+    )
     def test_unknown_file_key(self, tmp_path, line):
         path = tmp_path / "run.cfg"
         path.write_text(line + "\n")
@@ -119,12 +129,18 @@ class TestParseConfig:
 
     def test_bool_coercion(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("enforce_safety = yes\ntiming = on\n")
-        cfg = parse_config(file=path)
-        assert cfg.enforce_safety is True and cfg.timing is True
-        path.write_text("enforce_safety = false\ntiming = 0\n")
-        cfg = parse_config(file=path)
-        assert cfg.enforce_safety is False and cfg.timing is False
+        for raw, value in [("yes", True), ("on", True), ("false", False), ("0", False)]:
+            path.write_text(f"timing = {raw}\n")
+            assert parse_config(file=path).timing is value
+
+    def test_every_default_round_trips_through_a_file(self, tmp_path):
+        # each key is coerced by the type RunConfig declares for it
+        path = tmp_path / "defaults.cfg"
+        defaults = RunConfig()
+        path.write_text(
+            "".join(f"{f.name} = {getattr(defaults, f.name)}\n" for f in dataclasses.fields(RunConfig))
+        )
+        assert parse_config(file=path) == defaults
 
 
 class TestBuilders:
@@ -324,19 +340,46 @@ class TestMain:
         assert not out.exists()
         assert "bits" in capsys.readouterr().err
 
-    def test_unsafe_step_refused_exit_2_no_csv(self, tmp_path, capsys):
-        path = tmp_path / "unsafe.cfg"
-        path.write_text(
-            "problem = synthetic\nn = 4\nm = 20\nd = 6\nr = 2\neigengap = 0.6\n"
-            "alpha_hat = 1000\nmax_epochs = 2\nenforce_safety = true\n"
+    @pytest.mark.parametrize(
+        "flags, key, value",
+        [
+            pytest.param(["--bits", "4"], "bits", 4, id="bits"),
+            pytest.param(["--algo", "rgt"], "algorithm", "rgt", id="algo"),
+            pytest.param(["--topology", "complete"], "topology", "complete", id="topology"),
+            pytest.param(["--n", "6"], "n", 6, id="n"),
+            pytest.param(["--t", "2"], "t", 2, id="t"),
+            pytest.param(["--alpha-hat", "0.5"], "alpha_hat", 0.5, id="alpha-hat"),
+            pytest.param(["--seed", "7"], "seed", 7, id="seed"),
+            pytest.param(["--max-epochs", "9"], "max_epochs", 9, id="max-epochs"),
+            pytest.param(["--ds-tol", "1e-3"], "ds_tol", 1e-3, id="ds-tol"),
+            pytest.param(["--out", "flag.csv"], "out", "flag.csv", id="out"),
+            pytest.param(["--mnist-path", "img.idx3"], "mnist_path", "img.idx3", id="mnist-path"),
+            pytest.param(["--timing"], "timing", True, id="timing"),
+        ],
+    )
+    def test_flag_lands_in_its_field(self, monkeypatch, flags, key, value):
+        resolved = []
+
+        def fake_execute(cfg):
+            resolved.append(cfg)
+            return 0, None
+
+        monkeypatch.setattr(cli, "execute", fake_execute)
+        assert main(["run", *flags]) == 0
+        assert resolved == [dataclasses.replace(RunConfig(), **{key: value})]
+
+    def test_diverging_run_prints_no_numpy_warning(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / "d.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "qrgt.cli", "run", "--preset", "synthetic",
+             "--alpha-hat", "1e300", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
         )
-        out = tmp_path / "never.csv"
-        code = main(["run", "--config", str(path), "--out", str(out)])
-        assert code == 2
-        assert not out.exists()
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1
-        assert err[0].startswith("error: enforce_safety: step size")
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        assert proc.stdout.splitlines()[-1].startswith("diverged at epoch 1: ")
 
     @pytest.mark.parametrize(
         "lines, fragment",
@@ -385,7 +428,7 @@ class TestMain:
         [
             ("r", "20"), ("r", "0"), ("d", "0"), ("m", "0"), ("leading_sv", "-1"),
             ("leading_sv", "nan"), ("leading_sv", "inf"), ("alpha_hat", "nan"), ("alpha_hat", "inf"),
-            ("ds_tol", "nan"), ("seed", "-1"),
+            ("ds_tol", "nan"), ("seed", "-1"), ("leading_sv", "1e200"),
         ],
     )
     def test_out_of_range_size_exit_2_no_csv(self, tmp_path, capsys, key, value):

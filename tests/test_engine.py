@@ -36,7 +36,6 @@ from qrgt.engine import (
     TERMINATION_DIVERGED,
     TERMINATION_DS,
     TERMINATION_MAX_EPOCHS,
-    StepSizeError,
     _Engine,
 )
 from qrgt.network import MixingMatrix
@@ -706,12 +705,6 @@ class TestRun:
                 r2.ds,
                 r2.dist_mean,
             )
-
-    def test_safety_refusal(self):
-        inst = small_instance()
-        cfg = AlgoConfig(alpha=10.0, max_epochs=1, seed=0, enforce_safety=True)
-        with pytest.raises(StepSizeError, match="step size 10 exceeds the safety bound"):
-            run(inst, Topology.ring(4), cfg)
 
     def test_consensus_contraction_inequality(self):
         # One-epoch consensus bound with Young's-inequality constants:

@@ -64,6 +64,11 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError):
             SyntheticSpec(n=2, m=1, d=4, r=2, eigengap=0.5)
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, 1e200, float("nan")])
+    def test_leading_sv_needs_a_positive_finite_square(self, bad):
+        with pytest.raises(ValueError, match="leading_sv"):
+            SyntheticSpec(n=2, m=10, d=4, r=2, eigengap=0.5, leading_sv=bad)
+
 
 class TestLocalGradient:
     def test_zero_point(self):
