@@ -11,12 +11,14 @@ written.
 
 Exit codes: 0 for a completed run (early stop or epoch cap); 2 for a
 configuration error (an unknown key, a value out of range, such as a
-``leading_sv`` whose square overflows) or for unusable input (an edge file
-that is malformed or disconnected, an Erdos-Renyi draw that never connects,
-a malformed IDX file), reported as one ``error:`` line with nothing written
-for the failing run; 3 for divergence (the partial trace is still written,
-and one line names the epoch, the first agent that tripped, and the check:
-non-finite entries, or norm > 1e3 sqrt(r)). A diverging run reports that
+``leading_sv`` whose square overflows or an ``alpha_hat`` whose effective
+step overflows or underflows) or for unusable input (a config or edge file
+that is not UTF-8, an edge file that is malformed or disconnected, an
+Erdos-Renyi draw that never connects, a malformed IDX file), reported as
+one ``error:`` line with nothing written for the failing run; 3 for
+divergence (the partial trace is still written, and one line names the
+epoch, the first agent that tripped, and the check: non-finite entries, or
+norm > 1e3 sqrt(r)). A diverging run reports that
 line alone: the CLI runs with numpy's floating-point warnings off.
 
 A warning of the package's own (a degenerate spectral gap, uniform mixing
@@ -92,8 +94,10 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
 
     Every value is resolved before the first run, so a bad value, or no
     value at all, writes nothing. Unusable input met by a later value
-    (``GraphError``, ``IdxFormatError``) still leaves the index of the
-    values already run, then propagates.
+    (``GraphError``, ``IdxFormatError``, or a ``ConfigError`` known only once
+    the data is read, as an MNIST ``alpha_hat`` whose effective step
+    underflows) still leaves the index of the values already run, then
+    propagates.
     """
     if key not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
@@ -116,7 +120,7 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
             if trace.rows:
                 ds, consensus = trace.final.ds, trace.final.consensus_error
             index_lines.append(f"{raw},{ds!r},{consensus!r},{trace.termination}")
-    except (GraphError, IdxFormatError):
+    except (ConfigError, GraphError, IdxFormatError):
         if len(index_lines) > 1:
             _write_index(out, index_lines)
         raise

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .engine import ALGO_QRGT, ALGO_RGT, AlgoConfig
-from .network import Topology
+from .network import Topology, _read_utf8
 from .problems import ProblemInstance, SyntheticSpec, generate_synthetic, idx_image_size, load_mnist
 from .streams import STREAM_TOPOLOGY, stream_rng
 
@@ -163,12 +163,23 @@ def _validate(cfg: RunConfig) -> RunConfig:
         raise ConfigError(f"m: need n*m >= d = {cfg.d} for full rank, got n*m = {cfg.n * cfg.m}")
     if cfg.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
+    if cfg.problem == "synthetic":  # the row count is known before any data
+        _effective_step(cfg, cfg.n * cfg.m)
     return cfg
+
+
+def _effective_step(cfg: RunConfig, total_rows: int) -> float:
+    """The effective step over ``total_rows`` rows; an ``alpha_hat`` whose
+    step overflows to inf or underflows to 0 is a configuration error."""
+    alpha = (cfg.n * cfg.alpha_hat if cfg.problem == "synthetic" else cfg.alpha_hat) / total_rows
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ConfigError(f"alpha_hat: effective step {alpha} over {total_rows} rows is not positive and finite")
+    return alpha
 
 
 def _read_file_keys(path: str | Path) -> dict:
     values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(_read_utf8(path, ConfigError).splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -242,9 +253,7 @@ def build_topology(cfg: RunConfig) -> Topology:
 
 def effective_alpha(cfg: RunConfig, inst: ProblemInstance) -> float:
     """Data-volume-normalized step size."""
-    if cfg.problem == "synthetic":
-        return cfg.n * cfg.alpha_hat / inst.total_rows
-    return cfg.alpha_hat / inst.total_rows
+    return _effective_step(cfg, inst.total_rows)
 
 
 def algo_config(cfg: RunConfig, inst: ProblemInstance) -> AlgoConfig:

@@ -24,17 +24,10 @@ block k of (n, d, r) draws from the run's one dither stream, agent i taking
 slice i (layout in ``streams``); the engine draws the blocks in order from
 one generator, the initial state taking block 0.
 
-Each agent computes its local gradient on its own. On a Gram stack of at
-least ``workers.SPLIT_GRAM_BYTES`` (MNIST-sized data), ``_Engine.local_grads``
-takes each agent's product as ``X_i^T G_i`` by ``workers._neg_matmul``, the
-orientation OpenBLAS runs fastest for a thin X_i (see there), in the agent
-chunks of ``workers.agent_chunks``: one chunk per CPU on the pinned pool
-when BLAS is pinned to one thread and two or more CPUs are free, the same
-chunks the Gram stack was built on, otherwise one chunk on the calling
-thread. Smaller stacks, as the d=10 preset's, take one stacked matmul,
-which is faster there. The calling thread waits for the chunks, so whatever
-wraps ``local_grads`` still runs on that thread only. Every path gave the
-same bits on OpenBLAS, which the tests check; BLAS does not promise it.
+Each agent computes its local gradient on its own, by
+``workers.neg_gram_products``, which alone picks the products' orientation
+and their split over threads. The calling thread waits for any split, so
+whatever wraps ``_Engine.local_grads`` still runs on that thread only.
 """
 
 from __future__ import annotations
@@ -42,7 +35,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -204,13 +196,6 @@ class _Engine:
         self.cfg = cfg
         self.qspec = QuantizerSpec(bits=cfg.bits)
         self._dither = stream_rng(cfg.seed, STREAM_DITHER)
-        # Agent ranges for the per-agent products, one per thread (or one on
-        # the calling thread); None for the one stacked matmul of small stacks.
-        self._chunks: list[tuple[int, int]] | None = (
-            workers.agent_chunks(inst.n_agents, inst.grams.nbytes)
-            if inst.grams.nbytes >= workers.SPLIT_GRAM_BYTES
-            else None
-        )
 
     @property
     def step(self):
@@ -222,18 +207,7 @@ class _Engine:
         return self.qrgt_step if self.cfg.algorithm == ALGO_QRGT else self.rgt_step
 
     def local_grads(self, X: np.ndarray) -> np.ndarray:
-        if self._chunks is None:
-            out = np.matmul(self.inst.grams, X)
-            return np.negative(out, out=out)
-        out = np.empty(X.shape)
-        # One (r, d) buffer per chunk, allocated here on the calling thread.
-        workers.run_chunks(
-            [
-                partial(workers._neg_matmul, self.inst.grams, X, out, np.empty(X.shape[:0:-1]), lo, hi)
-                for lo, hi in self._chunks
-            ]
-        )
-        return out
+        return workers.neg_gram_products(self.inst.grams, X)
 
     def quantize_all(self, RG: np.ndarray, PG: np.ndarray):
         """Quantize every agent's gradient; returns (values, scales, None).

@@ -90,22 +90,13 @@ def consensus_error(stacked) -> float:
 def evaluate(stacked, inst: ProblemInstance) -> MetricRow:
     """All five metrics at the current agent variables.
 
-    The averaged-Gram product is taken once, negated, and serves both the
-    gradient and the objective f(x) = -tr(x^T mean_gram x) / 2. On the
-    instances whose local gradients take the transposed products (Gram
-    stacks of at least ``workers.SPLIT_GRAM_BYTES``; see
-    ``workers._neg_matmul``) it is taken as (xbar^T mean_gram)^T, which
-    equals mean_gram @ xbar because mean_gram is symmetric and is faster at
-    d = 784; on smaller instances, as the d = 10 preset, the plain product
-    is the faster one (README, "Threads").
+    The averaged-Gram product is taken once, negated, by
+    ``workers.neg_gram_products``, and serves both the gradient and the
+    objective f(x) = -tr(x^T mean_gram x) / 2.
     """
     X = np.asarray(stacked, dtype=float)
     xbar = _mean(X)
-    if inst.grams.nbytes >= workers.SPLIT_GRAM_BYTES:
-        neg_gram_x = np.negative((xbar.T @ inst.mean_gram).T, order="C")
-    else:
-        neg_gram_x = inst.mean_gram @ xbar
-        np.negative(neg_gram_x, out=neg_gram_x)
+    neg_gram_x = workers.neg_gram_products(inst.mean_gram, xbar)
     f_terms = xbar * neg_gram_x
     return MetricRow(
         consensus_error=_norm(X - xbar),

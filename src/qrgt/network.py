@@ -40,6 +40,15 @@ class UniformMixingWarning(UserWarning):
     """sigma_2 = 0: mixing is exact one-shot averaging (complete graph)."""
 
 
+def _read_utf8(path: str | Path, error: type[ValueError]) -> str:
+    """The text of the file at ``path``; ``error`` names the file and the
+    byte offset when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text at byte {exc.start}") from None
+
+
 def _is_connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
     adj: list[list[int]] = [[] for _ in range(n)]
     for i, j in edges:
@@ -126,7 +135,7 @@ class Topology:
     def from_edge_file(cls, path: str | Path, n: int | None = None) -> "Topology":
         """Read one '<i> <j>' pair per line, 0-indexed; blank lines ignored."""
         pairs = []
-        for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        for lineno, line in enumerate(_read_utf8(path, GraphError).splitlines(), start=1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

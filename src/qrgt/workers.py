@@ -1,24 +1,20 @@
 """The agent split: which agents each thread handles, and the pinned pool
-that runs them.
+that runs them; and ``neg_gram_products``, the one owner of the Gram
+products of the local gradients and of the metrics.
 
 A per-agent job over a large Gram stack (building the stack in
-``problems.make_instance``, and the local gradients of ``_Engine``) is cut
-into contiguous agent chunks by ``agent_chunks``, and ``run_chunks`` runs one
-task per chunk. The rule: the Gram stack holds at least
+``problems.make_instance``, and the products of ``neg_gram_products``) is
+cut into contiguous agent chunks by ``agent_chunks``, and ``run_chunks``
+runs one task per chunk. The rule: the Gram stack holds at least
 ``SPLIT_GRAM_BYTES`` (MNIST-sized data, not the d=10 preset), BLAS is pinned
 to one thread, and the process may run on at least two CPUs; then there is
 one chunk per CPU, no more chunks than agents. Otherwise there is one chunk,
 run on the calling thread, and no thread is started.
 
 Several chunks run on one lazily created module pool with a worker pinned
-to each CPU, while the calling thread waits. ``_neg_matmul`` is the local
-gradients' per-agent kernel: it takes each product of a symmetric Gram with
-the thin iterate as ``X_i^T G_i``, the orientation OpenBLAS runs faster on
-Grams this large, and an agent's product is the same 2-D BLAS call on any
-thread and in any chunking, so a split result equals the one-chunk result
-bit for bit. The CPUs and the BLAS thread variables are read once, at
-import: ``taskset`` bounds the threads, and the BLAS thread setting is read,
-never changed.
+to each CPU, while the calling thread waits. The CPUs and the BLAS thread
+variables are read once, at import: ``taskset`` bounds the threads, and the
+BLAS thread setting is read, never changed.
 """
 
 from __future__ import annotations
@@ -28,14 +24,18 @@ import os
 import threading
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 
-__all__ = ["SPLIT_GRAM_BYTES", "agent_chunks", "run_chunks"]
+__all__ = ["SPLIT_GRAM_BYTES", "TRANSPOSE_MIN_D", "agent_chunks", "run_chunks", "neg_gram_products"]
 
 # Gram stacks at least this large have their per-agent work split across
 # threads; below it, waking a worker costs more than the split saves.
 SPLIT_GRAM_BYTES = 32 * 2**20
+# Grams at least this wide are multiplied as (X^T G)^T; narrower ones, which
+# fit in cache, run the plain G @ X faster (README, "Threads").
+TRANSPOSE_MIN_D = 512
 # The BLAS thread variables; the split runs only when those set all say 1.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -50,8 +50,9 @@ def _blas_one_thread(environ) -> bool:
 
 # The CPUs this process may use and the thread count, read once at import: a
 # caller that later pins its own thread to one CPU does not turn the split off.
+# Without an affinity call (macOS, Windows) the list is empty and one thread runs.
 _CPU_LIST = sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-_THREADS = len(_CPU_LIST) if _blas_one_thread(os.environ) else 1
+_THREADS = len(_CPU_LIST) if _CPU_LIST and _blas_one_thread(os.environ) else 1
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
 
@@ -61,8 +62,7 @@ def agent_chunks(n: int, gram_bytes: int) -> list[tuple[int, int]]:
     thread: as many as ``_THREADS`` (at most ``n``) when a Gram stack of
     ``gram_bytes`` reaches ``SPLIT_GRAM_BYTES``, otherwise one."""
     threads = min(_THREADS, n) if gram_bytes >= SPLIT_GRAM_BYTES else 1
-    edges = [n * k // threads for k in range(threads + 1)]
-    return list(zip(edges, edges[1:]))
+    return [(n * k // threads, n * (k + 1) // threads) for k in range(threads)]
 
 
 def run_chunks(tasks: list[Callable[[], None]]) -> None:
@@ -84,27 +84,42 @@ def run_chunks(tasks: list[Callable[[], None]]) -> None:
             raise error
 
 
-def _neg_matmul(
-    G: np.ndarray, X: np.ndarray, out: np.ndarray, buf: np.ndarray, lo: int, hi: int
-) -> None:
-    """out[lo:hi] = -(G[lo:hi] @ X[lo:hi]) for symmetric Grams, each product
-    taken as (X_i^T G_i)^T through ``buf``, a C-contiguous (r, d) array.
+def neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """-(G @ X) for a symmetric Gram ``G`` and a thin ``X``: a (d, d) matrix
+    with X of shape (d, r), or an (n, d, d) stack with X of shape (n, d, r).
+    The result is a new C-contiguous array.
 
-    numpy hands a row-major ``G_i @ X_i`` (d x d by d x r) to BLAS as a
-    column-major GEMM with M = r, and at r = 5 the kernel leaves most of each
-    vector lane idle; ``X_i^T G_i`` runs as a GEMM with M = d instead. At
-    d = 784 that halved the product's time on OpenBLAS. Each entry is a sum
-    of the same d products either way, and on OpenBLAS the result was
-    bit-equal to ``-np.matmul(G, X)``. BLAS does not promise that; the tests
-    compare the two at d = 784 and on the d = 10 preset. One
-    ``np.negative`` per agent writes the sign-flipped transpose back; a
-    (d, r) ``out=`` view in place of ``buf`` would take numpy's matmul off
-    BLAS. One 2-D matmul per agent also lets two threads overlap: numpy
-    releases the GIL inside each, while a stacked matmul holds it throughout.
+    Two separate rules. The orientation goes by width: at d of at least
+    ``TRANSPOSE_MIN_D`` each product is taken as (X^T G)^T. numpy hands a
+    row-major ``G @ X`` to BLAS as a column-major GEMM with M = r, and at
+    r = 5 the kernel leaves most of each vector lane idle, while ``X^T G``
+    runs as a GEMM with M = d. The split goes by size: a stack of
+    ``SPLIT_GRAM_BYTES`` or more is cut into the chunks of ``agent_chunks``,
+    one stacked product each. numpy's stacked matmul makes one BLAS call per
+    agent and releases the GIL, so every chunking gives the same bits, and
+    on OpenBLAS both orientations gave ``-np.matmul(G, X)`` bit for bit.
+    BLAS does not promise that; the tests compare them at d = 784 and on
+    the d = 10 preset.
     """
-    for i in range(lo, hi):
-        np.matmul(X[i].T, G[i], out=buf)
-        np.negative(buf.T, out=out[i])
+    # Below the split size, one call: on the d = 10 preset, the chunk views
+    # and the task would cost as much as the product itself.
+    if G.ndim == 2 or G.nbytes < SPLIT_GRAM_BYTES:
+        return _neg_products(G, X)
+    out = np.empty(X.shape)
+    chunks = agent_chunks(len(G), G.nbytes)
+    run_chunks([partial(_neg_products, G[lo:hi], X[lo:hi], out[lo:hi]) for lo, hi in chunks])
+    return out
+
+
+def _neg_products(G: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """-(G @ X) in the orientation ``neg_gram_products`` picks, written into
+    ``out`` or a new C-contiguous array. The transposed product goes through
+    a C-contiguous (..., r, d) temporary: an ``out=`` view of the other
+    layout would take numpy's matmul off BLAS."""
+    if G.shape[-1] >= TRANSPOSE_MIN_D:
+        return np.negative(np.swapaxes(np.matmul(np.swapaxes(X, -1, -2), G), -1, -2), out=out, order="C")
+    out = np.matmul(G, X, out=out)
+    return np.negative(out, out=out)
 
 
 def _worker_pool() -> ThreadPoolExecutor:

@@ -111,7 +111,7 @@ def ref_snap(g, pgrad, levels, noise):
 def ref_evaluate(X, inst):
     """(consensus_error, grad_norm, f_gap, ds, dist_mean) at the agent mean."""
     xbar = np.mean(X, axis=0)
-    if inst.grams.nbytes >= workers.SPLIT_GRAM_BYTES:
+    if inst.dims.d >= workers.TRANSPOSE_MIN_D:
         neg_gram_x = np.negative((xbar.T @ inst.mean_gram).T, order="C")
     else:
         neg_gram_x = -(inst.mean_gram @ xbar)

@@ -388,13 +388,15 @@ class TestMain:
             ("topology = edges\nedge_file = {tmp}/split.txt\n", "graph is not connected"),
             ("topology = er\ntopology_p = 1e-6\n", "no connected Erdos-Renyi draw in 1000 attempts"),
             ("problem = mnist\nmnist_path = {tmp}/short.idx3\n", "expected 336 bytes"),
+            ("topology = edges\nedge_file = {tmp}/latin1.txt\n", "latin1.txt: not UTF-8 text at byte 4"),
         ],
-        ids=["edge-token", "disconnected-edges", "er-never-connects", "truncated-idx"],
+        ids=["edge-token", "disconnected-edges", "er-never-connects", "truncated-idx", "edge-not-utf8"],
     )
     def test_bad_input_exit_2_one_line_no_csv(self, tmp_path, capsys, monkeypatch, lines, fragment):
         monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
         (tmp_path / "token.txt").write_text("0 1\n1 two\n")
         (tmp_path / "split.txt").write_text("0 1\n2 3\n")
+        (tmp_path / "latin1.txt").write_bytes(b"0 1\n\xff 2\n")
         idx = tmp_path / "short.idx3"
         write_idx3(idx, np.zeros((20, 4, 4), dtype=np.uint8))
         idx.write_bytes(idx.read_bytes()[:-5])
@@ -429,6 +431,7 @@ class TestMain:
             ("r", "20"), ("r", "0"), ("d", "0"), ("m", "0"), ("leading_sv", "-1"),
             ("leading_sv", "nan"), ("leading_sv", "inf"), ("alpha_hat", "nan"), ("alpha_hat", "inf"),
             ("ds_tol", "nan"), ("seed", "-1"), ("leading_sv", "1e200"),
+            ("alpha_hat", "1e308"), ("alpha_hat", "1e-322"),
         ],
     )
     def test_out_of_range_size_exit_2_no_csv(self, tmp_path, capsys, key, value):
@@ -441,6 +444,16 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith(f"error: {key}: ")
+
+    def test_config_not_utf8_exit_2_no_csv(self, tmp_path, capsys):
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes(b"preset = synthetic\n# caf\xe9\n")
+        out = tmp_path / "never.csv"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: {path}: not UTF-8 text at byte 24"]
 
     def test_rank_above_image_size_exit_2_no_csv(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
@@ -528,6 +541,26 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "no connected Erdos-Renyi draw" in err[0]
+
+    def test_sweep_mnist_step_underflow_keeps_index_exit_2(self, tmp_path, capsys, monkeypatch):
+        # The MNIST step alpha_hat / total_rows is known only once the file is read.
+        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+        idx = tmp_path / "img.idx3"
+        write_idx3(idx, np.random.default_rng(0).integers(0, 256, size=(40, 4, 4), dtype=np.uint8))
+        out = tmp_path / "sw.csv"
+        code = main(
+            [
+                "sweep", "--preset", "mnist", "--mnist-path", str(idx), "--n", "4", "--max-epochs", "2",
+                "--out", str(out), "--key", "alpha_hat", "--values", "0.01,1e-322",
+            ]
+        )
+        assert code == 2
+        written = sorted(p.name for p in tmp_path.iterdir())
+        assert written == ["img.idx3", "sw-alpha_hat0.01.csv", "sw-index.csv"]
+        assert len((tmp_path / "sw-index.csv").read_text().splitlines()) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == "error: alpha_hat: effective step 0.0 over 40 rows is not positive and finite"
 
     def test_sweep_cli(self, tmp_path):
         out = tmp_path / "sw.csv"

@@ -20,6 +20,7 @@ from qrgt import (
     Topology,
     build_metropolis,
     distance_to_manifold,
+    evaluate,
     generate_synthetic,
     make_instance,
     penalty_grad,
@@ -30,7 +31,7 @@ from qrgt import (
     step_size_bounds,
     tangent_project,
 )
-from qrgt import engine, workers
+from qrgt import engine, metrics, workers
 from qrgt.config import algo_config, build_problem, build_topology, parse_config
 from qrgt.engine import (
     TERMINATION_DIVERGED,
@@ -68,6 +69,25 @@ def ring_engine(inst, cfg):
 def start(inst, cfg):
     """The initial state of a run of ``cfg`` on ``inst``."""
     return ring_engine(inst, cfg).initial_state()
+
+
+@pytest.fixture
+def kernel_chunks(monkeypatch):
+    """The agent ranges [lo, hi) of every stacked Gram product run from now
+    on, in the order they ran, each read from where its Gram view starts in
+    the whole stack."""
+    ran = []
+    kernel = workers._neg_products
+
+    def recording(G, X, out=None):
+        if G.ndim == 3:
+            whole = G if G.base is None else G.base
+            lo = (G.ctypes.data - whole.ctypes.data) // G.strides[0]
+            ran.append((lo, lo + len(G)))
+        return kernel(G, X, out)
+
+    monkeypatch.setattr(workers, "_neg_products", recording)
+    return ran
 
 
 def python_c(script, env):
@@ -468,18 +488,10 @@ class TestBenchmarkHooks:
         assert "quantize_all" not in calls and "penalty_grad" not in calls
 
     @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
-    def test_hooks_stay_on_main_thread_when_split(self, monkeypatch, split_forced, algorithm):
-        split_calls = []
-        neg_matmul = workers._neg_matmul
-
-        def recording(G, X, out, buf, lo, hi):
-            split_calls.append((lo, hi))
-            neg_matmul(G, X, out, buf, lo, hi)
-
-        monkeypatch.setattr(workers, "_neg_matmul", recording)
+    def test_hooks_stay_on_main_thread_when_split(self, monkeypatch, split_forced, kernel_chunks, algorithm):
         calls, _ = self.counted_run(monkeypatch, algorithm)
         assert calls["local_grads"] == self.EPOCHS + 1
-        assert sorted(split_calls) == [(0, 2)] * (self.EPOCHS + 1) + [(2, 4)] * (self.EPOCHS + 1)
+        assert sorted(kernel_chunks) == [(0, 2)] * (self.EPOCHS + 1) + [(2, 4)] * (self.EPOCHS + 1)
 
 
 class TestAgentParallelGrads:
@@ -504,43 +516,44 @@ class TestAgentParallelGrads:
         return [dataclasses.replace(row, wall_ms=0.0) for row in trace.rows]
 
     @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
-    def test_preset_epochs_bit_equal(self, monkeypatch, split_forced, algorithm):
+    def test_preset_epochs_bit_equal(self, monkeypatch, split_forced, kernel_chunks, algorithm):
         inst, topology, algo = self.preset(algorithm)
         algo = dataclasses.replace(algo, max_epochs=200)
         mixing = build_metropolis(topology, algo.t)
-        split_eng, split = self.advance(inst, mixing, algo, 200)
+        _, split = self.advance(inst, mixing, algo, 200)
         split_rows = self.rows(run(inst, topology, algo))
-        assert split_eng._chunks == [(0, 8), (8, 16)]
+        assert set(kernel_chunks) == {(0, 8), (8, 16)}
+        kernel_chunks.clear()
         with monkeypatch.context() as patch:
             patch.setattr(workers, "SPLIT_GRAM_BYTES", 1 << 62)
-            serial_eng, serial = self.advance(inst, mixing, algo, 200)
+            _, serial = self.advance(inst, mixing, algo, 200)
             serial_rows = self.rows(run(inst, topology, algo))
-        assert serial_eng._chunks is None
+        assert set(kernel_chunks) == {(0, 16)}
         for name in ("x", "s", "g"):
             assert getattr(split, name).tobytes() == getattr(serial, name).tobytes()
         assert len(split_rows) == 200 and split_rows == serial_rows
 
-    def test_uneven_chunks_bit_equal(self, monkeypatch, split_forced):
+    def test_uneven_chunks_bit_equal(self, monkeypatch, split_forced, kernel_chunks):
         monkeypatch.setattr(workers, "_THREADS", 3)
         inst = small_instance(seed=3, n=5)
         mixing = build_metropolis(Topology.ring(5), 1)
         algo = AlgoConfig(alpha=1e-3, bits=4, seed=4)
         eng, split = self.advance(inst, mixing, algo, 50)
-        assert eng._chunks == [(0, 1), (1, 3), (3, 5)]
+        assert set(kernel_chunks) == {(0, 1), (1, 3), (3, 5)}
         assert workers._pool._max_workers == 3
         X = split.x
         assert eng.local_grads(X).tobytes() == (-np.matmul(inst.grams, X)).tobytes()
+        kernel_chunks.clear()
         monkeypatch.setattr(workers, "SPLIT_GRAM_BYTES", 1 << 62)
-        serial_eng, serial = self.advance(inst, mixing, algo, 50)
-        assert serial_eng._chunks is None
+        _, serial = self.advance(inst, mixing, algo, 50)
+        assert set(kernel_chunks) == {(0, 5)}
         for name in ("x", "s", "g"):
             assert getattr(split, name).tobytes() == getattr(serial, name).tobytes()
 
-    def test_single_agent_never_splits(self, split_forced):
+    def test_single_agent_never_splits(self, split_forced, kernel_chunks):
         inst = single_agent_identity_instance()
-        eng = _Engine(inst, identity_mixing(), AlgoConfig(alpha=0.1))
-        assert eng._chunks == [(0, 1)]  # one chunk, on the calling thread
-        eng.initial_state()
+        _Engine(inst, identity_mixing(), AlgoConfig(alpha=0.1)).initial_state()
+        assert kernel_chunks == [(0, 1)]  # one chunk, on the calling thread
         assert workers._pool is None
 
     @pytest.fixture(scope="class")
@@ -548,26 +561,53 @@ class TestAgentParallelGrads:
         return wide_instance()
 
     @pytest.mark.parametrize("threads, chunks", [(2, [(0, 2), (2, 4)]), (1, [(0, 4)])])
-    def test_wide_grams_bit_equal(self, monkeypatch, split_forced, wide, threads, chunks):
-        # The transposed per-agent kernel, split and in one chunk on the
-        # calling thread, against the stacked product at d = 784.
+    def test_wide_grams_bit_equal(self, monkeypatch, split_forced, kernel_chunks, wide, threads, chunks):
+        # The transposed products, split and in one chunk on the calling
+        # thread, against the plain stacked product at d = 784.
         monkeypatch.setattr(workers, "_THREADS", threads)
         eng = _Engine(wide, identity_mixing(4), AlgoConfig(alpha=1e-3))
-        assert eng._chunks == chunks
         rng = np.random.default_rng(threads)
         for _ in range(5):
             X = rng.standard_normal((4, 784, 5))
             assert eng.local_grads(X).tobytes() == (-np.matmul(wide.grams, X)).tobytes()
+        assert set(kernel_chunks) == set(chunks)
         assert (workers._pool is not None) == (threads > 1)
 
-    def test_below_threshold_starts_no_thread(self, monkeypatch):
+    def test_wide_few_agents_transposed_on_calling_thread(self, monkeypatch, wide):
+        # 19.7 MB of Grams at d = 784: the width picks the transposed
+        # products, and the size keeps them in one chunk, on this thread.
+        monkeypatch.setattr(workers, "_THREADS", 2)  # only the size decides
+        monkeypatch.setattr(workers, "_pool", None)
+        matmul = np.matmul
+        products = []
+
+        def recording(a, b, **kwargs):
+            if b.shape[-1] == 784:
+                products.append((a.shape, b.shape, threading.get_ident()))
+            return matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recording)
+        before = threading.active_count()
+        X = np.random.default_rng(5).standard_normal((4, 784, 5))
+        grads = _Engine(wide, identity_mixing(4), AlgoConfig(alpha=1e-3)).local_grads(X)
+        seen = []
+        project = metrics._tangent_project
+        monkeypatch.setattr(metrics, "_tangent_project", lambda x, y: seen.append(y) or project(x, y))
+        evaluate(X, wide)
+        main = threading.get_ident()
+        assert products == [((4, 5, 784), (4, 784, 784), main), ((5, 784), (784, 784), main)]
+        assert threading.active_count() == before and workers._pool is None
+        assert grads.tobytes() == (-matmul(wide.grams, X)).tobytes()
+        assert seen[0].tobytes() == (-matmul(wide.mean_gram, np.mean(X, axis=0))).tobytes()
+
+    def test_below_threshold_starts_no_thread(self, monkeypatch, kernel_chunks):
         monkeypatch.setattr(workers, "_THREADS", 2)  # only the size decides
         monkeypatch.setattr(workers, "_pool", None)
         inst, topology, algo = self.preset("qrgt")
-        assert inst.grams.nbytes < workers.SPLIT_GRAM_BYTES
         before = threading.active_count()
         trace = run(inst, topology, dataclasses.replace(algo, max_epochs=20))
         assert len(trace.rows) == 20
+        assert set(kernel_chunks) == {(0, 16)}
         assert threading.active_count() == before
         assert workers._pool is None
 
@@ -585,14 +625,26 @@ class TestAgentParallelGrads:
     def test_blas_one_thread(self, environ, one):
         assert workers._blas_one_thread(environ) is one
 
-    @pytest.mark.parametrize("blas_threads", [None, "1"])
-    def test_thread_count_read_at_import(self, blas_threads):
+    @pytest.mark.parametrize(
+        "blas_threads, affinity",
+        [
+            pytest.param(None, True, id="None"),
+            pytest.param("1", True, id="1"),
+            # As on macOS and Windows, which have no os.sched_getaffinity.
+            pytest.param("1", False, id="1-no-affinity"),
+        ],
+    )
+    def test_thread_count_read_at_import(self, blas_threads, affinity):
         env = {k: v for k, v in os.environ.items() if k not in workers._BLAS_THREAD_VARS}
         if blas_threads is not None:
             env["OPENBLAS_NUM_THREADS"] = blas_threads
-        proc = python_c("from qrgt import workers; print(workers._THREADS)", env)
-        expected = len(os.sched_getaffinity(0)) if blas_threads else 1
-        assert int(proc.stdout) == expected
+        hide = "" if affinity else "import os; del os.sched_getaffinity; "
+        script = hide + "from qrgt import workers\nprint(workers._THREADS)\nprint(workers.agent_chunks(16, 1 << 30))"
+        threads, chunks = python_c(script, env).stdout.splitlines()
+        expected = len(os.sched_getaffinity(0)) if blas_threads and affinity else 1
+        assert int(threads) == expected
+        if not affinity:
+            assert chunks == "[(0, 16)]"
 
     def test_forked_child_makes_its_own_pool(self, split_forced):
         inst = small_instance(seed=1)
@@ -827,11 +879,11 @@ class TestReferenceRun:
         assert len(rows) < algo.max_epochs
 
     @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
-    def test_wide_instance_split(self, split_forced, algorithm):
+    def test_wide_instance_split(self, split_forced, kernel_chunks, algorithm):
         # d = 784: the transposed products of local_grads and evaluate.
         inst = wide_instance()
         cfg = AlgoConfig(alpha=1e-4, bits=8, algorithm=algorithm, max_epochs=3, seed=1)
-        assert _Engine(inst, build_metropolis(Topology.ring(4), 1), cfg)._chunks == [(0, 2), (2, 4)]
         rows, _ = self.check(inst, Topology.ring(4), cfg)
         assert len(rows) == 3
+        assert set(kernel_chunks) == {(0, 2), (2, 4)}
 

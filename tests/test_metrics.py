@@ -126,9 +126,9 @@ class TestEvaluate:
 
 
 class TestEvaluateProduct:
-    """evaluate's mean_gram @ xbar, taken as (xbar^T mean_gram)^T on large
-    Gram stacks, is byte-equal to the plain product, at d = 784 and on the
-    preset, on either side of the size threshold."""
+    """evaluate's mean_gram @ xbar, taken as (xbar^T mean_gram)^T on wide
+    Grams, is byte-equal to the plain product, at d = 784 and on the preset,
+    on either side of the width threshold."""
 
     @pytest.fixture(scope="class", params=["wide", "preset"])
     def inst(self, request):
@@ -140,7 +140,7 @@ class TestEvaluateProduct:
 
     @pytest.mark.parametrize("threshold", [0, 1 << 62])
     def test_gram_product_bit_equal(self, inst, monkeypatch, threshold):
-        monkeypatch.setattr(workers, "SPLIT_GRAM_BYTES", threshold)
+        monkeypatch.setattr(workers, "TRANSPOSE_MIN_D", threshold)
         seen = []
         project = metrics._tangent_project
 
