@@ -7,19 +7,21 @@ data and initialization are shared) and writes an index of final metrics and
 each value's termination reason; a value that diverged before completing an
 epoch has nan metrics. Every value is resolved before the first run, and when
 a later value stops with exit 2 the index of the values already run is still
-written.
+written. Two values that would write the same trace file (``--values 8,8``)
+are a configuration error.
 
 Exit codes: 0 for a completed run (early stop or epoch cap); 2 for a
 configuration error (an unknown key, a value out of range, such as a
 ``leading_sv`` whose square overflows or an ``alpha_hat`` whose effective
-step overflows or underflows) or for unusable input (a config or edge file
-that is not UTF-8, an edge file that is malformed or disconnected, an
-Erdos-Renyi draw that never connects, a malformed IDX file), reported as
-one ``error:`` line with nothing written for the failing run; 3 for
-divergence (the partial trace is still written, and one line names the
-epoch, the first agent that tripped, and the check: non-finite entries, or
-norm > 1e3 sqrt(r)). A diverging run reports that
-line alone: the CLI runs with numpy's floating-point warnings off.
+step overflows or underflows, or an ``out`` whose directory does not exist
+or that names a directory, checked before the run) or for unusable input (a
+config or edge file that is not UTF-8, an edge file that is malformed or
+disconnected, an Erdos-Renyi draw that never connects, a malformed IDX
+file), reported as one ``error:`` line with nothing written for the failing
+run; 3 for divergence (the partial trace is still written, and one line
+names the epoch, the first agent that tripped, and the check: non-finite
+entries, or norm > 1e3 sqrt(r)). A diverging run reports that line alone:
+the CLI runs with numpy's floating-point warnings off.
 
 A warning of the package's own (a degenerate spectral gap, uniform mixing
 weights) is printed as one ``warning:`` line on stderr, and the run goes on.
@@ -57,22 +59,38 @@ __all__ = ["main", "execute", "sweep", "write_trace_csv"]
 def write_trace_csv(path: str | Path, cfg: RunConfig, trace: RunTrace) -> None:
     """CSV with the resolved config as '#' comments, then one row per epoch.
 
-    wall_ms is zeroed unless cfg.timing is set, keeping same-seed runs
-    byte-identical.
+    Each row is formatted from the trace's columns and goes straight to the
+    file's buffer, so neither a ``TraceRow`` per row nor the whole text is
+    ever built. wall_ms is zeroed unless cfg.timing is set, keeping
+    same-seed runs byte-identical.
     """
-    lines = [f"# {f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
-    lines.append(CSV_HEADER)
-    for row in trace.rows:
-        wall = row.wall_ms if cfg.timing else 0.0
-        lines.append(
-            f"{row.epoch},{row.consensus_error!r},{row.grad_norm!r},{row.f_gap!r},"
-            f"{row.ds!r},{row.dist_mean!r},{wall!r},{row.wire_bits_cum}"
+    timing = cfg.timing
+    with Path(path).open("w") as out:
+        out.writelines(f"# {f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg))
+        out.write(CSV_HEADER + "\n")
+        out.writelines(
+            f"{epoch},{consensus!r},{grad!r},{gap!r},{ds!r},{dist!r},{wall if timing else 0.0!r},{wire}\n"
+            for epoch, consensus, grad, gap, ds, dist, wall, wire in trace.rows.tuples()
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _check_out(path: str | Path) -> None:
+    """Raise ConfigError unless ``path`` can be written as a file: its
+    directory exists and it is not a directory itself."""
+    path = Path(path)
+    if path.is_dir():
+        raise ConfigError(f"out: {path} is a directory")
+    if not path.parent.is_dir():
+        raise ConfigError(f"out: {path.parent} is not an existing directory")
 
 
 def execute(cfg: RunConfig) -> tuple[int, RunTrace]:
-    """Run one configuration and write its trace; returns (exit code, trace)."""
+    """Run one configuration and write its trace; returns (exit code, trace).
+
+    ``cfg.out`` is checked before anything is built, so an unwritable path
+    costs no run.
+    """
+    _check_out(cfg.out)
     inst = build_problem(cfg)
     topology = build_topology(cfg)
     trace = run(inst, topology, algo_config(cfg, inst))
@@ -92,12 +110,13 @@ def execute(cfg: RunConfig) -> tuple[int, RunTrace]:
 def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
     """Run cfg once per value of ``key``; write per-value traces and an index.
 
-    Every value is resolved before the first run, so a bad value, or no
-    value at all, writes nothing. Unusable input met by a later value
-    (``GraphError``, ``IdxFormatError``, or a ``ConfigError`` known only once
-    the data is read, as an MNIST ``alpha_hat`` whose effective step
-    underflows) still leaves the index of the values already run, then
-    propagates.
+    Every value and every output path is resolved before the first run, so
+    a bad value, two values that would write the same trace file, an output
+    path that cannot be written, or no value at all, writes nothing.
+    Unusable input met by a later value (``GraphError``, ``IdxFormatError``,
+    or a ``ConfigError`` known only once the data is read, as an MNIST
+    ``alpha_hat`` whose effective step underflows) still leaves the index of
+    the values already run, then propagates.
     """
     if key not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
@@ -110,6 +129,14 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
                          str(out.with_name(f"{out.stem}-{field_name}{raw}{out.suffix}"))))
         for raw in values
     ]
+    index_path = out.with_name(f"{out.stem}-index{out.suffix}")
+    first_value: dict[str, str] = {}
+    for raw, run_cfg in runs:
+        if run_cfg.out in first_value:
+            raise ConfigError(f"values: {first_value[run_cfg.out]} and {raw} both write {run_cfg.out}")
+        first_value[run_cfg.out] = raw
+        _check_out(run_cfg.out)
+    _check_out(index_path)
     index_lines = ["value,final_ds,final_consensus_error,termination"]
     status = 0
     try:
@@ -122,14 +149,13 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
             index_lines.append(f"{raw},{ds!r},{consensus!r},{trace.termination}")
     except (ConfigError, GraphError, IdxFormatError):
         if len(index_lines) > 1:
-            _write_index(out, index_lines)
+            _write_index(index_path, index_lines)
         raise
-    _write_index(out, index_lines)
+    _write_index(index_path, index_lines)
     return status
 
 
-def _write_index(out: Path, index_lines: list[str]) -> None:
-    index_path = out.with_name(f"{out.stem}-index{out.suffix}")
+def _write_index(index_path: Path, index_lines: list[str]) -> None:
     index_path.write_text("\n".join(index_lines) + "\n")
     print(f"sweep index -> {index_path}")
 

@@ -34,7 +34,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from array import array
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,6 +71,7 @@ __all__ = [
     "AlgoConfig",
     "TrackingState",
     "TraceRow",
+    "TraceRows",
     "RunDiagnostics",
     "RunTrace",
     "step_size_bounds",
@@ -124,6 +127,39 @@ class TraceRow:
     wire_bits_cum: int
 
 
+# array type codes of the trace columns, in TraceRow field order: 8 bytes a value
+_COLUMN_TYPES = tuple("q" if f.type == "int" else "d" for f in fields(TraceRow))
+
+
+class TraceRows(Sequence):
+    """The rows of a run's trace, read-only, kept as one typed column per
+    ``TraceRow`` field (``array('q')`` for the integers, ``array('d')`` for
+    the floats, grown by appending): 64 bytes a row. A ``TraceRow``, about
+    390 bytes, is built only when a row is read, by index, slice or
+    iteration; a slice is a list of them."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, columns: tuple[array, ...]):
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return TraceRow(*(col[index] for col in self._columns))
+
+    def __iter__(self):
+        return map(TraceRow, *self._columns)
+
+    def tuples(self):
+        """The rows as plain tuples in ``TraceRow`` field order, read straight
+        from the columns: no ``TraceRow`` is built."""
+        return zip(*self._columns)
+
+
 @dataclass
 class RunDiagnostics:
     """Per-epoch internals kept out of the CSV: used by invariant tests.
@@ -147,11 +183,15 @@ class RunDiagnostics:
 class RunTrace:
     """One row per completed epoch plus the reason the loop stopped.
 
-    ``divergence`` is set only when ``termination`` is Diverged: one line
-    naming the epoch, the first agent that tripped, and the check.
+    ``rows`` is a read-only ``TraceRows`` sequence: it keeps 64 bytes per
+    epoch in typed columns and builds a ``TraceRow`` only when a row is
+    read. With the ``tracker_residual`` entry of ``diagnostics`` (an 8-byte
+    list slot and a 24-byte float), a finished trace holds about 100 bytes
+    per epoch. ``divergence`` is set only when ``termination`` is Diverged:
+    one line naming the epoch, the first agent that tripped, and the check.
     """
 
-    rows: list[TraceRow]
+    rows: TraceRows
     termination: str
     sigma2: float
     diagnostics: RunDiagnostics
@@ -280,7 +320,7 @@ def run(
 ) -> RunTrace:
     """Execute epochs until max_epochs, the early-stop threshold, or divergence.
 
-    Emits one trace row per completed epoch, and fills
+    Appends one row to the trace columns per completed epoch, and fills
     ``RunDiagnostics.tracker_residual`` every epoch. ``diagnostics``
     additionally fills ``x_consensus_sq``, ``s_consensus_sq`` and
     ``max_dist`` (one small SVD per agent per epoch); no row depends on it.
@@ -289,7 +329,10 @@ def run(
     eng = _Engine(inst, mixing, cfg)
     d, r = inst.dims.d, inst.dims.r
     wire_per_epoch = inst.n_agents * wire_size_bits(d * r, eng.qspec) if cfg.algorithm == ALGO_QRGT else 0
-    rows: list[TraceRow] = []
+    columns = tuple(array(code) for code in _COLUMN_TYPES)
+    put_epoch, put_consensus, put_grad, put_gap, put_ds, put_dist, put_wall, put_wire = (
+        col.append for col in columns
+    )
     diag = RunDiagnostics()
     termination = TERMINATION_MAX_EPOCHS
     divergence = None
@@ -324,20 +367,16 @@ def run(
             break
         wire_cum += wire_per_epoch
         row = evaluate(state.x, inst)
-        rows.append(
-            TraceRow(
-                epoch=epoch,
-                consensus_error=row.consensus_error,
-                grad_norm=row.grad_norm,
-                f_gap=row.f_gap,
-                ds=row.ds,
-                dist_mean=row.dist_mean,
-                wall_ms=wall_ms,
-                wire_bits_cum=wire_cum,
-            )
-        )
+        put_epoch(epoch)
+        put_consensus(row.consensus_error)
+        put_grad(row.grad_norm)
+        put_gap(row.f_gap)
+        put_ds(row.ds)
+        put_dist(row.dist_mean)
+        put_wall(wall_ms)
+        put_wire(wire_cum)
         record_diag(state, row.consensus_error)
         if row.ds <= cfg.ds_tolerance:
             termination = TERMINATION_DS
             break
-    return RunTrace(rows, termination, mixing.sigma2, diag, divergence)
+    return RunTrace(TraceRows(columns), termination, mixing.sigma2, diag, divergence)

@@ -1,6 +1,8 @@
 """Reference formulas the tests check the package against, and the data
 helpers they build instances with; no run uses them."""
 
+from dataclasses import fields
+
 import numpy as np
 
 from qrgt import build_metropolis, make_instance, random_stiefel, workers
@@ -199,3 +201,17 @@ def reference_run(inst, topology, cfg):
             termination = "DsTolerance"
             break
     return rows, termination, diag
+
+
+def reference_trace_csv(cfg, trace) -> str:
+    """The text ``cli.write_trace_csv`` writes for ``trace``: the one-string
+    writer it replaced, which formatted a ``TraceRow`` per row."""
+    lines = [f"# {f.name} = {getattr(cfg, f.name)}" for f in fields(cfg)]
+    lines.append("epoch,consensus_error,grad_norm,f_gap,ds,dist_mean,wall_ms,wire_bits_cum")
+    for row in trace.rows:
+        wall = row.wall_ms if cfg.timing else 0.0
+        lines.append(
+            f"{row.epoch},{row.consensus_error!r},{row.grad_norm!r},{row.f_gap!r},"
+            f"{row.ds!r},{row.dist_mean!r},{wall!r},{row.wire_bits_cum}"
+        )
+    return "\n".join(lines) + "\n"

@@ -22,7 +22,18 @@ from qrgt.config import (
     parse_config,
 )
 
+from reference import reference_trace_csv
 from test_problems import write_idx3
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Fail the test if a run starts building its problem."""
+
+    def refuse(cfg):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(cli, "build_problem", refuse)
 
 
 def tiny_overrides(tmp_path, **extra):
@@ -282,6 +293,37 @@ class TestExecute:
         )
 
 
+class TestTraceCsv:
+    """write_trace_csv gives the bytes of the row-by-row writer it replaced."""
+
+    @pytest.mark.parametrize(
+        "overrides, epochs",
+        [
+            pytest.param(dict(preset="synthetic", max_epochs=5000), 5000, id="qrgt"),
+            pytest.param(dict(preset="synthetic", algorithm="rgt"), None, id="rgt-to-its-stop"),
+            pytest.param(dict(alpha_hat=30.0, max_epochs=100), 6, id="diverged-partial"),
+            pytest.param(dict(alpha_hat=1e9, max_epochs=100), 0, id="diverged-before-epoch-1"),
+            pytest.param(dict(timing=True, max_epochs=20), 20, id="timing"),
+        ],
+    )
+    def test_bytes_match_reference(self, tmp_path, overrides, epochs):
+        preset = overrides.pop("preset", None)
+        if preset is None:
+            overrides = tiny_overrides(tmp_path, **overrides)
+        cfg = parse_config(preset=preset, overrides={**overrides, "out": str(tmp_path / "trace.csv")})
+        with np.errstate(all="ignore"):
+            _, trace = execute(cfg)
+        if epochs is None:
+            assert trace.termination == "DsTolerance"
+        else:
+            assert len(trace.rows) == epochs
+        expected = reference_trace_csv(cfg, trace)
+        assert (tmp_path / "trace.csv").read_bytes() == expected.encode()
+        if cfg.timing:
+            rows = expected.split(CSV_HEADER + "\n")[1].splitlines()
+            assert all(float(row.split(",")[6]) > 0.0 for row in rows)
+
+
 class TestSweep:
     def test_bits_sweep_writes_index(self, tmp_path):
         cfg = parse_config(overrides=tiny_overrides(tmp_path, seed=3))
@@ -492,6 +534,29 @@ class TestMain:
             "warning: sigma_2 = 0 (uniform weights): consensus is exact in one step"
         ]
         assert captured.out.startswith("MaxEpochs after 20 epochs: ")
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    @pytest.mark.parametrize("where", ["missing-dir", "a-dir"])
+    def test_unwritable_out_exit_2_before_running(self, tmp_path, capsys, no_run, command, where):
+        # a sweep writes <stem>-bits<value><suffix> for each value, never out itself
+        a_dir = tmp_path / ("t.csv" if command == "run" else "t-bits8.csv")
+        a_dir.mkdir()
+        out = tmp_path / "missing" / "t.csv" if where == "missing-dir" else tmp_path / "t.csv"
+        sweep_flags = ["--key", "bits", "--values", "2,8"] if command == "sweep" else []
+        code = main([command, "--preset", "synthetic", "--out", str(out), *sweep_flags])
+        assert code == 2
+        assert list(tmp_path.rglob("*")) == [a_dir]
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: out: ")
+
+    def test_sweep_repeated_value_exit_2_runs_nothing(self, tmp_path, capsys, no_run):
+        out = tmp_path / "s.csv"
+        code = main(["sweep", "--preset", "synthetic", "--out", str(out), "--key", "bits", "--values", "2,8,8"])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == []
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: values: 8 and 8 both write {tmp_path / 's-bits8.csv'}"]
 
     def test_sweep_bad_value_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "b.csv"

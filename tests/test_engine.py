@@ -37,6 +37,7 @@ from qrgt.engine import (
     TERMINATION_DIVERGED,
     TERMINATION_DS,
     TERMINATION_MAX_EPOCHS,
+    TraceRow,
     _Engine,
 )
 from qrgt.network import MixingMatrix
@@ -792,6 +793,52 @@ class TestRun:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_trace_memory_per_epoch(self):
+        # A finished trace keeps eight 8-byte values a row in its columns and
+        # one tracker_residual entry (an 8-byte list slot and a 24-byte
+        # float), plus growth slack of at most 1/16 for an array and 1/8 for
+        # a list; the 25% covers that. A TraceRow object per row costs about 390 B.
+        inst, topology, algo = TestReferenceRun.preset(max_epochs=5000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run(inst, topology, algo)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.rows) == 5000
+        assert kept / len(trace.rows) <= 1.25 * (8 * 8 + 8 + 24)
+
+    def test_rows_read_as_trace_rows(self):
+        inst = small_instance(seed=5)
+        cfg = AlgoConfig(alpha=1e-2, bits=4, max_epochs=12, seed=2)
+        expected, _, _ = reference_run(inst, Topology.ring(4), cfg)
+        trace = run(inst, Topology.ring(4), cfg)
+        rows = trace.rows
+
+        def values(row):
+            assert type(row) is TraceRow
+            assert type(row.epoch) is type(row.wire_bits_cum) is int
+            assert type(row.ds) is type(row.wall_ms) is float and row.wall_ms > 0.0
+            return (row.epoch, row.consensus_error, row.grad_norm, row.f_gap, row.ds, row.dist_mean,
+                    row.wire_bits_cum)
+
+        assert len(rows) == 12
+        assert values(rows[0]) == expected[0]
+        assert values(rows[-1]) == values(rows[11]) == values(trace.final) == expected[-1]
+        assert [values(row) for row in rows[2:9:3]] == expected[2:9:3]
+        assert [values(row) for row in rows[-3:]] == expected[-3:]
+        assert rows[20:] == []
+        assert [values(row) for row in rows] == expected
+        assert [row.wall_ms for row in rows] == [row.wall_ms for row in rows[:]]
+        replaced = dataclasses.replace(rows[4], wall_ms=1.5)
+        assert replaced.wall_ms == 1.5 and values(replaced) == expected[4]
+        with pytest.raises(IndexError):
+            rows[12]
+        with pytest.raises(TypeError):
+            rows[0] = rows[1]
+        assert not hasattr(rows, "append")
 
     def test_diagnostics_switch(self):
         inst = small_instance()
