@@ -5,7 +5,10 @@ follow the Metropolis rule W_ij = 1 / (1 + max(deg_i, deg_j)) on edges, with
 the diagonal absorbing the remainder, which yields a symmetric doubly
 stochastic matrix whose second-largest singular value sigma_2 lies in [0, 1)
 on connected graphs. Consensus applies W^t (cached) to the stacked agent
-variables.
+variables. For t > 1, W^t is taken as J + (W - J)^t with J = 11^T / n: the
+deflated power decays as sigma_2^t, so its rounding does not build up, and
+the row and column sums stay those of J for any t, where a plain power of
+W loses them in proportion to t. At t = 1, W^t is W itself.
 """
 
 from __future__ import annotations
@@ -198,7 +201,11 @@ def build_metropolis(topology: Topology, t: int = 1) -> MixingMatrix:
             UniformMixingWarning,
             stacklevel=2,
         )
-    W_t = np.linalg.matrix_power(W, t)
+    if t == 1:
+        W_t = W
+    else:
+        J = np.full((n, n), 1.0 / n)
+        W_t = J + np.linalg.matrix_power(W - J, t)
     return MixingMatrix(W=W, sigma2=sigma2, t=t, W_t=W_t)
 
 

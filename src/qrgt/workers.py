@@ -86,8 +86,8 @@ def run_chunks(tasks: list[Callable[[], None]]) -> None:
 
 def neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """-(G @ X) for a symmetric Gram ``G`` and a thin ``X``: a (d, d) matrix
-    with X of shape (d, r), or an (n, d, d) stack with X of shape (n, d, r).
-    The result is a new C-contiguous array.
+    with X of shape (d, r) or a (k, d, r) stack, or an (n, d, d) stack with
+    X of shape (n, d, r). The result is a new C-contiguous array.
 
     Two separate rules. The orientation goes by width: at d of at least
     ``TRANSPOSE_MIN_D`` each product is taken as (X^T G)^T. numpy hands a
@@ -115,9 +115,16 @@ def _neg_products(G: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
     """-(G @ X) in the orientation ``neg_gram_products`` picks, written into
     ``out`` or a new C-contiguous array. The transposed product goes through
     a C-contiguous (..., r, d) temporary: an ``out=`` view of the other
-    layout would take numpy's matmul off BLAS."""
+    layout would take numpy's matmul off BLAS. One Gram with a stack of k
+    thin X is one GEMM of the stacked (k r, d) transposes with G, which reads
+    G once where numpy's stacked matmul would read it k times."""
     if G.shape[-1] >= TRANSPOSE_MIN_D:
-        return np.negative(np.swapaxes(np.matmul(np.swapaxes(X, -1, -2), G), -1, -2), out=out, order="C")
+        if G.ndim == 2 and X.ndim == 3:
+            rows = np.ascontiguousarray(np.swapaxes(X, -1, -2)).reshape(-1, G.shape[0])
+            product = np.matmul(rows, G).reshape(len(X), X.shape[-1], -1)
+        else:
+            product = np.matmul(np.swapaxes(X, -1, -2), G)
+        return np.negative(np.swapaxes(product, -1, -2), out=out, order="C")
     out = np.matmul(G, X, out=out)
     return np.negative(out, out=out)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qrgt import random_stiefel, tangent_project, workers
+from qrgt import evaluate, evaluate_means, random_stiefel, tangent_project, workers
 
 
 @pytest.fixture
@@ -31,3 +31,12 @@ def random_tangent(x: np.ndarray, rng: np.random.Generator, norm: float = 1.0) -
 def stiefel_points(d: int, r: int, count: int, seed: int = 0):
     rng = np.random.default_rng(seed)
     return [random_stiefel(d, r, rng) for _ in range(count)]
+
+
+def evaluate_state(X: np.ndarray, inst):
+    """(consensus_error, grad_norm, f_gap, ds, dist_mean) of one stacked
+    state: ``evaluate`` and a block of one of ``evaluate_means``."""
+    xbars = np.empty((1, *X.shape[1:]))
+    consensus = evaluate(X, xbars[0])
+    means = evaluate_means(xbars, inst)
+    return consensus, *(float(v[0]) for v in (means.grad_norm, means.f_gap, means.ds, means.dist_mean))

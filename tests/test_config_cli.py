@@ -375,6 +375,14 @@ class TestMain:
         assert code == 0
         assert out.exists()
 
+    def test_huge_consensus_power_completes(self, tmp_path, capsys):
+        # W^t is exact averaging here, and the run is no divergence.
+        out = tmp_path / "t18.csv"
+        code = main(["run", "--preset", "synthetic", "--t", str(10**18), "--max-epochs", "300", "--out", str(out)])
+        assert code == 0
+        assert "diverged" not in capsys.readouterr().out
+        assert len(out.read_text().split(CSV_HEADER + "\n")[1].splitlines()) == 300
+
     def test_config_error_exit_2_no_partial_csv(self, tmp_path, capsys):
         out = tmp_path / "never.csv"
         code = main(["run", "--bits", "99", "--out", str(out)])

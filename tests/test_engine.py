@@ -21,6 +21,7 @@ from qrgt import (
     build_metropolis,
     distance_to_manifold,
     evaluate,
+    evaluate_means,
     generate_synthetic,
     make_instance,
     penalty_grad,
@@ -180,6 +181,15 @@ class TestQrgtEpoch:
         inst = small_instance(seed=1)
         cfg = AlgoConfig(alpha=1e-3, bits=4, seed=2, max_epochs=200)
         trace = run(inst, Topology.ring(4), cfg)
+        assert max(trace.diagnostics.tracker_residual) <= 1e-10
+
+    @pytest.mark.parametrize("t", [10**3, 10**5, 10**9])
+    def test_tracker_mean_identity_at_large_t(self, t):
+        # The identity rests on the column sums of W^t; a plain matrix
+        # power broke it without an error from t = 10^5 on (2.5e-10).
+        inst, topology, algo = TestReferenceRun.preset(t=t, max_epochs=300)
+        trace = run(inst, topology, algo)
+        assert trace.termination == TERMINATION_MAX_EPOCHS
         assert max(trace.diagnostics.tracker_residual) <= 1e-10
 
     def test_tracker_mean_identity_rgt(self):
@@ -594,7 +604,9 @@ class TestAgentParallelGrads:
         seen = []
         project = metrics._tangent_project
         monkeypatch.setattr(metrics, "_tangent_project", lambda x, y: seen.append(y) or project(x, y))
-        evaluate(X, wide)
+        xbars = np.empty((1, 784, 5))
+        evaluate(X, xbars[0])
+        evaluate_means(xbars, wide)
         main = threading.get_ident()
         assert products == [((4, 5, 784), (4, 784, 784), main), ((5, 784), (784, 784), main)]
         assert threading.active_count() == before and workers._pool is None
@@ -796,9 +808,9 @@ class TestRun:
 
     def test_trace_memory_per_epoch(self):
         # A finished trace keeps eight 8-byte values a row in its columns and
-        # one tracker_residual entry (an 8-byte list slot and a 24-byte
-        # float), plus growth slack of at most 1/16 for an array and 1/8 for
-        # a list; the 25% covers that. A TraceRow object per row costs about 390 B.
+        # one 8-byte tracker_residual entry, plus growth slack of at most
+        # 1/16 for an array; the 25% covers that. A TraceRow object per row
+        # costs about 390 B, and a list of floats 32 B an entry.
         inst, topology, algo = TestReferenceRun.preset(max_epochs=5000)
         tracemalloc.start()
         try:
@@ -808,7 +820,7 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert len(trace.rows) == 5000
-        assert kept / len(trace.rows) <= 1.25 * (8 * 8 + 8 + 24)
+        assert kept / len(trace.rows) <= 1.25 * (8 * 8 + 8)
 
     def test_rows_read_as_trace_rows(self):
         inst = small_instance(seed=5)
@@ -849,7 +861,7 @@ class TestRun:
             assert len(values) == 6 and all(np.isfinite(v) for v in values)
         lean = run(inst, Topology.ring(4), cfg).diagnostics
         assert lean.tracker_residual == full.tracker_residual
-        assert lean.x_consensus_sq == lean.s_consensus_sq == lean.max_dist == []
+        assert len(lean.x_consensus_sq) == len(lean.s_consensus_sq) == len(lean.max_dist) == 0
 
     def test_distances_are_distance_to_manifold(self, monkeypatch):
         # dist_mean and max_dist are distance_to_manifold bit for bit, and
@@ -857,9 +869,9 @@ class TestRun:
         seen = []
         evaluate = engine.evaluate
 
-        def recording(X, inst):
+        def recording(X, xbar):
             seen.append(X.copy())
-            return evaluate(X, inst)
+            return evaluate(X, xbar)
 
         monkeypatch.setattr(engine, "evaluate", recording)
         inst = small_instance(seed=2)
@@ -877,6 +889,71 @@ class TestRun:
                 assert row.dist_mean == float(distance_to_manifold(xbar))
                 assert row.dist_mean == float(np.sqrt(np.sum((sv - 1.0) ** 2)))
                 assert row.dist_mean > 0.0
+
+
+class TestBlockEvaluation:
+    """run() evaluates BLOCK epochs at a time: a stop, a divergence or the
+    epoch cap inside a block leaves the rows and diagnostics of one epoch at
+    a time, bit for bit."""
+
+    @staticmethod
+    def rgt_stop_mid_block():
+        """An RGT run on the small instance whose ds stop falls at epoch 23."""
+        inst = small_instance()
+        cfg = AlgoConfig(alpha=1e-1, algorithm="rgt", max_epochs=60, seed=0)
+        rows, _, _ = reference_run(inst, Topology.ring(4), cfg)
+        return inst, dataclasses.replace(cfg, ds_tolerance=rows[22][4])
+
+    def test_rgt_stops_mid_block(self, monkeypatch):
+        inst, cfg = self.rgt_stop_mid_block()
+        steps = []
+        monkeypatch.setattr(engine, "retract", lambda x, xi: steps.append(1) or retract(x, xi))
+        rows, termination = TestReferenceRun().check(inst, Topology.ring(4), cfg)
+        assert termination == TERMINATION_DS and len(rows) == 23
+        assert len(rows) % engine.BLOCK != 0
+        # each of the two runs in check computes its stop's block to its end
+        assert len(steps) == 2 * 30
+
+    def test_stop_found_before_a_divergence_in_its_block(self, monkeypatch):
+        inst, cfg = self.rgt_stop_mid_block()
+        diverged = engine._diverged
+        calls = []
+
+        def trips_at_epoch_26(X, r):
+            calls.append(1)
+            return "agent 0 is made to trip" if len(calls) == 26 else diverged(X, r)
+
+        monkeypatch.setattr(engine, "_diverged", trips_at_epoch_26)
+        trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
+        assert len(calls) == 26
+        assert trace.termination == TERMINATION_DS and trace.divergence is None
+        assert len(trace.rows) == 23 and trace.final.ds <= cfg.ds_tolerance
+        for values in dataclasses.astuple(trace.diagnostics):
+            assert len(values) == 24
+
+    def test_divergence_mid_block(self):
+        inst = small_instance()
+        cfg = AlgoConfig(alpha=0.4, max_epochs=300, seed=0)
+        trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
+        assert trace.termination == TERMINATION_DIVERGED
+        assert len(trace.rows) == 17 and len(trace.rows) % engine.BLOCK != 0
+        assert trace.divergence.startswith(f"diverged at epoch {len(trace.rows) + 1}: agent ")
+        assert np.isfinite([dataclasses.astuple(row) for row in trace.rows]).all()
+        expected, _, diag = reference_run(inst, Topology.ring(4), dataclasses.replace(cfg, max_epochs=17))
+        got = [(r.epoch, r.consensus_error, r.grad_norm, r.f_gap, r.ds, r.dist_mean, r.wire_bits_cum)
+               for r in trace.rows]
+        assert got == expected
+        for name, values in diag.items():
+            assert list(getattr(trace.diagnostics, name)) == values, name
+
+    @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
+    def test_epoch_cap_inside_a_block(self, algorithm):
+        # 23 epochs: two full blocks and a tail of three, with the diagnostics
+        # and the blocked tracker residual checked by check.
+        inst = small_instance(seed=3)
+        cfg = AlgoConfig(alpha=1e-2, bits=4, algorithm=algorithm, max_epochs=23, seed=8)
+        rows, termination = TestReferenceRun().check(inst, Topology.ring(4), cfg)
+        assert len(rows) == 23 and termination == TERMINATION_MAX_EPOCHS
 
 
 class TestReferenceRun:
@@ -905,7 +982,8 @@ class TestReferenceRun:
         for name, values in diag.items():
             assert len(values) == len(rows) + 1
             assert self.bits(getattr(full.diagnostics, name)) == self.bits(values), name
-        assert lean.diagnostics.x_consensus_sq == lean.diagnostics.s_consensus_sq == lean.diagnostics.max_dist == []
+        lean_diag = lean.diagnostics
+        assert len(lean_diag.x_consensus_sq) == len(lean_diag.s_consensus_sq) == len(lean_diag.max_dist) == 0
         return rows, termination
 
     @staticmethod

@@ -5,16 +5,17 @@ from qrgt import (
     SyntheticSpec,
     consensus_error,
     evaluate,
+    evaluate_means,
     distance_to_manifold,
     generate_synthetic,
     random_stiefel,
     subspace_distance,
 )
 
-from qrgt import metrics, workers
+from qrgt import engine, metrics, workers
 
-from conftest import stiefel_points
-from reference import wide_instance
+from conftest import evaluate_state, stiefel_points
+from reference import ref_evaluate, wide_instance
 
 
 def random_orthogonal(r, rng):
@@ -110,36 +111,56 @@ class TestEvaluate:
         )
 
     def test_at_optimum(self, inst):
-        row = evaluate([inst.x_star] * 4, inst)
-        assert row.consensus_error == pytest.approx(0.0, abs=1e-12)
-        assert abs(row.f_gap) <= 1e-10
-        assert row.ds <= 1e-7
-        assert row.grad_norm <= 1e-8
-        assert row.dist_mean <= 1e-10
+        consensus, grad_norm, f_gap, ds, dist_mean = evaluate_state(np.array([inst.x_star] * 4), inst)
+        assert consensus == pytest.approx(0.0, abs=1e-12)
+        assert abs(f_gap) <= 1e-10
+        assert ds <= 1e-7
+        assert grad_norm <= 1e-8
+        assert dist_mean <= 1e-10
 
     def test_spread_ensemble(self, inst, rng):
-        states = [random_stiefel(8, 3, rng) for _ in range(4)]
-        row = evaluate(states, inst)
-        assert row.consensus_error > 0
-        assert row.dist_mean > 0  # Euclidean mean leaves the manifold
-        assert np.isfinite([row.grad_norm, row.f_gap, row.ds]).all()
+        states = np.array([random_stiefel(8, 3, rng) for _ in range(4)])
+        consensus, grad_norm, f_gap, ds, dist_mean = evaluate_state(states, inst)
+        assert consensus > 0
+        assert dist_mean > 0  # Euclidean mean leaves the manifold
+        assert np.isfinite([grad_norm, f_gap, ds]).all()
+
+    def test_evaluate_writes_the_mean(self, inst, rng):
+        X = rng.standard_normal((4, 8, 3))
+        xbar = np.full((8, 3), np.nan)
+        assert evaluate(X, xbar) == consensus_error(X) == float(np.linalg.norm(X - X.mean(axis=0)))
+        assert xbar.tobytes() == np.mean(X, axis=0).tobytes()
+
+
+@pytest.fixture(scope="module", params=["wide", "preset"])
+def block_inst(request):
+    """An instance at d = 784 and the synthetic preset's instance at d = 10."""
+    if request.param == "wide":
+        return wide_instance()
+    return generate_synthetic(
+        SyntheticSpec(n=16, m=1000, d=10, r=5, eigengap=0.8, leading_sv=300.0, seed=0)
+    )
+
+
+def random_block(inst, k, seed):
+    """k stacked states of ``inst``'s shape and the (k, d, r) stack of their
+    agent means, each written by ``evaluate``."""
+    rng = np.random.default_rng(seed)
+    states = rng.standard_normal((k, inst.n_agents, inst.dims.d, inst.dims.r))
+    xbars = np.empty((k, inst.dims.d, inst.dims.r))
+    consensus = [evaluate(X, xbar) for X, xbar in zip(states, xbars)]
+    return states, xbars, consensus
 
 
 class TestEvaluateProduct:
-    """evaluate's mean_gram @ xbar, taken as (xbar^T mean_gram)^T on wide
-    Grams, is byte-equal to the plain product, at d = 784 and on the preset,
-    on either side of the width threshold."""
-
-    @pytest.fixture(scope="class", params=["wide", "preset"])
-    def inst(self, request):
-        if request.param == "wide":
-            return wide_instance()
-        return generate_synthetic(
-            SyntheticSpec(n=16, m=1000, d=10, r=5, eigengap=0.8, leading_sv=300.0, seed=0)
-        )
+    """evaluate_means' mean_gram @ xbar over a block of means, taken as one
+    product of the stacked (xbar^T) with mean_gram on wide Grams, is
+    byte-equal to the plain product of each mean, at d = 784 and on the
+    preset, on either side of the width threshold."""
 
     @pytest.mark.parametrize("threshold", [0, 1 << 62])
-    def test_gram_product_bit_equal(self, inst, monkeypatch, threshold):
+    def test_gram_product_bit_equal(self, block_inst, monkeypatch, threshold):
+        inst = block_inst
         monkeypatch.setattr(workers, "TRANSPOSE_MIN_D", threshold)
         seen = []
         project = metrics._tangent_project
@@ -150,12 +171,46 @@ class TestEvaluateProduct:
             return project(x, y)
 
         monkeypatch.setattr(metrics, "_tangent_project", recording)
-        rng = np.random.default_rng(7)
-        n, d, r = inst.n_agents, inst.dims.d, inst.dims.r
-        for k in range(10):
-            X = rng.standard_normal((n, d, r))
-            row = evaluate(X, inst)
-            xbar = np.mean(X, axis=0)
+        _, xbars, _ = random_block(inst, engine.BLOCK, seed=7)
+        means = evaluate_means(xbars, inst)
+        assert len(seen) == 1 and seen[0].shape == xbars.shape
+        for k, xbar in enumerate(xbars):
             gram_x = inst.mean_gram @ xbar
-            assert seen[k].tobytes() == (-gram_x).tobytes()
-            assert row.f_gap == float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star
+            assert seen[0][k].tobytes() == (-gram_x).tobytes()
+            assert means.f_gap[k] == float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star
+
+    @pytest.mark.parametrize("threshold", [0, 1 << 62])
+    def test_stacked_product_is_separate_products(self, block_inst, monkeypatch, threshold):
+        # One stacked neg_gram_products call over a block of means gives
+        # what a call per mean gives; at d = 784 with the transposed
+        # orientation that is one GEMM of the (B r, d) transposes with G
+        # against B GEMMs of (r, d), which OpenBLAS does not promise.
+        monkeypatch.setattr(workers, "TRANSPOSE_MIN_D", threshold)
+        _, xbars, _ = random_block(block_inst, engine.BLOCK, seed=8)
+        G = block_inst.mean_gram
+        stacked = workers.neg_gram_products(G, xbars)
+        separate = np.array([workers.neg_gram_products(G, xbar) for xbar in xbars])
+        assert stacked.flags.c_contiguous
+        assert stacked.tobytes() == separate.tobytes()
+
+
+class TestBlockMetrics:
+    """A block of means gives, per mean, the bits of the one-state
+    formulas of ``reference.ref_evaluate``."""
+
+    @pytest.mark.parametrize("k", [1, 3, 10])
+    def test_block_is_the_reference(self, block_inst, k):
+        inst = block_inst
+        states, xbars, consensus = random_block(inst, k, seed=k)
+        means = evaluate_means(xbars, inst)
+        got = np.column_stack([consensus, means.grad_norm, means.f_gap, means.ds, means.dist_mean])
+        expected = np.array([ref_evaluate(X, inst) for X in states])
+        assert got.tobytes() == expected.tobytes()
+
+    def test_norms_are_norm(self, rng):
+        for shape in [(10, 10, 5), (3, 784, 5), (1, 6, 2), (4, 5, 5)]:
+            a = rng.standard_normal(shape)
+            expected = [metrics._norm(s) for s in a]
+            assert metrics._norms(a).tolist() == expected
+            assert expected == [float(np.linalg.norm(s)) for s in a]
+        assert metrics._norms(np.zeros((2, 3, 1))).tolist() == [0.0, 0.0]

@@ -102,6 +102,27 @@ class TestMetropolis:
         np.testing.assert_allclose(Wt, Wt.T, atol=1e-13)
         np.testing.assert_allclose(Wt.sum(axis=1), 1.0, atol=1e-12)
 
+    def test_power_one_is_w(self):
+        mixing = build_metropolis(Topology.ring(8))
+        assert mixing.W_t.tobytes() == mixing.W.tobytes()
+
+    def test_small_power_is_the_matrix_power(self):
+        for t in (2, 5, 40):
+            mixing = build_metropolis(Topology.erdos_renyi(10, 0.4, seed=1), t=t)
+            np.testing.assert_allclose(mixing.W_t, np.linalg.matrix_power(mixing.W, t), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("t", [10**3, 10**6, 10**12, 10**18])
+    @pytest.mark.parametrize("n", [16, 7])
+    def test_large_power_keeps_its_sums(self, n, t):
+        # A plain power of W loses its sums in proportion to t: on a ring of
+        # 16, 2.2e-12 from 1 at t = 10^6 and 7.7 at t = 10^18.
+        Wt = build_metropolis(Topology.ring(n), t=t).W_t
+        eps = np.finfo(float).eps
+        assert np.abs(Wt.sum(axis=1) - 1.0).max() <= n * eps
+        assert np.abs(Wt.sum(axis=0) - 1.0).max() <= n * eps
+        np.testing.assert_array_equal(Wt, Wt.T)
+        np.testing.assert_allclose(Wt, 1.0 / n, rtol=0, atol=1e-15)
+
     def test_bad_t(self):
         with pytest.raises(ValueError):
             build_metropolis(Topology.ring(4), t=0)
