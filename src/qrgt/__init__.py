@@ -13,7 +13,7 @@ from .engine import (
     safety_step_bound,
     step_size_bounds,
 )
-from .metrics import MeanMetrics, consensus_error, evaluate, evaluate_means, subspace_distance
+from .metrics import consensus_error, evaluate, evaluate_means, subspace_distance
 from .network import MixingMatrix, Topology, build_metropolis, mix, second_singular_value
 from .problems import (
     ProblemInstance,

@@ -7,8 +7,9 @@ data and initialization are shared) and writes an index of final metrics and
 each value's termination reason; a value that diverged before completing an
 epoch has nan metrics. Every value is resolved before the first run, and when
 a later value stops with exit 2 the index of the values already run is still
-written. Two values that would write the same trace file (``--values 8,8``)
-are a configuration error.
+written. Two values that resolve to the same setting, however spelled
+(``--values 8,08``, or ``0.01,1e-2`` for ``alpha_hat``), are a configuration
+error.
 
 Exit codes: 0 for a completed run (early stop or epoch cap); 2 for a
 configuration error (an unknown key, a value out of range, such as a
@@ -39,11 +40,11 @@ from pathlib import Path
 import numpy as np
 
 from .config import ConfigError, RunConfig, algo_config, build_problem, build_topology, parse_config, with_value
-from .engine import ALGO_QRGT, TERMINATION_DIVERGED, RunTrace, run
+from .engine import ALGO_QRGT, TERMINATION_DIVERGED, RunTrace, TraceRow, run
 from .network import GraphError, UniformMixingWarning
 from .problems import DegenerateGapWarning, IdxFormatError
 
-CSV_HEADER = "epoch,consensus_error,grad_norm,f_gap,ds,dist_mean,wall_ms,wire_bits_cum"
+CSV_HEADER = ",".join(f.name for f in fields(TraceRow))
 
 SWEEP_KEYS = {
     "bits": "bits",
@@ -111,7 +112,7 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
     """Run cfg once per value of ``key``; write per-value traces and an index.
 
     Every value and every output path is resolved before the first run, so
-    a bad value, two values that would write the same trace file, an output
+    a bad value, two values that resolve to the same setting, an output
     path that cannot be written, or no value at all, writes nothing.
     Unusable input met by a later value (``GraphError``, ``IdxFormatError``,
     or a ``ConfigError`` known only once the data is read, as an MNIST
@@ -130,11 +131,12 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
         for raw in values
     ]
     index_path = out.with_name(f"{out.stem}-index{out.suffix}")
-    first_value: dict[str, str] = {}
+    first_raw = {}
     for raw, run_cfg in runs:
-        if run_cfg.out in first_value:
-            raise ConfigError(f"values: {first_value[run_cfg.out]} and {raw} both write {run_cfg.out}")
-        first_value[run_cfg.out] = raw
+        value = getattr(run_cfg, field_name)
+        if value in first_raw:
+            raise ConfigError(f"values: {first_raw[value]} and {raw} are both {field_name} = {value}")
+        first_raw[value] = raw
         _check_out(run_cfg.out)
     _check_out(index_path)
     index_lines = ["value,final_ds,final_consensus_error,termination"]

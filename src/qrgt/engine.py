@@ -44,7 +44,8 @@ import math
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
+from itertools import count, starmap
 
 import numpy as np
 
@@ -132,6 +133,8 @@ class TrackingState:
 
 @dataclass(frozen=True)
 class TraceRow:
+    """One epoch of a run's trace; its fields, in order, are the CSV's columns."""
+
     epoch: int
     consensus_error: float
     grad_norm: float
@@ -142,21 +145,21 @@ class TraceRow:
     wire_bits_cum: int
 
 
-# array type codes of the trace columns, in TraceRow field order: 8 bytes a value
-_COLUMN_TYPES = tuple("q" if f.type == "int" else "d" for f in fields(TraceRow))
-
-
 class TraceRows(Sequence):
-    """The rows of a run's trace, read-only, kept as one typed column per
-    ``TraceRow`` field (``array('q')`` for the integers, ``array('d')`` for
-    the floats, grown by appending): 64 bytes a row. A ``TraceRow``, about
-    390 bytes, is built only when a row is read, by index, slice or
+    """The rows of a run's trace, read-only. The six measured fields,
+    ``consensus_error`` to ``wall_ms``, are kept as ``array('d')`` columns,
+    grown by appending: 48 bytes a row. ``epoch`` and ``wire_bits_cum`` are
+    derived from the row's position: row i is epoch i + 1, and its
+    ``wire_bits_cum`` is (epoch + 1) times the run's per-epoch ``payload``,
+    the initial gradient exchange counting as epoch 0's. A ``TraceRow``,
+    about 390 bytes, is built only when a row is read, by index, slice or
     iteration; a slice is a list of them."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("_columns", "_payload")
 
-    def __init__(self, columns: tuple[array, ...]):
+    def __init__(self, columns: tuple[array, ...], payload: int):
         self._columns = columns
+        self._payload = payload
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -164,15 +167,19 @@ class TraceRows(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        return TraceRow(*(col[index] for col in self._columns))
+        i = range(len(self))[index]  # the position, from a negative index too: epoch is i + 1
+        return TraceRow(*self._row(i + 1, *(col[i] for col in self._columns)))
 
     def __iter__(self):
-        return map(TraceRow, *self._columns)
+        return starmap(TraceRow, self.tuples())
 
     def tuples(self):
         """The rows as plain tuples in ``TraceRow`` field order, read straight
         from the columns: no ``TraceRow`` is built."""
-        return zip(*self._columns)
+        return map(self._row, count(1), *self._columns)
+
+    def _row(self, epoch: int, *measured: float) -> tuple:
+        return (epoch, *measured, (epoch + 1) * self._payload)
 
 
 @dataclass
@@ -199,10 +206,11 @@ class RunDiagnostics:
 class RunTrace:
     """One row per completed epoch plus the reason the loop stopped.
 
-    ``rows`` is a read-only ``TraceRows`` sequence: it keeps 64 bytes per
-    epoch in typed columns and builds a ``TraceRow`` only when a row is
-    read. With the 8-byte ``tracker_residual`` entry of ``diagnostics``, a
-    finished trace holds about 75 bytes per epoch. ``divergence`` is set
+    ``rows`` is a read-only ``TraceRows`` sequence: it keeps the six
+    measured values of an epoch, 48 bytes, in columns, derives ``epoch`` and
+    ``wire_bits_cum``, and builds a ``TraceRow`` only when a row is read.
+    With the 8-byte ``tracker_residual`` entry of ``diagnostics``, a
+    finished trace holds about 59 bytes per epoch. ``divergence`` is set
     only when ``termination`` is Diverged: one line naming the epoch, the
     first agent that tripped, and the check.
     """
@@ -336,11 +344,13 @@ def run(
 ) -> RunTrace:
     """Execute epochs until max_epochs, the early-stop threshold, or divergence.
 
-    Each epoch appends its epoch number, consensus error, ``wall_ms`` and
-    ``wire_bits_cum`` to the trace columns and keeps its agent mean and
-    tracker means in block buffers; every ``BLOCK`` epochs, and when the
-    loop ends, one ``evaluate_means`` call fills the other four columns and
-    ``RunDiagnostics.tracker_residual`` for the pending epochs. The ``ds``
+    Each epoch appends its consensus error and ``wall_ms`` to the trace
+    columns and keeps its agent mean and tracker means in block buffers;
+    every ``BLOCK`` epochs, and when the loop ends, one ``evaluate_means``
+    call fills the other four columns and ``RunDiagnostics.tracker_residual``
+    for the pending epochs. ``epoch`` and ``wire_bits_cum`` are not stored:
+    the trace derives them from ``wire_per_epoch``, the bits charged per
+    epoch (n quantized gradient messages for Q-RGT, none for RGT). The ``ds``
     stop is found there: the trace ends at the first epoch with
     ``ds <= ds_tolerance``, and the at most ``BLOCK - 1`` epochs run past it
     leave no trace. A divergence ends the loop before its epoch is kept.
@@ -352,8 +362,8 @@ def run(
     eng = _Engine(inst, mixing, cfg)
     d, r = inst.dims.d, inst.dims.r
     wire_per_epoch = inst.n_agents * wire_size_bits(d * r, eng.qspec) if cfg.algorithm == ALGO_QRGT else 0
-    columns = tuple(array(code) for code in _COLUMN_TYPES)
-    put_epoch, put_consensus, _, _, _, _, put_wall, put_wire = (col.append for col in columns)
+    columns = tuple(array("d") for _ in range(6))  # consensus_error to wall_ms
+    put_consensus, put_wall = columns[0].append, columns[5].append
     diag = RunDiagnostics()
     termination = TERMINATION_MAX_EPOCHS
     divergence = None
@@ -381,10 +391,10 @@ def run(
         """Fill the columns of the ``k`` pending epochs; on a ds stop among
         them, cut the trace after it and return True."""
         put_residuals(k)
-        means = evaluate_means(xbars[:k], inst)
-        for col, values in zip(columns[2:6], (means.grad_norm, means.f_gap, means.ds, means.dist_mean)):
+        grad_norm, f_gap, ds, dist_mean = evaluate_means(xbars[:k], inst)
+        for col, values in zip(columns[1:5], (grad_norm, f_gap, ds, dist_mean)):
             _extend(col, values)
-        stops = np.flatnonzero(means.ds <= cfg.ds_tolerance)
+        stops = np.flatnonzero(ds <= cfg.ds_tolerance)
         if stops.size == 0:
             return False
         kept = len(columns[0]) - k + int(stops[0]) + 1
@@ -397,7 +407,6 @@ def run(
     state = eng.initial_state()
     record_diag(state, None, 0)  # epoch-0 entry: a block of one
     put_residuals(1)
-    wire_cum = wire_per_epoch  # the initial gradient exchange is epoch 0's payload
     step = eng.step
     clock = time.perf_counter
     pending = 0  # epochs since the last flush
@@ -410,15 +419,12 @@ def run(
             termination = TERMINATION_DIVERGED
             divergence = f"diverged at epoch {epoch}: {why}"
             break
-        wire_cum += wire_per_epoch
         # Exactly one call of the module name ``evaluate`` per epoch: the
         # benchmark clocks epochs by wrapping it, and without one stamp per
         # epoch it falls back to whole-solve times.
         consensus = evaluate(state.x, xbars[pending])
-        put_epoch(epoch)
         put_consensus(consensus)
         put_wall(wall_ms)
-        put_wire(wire_cum)
         record_diag(state, consensus, pending)
         pending += 1
         if pending == BLOCK:
@@ -428,7 +434,7 @@ def run(
                 break
     if pending and flush(pending):  # a stop before the loop's end, or before a divergence
         termination, divergence = TERMINATION_DS, None
-    return RunTrace(TraceRows(columns), termination, mixing.sigma2, diag, divergence)
+    return RunTrace(TraceRows(columns, wire_per_epoch), termination, mixing.sigma2, diag, divergence)
 
 
 def _extend(values: array, new: np.ndarray) -> None:

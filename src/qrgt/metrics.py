@@ -12,26 +12,24 @@ engine calls ``evaluate`` every epoch and ``evaluate_means`` on a block of
 epochs (``engine.BLOCK``); a single state is a block of one. On the d = 10
 preset their cost is mostly call overhead, so the block is worked by
 stacked kernels, and numpy's kernels are called without their wrappers:
-``_mean`` is the sum and the division ``np.mean`` runs, ``_norm`` the dot
-product ``np.linalg.norm`` takes, and the geometry comes from the unchecked
-kernels of ``stiefel``. A stacked matmul or a batched SVD makes the same
-BLAS or LAPACK call per slice that the single matrix makes, so each metric
-has the bits of the one-state formula; the tests compare them.
+``_mean`` is the sum and the division ``np.mean`` runs, and ``_norm`` the
+dot product ``np.linalg.norm`` takes. A stacked matmul or a batched SVD
+makes the same BLAS or LAPACK call per slice that the single matrix makes,
+so each metric has the bits of the one-state formula; the tests compare
+them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import workers
 from .problems import ProblemInstance
-from .stiefel import _distance_to_manifold, _tangent_project
+from .stiefel import distance_to_manifold, tangent_project
 
 __all__ = [
-    "MeanMetrics",
     "subspace_distance",
     "consensus_error",
     "evaluate",
@@ -39,19 +37,9 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MeanMetrics:
-    """The metrics at a stack of k agent means: one entry per mean, each
-    field a float64 array of length k."""
-
-    grad_norm: np.ndarray
-    f_gap: np.ndarray
-    ds: np.ndarray
-    dist_mean: np.ndarray
-
-
-def subspace_distance(x: np.ndarray, xstar: np.ndarray) -> float:
-    """min over orthogonal O of ||x O - xstar||_F, by orthogonal Procrustes.
+def subspace_distance(x: np.ndarray, xstar: np.ndarray) -> float | np.ndarray:
+    """min over orthogonal O of ||x O - xstar||_F, by orthogonal Procrustes,
+    one value per (d, r) slice of ``x`` against the one (d, r) ``xstar``.
 
     With the SVD x^T xstar = U S V^T, the optimum is O = U V^T; O ranges
     over the full orthogonal group (reflections included), so no determinant
@@ -62,14 +50,8 @@ def subspace_distance(x: np.ndarray, xstar: np.ndarray) -> float:
     """
     x = np.asarray(x, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
-    if x.shape != xstar.shape:
+    if xstar.ndim != 2 or x.shape[-2:] != xstar.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xstar.shape}")
-    return float(_subspace_distance(x, xstar))
-
-
-def _subspace_distance(x: np.ndarray, xstar: np.ndarray) -> np.ndarray:
-    """``subspace_distance`` without the argument checks, one per (d, r)
-    slice of ``x``."""
     u, _, vt = np.linalg.svd(x.swapaxes(-1, -2) @ xstar)
     diff = x @ (u @ vt)
     diff -= xstar
@@ -113,8 +95,10 @@ def evaluate(stacked, xbar: np.ndarray) -> float:
     return _norm(X - _mean(X, xbar))
 
 
-def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> MeanMetrics:
-    """The four metrics at each mean of a (k, d, r) stack.
+def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> tuple[np.ndarray, ...]:
+    """The four metrics at each mean of a (k, d, r) stack, in the trace's
+    column order: ``grad_norm``, ``f_gap``, ``ds`` and ``dist_mean``, each
+    a float64 array of length k.
 
     The averaged-Gram products are taken for the whole stack, negated, by
     one ``workers.neg_gram_products`` call, and serve both the gradient and
@@ -123,9 +107,9 @@ def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> MeanMetrics:
     neg_gram_x = workers.neg_gram_products(inst.mean_gram, xbars)
     f_terms = xbars * neg_gram_x
     f_sums = np.add.reduce(f_terms.reshape(len(xbars), -1), axis=1)
-    return MeanMetrics(
-        grad_norm=_norms(_tangent_project(xbars, neg_gram_x)),
-        f_gap=0.5 * f_sums - inst.f_star,
-        ds=_subspace_distance(xbars, inst.x_star),
-        dist_mean=_distance_to_manifold(xbars),
+    return (
+        _norms(tangent_project(xbars, neg_gram_x)),
+        0.5 * f_sums - inst.f_star,
+        subspace_distance(xbars, inst.x_star),
+        distance_to_manifold(xbars),
     )

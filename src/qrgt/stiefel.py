@@ -83,36 +83,22 @@ def _eye(r: int) -> np.ndarray:
     return eye
 
 
-def _tangent_project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``tangent_project`` without the argument checks.
-
-    Takes the one product M = x^T y and uses M + M^T for x^T y + y^T x;
-    y^T x came out bit-equal to M^T on OpenBLAS, which the tests check.
-    """
-    m = x.swapaxes(-1, -2) @ y
-    out = x @ (m + m.swapaxes(-1, -2))
-    out *= 0.5
-    return np.subtract(y, out, out=out)
-
-
 def tangent_project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Orthogonal projection of y onto the tangent space at x.
 
     Computes y - x (x^T y + y^T x) / 2, applied as written even when x is
-    off the manifold.
+    off the manifold. Takes the one product M = x^T y and uses M + M^T for
+    x^T y + y^T x; y^T x came out bit-equal to M^T on OpenBLAS, which the
+    tests check.
     """
     x = _check_matrix(x, "x")
     y = _check_matrix(y, "y")
     if x.shape[-2:] != y.shape[-2:]:
         raise ValueError(f"shape mismatch: x is {x.shape}, y is {y.shape}")
-    return _tangent_project(x, y)
-
-
-def _distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
-    """``distance_to_manifold`` without the argument check."""
-    sv = np.linalg.svd(x, compute_uv=False)
-    sv -= 1.0
-    return np.sqrt(np.add.reduce(sv * sv, axis=-1))
+    m = x.swapaxes(-1, -2) @ y
+    out = x @ (m + m.swapaxes(-1, -2))
+    out *= 0.5
+    return np.subtract(y, out, out=out)
 
 
 def distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
@@ -122,7 +108,9 @@ def distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
     nearest manifold point is the polar factor (not unique when x is
     rank-deficient, though the distance is).
     """
-    return _distance_to_manifold(_check_matrix(x, "x"))
+    sv = np.linalg.svd(_check_matrix(x, "x"), compute_uv=False)
+    sv -= 1.0
+    return np.sqrt(np.add.reduce(sv * sv, axis=-1))
 
 
 def penalty_grad(x: np.ndarray) -> np.ndarray:

@@ -38,5 +38,4 @@ def evaluate_state(X: np.ndarray, inst):
     state: ``evaluate`` and a block of one of ``evaluate_means``."""
     xbars = np.empty((1, *X.shape[1:]))
     consensus = evaluate(X, xbars[0])
-    means = evaluate_means(xbars, inst)
-    return consensus, *(float(v[0]) for v in (means.grad_norm, means.f_gap, means.ds, means.dist_mean))
+    return consensus, *(float(v[0]) for v in evaluate_means(xbars, inst))

@@ -383,3 +383,38 @@ def test_criterion_9_mnist_protocol(tmp_path):
         f"60000x784 ingested, 3750 rows/agent; RGT {rgt.termination}, Q-RGT {q8.termination}; "
         f"max f_gap ratio {ratio.max():.2f}; {elapsed:.0f}s (budget 900s)",
     )
+
+
+# ---------------------------------------------------------------- criterion 10
+
+FLOOR_BITS = (4, 6, 8, 10, 12, 16)
+# consensus x (2^N - 1) on the plateau: seed 0 read 0.2375-0.2637 over
+# FLOOR_BITS, and the band is 0.8 times its lowest reading to 1.2 times its
+# highest; seeds 1-4 read 0.2479-0.2801, inside it
+FLOOR_BAND = (0.19, 0.32)
+
+
+def test_criterion_10_consensus_floor(preset_instance):
+    # The consensus error of Q-RGT settles on a floor set by the bit count.
+    # The paper bounds it by a function of the quantization levels; its
+    # constant is not in the repository, so this checks the measured scaling
+    # law instead: the floor halves with each extra bit, and stays within a
+    # fixed band once scaled by the number of grid steps, 2^N - 1.
+    tic = time.perf_counter()
+    alpha = 16 * 0.01 / preset_instance.total_rows
+    floors = []
+    for bits in FLOOR_BITS:
+        trace = run(preset_instance, RING16, AlgoConfig(alpha=alpha, bits=bits, max_epochs=3000, seed=0))
+        assert len(trace.rows) == 3000, f"{bits} bits ended with {trace.termination}"
+        floors.append(np.median([row.consensus_error for row in trace.rows[-600:]]))
+    slope = np.polyfit(FLOOR_BITS, np.log2(floors), 1)[0]
+    scaled = np.array(floors) * (2.0 ** np.array(FLOOR_BITS) - 1)
+    in_band = bool(((FLOOR_BAND[0] <= scaled) & (scaled <= FLOOR_BAND[1])).all())
+    elapsed = time.perf_counter() - tic
+    report(
+        "criterion-10 consensus floor (measured scaling law)",
+        -1.1 <= slope <= -0.9 and in_band and elapsed < 60.0,
+        f"log2 slope {slope:.3f} per bit in [-1.1, -0.9]; consensus x (2^N - 1) "
+        f"{scaled.min():.3f}-{scaled.max():.3f} in [{FLOOR_BAND[0]}, {FLOOR_BAND[1]}] "
+        f"over bits {list(FLOOR_BITS)}; {elapsed:.1f}s (budget 60s)",
+    )

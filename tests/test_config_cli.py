@@ -559,12 +559,17 @@ class TestMain:
         assert err[0].startswith("error: out: ")
 
     def test_sweep_repeated_value_exit_2_runs_nothing(self, tmp_path, capsys, no_run):
+        # a value spelled twice would run the same configuration twice, too
         out = tmp_path / "s.csv"
-        code = main(["sweep", "--preset", "synthetic", "--out", str(out), "--key", "bits", "--values", "2,8,8"])
-        assert code == 2
-        assert list(tmp_path.iterdir()) == []
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"error: values: 8 and 8 both write {tmp_path / 's-bits8.csv'}"]
+        for key, values, line in [
+            ("bits", "2,8,8", "8 and 8 are both bits = 8"),
+            ("bits", "8,08", "8 and 08 are both bits = 8"),
+            ("alpha_hat", "0.01,1e-2", "0.01 and 1e-2 are both alpha_hat = 0.01"),
+        ]:
+            code = main(["sweep", "--preset", "synthetic", "--out", str(out), "--key", key, "--values", values])
+            assert code == 2
+            assert list(tmp_path.iterdir()) == []
+            assert capsys.readouterr().err.splitlines() == [f"error: values: {line}"]
 
     def test_sweep_bad_value_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "b.csv"

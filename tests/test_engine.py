@@ -602,8 +602,8 @@ class TestAgentParallelGrads:
         X = np.random.default_rng(5).standard_normal((4, 784, 5))
         grads = _Engine(wide, identity_mixing(4), AlgoConfig(alpha=1e-3)).local_grads(X)
         seen = []
-        project = metrics._tangent_project
-        monkeypatch.setattr(metrics, "_tangent_project", lambda x, y: seen.append(y) or project(x, y))
+        project = metrics.tangent_project
+        monkeypatch.setattr(metrics, "tangent_project", lambda x, y: seen.append(y) or project(x, y))
         xbars = np.empty((1, 784, 5))
         evaluate(X, xbars[0])
         evaluate_means(xbars, wide)
@@ -807,10 +807,12 @@ class TestRun:
             gc.enable()
 
     def test_trace_memory_per_epoch(self):
-        # A finished trace keeps eight 8-byte values a row in its columns and
-        # one 8-byte tracker_residual entry, plus growth slack of at most
-        # 1/16 for an array; the 25% covers that. A TraceRow object per row
-        # costs about 390 B, and a list of floats 32 B an entry.
+        # A finished trace keeps six 8-byte values a row in its columns (epoch
+        # and wire_bits_cum are derived) and one 8-byte tracker_residual
+        # entry, plus growth slack of at most 1/16 for an array; the 25%
+        # covers that. With epoch and wire_bits_cum stored too, a trace kept
+        # 75 B a row; a TraceRow object per row costs about 390 B, and a list
+        # of floats 32 B an entry.
         inst, topology, algo = TestReferenceRun.preset(max_epochs=5000)
         tracemalloc.start()
         try:
@@ -820,7 +822,7 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert len(trace.rows) == 5000
-        assert kept / len(trace.rows) <= 1.25 * (8 * 8 + 8)
+        assert kept / len(trace.rows) <= 1.25 * (6 * 8 + 8)
 
     def test_rows_read_as_trace_rows(self):
         inst = small_instance(seed=5)
@@ -846,8 +848,9 @@ class TestRun:
         assert [row.wall_ms for row in rows] == [row.wall_ms for row in rows[:]]
         replaced = dataclasses.replace(rows[4], wall_ms=1.5)
         assert replaced.wall_ms == 1.5 and values(replaced) == expected[4]
-        with pytest.raises(IndexError):
-            rows[12]
+        for index in (12, -13):
+            with pytest.raises(IndexError):
+                rows[index]
         with pytest.raises(TypeError):
             rows[0] = rows[1]
         assert not hasattr(rows, "append")
@@ -897,15 +900,16 @@ class TestBlockEvaluation:
     a time, bit for bit."""
 
     @staticmethod
-    def rgt_stop_mid_block():
-        """An RGT run on the small instance whose ds stop falls at epoch 23."""
+    def stop_mid_block(algorithm="rgt"):
+        """A run of ``algorithm`` on the small instance whose ds stop falls
+        at epoch 23."""
         inst = small_instance()
-        cfg = AlgoConfig(alpha=1e-1, algorithm="rgt", max_epochs=60, seed=0)
+        cfg = AlgoConfig(alpha=1e-1, algorithm=algorithm, max_epochs=60, seed=0)
         rows, _, _ = reference_run(inst, Topology.ring(4), cfg)
         return inst, dataclasses.replace(cfg, ds_tolerance=rows[22][4])
 
     def test_rgt_stops_mid_block(self, monkeypatch):
-        inst, cfg = self.rgt_stop_mid_block()
+        inst, cfg = self.stop_mid_block()
         steps = []
         monkeypatch.setattr(engine, "retract", lambda x, xi: steps.append(1) or retract(x, xi))
         rows, termination = TestReferenceRun().check(inst, Topology.ring(4), cfg)
@@ -914,8 +918,16 @@ class TestBlockEvaluation:
         # each of the two runs in check computes its stop's block to its end
         assert len(steps) == 2 * 30
 
+    def test_qrgt_stops_mid_block(self):
+        # the derived wire_bits_cum of the last row charges the payload up to
+        # the stop, not up to the end of its block
+        inst, cfg = self.stop_mid_block("qrgt")
+        rows, termination = TestReferenceRun().check(inst, Topology.ring(4), cfg)
+        assert termination == TERMINATION_DS and len(rows) == 23
+        assert rows[-1][-1] == (23 + 1) * 4 * (6 * 2 * 8 + 64)
+
     def test_stop_found_before_a_divergence_in_its_block(self, monkeypatch):
-        inst, cfg = self.rgt_stop_mid_block()
+        inst, cfg = self.stop_mid_block()
         diverged = engine._diverged
         calls = []
 

@@ -88,8 +88,18 @@ class TestSubspaceDistance:
         assert vals.min() >= closed - 1e-9
 
     def test_shape_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            subspace_distance(np.eye(4, 2), np.eye(4, 3))
+        # a stack of x is measured against one xstar of its trailing shape
+        for x_shape, xstar_shape in [((4, 2), (4, 3)), ((3, 4, 2), (4, 3)), ((3, 4, 2), (3, 4, 2)), ((4,), (4, 1))]:
+            with pytest.raises(ValueError):
+                subspace_distance(np.ones(x_shape), np.ones(xstar_shape))
+
+    def test_stack_is_separate_calls(self, rng):
+        # one value per (d, r) slice, bit for bit what a call per slice gives
+        x = rng.standard_normal((7, 10, 5))
+        xstar = random_stiefel(10, 5, rng)
+        stacked = subspace_distance(x, xstar)
+        assert stacked.shape == (7,)
+        assert stacked.tobytes() == np.array([subspace_distance(s, xstar) for s in x]).tobytes()
 
 
 class TestConsensusError:
@@ -163,21 +173,21 @@ class TestEvaluateProduct:
         inst = block_inst
         monkeypatch.setattr(workers, "TRANSPOSE_MIN_D", threshold)
         seen = []
-        project = metrics._tangent_project
+        project = metrics.tangent_project
 
         def recording(x, y):
             assert y.flags.c_contiguous  # the layout the plain product has
             seen.append(y.copy())
             return project(x, y)
 
-        monkeypatch.setattr(metrics, "_tangent_project", recording)
+        monkeypatch.setattr(metrics, "tangent_project", recording)
         _, xbars, _ = random_block(inst, engine.BLOCK, seed=7)
-        means = evaluate_means(xbars, inst)
+        _, f_gap, _, _ = evaluate_means(xbars, inst)
         assert len(seen) == 1 and seen[0].shape == xbars.shape
         for k, xbar in enumerate(xbars):
             gram_x = inst.mean_gram @ xbar
             assert seen[0][k].tobytes() == (-gram_x).tobytes()
-            assert means.f_gap[k] == float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star
+            assert f_gap[k] == float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star
 
     @pytest.mark.parametrize("threshold", [0, 1 << 62])
     def test_stacked_product_is_separate_products(self, block_inst, monkeypatch, threshold):
@@ -202,8 +212,7 @@ class TestBlockMetrics:
     def test_block_is_the_reference(self, block_inst, k):
         inst = block_inst
         states, xbars, consensus = random_block(inst, k, seed=k)
-        means = evaluate_means(xbars, inst)
-        got = np.column_stack([consensus, means.grad_norm, means.f_gap, means.ds, means.dist_mean])
+        got = np.column_stack([consensus, *evaluate_means(xbars, inst)])
         expected = np.array([ref_evaluate(X, inst) for X in states])
         assert got.tobytes() == expected.tobytes()
 
