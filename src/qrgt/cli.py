@@ -5,14 +5,19 @@ comments carry the fully resolved configuration. `qrgt sweep` repeats a base
 configuration over a list of values for one key (same seed throughout, so
 data and initialization are shared) and writes an index of final metrics and
 each value's termination reason; a value that diverged before completing an
-epoch has nan metrics. Every value is resolved before the first run, and when
-a later value stops with exit 2 the index of the values already run is still
-written. Two values that resolve to the same setting, however spelled
-(``--values 8,08``, or ``0.01,1e-2`` for ``alpha_hat``), are a configuration
-error.
+epoch has nan metrics. Every value is resolved before the first run, and the
+index is rewritten after each finished value, so a sweep that stops early
+keeps the index of the values already run. Two values that resolve to the
+same setting, however spelled (``--values 8,08``, or ``0.01,1e-2`` for
+``alpha_hat``), are a configuration error.
+
+Flags are read like config lines: ``parse_config`` reads each flag's text by
+its key's declared type, so no flag declares a type or a list of choices; the
+help lists the choices of the tables that declare them.
 
 Exit codes: 0 for a completed run (early stop or epoch cap); 2 for a
-configuration error (an unknown key, a value out of range, such as a
+configuration error (an unknown key, a malformed value from a flag, a file
+line or a sweep value, a value out of range, such as a
 ``leading_sv`` whose square overflows or an ``alpha_hat`` whose effective
 step overflows or underflows, or an ``out`` whose directory does not exist
 or that names a directory, checked before the run) or for unusable input (a
@@ -39,8 +44,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, algo_config, build_problem, build_topology, parse_config, with_value
-from .engine import ALGO_QRGT, TERMINATION_DIVERGED, RunTrace, TraceRow, run
+from .config import (PRESETS, TOPOLOGIES, ConfigError, RunConfig, algo_config, build_problem, build_topology,
+                     parse_config, with_value)
+from .engine import ALGO_QRGT, ALGORITHMS, TERMINATION_DIVERGED, RunTrace, TraceRow, run
 from .network import GraphError, UniformMixingWarning
 from .problems import DegenerateGapWarning, IdxFormatError
 
@@ -113,11 +119,9 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
 
     Every value and every output path is resolved before the first run, so
     a bad value, two values that resolve to the same setting, an output
-    path that cannot be written, or no value at all, writes nothing.
-    Unusable input met by a later value (``GraphError``, ``IdxFormatError``,
-    or a ``ConfigError`` known only once the data is read, as an MNIST
-    ``alpha_hat`` whose effective step underflows) still leaves the index of
-    the values already run, then propagates.
+    path that cannot be written, or no value at all, writes nothing. The
+    index is rewritten after each finished value: whatever stops a later
+    value leaves the index of the values already run.
     """
     if key not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
@@ -141,39 +145,35 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
     _check_out(index_path)
     index_lines = ["value,final_ds,final_consensus_error,termination"]
     status = 0
-    try:
-        for raw, run_cfg in runs:
-            code, trace = execute(run_cfg)
-            status = max(status, code)
-            ds = consensus = float("nan")  # diverged before completing an epoch
-            if trace.rows:
-                ds, consensus = trace.final.ds, trace.final.consensus_error
-            index_lines.append(f"{raw},{ds!r},{consensus!r},{trace.termination}")
-    except (ConfigError, GraphError, IdxFormatError):
-        if len(index_lines) > 1:
-            _write_index(index_path, index_lines)
-        raise
-    _write_index(index_path, index_lines)
+    for raw, run_cfg in runs:
+        code, trace = execute(run_cfg)
+        status = max(status, code)
+        ds = consensus = float("nan")  # diverged before completing an epoch
+        if trace.rows:
+            ds, consensus = trace.final.ds, trace.final.consensus_error
+        index_lines.append(f"{raw},{ds!r},{consensus!r},{trace.termination}")
+        index_path.write_text("\n".join(index_lines) + "\n")
+    print(f"sweep index -> {index_path}")
     return status
 
 
-def _write_index(index_path: Path, index_lines: list[str]) -> None:
-    index_path.write_text("\n".join(index_lines) + "\n")
-    print(f"sweep index -> {index_path}")
+def _one_of(names) -> str:
+    """A metavar that lists a flag's choices, as argparse shows ``choices=``."""
+    return "{" + ",".join(names) + "}"
 
 
 def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key = value config file")
-    parser.add_argument("--preset", help="named preset (synthetic, mnist)")
-    parser.add_argument("--bits", type=int)
-    parser.add_argument("--algo", dest="algorithm", choices=["qrgt", "rgt"])
-    parser.add_argument("--topology", choices=["ring", "er", "complete", "edges"])
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--t", type=int)
-    parser.add_argument("--alpha-hat", dest="alpha_hat", type=float)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--max-epochs", dest="max_epochs", type=int)
-    parser.add_argument("--ds-tol", dest="ds_tol", type=float)
+    parser.add_argument("--preset", metavar=_one_of(PRESETS), help="named preset")
+    parser.add_argument("--bits")
+    parser.add_argument("--algo", dest="algorithm", metavar=_one_of(ALGORITHMS))
+    parser.add_argument("--topology", metavar=_one_of(TOPOLOGIES))
+    parser.add_argument("--n")
+    parser.add_argument("--t")
+    parser.add_argument("--alpha-hat", dest="alpha_hat")
+    parser.add_argument("--seed")
+    parser.add_argument("--max-epochs", dest="max_epochs")
+    parser.add_argument("--ds-tol", dest="ds_tol")
     parser.add_argument("--out")
     parser.add_argument("--mnist-path", dest="mnist_path")
     parser.add_argument("--timing", action="store_true", default=None,
@@ -213,7 +213,7 @@ def _main(argv: list[str] | None) -> int:
     _add_override_flags(run_p)
     sweep_p = sub.add_parser("sweep", help="repeat a configuration over values of one key")
     _add_override_flags(sweep_p)
-    sweep_p.add_argument("--key", required=True, choices=sorted(SWEEP_KEYS))
+    sweep_p.add_argument("--key", required=True, metavar=_one_of(SWEEP_KEYS))
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
     args = parser.parse_args(argv)
     try:
@@ -221,7 +221,7 @@ def _main(argv: list[str] | None) -> int:
         if args.command == "run":
             code, _ = execute(cfg)
             return code
-        return sweep(cfg, args.key, [v for v in args.values.split(",") if v])
+        return sweep(cfg, args.key, [v for v in map(str.strip, args.values.split(",")) if v])
     except (ConfigError, GraphError, IdxFormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,9 @@ Precedence, lowest to highest: built-in defaults, preset, config file, CLI
 flags. The ``QRGT_MNIST_PATH`` environment variable supplies ``mnist_path``
 for an MNIST run only when none of those sets it, so the resolved config
 names the file that is read. Every knob is a flat ``key = value`` line;
-``#`` starts a comment. Unknown keys are errors, as are out-of-range values,
-and both name the offending key.
+``#`` starts a comment. A file line, a flag and a sweep value are text, read
+here alone by the type ``RunConfig`` declares for the key. Unknown keys are
+errors, as are malformed and out-of-range values, and each names the key.
 
 The user-facing step size ``alpha_hat`` is normalized by the data volume:
 the effective step is n * alpha_hat / total_rows for synthetic data and
@@ -16,11 +17,12 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from collections.abc import Callable
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .engine import ALGO_QRGT, ALGO_RGT, AlgoConfig
+from .engine import ALGO_QRGT, ALGORITHMS, AlgoConfig
 from .network import Topology, _read_utf8
 from .problems import ProblemInstance, SyntheticSpec, generate_synthetic, idx_image_size, load_mnist
 from .streams import STREAM_TOPOLOGY, stream_rng
@@ -31,6 +33,7 @@ __all__ = [
     "ConfigError",
     "RunConfig",
     "PRESETS",
+    "TOPOLOGIES",
     "parse_config",
     "build_problem",
     "build_topology",
@@ -55,7 +58,7 @@ class RunConfig:
     eigengap: float = 0.8
     leading_sv: float = 1.0
     mnist_path: str = ""
-    topology: str = "ring"  # "ring" | "er" | "complete" | "edges"
+    topology: str = "ring"  # a key of TOPOLOGIES
     topology_p: float = 0.3
     edge_file: str = ""
     algorithm: str = ALGO_QRGT
@@ -103,23 +106,39 @@ PRESETS: dict[str, dict] = {
     ),
 }
 
+# Each topology kind and the builder of its graph; an Erdos-Renyi draw is
+# seeded from the run's topology stream.
+TOPOLOGIES: dict[str, Callable[[RunConfig], Topology]] = {
+    "ring": lambda cfg: Topology.ring(cfg.n),
+    "er": lambda cfg: Topology.erdos_renyi(
+        cfg.n, cfg.topology_p, seed=int(stream_rng(cfg.seed, STREAM_TOPOLOGY).integers(0, 2**31))),
+    "complete": lambda cfg: Topology.complete(cfg.n),
+    "edges": lambda cfg: Topology.from_edge_file(cfg.edge_file, n=cfg.n),
+}
+
 # Each key's type, read from its declaration in RunConfig.
 _KEY_TYPES: dict[str, type] = get_type_hints(RunConfig)
 
 
-def _coerce(key: str, raw: str):
+def _coerce(key: str, value):
+    """``value`` as a setting of ``key``: text is read by the key's declared
+    type (stripped for a str key); a typed value is kept as given."""
+    if key not in _KEY_TYPES:
+        raise ConfigError(f"unknown key {key!r}")
+    if not isinstance(value, str):
+        return value
     kind = _KEY_TYPES[key]
     try:
         if kind is bool:
-            lowered = raw.strip().lower()
+            lowered = value.strip().lower()
             if lowered in ("true", "1", "yes", "on"):
                 return True
             if lowered in ("false", "0", "no", "off"):
                 return False
-            raise ValueError(raw)
-        return raw.strip() if kind is str else kind(raw)
+            raise ValueError(value)
+        return value.strip() if kind is str else kind(value)
     except ValueError:
-        raise ConfigError(f"invalid value for key {key!r}: {raw!r}") from None
+        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
@@ -128,10 +147,10 @@ def _validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError(f"{key}: must be finite, got {getattr(cfg, key)}")
     if cfg.problem not in ("synthetic", "mnist"):
         raise ConfigError(f"problem: must be 'synthetic' or 'mnist', got {cfg.problem!r}")
-    if cfg.algorithm not in (ALGO_QRGT, ALGO_RGT):
-        raise ConfigError(f"algorithm: must be 'qrgt' or 'rgt', got {cfg.algorithm!r}")
-    if cfg.topology not in ("ring", "er", "complete", "edges"):
-        raise ConfigError(f"topology: unknown kind {cfg.topology!r}")
+    if cfg.algorithm not in ALGORITHMS:
+        raise ConfigError(f"algorithm: must be one of {', '.join(ALGORITHMS)}, got {cfg.algorithm!r}")
+    if cfg.topology not in TOPOLOGIES:
+        raise ConfigError(f"topology: unknown kind {cfg.topology!r}, available: {', '.join(TOPOLOGIES)}")
     if cfg.topology == "edges" and not cfg.edge_file:
         raise ConfigError("edge_file: required when topology = edges")
     if not (1 <= cfg.bits <= 32):
@@ -199,7 +218,8 @@ def parse_config(
 ) -> RunConfig:
     """Resolve defaults, preset, file, and overrides into one RunConfig."""
     file_keys = _read_file_keys(file) if file else {}
-    preset_name = preset or (overrides or {}).get("preset") or file_keys.get("preset", "")
+    flag_keys = {key: _coerce(key, value) for key, value in (overrides or {}).items()}
+    preset_name = preset or flag_keys.get("preset") or file_keys.get("preset", "")
     merged: dict = {}
     if preset_name:
         if preset_name not in PRESETS:
@@ -209,11 +229,7 @@ def parse_config(
         merged.update(PRESETS[preset_name])
         merged["preset"] = preset_name
     merged.update(file_keys)
-    for key, value in (overrides or {}).items():
-        if key not in _KEY_TYPES:
-            raise ConfigError(f"unknown key {key!r}")
-        if value is not None:
-            merged[key] = value
+    merged.update((key, value) for key, value in flag_keys.items() if value is not None)
     if merged.get("problem") == "mnist" and not merged.get("mnist_path"):
         merged["mnist_path"] = os.environ.get(MNIST_PATH_ENV, "")
     return _validate(RunConfig(**merged))
@@ -221,16 +237,8 @@ def parse_config(
 
 def build_problem(cfg: RunConfig) -> ProblemInstance:
     if cfg.problem == "synthetic":
-        spec = SyntheticSpec(
-            n=cfg.n,
-            m=cfg.m,
-            d=cfg.d,
-            r=cfg.r,
-            eigengap=cfg.eigengap,
-            leading_sv=cfg.leading_sv,
-            seed=cfg.seed,
-        )
-        return generate_synthetic(spec)
+        shared = {f.name: getattr(cfg, f.name) for f in fields(SyntheticSpec)}
+        return generate_synthetic(SyntheticSpec(**shared))
     path = cfg.mnist_path
     if not path:
         raise ConfigError(f"mnist_path: set the key or the {MNIST_PATH_ENV} env var")
@@ -241,14 +249,7 @@ def build_problem(cfg: RunConfig) -> ProblemInstance:
 
 
 def build_topology(cfg: RunConfig) -> Topology:
-    if cfg.topology == "ring":
-        return Topology.ring(cfg.n)
-    if cfg.topology == "complete":
-        return Topology.complete(cfg.n)
-    if cfg.topology == "edges":
-        return Topology.from_edge_file(cfg.edge_file, n=cfg.n)
-    er_seed = int(stream_rng(cfg.seed, STREAM_TOPOLOGY).integers(0, 2**31))
-    return Topology.erdos_renyi(cfg.n, cfg.topology_p, seed=er_seed)
+    return TOPOLOGIES[cfg.topology](cfg)
 
 
 def effective_alpha(cfg: RunConfig, inst: ProblemInstance) -> float:
@@ -270,8 +271,4 @@ def algo_config(cfg: RunConfig, inst: ProblemInstance) -> AlgoConfig:
 
 def with_value(cfg: RunConfig, key: str, value) -> RunConfig:
     """Copy of cfg with one key replaced (sweep support)."""
-    if key not in _KEY_TYPES:
-        raise ConfigError(f"unknown key {key!r}")
-    if isinstance(value, str):
-        value = _coerce(key, value)
-    return _validate(replace(cfg, **{key: value}))
+    return _validate(replace(cfg, **{key: _coerce(key, value)}))

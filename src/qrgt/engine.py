@@ -66,6 +66,7 @@ from .streams import STREAM_DITHER, STREAM_INIT, stream_rng
 
 ALGO_QRGT = "qrgt"
 ALGO_RGT = "rgt"
+ALGORITHMS = (ALGO_QRGT, ALGO_RGT)
 
 TERMINATION_MAX_EPOCHS = "MaxEpochs"
 TERMINATION_DS = "DsTolerance"
@@ -80,6 +81,7 @@ BLOCK = 10
 __all__ = [
     "ALGO_QRGT",
     "ALGO_RGT",
+    "ALGORITHMS",
     "TERMINATION_MAX_EPOCHS",
     "TERMINATION_DS",
     "TERMINATION_DIVERGED",
@@ -113,8 +115,8 @@ class AlgoConfig:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.algorithm not in (ALGO_QRGT, ALGO_RGT):
-            raise ValueError(f"algorithm must be 'qrgt' or 'rgt', got {self.algorithm!r}")
+        if self.algorithm not in ALGORITHMS:
+            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not (math.isfinite(self.ds_tolerance) and self.ds_tolerance >= 0):
             raise ValueError(f"ds_tolerance must be nonnegative and finite, got {self.ds_tolerance}")
         QuantizerSpec(bits=self.bits)  # range check

@@ -85,7 +85,6 @@ class Topology:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    kind: str = "edges"
     resamples: int = 0
 
     def __post_init__(self) -> None:
@@ -105,12 +104,12 @@ class Topology:
     @classmethod
     def ring(cls, n: int) -> "Topology":
         pairs = {(i, (i + 1) % n) for i in range(n)}
-        return cls(n, _canonical_edges(n, pairs), kind="ring")
+        return cls(n, _canonical_edges(n, pairs))
 
     @classmethod
     def complete(cls, n: int) -> "Topology":
         pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
-        return cls(n, _canonical_edges(n, pairs), kind="complete")
+        return cls(n, _canonical_edges(n, pairs))
 
     @classmethod
     def erdos_renyi(cls, n: int, p: float, seed: int) -> "Topology":
@@ -125,14 +124,14 @@ class Topology:
             if _is_connected(n, edges):
                 if attempt:
                     log.info("Erdos-Renyi graph resampled %d times before connecting", attempt)
-                return cls(n, edges, kind="erdos-renyi", resamples=attempt)
+                return cls(n, edges, resamples=attempt)
         raise GraphError(
             f"no connected Erdos-Renyi draw in {_ER_MAX_ATTEMPTS} attempts (n={n}, p={p})"
         )
 
     @classmethod
     def from_edges(cls, n: int, pairs) -> "Topology":
-        return cls(n, _canonical_edges(n, pairs), kind="edges")
+        return cls(n, _canonical_edges(n, pairs))
 
     @classmethod
     def from_edge_file(cls, path: str | Path, n: int | None = None) -> "Topology":
@@ -160,7 +159,6 @@ class MixingMatrix:
 
     W: np.ndarray
     sigma2: float
-    t: int
     W_t: np.ndarray
 
     @property
@@ -206,7 +204,7 @@ def build_metropolis(topology: Topology, t: int = 1) -> MixingMatrix:
     else:
         J = np.full((n, n), 1.0 / n)
         W_t = J + np.linalg.matrix_power(W - J, t)
-    return MixingMatrix(W=W, sigma2=sigma2, t=t, W_t=W_t)
+    return MixingMatrix(W=W, sigma2=sigma2, W_t=W_t)
 
 
 def mix(mixing: MixingMatrix, stacked) -> np.ndarray:

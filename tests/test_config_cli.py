@@ -21,6 +21,7 @@ from qrgt.config import (
     effective_alpha,
     parse_config,
 )
+from qrgt.network import Topology
 
 from reference import reference_trace_csv
 from test_problems import write_idx3
@@ -225,13 +226,12 @@ class TestBuilders:
             build_problem(cfg)
 
     def test_topologies(self, tmp_path):
-        assert build_topology(parse_config(overrides={"topology": "ring", "n": 6})).kind == "ring"
-        assert (
-            build_topology(parse_config(overrides={"topology": "complete", "n": 5})).kind
-            == "complete"
-        )
+        ring = build_topology(parse_config(overrides={"topology": "ring", "n": 6}))
+        assert ring.edges == Topology.ring(6).edges
+        complete = build_topology(parse_config(overrides={"topology": "complete", "n": 5}))
+        assert complete.edges == Topology.complete(5).edges
         er = build_topology(parse_config(overrides={"topology": "er", "n": 12, "seed": 4}))
-        assert er.kind == "erdos-renyi"
+        assert er.edges not in (Topology.ring(12).edges, Topology.complete(12).edges)
         edges = tmp_path / "edges.txt"
         edges.write_text("0 1\n1 2\n2 0\n")
         cfg = parse_config(overrides={"topology": "edges", "edge_file": str(edges), "n": 3})
@@ -417,6 +417,40 @@ class TestMain:
         monkeypatch.setattr(cli, "execute", fake_execute)
         assert main(["run", *flags]) == 0
         assert resolved == [dataclasses.replace(RunConfig(), **{key: value})]
+
+    @pytest.mark.parametrize(
+        "args, line, error",
+        [
+            (["run", "--bits", "x"], "", "bits: expected int, got 'x'"),
+            (["run", "--n", "2.5"], "", "n: expected int, got '2.5'"),
+            (["run", "--alpha-hat", "abc"], "", "alpha_hat: expected float, got 'abc'"),
+            (["run", "--algo", "sgd"], "", "algorithm: must be one of qrgt, rgt, got 'sgd'"),
+            (["run", "--topology", "mesh"], "", "topology: unknown kind 'mesh', available: ring, er, complete, edges"),
+            (["sweep", "--key", "foo", "--values", "1"], "",
+             "sweep key must be one of ['alpha_hat', 'bits', 'n', 't', 'topology.p'], got 'foo'"),
+            (["run"], "timing = maybe\n", "timing: expected bool, got 'maybe'"),
+            (["sweep", "--key", "t", "--values", "1,x"], "", "t: expected int, got 'x'"),
+        ],
+        ids=["bits", "n", "alpha-hat", "algo", "topology", "sweep-key", "file-line", "sweep-value"],
+    )
+    def test_malformed_value_exit_2_one_line(self, tmp_path, capsys, no_run, args, line, error):
+        # a flag is read as a config line is, and fails the same way
+        path = tmp_path / "run.cfg"
+        path.write_text(line)
+        code = main([*args, "--config", str(path), "--out", str(tmp_path / "never.csv")])
+        assert code == 2
+        assert list(tmp_path.iterdir()) == [path]
+        assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_help_lists_every_choice(self, capsys, command):
+        with pytest.raises(SystemExit) as stop:
+            main([command, "--help"])
+        assert stop.value.code == 0
+        usage = capsys.readouterr().out
+        for choices in ["{synthetic,mnist}", "{qrgt,rgt}", "{ring,er,complete,edges}"]:
+            assert choices in usage
+        assert ("{bits,alpha_hat,t,topology.p,n}" in usage) is (command == "sweep")
 
     def test_diverging_run_prints_no_numpy_warning(self, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -620,6 +654,30 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "no connected Erdos-Renyi draw" in err[0]
 
+    def test_sweep_later_os_error_keeps_index_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the disk fills while the second value's trace is written
+        write = cli.write_trace_csv
+
+        def disk_full_at_bits_4(path, cfg, trace):
+            if cfg.bits == 4:
+                raise OSError(28, "No space left on device")
+            write(path, cfg, trace)
+
+        monkeypatch.setattr(cli, "write_trace_csv", disk_full_at_bits_4)
+        out = tmp_path / "s.csv"
+        code = main(
+            [
+                "sweep", "--preset", "synthetic", "--max-epochs", "2", "--out", str(out),
+                "--key", "bits", "--values", "2,4,8",
+            ]
+        )
+        assert code == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s-bits2.csv", "s-index.csv"]
+        index = (tmp_path / "s-index.csv").read_text().splitlines()
+        assert len(index) == 2
+        assert index[1].startswith("2,") and index[1].endswith(",MaxEpochs")
+        assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
+
     def test_sweep_mnist_step_underflow_keeps_index_exit_2(self, tmp_path, capsys, monkeypatch):
         # The MNIST step alpha_hat / total_rows is known only once the file is read.
         monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
@@ -656,11 +714,14 @@ class TestMain:
                 "--key",
                 "bits",
                 "--values",
-                "2,4",
+                "2, 4",
             ]
         )
         assert code == 0
-        assert (tmp_path / "sw-index.csv").exists()
+        # spaces around a value are no part of it
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["sw-bits2.csv", "sw-bits4.csv", "sw-index.csv"]
+        index = (tmp_path / "sw-index.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in index[1:]] == ["2", "4"]
 
     def test_sweep_with_diverging_value_writes_index_exit_3(self, tmp_path):
         # alpha_hat = 1e9 diverges before completing one epoch: no final row

@@ -60,7 +60,7 @@ def single_agent_identity_instance(d=5, r=2):
 
 
 def identity_mixing(n=1):
-    return MixingMatrix(W=np.eye(n), sigma2=0.0, t=1, W_t=np.eye(n))
+    return MixingMatrix(W=np.eye(n), sigma2=0.0, W_t=np.eye(n))
 
 
 def ring_engine(inst, cfg):

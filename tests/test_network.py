@@ -33,7 +33,7 @@ class TestTopology:
 
     def test_erdos_renyi_connected_and_logged(self):
         topo = Topology.erdos_renyi(16, p=0.3, seed=7)
-        assert topo.kind == "erdos-renyi"
+        assert topo.edges != Topology.complete(16).edges
         assert topo.resamples >= 0  # resample count retained for provenance
 
     def test_erdos_renyi_deterministic(self):
@@ -161,7 +161,7 @@ class TestMix:
     def test_identity_matrix_passthrough(self, rng):
         from qrgt.network import MixingMatrix
 
-        mixing = MixingMatrix(W=np.eye(3), sigma2=1.0, t=1, W_t=np.eye(3))
+        mixing = MixingMatrix(W=np.eye(3), sigma2=1.0, W_t=np.eye(3))
         X = rng.standard_normal((3, 4, 2))
         np.testing.assert_array_equal(mix(mixing, X), X)
 
