@@ -2,23 +2,27 @@
 
 `qrgt run` executes one configuration and writes a CSV trace whose header
 comments carry the fully resolved configuration. `qrgt sweep` repeats a base
-configuration over a list of values for one key (same seed throughout, so
-data and initialization are shared) and writes an index of final metrics and
-each value's termination reason; a value that diverged before completing an
-epoch has nan metrics. Every value is resolved before the first run, and the
-index is rewritten after each finished value, so a sweep that stops early
-keeps the index of the values already run. Two values that resolve to the
-same setting, however spelled (``--values 8,08``, or ``0.01,1e-2`` for
-``alpha_hat``), are a configuration error.
+configuration over a list of values for one key of ``SWEEP_KEYS``, each a
+``RunConfig`` field whose name also names the value's trace (same seed
+throughout, so data and initialization are shared), and writes an index of
+final metrics and each value's termination reason; a value that diverged
+before completing an epoch has nan metrics. Every value is resolved before
+the first run, and the index is rewritten after each finished value, so a
+sweep that stops early keeps the index of the values already run. Two values
+that resolve to the same setting, however spelled (``--values 8,08``, or
+``0.01,1e-2`` for ``alpha_hat``), are a configuration error.
 
 Flags are read like config lines: ``parse_config`` reads each flag's text by
 its key's declared type, so no flag declares a type or a list of choices; the
-help lists the choices of the tables that declare them.
+help lists the choices of the tables that declare them. A flag's syntax, too,
+is a configuration error: argparse's own complaints are raised as
+``ConfigError``, so they print the one ``error:`` line and no usage block.
 
 Exit codes: 0 for a completed run (early stop or epoch cap); 2 for a
-configuration error (an unknown key, a malformed value from a flag, a file
-line or a sweep value, a value out of range, such as a
-``leading_sv`` whose square overflows or an ``alpha_hat`` whose effective
+configuration error (an unknown key or flag, a flag without its value or with
+a value it does not take, a missing ``--key`` or ``--values``, a malformed
+value from a flag, a file line or a sweep value, a value out of range, such
+as a ``leading_sv`` whose square overflows or an ``alpha_hat`` whose effective
 step overflows or underflows, or an ``out`` whose directory does not exist
 or that names a directory, checked before the run) or for unusable input (a
 config or edge file that is not UTF-8, an edge file that is malformed or
@@ -52,13 +56,8 @@ from .problems import DegenerateGapWarning, IdxFormatError
 
 CSV_HEADER = ",".join(f.name for f in fields(TraceRow))
 
-SWEEP_KEYS = {
-    "bits": "bits",
-    "alpha_hat": "alpha_hat",
-    "t": "t",
-    "topology.p": "topology_p",
-    "n": "n",
-}
+# The RunConfig fields a sweep may vary; a trace is named after the field.
+SWEEP_KEYS = ("bits", "alpha_hat", "t", "topology_p", "n")
 
 __all__ = ["main", "execute", "sweep", "write_trace_csv"]
 
@@ -127,19 +126,18 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
         raise ConfigError(f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
     if not values:
         raise ConfigError("values: need at least one value to sweep over")
-    field_name = SWEEP_KEYS[key]
     out = Path(cfg.out)
     runs = [
-        (raw, with_value(with_value(cfg, field_name, raw), "out",
-                         str(out.with_name(f"{out.stem}-{field_name}{raw}{out.suffix}"))))
+        (raw, with_value(with_value(cfg, key, raw), "out",
+                         str(out.with_name(f"{out.stem}-{key}{raw}{out.suffix}"))))
         for raw in values
     ]
     index_path = out.with_name(f"{out.stem}-index{out.suffix}")
     first_raw = {}
     for raw, run_cfg in runs:
-        value = getattr(run_cfg, field_name)
+        value = getattr(run_cfg, key)
         if value in first_raw:
-            raise ConfigError(f"values: {first_raw[value]} and {raw} are both {field_name} = {value}")
+            raise ConfigError(f"values: {first_raw[value]} and {raw} are both {key} = {value}")
         first_raw[value] = raw
         _check_out(run_cfg.out)
     _check_out(index_path)
@@ -203,8 +201,16 @@ def _show_warning(default, message, category, filename, lineno, file=None, line=
         default(message, category, filename, lineno, file, line)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser whose syntax errors are configuration errors, reported as
+    one ``error:`` line with no usage block; subparsers share the class."""
+
+    def error(self, message: str):
+        raise ConfigError(message)
+
+
 def _main(argv: list[str] | None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qrgt",
         description="Decentralized eigenvector computation with quantized gradient tracking",
     )
@@ -215,8 +221,8 @@ def _main(argv: list[str] | None) -> int:
     _add_override_flags(sweep_p)
     sweep_p.add_argument("--key", required=True, metavar=_one_of(SWEEP_KEYS))
     sweep_p.add_argument("--values", required=True, help="comma-separated values")
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         cfg = parse_config(file=args.config, overrides=_overrides(args))
         if args.command == "run":
             code, _ = execute(cfg)

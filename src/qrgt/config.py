@@ -4,12 +4,15 @@ Precedence, lowest to highest: built-in defaults, preset, config file, CLI
 flags. The ``QRGT_MNIST_PATH`` environment variable supplies ``mnist_path``
 for an MNIST run only when none of those sets it, so the resolved config
 names the file that is read. Every knob is a flat ``key = value`` line;
-``#`` starts a comment. A file line, a flag and a sweep value are text, read
-here alone by the type ``RunConfig`` declares for the key. Unknown keys are
-errors, as are malformed and out-of-range values, and each names the key.
+``#`` starts a comment. ``RunConfig`` alone names, types and defaults each
+setting: a preset holds only its departures, and ``AlgoConfig`` and
+``SyntheticSpec`` take the fields they share with it by name. A file line, a
+flag and a sweep value are text, read here alone by the key's declared type;
+a typed override must have that type. Unknown keys are errors, as are
+malformed and out-of-range values, and each names the key.
 
 The user-facing step size ``alpha_hat`` is normalized by the data volume:
-the effective step is n * alpha_hat / total_rows for synthetic data and
+``effective_alpha`` is n * alpha_hat / total_rows for synthetic data and
 alpha_hat / total_rows for MNIST-style datasets.
 """
 
@@ -34,6 +37,7 @@ __all__ = [
     "RunConfig",
     "PRESETS",
     "TOPOLOGIES",
+    "PROBLEMS",
     "parse_config",
     "build_problem",
     "build_topology",
@@ -50,7 +54,7 @@ class ConfigError(ValueError):
 class RunConfig:
     """Fully resolved configuration of one run."""
 
-    problem: str = "synthetic"  # "synthetic" | "mnist"
+    problem: str = "synthetic"  # a key of PROBLEMS
     n: int = 16
     m: int = 1000
     d: int = 10
@@ -73,37 +77,14 @@ class RunConfig:
     preset: str = ""
 
 
-# Desk-scale reproductions of the two reference experiments. The synthetic
-# preset pins the leading singular value at 300: the early-stop threshold of
-# 1e-8 is only reachable inside the 10000-epoch cap when the spectrum is
-# large enough relative to alpha_hat = 0.01.
+# Desk-scale reproductions of the two reference experiments, each holding
+# only its departures from RunConfig's defaults. The synthetic preset pins
+# the leading singular value at 300: the early-stop threshold of 1e-8 is
+# only reachable inside the 10000-epoch cap when the spectrum is large
+# enough relative to alpha_hat = 0.01.
 PRESETS: dict[str, dict] = {
-    "synthetic": dict(
-        problem="synthetic",
-        n=16,
-        m=1000,
-        d=10,
-        r=5,
-        eigengap=0.8,
-        leading_sv=300.0,
-        topology="ring",
-        t=1,
-        alpha_hat=0.01,
-        max_epochs=10000,
-        ds_tol=1e-8,
-        bits=8,
-    ),
-    "mnist": dict(
-        problem="mnist",
-        n=16,
-        r=5,
-        topology="ring",
-        t=1,
-        alpha_hat=0.01,
-        max_epochs=2000,
-        ds_tol=1e-8,
-        bits=8,
-    ),
+    "synthetic": dict(leading_sv=300.0, max_epochs=10000),
+    "mnist": dict(problem="mnist", max_epochs=2000),
 }
 
 # Each topology kind and the builder of its graph; an Erdos-Renyi draw is
@@ -116,37 +97,63 @@ TOPOLOGIES: dict[str, Callable[[RunConfig], Topology]] = {
     "edges": lambda cfg: Topology.from_edge_file(cfg.edge_file, n=cfg.n),
 }
 
+
+def _synthetic_instance(cfg: RunConfig) -> ProblemInstance:
+    shared = {f.name: getattr(cfg, f.name) for f in fields(SyntheticSpec)}
+    return generate_synthetic(SyntheticSpec(**shared))
+
+
+def _mnist_instance(cfg: RunConfig) -> ProblemInstance:
+    path = cfg.mnist_path
+    if not path:
+        raise ConfigError(f"mnist_path: set the key or the {MNIST_PATH_ENV} env var")
+    size = idx_image_size(path)
+    if cfg.r > size:
+        raise ConfigError(f"r: must be at most the image size {size} of {path}, got {cfg.r}")
+    return load_mnist(path, n=cfg.n, r=cfg.r, seed=cfg.seed)
+
+
+# Each problem kind and the builder of its instance.
+PROBLEMS: dict[str, Callable[[RunConfig], ProblemInstance]] = {
+    "synthetic": _synthetic_instance,
+    "mnist": _mnist_instance,
+}
+
 # Each key's type, read from its declaration in RunConfig.
 _KEY_TYPES: dict[str, type] = get_type_hints(RunConfig)
+
+_BOOL_TEXT = {"true": True, "1": True, "yes": True, "on": True,
+              "false": False, "0": False, "no": False, "off": False}
 
 
 def _coerce(key: str, value):
     """``value`` as a setting of ``key``: text is read by the key's declared
-    type (stripped for a str key); a typed value is kept as given."""
+    type (stripped for a str key); a typed value must have that type, an int
+    serving for a float and a bool for no number. ``None`` stays unset."""
     if key not in _KEY_TYPES:
         raise ConfigError(f"unknown key {key!r}")
-    if not isinstance(value, str):
-        return value
     kind = _KEY_TYPES[key]
+    if value is None:
+        return None
     try:
-        if kind is bool:
-            lowered = value.strip().lower()
-            if lowered in ("true", "1", "yes", "on"):
-                return True
-            if lowered in ("false", "0", "no", "off"):
-                return False
-            raise ValueError(value)
-        return value.strip() if kind is str else kind(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}") from None
+        if isinstance(value, str):
+            if kind is bool:
+                return _BOOL_TEXT[value.strip().lower()]
+            return value.strip() if kind is str else kind(value)
+        accepted = (int, float) if kind is float else kind
+        if isinstance(value, accepted) and isinstance(value, bool) == (kind is bool):
+            return kind(value)
+    except (KeyError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{key}: expected {kind.__name__}, got {value!r}")
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
     for key in sorted(k for k, kind in _KEY_TYPES.items() if kind is float):
         if not math.isfinite(getattr(cfg, key)):
             raise ConfigError(f"{key}: must be finite, got {getattr(cfg, key)}")
-    if cfg.problem not in ("synthetic", "mnist"):
-        raise ConfigError(f"problem: must be 'synthetic' or 'mnist', got {cfg.problem!r}")
+    if cfg.problem not in PROBLEMS:
+        raise ConfigError(f"problem: unknown kind {cfg.problem!r}, available: {', '.join(PROBLEMS)}")
     if cfg.algorithm not in ALGORITHMS:
         raise ConfigError(f"algorithm: must be one of {', '.join(ALGORITHMS)}, got {cfg.algorithm!r}")
     if cfg.topology not in TOPOLOGIES:
@@ -183,13 +190,14 @@ def _validate(cfg: RunConfig) -> RunConfig:
     if cfg.seed < 0:
         raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
     if cfg.problem == "synthetic":  # the row count is known before any data
-        _effective_step(cfg, cfg.n * cfg.m)
+        effective_alpha(cfg, cfg.n * cfg.m)
     return cfg
 
 
-def _effective_step(cfg: RunConfig, total_rows: int) -> float:
-    """The effective step over ``total_rows`` rows; an ``alpha_hat`` whose
-    step overflows to inf or underflows to 0 is a configuration error."""
+def effective_alpha(cfg: RunConfig, total_rows: int) -> float:
+    """The data-volume-normalized step over ``total_rows`` rows; an
+    ``alpha_hat`` whose step overflows to inf or underflows to 0 is a
+    configuration error."""
     alpha = (cfg.n * cfg.alpha_hat if cfg.problem == "synthetic" else cfg.alpha_hat) / total_rows
     if not (math.isfinite(alpha) and alpha > 0):
         raise ConfigError(f"alpha_hat: effective step {alpha} over {total_rows} rows is not positive and finite")
@@ -236,37 +244,16 @@ def parse_config(
 
 
 def build_problem(cfg: RunConfig) -> ProblemInstance:
-    if cfg.problem == "synthetic":
-        shared = {f.name: getattr(cfg, f.name) for f in fields(SyntheticSpec)}
-        return generate_synthetic(SyntheticSpec(**shared))
-    path = cfg.mnist_path
-    if not path:
-        raise ConfigError(f"mnist_path: set the key or the {MNIST_PATH_ENV} env var")
-    size = idx_image_size(path)
-    if cfg.r > size:
-        raise ConfigError(f"r: must be at most the image size {size} of {path}, got {cfg.r}")
-    return load_mnist(path, n=cfg.n, r=cfg.r, seed=cfg.seed)
+    return PROBLEMS[cfg.problem](cfg)
 
 
 def build_topology(cfg: RunConfig) -> Topology:
     return TOPOLOGIES[cfg.topology](cfg)
 
 
-def effective_alpha(cfg: RunConfig, inst: ProblemInstance) -> float:
-    """Data-volume-normalized step size."""
-    return _effective_step(cfg, inst.total_rows)
-
-
 def algo_config(cfg: RunConfig, inst: ProblemInstance) -> AlgoConfig:
-    return AlgoConfig(
-        alpha=effective_alpha(cfg, inst),
-        t=cfg.t,
-        bits=cfg.bits,
-        max_epochs=cfg.max_epochs,
-        ds_tolerance=cfg.ds_tol,
-        seed=cfg.seed,
-        algorithm=cfg.algorithm,
-    )
+    shared = {f.name: getattr(cfg, f.name) for f in fields(AlgoConfig) if f.name in _KEY_TYPES}
+    return AlgoConfig(alpha=effective_alpha(cfg, inst.total_rows), **shared)
 
 
 def with_value(cfg: RunConfig, key: str, value) -> RunConfig:

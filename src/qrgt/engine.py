@@ -106,7 +106,7 @@ class AlgoConfig:
     t: int = 1
     bits: int = 8
     max_epochs: int = 1000
-    ds_tolerance: float = 0.0
+    ds_tol: float = 0.0
     seed: int = 0
     algorithm: str = ALGO_QRGT
 
@@ -117,8 +117,8 @@ class AlgoConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
-        if not (math.isfinite(self.ds_tolerance) and self.ds_tolerance >= 0):
-            raise ValueError(f"ds_tolerance must be nonnegative and finite, got {self.ds_tolerance}")
+        if not (math.isfinite(self.ds_tol) and self.ds_tol >= 0):
+            raise ValueError(f"ds_tol must be nonnegative and finite, got {self.ds_tol}")
         QuantizerSpec(bits=self.bits)  # range check
 
 
@@ -354,7 +354,7 @@ def run(
     the trace derives them from ``wire_per_epoch``, the bits charged per
     epoch (n quantized gradient messages for Q-RGT, none for RGT). The ``ds``
     stop is found there: the trace ends at the first epoch with
-    ``ds <= ds_tolerance``, and the at most ``BLOCK - 1`` epochs run past it
+    ``ds <= ds_tol``, and the at most ``BLOCK - 1`` epochs run past it
     leave no trace. A divergence ends the loop before its epoch is kept.
     ``diagnostics`` additionally fills ``x_consensus_sq``,
     ``s_consensus_sq`` and ``max_dist`` (one small SVD per agent per
@@ -396,7 +396,7 @@ def run(
         grad_norm, f_gap, ds, dist_mean = evaluate_means(xbars[:k], inst)
         for col, values in zip(columns[1:5], (grad_norm, f_gap, ds, dist_mean)):
             _extend(col, values)
-        stops = np.flatnonzero(ds <= cfg.ds_tolerance)
+        stops = np.flatnonzero(ds <= cfg.ds_tol)
         if stops.size == 0:
             return False
         kept = len(columns[0]) - k + int(stops[0]) + 1

@@ -197,7 +197,7 @@ def reference_run(inst, topology, cfg):
         metrics = ref_evaluate(x, inst)
         rows.append((epoch, *metrics, wire_cum))
         record_diag(x, s, g, metrics[0] ** 2)
-        if metrics[3] <= cfg.ds_tolerance:
+        if metrics[3] <= cfg.ds_tol:
             termination = "DsTolerance"
             break
     return rows, termination, diag

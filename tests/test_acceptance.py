@@ -69,7 +69,7 @@ def preset_runs(preset_instance):
         "rgt": run(
             preset_instance,
             RING16,
-            AlgoConfig(alpha=alpha, t=1, max_epochs=10000, ds_tolerance=1e-8, seed=0,
+            AlgoConfig(alpha=alpha, t=1, max_epochs=10000, ds_tol=1e-8, seed=0,
                        algorithm="rgt"),
         )
     }
@@ -77,7 +77,7 @@ def preset_runs(preset_instance):
         traces[f"q{bits}"] = run(
             preset_instance,
             RING16,
-            AlgoConfig(alpha=alpha, t=1, bits=bits, max_epochs=10000, ds_tolerance=1e-8, seed=0),
+            AlgoConfig(alpha=alpha, t=1, bits=bits, max_epochs=10000, ds_tol=1e-8, seed=0),
         )
     traces["elapsed"] = time.perf_counter() - tic
     return traces
@@ -362,9 +362,9 @@ def test_criterion_9_mnist_protocol(tmp_path):
     assert 0.0 <= stacked_min and stacked_max <= 1.0
 
     alpha = 0.01 / 60000
-    rgt = run(inst, RING16, AlgoConfig(alpha=alpha, max_epochs=2000, ds_tolerance=1e-8, seed=0,
+    rgt = run(inst, RING16, AlgoConfig(alpha=alpha, max_epochs=2000, ds_tol=1e-8, seed=0,
                                        algorithm="rgt"))
-    q8 = run(inst, RING16, AlgoConfig(alpha=alpha, bits=8, max_epochs=2000, ds_tolerance=1e-8, seed=0))
+    q8 = run(inst, RING16, AlgoConfig(alpha=alpha, bits=8, max_epochs=2000, ds_tol=1e-8, seed=0))
 
     f_r = np.array([row.f_gap for row in rgt.rows])
     f_q = np.array([row.f_gap for row in q8.rows])

@@ -62,21 +62,24 @@ class TestParseConfig:
         assert cfg.bits == 8
 
     def test_synthetic_preset_expansion(self):
-        cfg = parse_config(preset="synthetic")
-        assert (cfg.n, cfg.m, cfg.d, cfg.r) == (16, 1000, 10, 5)
-        assert cfg.eigengap == 0.8
-        assert cfg.topology == "ring"
-        assert cfg.t == 1
-        assert cfg.alpha_hat == 0.01
-        assert cfg.max_epochs == 10000
-        assert cfg.ds_tol == 1e-8
+        assert parse_config(preset="synthetic") == RunConfig(
+            problem="synthetic", n=16, m=1000, d=10, r=5, eigengap=0.8, leading_sv=300.0,
+            topology="ring", t=1, alpha_hat=0.01, max_epochs=10000, ds_tol=1e-8, bits=8,
+            algorithm="qrgt", seed=0, preset="synthetic",
+        )
 
-    def test_mnist_preset_expansion(self):
-        cfg = parse_config(preset="mnist")
-        assert cfg.problem == "mnist"
-        assert (cfg.n, cfg.r) == (16, 5)
-        assert cfg.max_epochs == 2000
-        assert cfg.ds_tol == 1e-8
+    def test_mnist_preset_expansion(self, monkeypatch):
+        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+        assert parse_config(preset="mnist") == RunConfig(
+            problem="mnist", n=16, r=5, topology="ring", t=1, alpha_hat=0.01, max_epochs=2000,
+            ds_tol=1e-8, bits=8, algorithm="qrgt", seed=0, preset="mnist",
+        )
+
+    @pytest.mark.parametrize("name", sorted(PRESETS))
+    def test_preset_holds_only_departures(self, name):
+        defaults = RunConfig()
+        assert PRESETS[name]
+        assert {key: value for key, value in PRESETS[name].items() if getattr(defaults, key) == value} == {}
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="preset"):
@@ -139,6 +142,25 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=fragment):
             parse_config(overrides={key: value})
 
+    @pytest.mark.parametrize(
+        "key, value, error",
+        [
+            ("n", 2.5, "n: expected int, got 2.5"),
+            ("bits", True, "bits: expected int, got True"),
+            ("seed", 1.0, "seed: expected int, got 1.0"),
+            ("timing", 1, "timing: expected bool, got 1"),
+            ("algorithm", 7, "algorithm: expected str, got 7"),
+        ],
+    )
+    def test_typed_override_must_have_its_type(self, key, value, error):
+        with pytest.raises(ConfigError, match=f"^{re.escape(error)}$"):
+            parse_config(overrides={"m": 20, "d": 6, "r": 2, key: value})
+
+    def test_typed_override_of_its_type_is_kept(self):
+        cfg = parse_config(overrides={"n": 4, "alpha_hat": 1, "timing": True, "seed": None})
+        assert (cfg.n, cfg.timing, cfg.seed) == (4, True, 0)
+        assert cfg.alpha_hat == 1.0 and type(cfg.alpha_hat) is float
+
     def test_bool_coercion(self, tmp_path):
         path = tmp_path / "run.cfg"
         for raw, value in [("yes", True), ("on", True), ("false", False), ("0", False)]:
@@ -159,7 +181,7 @@ class TestBuilders:
     def test_effective_alpha_synthetic(self):
         cfg = parse_config(preset="synthetic")
         inst = build_problem(cfg)
-        assert effective_alpha(cfg, inst) == pytest.approx(16 * 0.01 / 16000)
+        assert effective_alpha(cfg, inst.total_rows) == pytest.approx(16 * 0.01 / 16000)
 
     def test_effective_alpha_mnist(self, tmp_path):
         path = tmp_path / "img.idx3"
@@ -167,7 +189,7 @@ class TestBuilders:
         write_idx3(path, rng.integers(0, 256, size=(60, 4, 4), dtype=np.uint8))
         cfg = parse_config(overrides={"problem": "mnist", "mnist_path": str(path), "n": 4, "r": 2})
         inst = build_problem(cfg)
-        assert effective_alpha(cfg, inst) == pytest.approx(0.01 / 60)
+        assert effective_alpha(cfg, inst.total_rows) == pytest.approx(0.01 / 60)
 
     def test_mnist_env_var_override(self, tmp_path, monkeypatch):
         path = tmp_path / "img.idx3"
@@ -427,11 +449,12 @@ class TestMain:
             (["run", "--algo", "sgd"], "", "algorithm: must be one of qrgt, rgt, got 'sgd'"),
             (["run", "--topology", "mesh"], "", "topology: unknown kind 'mesh', available: ring, er, complete, edges"),
             (["sweep", "--key", "foo", "--values", "1"], "",
-             "sweep key must be one of ['alpha_hat', 'bits', 'n', 't', 'topology.p'], got 'foo'"),
+             "sweep key must be one of ['alpha_hat', 'bits', 'n', 't', 'topology_p'], got 'foo'"),
             (["run"], "timing = maybe\n", "timing: expected bool, got 'maybe'"),
             (["sweep", "--key", "t", "--values", "1,x"], "", "t: expected int, got 'x'"),
+            (["run"], "problem = x\n", "problem: unknown kind 'x', available: synthetic, mnist"),
         ],
-        ids=["bits", "n", "alpha-hat", "algo", "topology", "sweep-key", "file-line", "sweep-value"],
+        ids=["bits", "n", "alpha-hat", "algo", "topology", "sweep-key", "file-line", "sweep-value", "problem"],
     )
     def test_malformed_value_exit_2_one_line(self, tmp_path, capsys, no_run, args, line, error):
         # a flag is read as a config line is, and fails the same way
@@ -442,6 +465,18 @@ class TestMain:
         assert list(tmp_path.iterdir()) == [path]
         assert capsys.readouterr().err.splitlines() == [f"error: {error}"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [["run", "--bits"], ["run", "--bitz", "4"], ["sweep", "--values", "1"], ["run", "--timing=yes"], []],
+        ids=["missing-value", "unknown-flag", "missing-key", "value-for-switch", "no-command"],
+    )
+    def test_flag_syntax_error_exit_2_one_line(self, capsys, no_run, args):
+        # argparse's own errors print the one error: line, with no usage block
+        assert main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+
     @pytest.mark.parametrize("command", ["run", "sweep"])
     def test_help_lists_every_choice(self, capsys, command):
         with pytest.raises(SystemExit) as stop:
@@ -450,7 +485,7 @@ class TestMain:
         usage = capsys.readouterr().out
         for choices in ["{synthetic,mnist}", "{qrgt,rgt}", "{ring,er,complete,edges}"]:
             assert choices in usage
-        assert ("{bits,alpha_hat,t,topology.p,n}" in usage) is (command == "sweep")
+        assert ("{bits,alpha_hat,t,topology_p,n}" in usage) is (command == "sweep")
 
     def test_diverging_run_prints_no_numpy_warning(self, tmp_path):
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -640,7 +675,7 @@ class TestMain:
         code = main(
             [
                 "sweep", "--config", str(path), "--out", str(out),
-                "--key", "topology.p", "--values", "0.5,1e-6,0.9",
+                "--key", "topology_p", "--values", "0.5,1e-6,0.9",
             ]
         )
         assert code == 2

@@ -114,7 +114,7 @@ class TestAlgoConfig:
             dict(alpha=0.1, max_epochs=0),
             dict(alpha=0.1, algorithm="dgd"),
             dict(alpha=0.1, bits=0),
-            dict(alpha=0.1, ds_tolerance=-1.0),
+            dict(alpha=0.1, ds_tol=-1.0),
         ],
     )
     def test_invalid(self, kwargs):
@@ -122,7 +122,7 @@ class TestAlgoConfig:
             AlgoConfig(**kwargs)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
-    @pytest.mark.parametrize("name", ["alpha", "ds_tolerance"])
+    @pytest.mark.parametrize("name", ["alpha", "ds_tol"])
     def test_non_finite_rejected(self, name, value):
         # nan passes every ordered comparison's negation: nan <= 0 is false
         with pytest.raises(ValueError, match=f"^{name} must be .* and finite, got {value}$"):
@@ -729,7 +729,7 @@ class TestRun:
 
     def test_early_stop(self):
         inst = small_instance()
-        cfg = AlgoConfig(alpha=1e-3, max_epochs=50, ds_tolerance=10.0, seed=0)
+        cfg = AlgoConfig(alpha=1e-3, max_epochs=50, ds_tol=10.0, seed=0)
         trace = run(inst, Topology.ring(4), cfg)
         assert trace.termination == TERMINATION_DS
         assert len(trace.rows) == 1
@@ -906,7 +906,7 @@ class TestBlockEvaluation:
         inst = small_instance()
         cfg = AlgoConfig(alpha=1e-1, algorithm=algorithm, max_epochs=60, seed=0)
         rows, _, _ = reference_run(inst, Topology.ring(4), cfg)
-        return inst, dataclasses.replace(cfg, ds_tolerance=rows[22][4])
+        return inst, dataclasses.replace(cfg, ds_tol=rows[22][4])
 
     def test_rgt_stops_mid_block(self, monkeypatch):
         inst, cfg = self.stop_mid_block()
@@ -939,7 +939,7 @@ class TestBlockEvaluation:
         trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
         assert len(calls) == 26
         assert trace.termination == TERMINATION_DS and trace.divergence is None
-        assert len(trace.rows) == 23 and trace.final.ds <= cfg.ds_tolerance
+        assert len(trace.rows) == 23 and trace.final.ds <= cfg.ds_tol
         for values in dataclasses.astuple(trace.diagnostics):
             assert len(values) == 24
 
@@ -1012,7 +1012,7 @@ class TestReferenceRun:
     def test_preset_rgt_to_its_stop(self):
         inst, topology, algo = self.preset(algorithm="rgt")
         rows, termination = self.check(inst, topology, algo)
-        assert termination == TERMINATION_DS and rows[-1][4] <= algo.ds_tolerance
+        assert termination == TERMINATION_DS and rows[-1][4] <= algo.ds_tol
         assert len(rows) < algo.max_epochs
 
     @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
