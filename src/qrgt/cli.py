@@ -50,7 +50,7 @@ import numpy as np
 
 from .config import (PRESETS, TOPOLOGIES, ConfigError, RunConfig, algo_config, build_problem, build_topology,
                      parse_config, with_value)
-from .engine import ALGO_QRGT, ALGORITHMS, TERMINATION_DIVERGED, RunTrace, TraceRow, run
+from .engine import ALGO_QRGT, ALGORITHMS, TERMINATION_DIVERGED, TERMINATION_DS, RunTrace, TraceRow, run
 from .network import GraphError, UniformMixingWarning
 from .problems import DegenerateGapWarning, IdxFormatError
 
@@ -104,7 +104,11 @@ def execute(cfg: RunConfig) -> tuple[int, RunTrace]:
     if trace.rows:
         final = trace.final
         payload = f", quantized payload {final.wire_bits_cum} bits" if cfg.algorithm == ALGO_QRGT else ""
-        summary = f"{trace.termination} after {final.epoch} epochs: final ds={final.ds:.3e}{payload} -> {cfg.out}"
+        # the ds stop is found a block at a time: say how far the block ran
+        computed = f" ({trace.epochs_computed} computed)" if trace.termination == TERMINATION_DS else ""
+        summary = (
+            f"{trace.termination} after {final.epoch} epochs{computed}: final ds={final.ds:.3e}{payload} -> {cfg.out}"
+        )
     else:
         summary = f"{trace.termination} before completing one epoch -> {cfg.out}"
     print(summary)

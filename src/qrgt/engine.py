@@ -22,20 +22,24 @@ The state of all agents is one ``TrackingState`` of stacked ``(n, d, r)``
 arrays, and ``run`` is the one driver of the recursion. Epoch k's dither is
 block k of (n, d, r) draws from the run's one dither stream, agent i taking
 slice i (layout in ``streams``); the engine draws the blocks in order from
-one generator, the initial state taking block 0.
+one generator, ``BLOCK`` of them at a time, the initial state taking
+block 0.
 
 Each agent computes its local gradient on its own, by
 ``workers.neg_gram_products``, which alone picks the products' orientation
 and their split over threads. The calling thread waits for any split, so
 whatever wraps ``_Engine.local_grads`` still runs on that thread only.
 
-``run`` evaluates the trace ``BLOCK`` = 10 epochs at a time. Every epoch it
-calls ``evaluate`` once, for the agent mean and the consensus error, and
-keeps the agent and tracker means; every 10 epochs, and when the loop ends,
-the other metrics and the tracker residuals of the pending epochs are taken
-together, with the bits of one epoch at a time. So the ``ds`` stop is found
-up to 9 epochs late: an RGT run computes up to 9 epochs past its stop,
-which leave no trace. ``wall_ms`` still times the step alone.
+An epoch of ``run`` is the step and a copy of its iterate: it runs the
+step, screens the iterates for divergence with one dot product, copies them
+into a ``(BLOCK, n, d, r)`` buffer (``evaluate``, the one per-epoch call of
+the metrics) and keeps the agent sums of the trackers and gradients. Every
+``BLOCK`` = 10 epochs, and when the loop ends, the pending epochs are
+evaluated together: the agent means, the consensus errors, the other four
+metrics and the tracker residuals, with the bits of one epoch at a time.
+So the ``ds`` stop is found up to 9 epochs late: an RGT run computes up to
+9 epochs past its stop, which leave no row, and ``RunTrace.epochs_computed``
+counts them. ``wall_ms`` still times the step alone.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from itertools import count, starmap
 import numpy as np
 
 from . import workers
-from .metrics import _mean, _norms, consensus_error, evaluate, evaluate_means
+from .metrics import _norms, agent_means, evaluate, evaluate_means
 from .network import MixingMatrix, Topology, build_metropolis, mix
 from .problems import ProblemInstance
 from .quantizers import QuantizerSpec, dither_noise, snap, wire_size_bits
@@ -72,10 +76,10 @@ TERMINATION_MAX_EPOCHS = "MaxEpochs"
 TERMINATION_DS = "DsTolerance"
 TERMINATION_DIVERGED = "Diverged"
 
-# Epochs whose metrics one evaluate_means call takes together. A benchmark
-# that times windows of 10 epochs then sees exactly one such call in every
-# window; a larger block would leave most windows without one, and their
-# times would omit the deferred work.
+# Epochs whose metrics one flush of run() takes together, and whose dither
+# one draw takes. A benchmark that times windows of 10 epochs then sees
+# exactly one flush in every window; a larger block would leave most windows
+# without one, and their times would omit the deferred work.
 BLOCK = 10
 
 __all__ = [
@@ -195,7 +199,8 @@ class RunDiagnostics:
     ``diagnostics`` set fills the other three, which stay empty otherwise:
     ``x_consensus_sq`` and ``s_consensus_sq``, the squared Frobenius
     deviations of ``x`` and ``s`` from their agent means, and ``max_dist``,
-    the largest per-agent distance to the manifold.
+    the largest per-agent ``distance_to_manifold``, taken a block at a time
+    from the kept iterates (one r x r ``eigvalsh`` per agent per epoch).
     """
 
     tracker_residual: array = field(default_factory=lambda: array("d"))
@@ -212,15 +217,18 @@ class RunTrace:
     measured values of an epoch, 48 bytes, in columns, derives ``epoch`` and
     ``wire_bits_cum``, and builds a ``TraceRow`` only when a row is read.
     With the 8-byte ``tracker_residual`` entry of ``diagnostics``, a
-    finished trace holds about 59 bytes per epoch. ``divergence`` is set
-    only when ``termination`` is Diverged: one line naming the epoch, the
-    first agent that tripped, and the check.
+    finished trace holds about 59 bytes per epoch. ``epochs_computed`` is
+    the number of steps the loop ran: past the last row by the epochs a
+    ``ds`` stop's block ran beyond it, and by one at a divergence.
+    ``divergence`` is set only when ``termination`` is Diverged: one line
+    naming the epoch, the first agent that tripped, and the check.
     """
 
     rows: TraceRows
     termination: str
     sigma2: float
     diagnostics: RunDiagnostics
+    epochs_computed: int
     divergence: str | None = None
 
     @property
@@ -262,6 +270,8 @@ class _Engine:
         self.cfg = cfg
         self.qspec = QuantizerSpec(bits=cfg.bits)
         self._dither = stream_rng(cfg.seed, STREAM_DITHER)
+        self._noise = None  # BLOCK drawn dither blocks, of which quantize_all takes the next
+        self._next = BLOCK
 
     @property
     def step(self):
@@ -281,10 +291,17 @@ class _Engine:
         The k-th call takes block k of the run's one dither stream: draws
         [k B, (k+1) B) of ``stream_rng(cfg.seed, STREAM_DITHER)``,
         B = RG.size, agent i taking slice i (also for a zero gradient, whose
-        draws go unused). The third slot is always None; it stays because the
-        benchmark's code tally unpacks three values.
+        draws go unused). The blocks are drawn ``BLOCK`` at a time, by one
+        ``dither_noise`` call that continues the same stream, so the values
+        are those of one draw per call. The third slot is always None; it
+        stays because the benchmark's code tally unpacks three values.
         """
-        noise = dither_noise(self._dither, self.qspec, RG.shape)
+        if self._next == BLOCK:
+            self._noise = None  # not held while the next block is drawn: 5 MB at the MNIST shape
+            self._noise = dither_noise(self._dither, self.qspec, (BLOCK, *RG.shape))
+            self._next = 0
+        noise = self._noise[self._next]
+        self._next += 1
         return (*snap(RG, PG, self.qspec, noise), None)
 
     def initial_state(self) -> TrackingState:
@@ -324,10 +341,15 @@ def _diverged(X: np.ndarray, r: int) -> str | None:
     """None while every agent's iterate is finite with Frobenius norm at
     most 1e3 sqrt(r); otherwise the first agent that tripped and the check.
 
-    One pass of per-agent squared norms decides; a NaN or infinite entry
-    makes its agent's norm NaN or infinite, which fails the comparison.
+    A stack whose whole squared norm, one dot product, is at most the
+    squared bound has every agent within the bound and finite, so it passes
+    without a look at the agents. Otherwise one pass of per-agent squared
+    norms decides; a NaN or infinite entry makes its agent's norm NaN or
+    infinite, which fails the comparison.
     """
     bound = 1e3 * math.sqrt(r)
+    if np.vdot(X, X) <= bound * bound:
+        return None
     norms = np.sqrt(np.einsum("ijk,ijk->i", X, X))
     within = norms <= bound
     if within.all():
@@ -346,57 +368,67 @@ def run(
 ) -> RunTrace:
     """Execute epochs until max_epochs, the early-stop threshold, or divergence.
 
-    Each epoch appends its consensus error and ``wall_ms`` to the trace
-    columns and keeps its agent mean and tracker means in block buffers;
-    every ``BLOCK`` epochs, and when the loop ends, one ``evaluate_means``
-    call fills the other four columns and ``RunDiagnostics.tracker_residual``
-    for the pending epochs. ``epoch`` and ``wire_bits_cum`` are not stored:
-    the trace derives them from ``wire_per_epoch``, the bits charged per
-    epoch (n quantized gradient messages for Q-RGT, none for RGT). The ``ds``
-    stop is found there: the trace ends at the first epoch with
+    An epoch runs the step, appends its ``wall_ms``, copies its iterates into
+    the block buffer by ``evaluate`` and keeps the agent sums of ``s`` and
+    ``g``. Every ``BLOCK`` epochs, and when the loop ends, the pending
+    epochs fill the other five columns and ``RunDiagnostics.tracker_residual``
+    together: ``agent_means`` takes their agent means and consensus errors,
+    and one ``evaluate_means`` call the other four metrics. The buffer of
+    iterates, and for Q-RGT the dither's, each hold BLOCK n d r float64
+    values. ``epoch`` and ``wire_bits_cum`` are not stored: the trace
+    derives them from ``wire_per_epoch``, the bits charged per epoch (n
+    quantized gradient messages for Q-RGT, none for RGT). The ``ds`` stop is
+    found per block: the trace ends at the first epoch with
     ``ds <= ds_tol``, and the at most ``BLOCK - 1`` epochs run past it
-    leave no trace. A divergence ends the loop before its epoch is kept.
-    ``diagnostics`` additionally fills ``x_consensus_sq``,
-    ``s_consensus_sq`` and ``max_dist`` (one small SVD per agent per
-    epoch); no row depends on it.
+    leave no row, though ``epochs_computed`` counts them. A divergence ends
+    the loop before its epoch is kept. ``diagnostics`` additionally fills
+    ``x_consensus_sq``, ``s_consensus_sq`` and ``max_dist``; no row depends
+    on it.
     """
     mixing = build_metropolis(topology, cfg.t)
     eng = _Engine(inst, mixing, cfg)
-    d, r = inst.dims.d, inst.dims.r
-    wire_per_epoch = inst.n_agents * wire_size_bits(d * r, eng.qspec) if cfg.algorithm == ALGO_QRGT else 0
+    n, d, r = inst.n_agents, inst.dims.d, inst.dims.r
+    wire_per_epoch = n * wire_size_bits(d * r, eng.qspec) if cfg.algorithm == ALGO_QRGT else 0
     columns = tuple(array("d") for _ in range(6))  # consensus_error to wall_ms
-    put_consensus, put_wall = columns[0].append, columns[5].append
+    put_wall = columns[5].append
     diag = RunDiagnostics()
     termination = TERMINATION_MAX_EPOCHS
     divergence = None
-    xbars, sbars, gbars = (np.empty((BLOCK, d, r)) for _ in range(3))
+    xs = np.empty((BLOCK, n, d, r))
+    s_sums, g_sums = np.empty((BLOCK, d, r)), np.empty((BLOCK, d, r))
 
-    def record_diag(st: TrackingState, x_consensus: float | None, slot: int) -> None:
-        sbar = _mean(st.s, sbars[slot])
-        _mean(st.g, gbars[slot])
+    def keep_sums(st: TrackingState, slot: int) -> None:
+        np.add.reduce(st.s, 0, out=s_sums[slot])
+        np.add.reduce(st.g, 0, out=g_sums[slot])
         if diagnostics:
-            if x_consensus is None:
-                x_consensus = consensus_error(st.x)
-            s_dev = st.s - sbar
-            diag.x_consensus_sq.append(x_consensus**2)
+            s_dev = st.s - s_sums[slot] / n
             diag.s_consensus_sq.append(float(np.vdot(s_dev, s_dev)))
-            diag.max_dist.append(float(distance_to_manifold(st.x).max()))
 
-    def put_residuals(k: int) -> None:
-        """The tracker residuals of the first ``k`` slots."""
-        sbar, gbar = sbars[:k], gbars[:k]
+    def take_block(k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The agent means and consensus errors of the first ``k`` slots,
+        whose iterates ``agent_means`` overwrites; puts their tracker
+        residuals and, with ``diagnostics``, their other block-wise entries."""
+        if diagnostics:
+            _extend(diag.max_dist, distance_to_manifold(xs[:k]).max(axis=1))
+        xbars, consensus = agent_means(xs[:k])
+        sbar, gbar = s_sums[:k], g_sums[:k]
+        sbar /= n
+        gbar /= n
         gbar_norms = _norms(gbar)
         sbar -= gbar
         _extend(diag.tracker_residual, _norms(sbar) / np.fmax(gbar_norms, 1.0))
+        if diagnostics:
+            diag.x_consensus_sq.extend(c**2 for c in consensus.tolist())
+        return xbars, consensus
 
     def flush(k: int) -> bool:
         """Fill the columns of the ``k`` pending epochs; on a ds stop among
         them, cut the trace after it and return True."""
-        put_residuals(k)
-        grad_norm, f_gap, ds, dist_mean = evaluate_means(xbars[:k], inst)
-        for col, values in zip(columns[1:5], (grad_norm, f_gap, ds, dist_mean)):
+        xbars, consensus = take_block(k)
+        metrics = (consensus, *evaluate_means(xbars, inst))
+        for col, values in zip(columns, metrics):
             _extend(col, values)
-        stops = np.flatnonzero(ds <= cfg.ds_tol)
+        stops = np.flatnonzero(metrics[3] <= cfg.ds_tol)
         if stops.size == 0:
             return False
         kept = len(columns[0]) - k + int(stops[0]) + 1
@@ -407,8 +439,9 @@ def run(
         return True
 
     state = eng.initial_state()
-    record_diag(state, None, 0)  # epoch-0 entry: a block of one
-    put_residuals(1)
+    xs[0] = state.x  # epoch-0 entries: a block of one
+    keep_sums(state, 0)
+    take_block(1)
     step = eng.step
     clock = time.perf_counter
     pending = 0  # epochs since the last flush
@@ -424,10 +457,9 @@ def run(
         # Exactly one call of the module name ``evaluate`` per epoch: the
         # benchmark clocks epochs by wrapping it, and without one stamp per
         # epoch it falls back to whole-solve times.
-        consensus = evaluate(state.x, xbars[pending])
-        put_consensus(consensus)
+        evaluate(state.x, xs[pending])
         put_wall(wall_ms)
-        record_diag(state, consensus, pending)
+        keep_sums(state, pending)
         pending += 1
         if pending == BLOCK:
             pending = 0
@@ -436,7 +468,7 @@ def run(
                 break
     if pending and flush(pending):  # a stop before the loop's end, or before a divergence
         termination, divergence = TERMINATION_DS, None
-    return RunTrace(TraceRows(columns, wire_per_epoch), termination, mixing.sigma2, diag, divergence)
+    return RunTrace(TraceRows(columns, wire_per_epoch), termination, mixing.sigma2, diag, epoch, divergence)
 
 
 def _extend(values: array, new: np.ndarray) -> None:

@@ -1,98 +1,117 @@
 """Evaluation metrics for decentralized runs.
 
 All metrics are computed at the raw Euclidean mean of the agent variables
-(``np.mean`` over the agent axis), which generally lies off the manifold;
-the tangent-projection formula is applied there as written, and the mean's
-``distance_to_manifold`` is reported alongside as a diagnostic.
+(the sum over the agent axis divided by n, as ``np.mean`` takes it), which
+generally lies off the manifold; the tangent-projection formula is applied
+there as written, and the mean's ``distance_to_manifold`` is reported
+alongside as a diagnostic.
 
-An epoch's metrics come in two halves. ``evaluate`` takes the agent mean
-and the consensus error, the one metric that needs every agent's variable;
-``evaluate_means`` takes the other four from a stack of means at once. The
-engine calls ``evaluate`` every epoch and ``evaluate_means`` on a block of
-epochs (``engine.BLOCK``); a single state is a block of one. On the d = 10
-preset their cost is mostly call overhead, so the block is worked by
-stacked kernels, and numpy's kernels are called without their wrappers:
-``_mean`` is the sum and the division ``np.mean`` runs, and ``_norm`` the
-dot product ``np.linalg.norm`` takes. A stacked matmul or a batched SVD
-makes the same BLAS or LAPACK call per slice that the single matrix makes,
-so each metric has the bits of the one-state formula; the tests compare
-them.
+A run takes its metrics a block of epochs at a time (``engine.BLOCK``).
+``evaluate`` is the per-epoch half: it only copies the epoch's stacked
+iterate into its slot of the block. Per block, ``agent_means`` takes the
+agent means and consensus errors of the stacked iterates, in place, and
+``evaluate_means`` the other four metrics at those means; a single state
+is a block of one. On the d = 10 preset the cost is mostly call overhead,
+so the block is worked by stacked kernels, and numpy's kernels are called
+without their wrappers: a mean is the sum and the division ``np.mean``
+runs, and ``_norms`` the dot product ``np.linalg.norm`` takes. A stacked
+matmul, reduction or ``eigvalsh`` makes the same BLAS or LAPACK call per
+slice that the single state makes, so each metric has the bits of the
+one-state formula; the tests compare them.
+
+``ds`` and ``dist_mean`` take no SVD: both read singular values from the
+eigenvalues of an r x r Gram (``subspace_distance``,
+``stiefel.distance_to_manifold``). Near the manifold and near x*, where a
+run's means are, they agree with the SVD forms to a few eps.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from . import workers
 from .problems import ProblemInstance
-from .stiefel import distance_to_manifold, tangent_project
+from .stiefel import _eye, _sv_offsets, distance_to_manifold, tangent_project
 
 __all__ = [
     "subspace_distance",
     "consensus_error",
     "evaluate",
+    "agent_means",
     "evaluate_means",
 ]
 
+# Largest entry of |xstar^T xstar - I| that subspace_distance accepts.
+ORTHONORMAL_TOL = 1e-10
+
 
 def subspace_distance(x: np.ndarray, xstar: np.ndarray) -> float | np.ndarray:
-    """min over orthogonal O of ||x O - xstar||_F, by orthogonal Procrustes,
-    one value per (d, r) slice of ``x`` against the one (d, r) ``xstar``.
+    """min over orthogonal O of ||x O - xstar||_F, one value per (d, r)
+    slice of ``x`` against the one (d, r) ``xstar``, whose columns must be
+    orthonormal (``ValueError`` when an entry of xstar^T xstar - I exceeds
+    ORTHONORMAL_TOL).
 
-    With the SVD x^T xstar = U S V^T, the optimum is O = U V^T; O ranges
-    over the full orthogonal group (reflections included), so no determinant
-    correction is applied. The minimum is evaluated as ||x O - xstar||
-    directly rather than through the trace identity
+    With A = xstar^T x, x splits into xstar A, in the span of xstar, and
+    x - xstar A, orthogonal to it. So for every orthogonal Q,
+    ||x - xstar Q||^2 = ||x - xstar A||^2 + ||A - Q||^2, and the minimum
+    (O = Q^T ranges over the full orthogonal group, reflections included)
+    is ||x - xstar A||^2 + sum_i (sigma_i(A) - 1)^2, the last term read
+    from the eigenvalues of A^T A (``stiefel._sv_offsets``). Both terms are
+    taken directly, never through the trace identity
     sqrt(||x||^2 + ||xstar||^2 - 2 tr S), whose cancellation floors small
-    distances at sqrt(eps) and would mask sub-1e-8 convergence.
+    distances at sqrt(eps) and would mask sub-1e-8 convergence. Near a
+    rotation of xstar, where every sigma_i(A) is near 1, this is the SVD
+    form within a few eps; far from it, a sigma_i(A) well below 1 carries
+    about eps ||A||^2 / sigma_i(A).
     """
     x = np.asarray(x, dtype=float)
     xstar = np.asarray(xstar, dtype=float)
     if xstar.ndim != 2 or x.shape[-2:] != xstar.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xstar.shape}")
-    u, _, vt = np.linalg.svd(x.swapaxes(-1, -2) @ xstar)
-    diff = x @ (u @ vt)
-    diff -= xstar
-    return _norms(diff)
-
-
-def _norm(a: np.ndarray) -> float:
-    """Frobenius norm: the sqrt of the one dot product ``np.linalg.norm``
-    takes, over the entries in memory order."""
-    flat = a.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+    defect = float(np.abs(xstar.T @ xstar - _eye(xstar.shape[1])).max())
+    if not defect <= ORTHONORMAL_TOL:
+        raise ValueError(f"xstar's columns are not orthonormal: max |xstar^T xstar - I| = {defect:.3g}")
+    a = xstar.T @ x
+    rest = x - xstar @ a
+    off = _sv_offsets(a.swapaxes(-1, -2) @ a, a.shape[-2])
+    rest_sq = np.add.reduce((rest * rest).reshape(*rest.shape[:-2], -1), axis=-1)
+    return np.sqrt(rest_sq + np.add.reduce(off * off, axis=-1))
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
-    """``_norm`` of each C-contiguous (d, r) slice of ``a``: a stacked matmul
-    of each slice as a (1, d r) row with itself as a column, which numpy
-    takes as the same BLAS dot product per slice."""
-    flat = a.reshape(*a.shape[:-2], 1, -1)
-    return np.sqrt(np.matmul(flat, flat.swapaxes(-1, -2))[..., 0, 0])
-
-
-def _mean(X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The mean over the agent axis, in the two steps of ``np.mean``,
-    written into ``out`` when given."""
-    xbar = np.add.reduce(X, 0, out=out)
-    xbar /= X.shape[0]
-    return xbar
+    """The Frobenius norm of each slice ``a[i]`` of a C-contiguous stack,
+    over all its entries: a stacked matmul of each slice as a row with
+    itself as a column, which numpy takes as the BLAS dot product that
+    ``np.linalg.norm`` takes of the slice."""
+    flat = a.reshape(len(a), 1, -1)
+    return np.sqrt(np.matmul(flat, flat.swapaxes(-1, -2))[:, 0, 0])
 
 
 def consensus_error(stacked) -> float:
     """Frobenius norm of the stacked deviation from the mean."""
-    X = np.asarray(stacked, dtype=float)
-    return evaluate(X, np.empty(X.shape[1:]))
+    return float(agent_means(np.array(stacked, dtype=float)[None])[1][0])
 
 
-def evaluate(stacked, xbar: np.ndarray) -> float:
-    """The per-state half of the metrics: writes the agent mean of
-    ``stacked`` into ``xbar``, a float64 array of one agent's shape, and
-    returns the consensus error ||X - xbar||_F."""
-    X = np.asarray(stacked, dtype=float)
-    return _norm(X - _mean(X, xbar))
+def evaluate(stacked: np.ndarray, out: np.ndarray) -> None:
+    """The per-epoch half of the metrics: copies the stacked (n, d, r)
+    agent variables into ``out``, the epoch's slot of the block that
+    ``agent_means`` reads."""
+    out[...] = stacked
+
+
+def agent_means(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The agent means of a C-contiguous (k, n, d, r) stack of states, a
+    (k, d, r) array, and each state's consensus error ||X - xbar||_F, a
+    float64 array of length k. The mean is the sum and the division that
+    ``np.mean`` runs.
+
+    The deviations X - xbar overwrite ``states``: a run's block of iterates
+    is scratch once its metrics are taken, and at the MNIST shape a
+    temporary of the block's size (5 MB) made this take twice as long."""
+    xbars = np.add.reduce(states, 1)
+    xbars /= states.shape[1]
+    states -= xbars[:, None]
+    return xbars, _norms(states)
 
 
 def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> tuple[np.ndarray, ...]:

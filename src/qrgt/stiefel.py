@@ -8,7 +8,9 @@ arbitrary (d, r) matrices and applies its formula as written;
 ``tangent_project`` (which maps a Euclidean gradient to the Riemannian
 one), ``penalty_grad``, ``distance_to_manifold`` and ``retract`` broadcast
 over leading batch dimensions, so a stacked (n, d, r) array of agent
-variables is processed in one call.
+variables is processed in one call. No function here takes an SVD:
+``distance_to_manifold`` reads the singular values from the eigenvalues of
+the r x r Gram x^T x, and ``retract`` is a QR.
 """
 
 from __future__ import annotations
@@ -106,11 +108,39 @@ def distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
 
     Equals sqrt(sum_i (sigma_i - 1)^2) over the singular values of x; the
     nearest manifold point is the polar factor (not unique when x is
-    rank-deficient, though the distance is).
+    rank-deficient, though the distance is). The sigma_i - 1 come from the
+    r x r Gram x^T x, not from an SVD of x: see ``_sv_offsets``.
     """
-    sv = np.linalg.svd(_check_matrix(x, "x"), compute_uv=False)
-    sv -= 1.0
-    return np.sqrt(np.add.reduce(sv * sv, axis=-1))
+    x = _check_matrix(x, "x")
+    off = _sv_offsets(x.swapaxes(-1, -2) @ x, x.shape[-2])
+    return np.sqrt(np.add.reduce(off * off, axis=-1))
+
+
+def _sv_offsets(gram: np.ndarray, terms: int) -> np.ndarray:
+    """sigma_i - 1 over the singular values sigma_i of a matrix y whose
+    Gram y^T y is ``gram``, for each (r, r) slice; ``terms`` is the length
+    of y's columns, the dot products the Gram's entries are.
+
+    sigma_i^2 are the eigenvalues lambda_i of the Gram (``eigvalsh``, which
+    reads its lower triangle). The Gram's rounding, about terms eps
+    tr(gram) in each entry, blurs every eigenvalue by as much, so one at
+    most terms r eps tr(gram) (the trace taken as the eigenvalues' sum)
+    cannot be told from 0 and is read as 0: a rank-deficient y then gives
+    its zero singular values exactly, and one whose Gram has an eigenvalue
+    a rounding below 0 gives no NaN. Each sigma_i - 1 is taken as
+    (lambda_i - 1) / (sqrt(lambda_i) + 1), which does not cancel near 1.
+    Forming the Gram squares the singular values, so each sigma carries an
+    error of about eps ||y||^2 / sigma: a few eps near 1 on a y of norm
+    near 1, as a run's iterates and means are. One read as 0 is off by at
+    most about sqrt(terms r eps) ||y||_F.
+    """
+    lam = np.linalg.eigvalsh(gram)
+    floor = np.add.reduce(lam, axis=-1)[..., None]
+    floor *= terms * gram.shape[-1] * np.finfo(float).eps
+    lam[lam <= floor] = 0.0
+    off = lam - 1.0
+    off /= np.sqrt(lam) + 1.0
+    return off
 
 
 def penalty_grad(x: np.ndarray) -> np.ndarray:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qrgt import evaluate, evaluate_means, random_stiefel, tangent_project, workers
+from qrgt import agent_means, evaluate_means, random_stiefel, tangent_project, workers
 
 
 @pytest.fixture
@@ -35,7 +35,6 @@ def stiefel_points(d: int, r: int, count: int, seed: int = 0):
 
 def evaluate_state(X: np.ndarray, inst):
     """(consensus_error, grad_norm, f_gap, ds, dist_mean) of one stacked
-    state: ``evaluate`` and a block of one of ``evaluate_means``."""
-    xbars = np.empty((1, *X.shape[1:]))
-    consensus = evaluate(X, xbars[0])
-    return consensus, *(float(v[0]) for v in evaluate_means(xbars, inst))
+    state: a block of one of ``agent_means`` and ``evaluate_means``."""
+    xbars, consensus = agent_means(np.array(X, dtype=float)[None])
+    return float(consensus[0]), *(float(v[0]) for v in evaluate_means(xbars, inst))

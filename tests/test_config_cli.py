@@ -21,6 +21,7 @@ from qrgt.config import (
     effective_alpha,
     parse_config,
 )
+from qrgt.engine import BLOCK
 from qrgt.network import Topology
 
 from reference import reference_trace_csv
@@ -599,6 +600,20 @@ class TestMain:
         assert len(summary) == 1
         assert summary[0].startswith("MaxEpochs after 2 epochs: final ds=")
         assert ("quantized payload" in summary[0]) is payload
+        assert summary[0].endswith(f" -> {out}")
+
+    def test_ds_stop_summary_counts_the_epochs_computed(self, tmp_path, capsys):
+        # the stop is found in a block of ten epochs, so the run computes
+        # the rest of the stop's block; the trace ends at the stop (seed 0 on
+        # OpenBLAS: 4095 rows, 4100 epochs computed)
+        out = tmp_path / "r.csv"
+        code = main(["run", "--preset", "synthetic", "--algo", "rgt", "--out", str(out)])
+        assert code == 0
+        summary = capsys.readouterr().out.splitlines()
+        rows = sum(1 for line in out.read_text().splitlines() if line[:1].isdigit())
+        computed = -(-rows // BLOCK) * BLOCK  # the end of the stop's block
+        assert len(summary) == 1
+        assert summary[0].startswith(f"DsTolerance after {rows} epochs ({computed} computed): final ds=")
         assert summary[0].endswith(f" -> {out}")
 
     @pytest.mark.parametrize("flags", [["--n", "2"], ["--topology", "complete"]])

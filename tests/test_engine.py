@@ -18,9 +18,9 @@ from qrgt import (
     SmoothnessConstants,
     SyntheticSpec,
     Topology,
+    agent_means,
     build_metropolis,
     distance_to_manifold,
-    evaluate,
     evaluate_means,
     generate_synthetic,
     make_instance,
@@ -45,7 +45,15 @@ from qrgt.network import MixingMatrix
 from qrgt.quantizers import dither_noise
 from qrgt.streams import STREAM_DITHER, stream_rng
 
-from reference import fill_from, local_grad, manifold_defect, reference_run, wide_instance
+from reference import (
+    fill_from,
+    local_grad,
+    manifold_defect,
+    reference_run,
+    svd_distance_to_manifold,
+    svd_subspace_distance,
+    wide_instance,
+)
 
 
 def small_instance(seed=0, n=4, leading_sv=2.0):
@@ -280,20 +288,31 @@ class TestQuantizeAll:
             assert scales.tobytes() == ref_scales.tobytes()
 
     def test_run_draws_blocks_in_order(self, monkeypatch):
-        # run() continues one generator from epoch to epoch; each block it
-        # draws equals the advanced draw for that epoch, the init being 0.
+        # run() continues one generator, drawing BLOCK epochs of dither at a
+        # time; the values drawn, concatenated, are epoch by epoch the
+        # advanced draw for that epoch, the init being 0. An epoch count that
+        # is not a multiple of BLOCK, and a ds stop inside a block, leave the
+        # order as it is.
         drawn = []
 
         def recording(rng, spec, shape):
-            drawn.append((spec, dither_noise(rng, spec, shape)))
-            return drawn[-1][1]
+            drawn.append(dither_noise(rng, spec, shape))
+            return drawn[-1]
 
         monkeypatch.setattr(engine, "dither_noise", recording)
-        cfg = AlgoConfig(alpha=1e-3, bits=5, max_epochs=6, seed=8)
-        trace = run(small_instance(seed=3), Topology.ring(4), cfg)
-        assert len(trace.rows) == 6 and len(drawn) == 7
-        for epoch, (spec, noise) in enumerate(drawn):
-            assert noise.tobytes() == advanced_dither(cfg.seed, epoch, noise.shape, spec).tobytes()
+        stop_inst, stop_cfg = TestBlockEvaluation.stop_mid_block("qrgt")
+        for inst, cfg, rows, computed in [
+            (small_instance(seed=3), AlgoConfig(alpha=1e-3, bits=5, max_epochs=6, seed=8), 6, 6),
+            (small_instance(seed=3), AlgoConfig(alpha=1e-3, bits=5, max_epochs=23, seed=8), 23, 23),
+            (stop_inst, stop_cfg, 23, 30),
+        ]:
+            drawn.clear()
+            trace = run(inst, Topology.ring(4), cfg)
+            assert len(trace.rows) == rows and trace.epochs_computed == computed
+            assert [len(block) for block in drawn] == [engine.BLOCK] * (computed // engine.BLOCK + 1)
+            spec = QuantizerSpec(bits=cfg.bits)
+            for epoch, block in enumerate(np.concatenate(drawn)):
+                assert block.tobytes() == advanced_dither(cfg.seed, epoch, block.shape, spec).tobytes()
 
 
 class TestEngineBuild:
@@ -604,8 +623,7 @@ class TestAgentParallelGrads:
         seen = []
         project = metrics.tangent_project
         monkeypatch.setattr(metrics, "tangent_project", lambda x, y: seen.append(y) or project(x, y))
-        xbars = np.empty((1, 784, 5))
-        evaluate(X, xbars[0])
+        xbars, _ = agent_means(X[None].copy())
         evaluate_means(xbars, wide)
         main = threading.get_ident()
         assert products == [((4, 5, 784), (4, 784, 784), main), ((5, 784), (784, 784), main)]
@@ -868,13 +886,14 @@ class TestRun:
 
     def test_distances_are_distance_to_manifold(self, monkeypatch):
         # dist_mean and max_dist are distance_to_manifold bit for bit, and
-        # that is the singular-value formula the two used to inline.
+        # that is the singular-value formula the two used to inline, within
+        # 1e-14.
         seen = []
         evaluate = engine.evaluate
 
-        def recording(X, xbar):
+        def recording(X, out):
             seen.append(X.copy())
-            return evaluate(X, xbar)
+            return evaluate(X, out)
 
         monkeypatch.setattr(engine, "evaluate", recording)
         inst = small_instance(seed=2)
@@ -883,14 +902,12 @@ class TestRun:
         assert len(trace.rows) == len(seen) == 6
         x0 = start(inst, cfg).x
         for X, row, max_dist in zip([x0, *seen], [None, *trace.rows], trace.diagnostics.max_dist):
-            sv = np.linalg.svd(X, compute_uv=False)
             assert max_dist == float(distance_to_manifold(X).max())
-            assert max_dist == float(np.sqrt(((sv - 1.0) ** 2).sum(axis=1)).max())
+            assert abs(max_dist - float(svd_distance_to_manifold(X).max())) <= 1e-14
             if row is not None:
                 xbar = X.mean(axis=0)
-                sv = np.linalg.svd(xbar, compute_uv=False)
                 assert row.dist_mean == float(distance_to_manifold(xbar))
-                assert row.dist_mean == float(np.sqrt(np.sum((sv - 1.0) ** 2)))
+                assert abs(row.dist_mean - float(svd_distance_to_manifold(xbar))) <= 1e-14
                 assert row.dist_mean > 0.0
 
 
@@ -937,7 +954,7 @@ class TestBlockEvaluation:
 
         monkeypatch.setattr(engine, "_diverged", trips_at_epoch_26)
         trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
-        assert len(calls) == 26
+        assert len(calls) == 26 and trace.epochs_computed == 26
         assert trace.termination == TERMINATION_DS and trace.divergence is None
         assert len(trace.rows) == 23 and trace.final.ds <= cfg.ds_tol
         for values in dataclasses.astuple(trace.diagnostics):
@@ -949,6 +966,7 @@ class TestBlockEvaluation:
         trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
         assert trace.termination == TERMINATION_DIVERGED
         assert len(trace.rows) == 17 and len(trace.rows) % engine.BLOCK != 0
+        assert trace.epochs_computed == 18  # the diverged epoch was computed, not kept
         assert trace.divergence.startswith(f"diverged at epoch {len(trace.rows) + 1}: agent ")
         assert np.isfinite([dataclasses.astuple(row) for row in trace.rows]).all()
         expected, _, diag = reference_run(inst, Topology.ring(4), dataclasses.replace(cfg, max_epochs=17))
@@ -1008,6 +1026,29 @@ class TestReferenceRun:
     def test_preset_qrgt(self, bits):
         rows, termination = self.check(*self.preset(bits=bits, max_epochs=2000))
         assert len(rows) == 2000 and termination == TERMINATION_MAX_EPOCHS
+
+    @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
+    def test_preset_distances_are_the_svd_forms(self, monkeypatch, algorithm):
+        # ds and dist_mean come from r x r eigenvalues; at every mean of a
+        # preset run they are the SVD forms they replaced within 1e-14:
+        # orthogonal Procrustes by the SVD of xbar^T x_star, and the singular
+        # values of xbar.
+        means = []
+        evaluate = engine.evaluate
+
+        def recording(X, out):
+            means.append(X.mean(axis=0))
+            return evaluate(X, out)
+
+        monkeypatch.setattr(engine, "evaluate", recording)
+        inst, topology, algo = self.preset(algorithm=algorithm, max_epochs=2000)
+        trace = run(inst, topology, algo)
+        assert len(trace.rows) == len(means) == 2000
+        ds = [svd_subspace_distance(xbar, inst.x_star) for xbar in means]
+        dist = [float(svd_distance_to_manifold(xbar)) for xbar in means]
+        rows = list(trace.rows.tuples())
+        assert np.abs(np.subtract([row[4] for row in rows], ds)).max() <= 1e-14
+        assert np.abs(np.subtract([row[5] for row in rows], dist)).max() <= 1e-14
 
     def test_preset_rgt_to_its_stop(self):
         inst, topology, algo = self.preset(algorithm="rgt")

@@ -3,6 +3,7 @@ import pytest
 
 from qrgt import (
     SyntheticSpec,
+    agent_means,
     consensus_error,
     evaluate,
     evaluate_means,
@@ -15,7 +16,7 @@ from qrgt import (
 from qrgt import engine, metrics, workers
 
 from conftest import evaluate_state, stiefel_points
-from reference import ref_evaluate, wide_instance
+from reference import ref_evaluate, svd_subspace_distance, wide_instance
 
 
 def random_orthogonal(r, rng):
@@ -93,6 +94,42 @@ class TestSubspaceDistance:
             with pytest.raises(ValueError):
                 subspace_distance(np.ones(x_shape), np.ones(xstar_shape))
 
+    def test_xstar_must_be_orthonormal(self, rng):
+        x = rng.standard_normal((3, 10, 5))
+        xstar = random_stiefel(10, 5, rng)
+        off = xstar.copy()
+        off[2, 1] += 1e-9  # moves xstar^T xstar - I by about 1e-9
+        for bad in (2.0 * xstar, off, np.ones((10, 5))):
+            with pytest.raises(ValueError, match="not orthonormal"):
+                subspace_distance(x, bad)
+        nearly = xstar.copy()
+        nearly[2, 1] += 1e-13
+        assert np.isfinite(subspace_distance(x, nearly)).all()
+
+    def test_matches_svd_procrustes(self, rng):
+        # Against the SVD form, x^T xstar = U S V^T and ||x U V^T - xstar||:
+        # within 1e-14 for points near a rotated xstar, as a run's means
+        # come, and for points with a column orthogonal to xstar's span, whose
+        # A = xstar^T x is singular. Far from xstar a singular value s of A
+        # well below 1 carries about eps ||A||^2 / s from the Gram A^T A,
+        # hence the relative bound there.
+        xstar = random_stiefel(10, 5, rng)
+
+        def rotated(scale):
+            o = np.linalg.qr(rng.standard_normal((5, 5)))[0]
+            return xstar @ o + scale * rng.standard_normal((10, 5))
+
+        near = [rotated(scale) for scale in (1e-9, 1e-5, 1e-2) for _ in range(20)]
+        for _ in range(20):
+            x = random_stiefel(10, 5, rng)
+            v = rng.standard_normal(10)
+            x[:, 1] = v - xstar @ (xstar.T @ v)
+            near.append(x)
+        far = [rotated(0.5) for _ in range(20)]
+        for cases, atol, rtol in [(near, 1e-14, 0.0), (far, 0.0, 1e-12)]:
+            expected = [svd_subspace_distance(x, xstar) for x in cases]
+            np.testing.assert_allclose(subspace_distance(np.array(cases), xstar), expected, rtol=rtol, atol=atol)
+
     def test_stack_is_separate_calls(self, rng):
         # one value per (d, r) slice, bit for bit what a call per slice gives
         x = rng.standard_normal((7, 10, 5))
@@ -135,11 +172,23 @@ class TestEvaluate:
         assert dist_mean > 0  # Euclidean mean leaves the manifold
         assert np.isfinite([grad_norm, f_gap, ds]).all()
 
-    def test_evaluate_writes_the_mean(self, inst, rng):
+    def test_evaluate_keeps_the_state(self, rng):
         X = rng.standard_normal((4, 8, 3))
-        xbar = np.full((8, 3), np.nan)
-        assert evaluate(X, xbar) == consensus_error(X) == float(np.linalg.norm(X - X.mean(axis=0)))
-        assert xbar.tobytes() == np.mean(X, axis=0).tobytes()
+        slot = np.full((4, 8, 3), np.nan)
+        assert evaluate(X, slot) is None
+        assert slot.tobytes() == X.tobytes()
+
+    def test_agent_means_are_the_mean(self, rng):
+        states = rng.standard_normal((3, 4, 8, 3))
+        kept = states.copy()
+        xbars, consensus = agent_means(states)
+        for X, xbar, error, deviation in zip(kept, xbars, consensus, states):
+            assert xbar.tobytes() == np.mean(X, axis=0).tobytes()
+            assert error == consensus_error(X) == float(np.linalg.norm(X - X.mean(axis=0)))
+            assert deviation.tobytes() == (X - xbar).tobytes()  # overwritten in place
+        X = kept[0].copy()
+        consensus_error(X)
+        assert X.tobytes() == kept[0].tobytes()  # consensus_error leaves its input alone
 
 
 @pytest.fixture(scope="module", params=["wide", "preset"])
@@ -153,13 +202,11 @@ def block_inst(request):
 
 
 def random_block(inst, k, seed):
-    """k stacked states of ``inst``'s shape and the (k, d, r) stack of their
-    agent means, each written by ``evaluate``."""
+    """k stacked states of ``inst``'s shape, the (k, d, r) stack of their
+    agent means and their consensus errors, from ``agent_means``."""
     rng = np.random.default_rng(seed)
     states = rng.standard_normal((k, inst.n_agents, inst.dims.d, inst.dims.r))
-    xbars = np.empty((k, inst.dims.d, inst.dims.r))
-    consensus = [evaluate(X, xbar) for X, xbar in zip(states, xbars)]
-    return states, xbars, consensus
+    return states, *agent_means(states.copy())
 
 
 class TestEvaluateProduct:
@@ -217,9 +264,7 @@ class TestBlockMetrics:
         assert got.tobytes() == expected.tobytes()
 
     def test_norms_are_norm(self, rng):
-        for shape in [(10, 10, 5), (3, 784, 5), (1, 6, 2), (4, 5, 5)]:
+        for shape in [(10, 10, 5), (3, 784, 5), (1, 6, 2), (4, 5, 5), (10, 16, 10, 5)]:
             a = rng.standard_normal(shape)
-            expected = [metrics._norm(s) for s in a]
-            assert metrics._norms(a).tolist() == expected
-            assert expected == [float(np.linalg.norm(s)) for s in a]
+            assert metrics._norms(a).tolist() == [float(np.linalg.norm(s)) for s in a]
         assert metrics._norms(np.zeros((2, 3, 1))).tolist() == [0.0, 0.0]

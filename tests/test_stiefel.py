@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from qrgt import (
 from qrgt.stiefel import RetractionError
 
 from conftest import random_tangent, stiefel_points
-from reference import manifold_defect, penalty
+from reference import manifold_defect, penalty, svd_distance_to_manifold
 
 
 class TestManifoldDims:
@@ -118,6 +120,31 @@ class TestDistanceToManifold:
         x = np.zeros((4, 2))
         x[0, 0] = 1.0
         assert abs(distance_to_manifold(x) - 1.0) <= 1e-12  # singular values {1, 0}
+
+    def test_rank_deficient_is_the_svd_form(self, rng):
+        # A zero column, or a column that repeats another up to sign and
+        # scale: the Gram's eigenvalue at 0 comes out a rounding off 0, and
+        # is read as 0, so the distance has no NaN and no warning and is the
+        # singular-value form's.
+        cases = []
+        for d, r in [(10, 5), (6, 2), (784, 5), (3, 3)]:
+            for _ in range(20):
+                x = rng.standard_normal((d, r)) / np.sqrt(d)
+                j, k = rng.choice(r, 2, replace=False)
+                zeroed, repeated = x.copy(), x.copy()
+                zeroed[:, j] = 0.0
+                repeated[:, j] = rng.choice([1.0, -1.0, 0.5, 2.0]) * x[:, k]
+                cases += [zeroed, repeated]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = [float(distance_to_manifold(x)) for x in cases]
+        assert np.isfinite(got).all()
+        expected = [float(svd_distance_to_manifold(x)) for x in cases]
+        assert np.abs(np.subtract(got, expected)).max() <= 1e-14
+
+    def test_zero_matrix(self):
+        for shape in [(4, 2), (3, 5, 2)]:
+            assert (distance_to_manifold(np.zeros(shape)) == np.sqrt(2.0)).all()
 
     def test_stack_matches_per_slice_bitwise(self, rng):
         x = rng.standard_normal((6, 7, 3))
