@@ -60,6 +60,7 @@ from .problems import ProblemInstance
 from .quantizers import QuantizerSpec, dither_noise, snap, wire_size_bits
 from .stiefel import (
     SmoothnessConstants,
+    _check_orthonormal,
     distance_to_manifold,
     penalty_grad,
     random_stiefel,
@@ -270,7 +271,7 @@ class _Engine:
         self.cfg = cfg
         self.qspec = QuantizerSpec(bits=cfg.bits)
         self._dither = stream_rng(cfg.seed, STREAM_DITHER)
-        self._noise = None  # BLOCK drawn dither blocks, of which quantize_all takes the next
+        self._noise = None  # the run's one buffer of BLOCK dither blocks; quantize_all takes the next
         self._next = BLOCK
 
     @property
@@ -293,12 +294,15 @@ class _Engine:
         B = RG.size, agent i taking slice i (also for a zero gradient, whose
         draws go unused). The blocks are drawn ``BLOCK`` at a time, by one
         ``dither_noise`` call that continues the same stream, so the values
-        are those of one draw per call. The third slot is always None; it
-        stays because the benchmark's code tally unpacks three values.
+        are those of one draw per call. Every draw after the first refills
+        the one ``(BLOCK, n, d, r)`` buffer of the run (5 MB at the MNIST
+        shape) rather than a fresh array, which numpy marks for huge pages
+        at 4 MiB or more and which the host then faults in anew every ten
+        epochs. The third slot is always None; it stays because the
+        benchmark's code tally unpacks three values.
         """
         if self._next == BLOCK:
-            self._noise = None  # not held while the next block is drawn: 5 MB at the MNIST shape
-            self._noise = dither_noise(self._dither, self.qspec, (BLOCK, *RG.shape))
+            self._noise = dither_noise(self._dither, self.qspec, (BLOCK, *RG.shape), self._noise)
             self._next = 0
         noise = self._noise[self._next]
         self._next += 1
@@ -383,8 +387,10 @@ def run(
     leave no row, though ``epochs_computed`` counts them. A divergence ends
     the loop before its epoch is kept. ``diagnostics`` additionally fills
     ``x_consensus_sq``, ``s_consensus_sq`` and ``max_dist``; no row depends
-    on it.
+    on it. An instance whose ``x_star`` columns are not orthonormal is
+    refused with ``ValueError`` before the first epoch.
     """
+    _check_orthonormal(inst.x_star, "x_star")  # once: the metrics read it unchecked
     mixing = build_metropolis(topology, cfg.t)
     eng = _Engine(inst, mixing, cfg)
     n, d, r = inst.n_agents, inst.dims.d, inst.dims.r

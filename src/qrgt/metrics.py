@@ -31,7 +31,7 @@ import numpy as np
 
 from . import workers
 from .problems import ProblemInstance
-from .stiefel import _eye, _sv_offsets, distance_to_manifold, tangent_project
+from .stiefel import _check_orthonormal, _sv_offsets, tangent_project
 
 __all__ = [
     "subspace_distance",
@@ -41,15 +41,11 @@ __all__ = [
     "evaluate_means",
 ]
 
-# Largest entry of |xstar^T xstar - I| that subspace_distance accepts.
-ORTHONORMAL_TOL = 1e-10
-
-
 def subspace_distance(x: np.ndarray, xstar: np.ndarray) -> float | np.ndarray:
     """min over orthogonal O of ||x O - xstar||_F, one value per (d, r)
     slice of ``x`` against the one (d, r) ``xstar``, whose columns must be
     orthonormal (``ValueError`` when an entry of xstar^T xstar - I exceeds
-    ORTHONORMAL_TOL).
+    ``stiefel.ORTHONORMAL_TOL``).
 
     With A = xstar^T x, x splits into xstar A, in the span of xstar, and
     x - xstar A, orthogonal to it. So for every orthogonal Q,
@@ -68,14 +64,18 @@ def subspace_distance(x: np.ndarray, xstar: np.ndarray) -> float | np.ndarray:
     xstar = np.asarray(xstar, dtype=float)
     if xstar.ndim != 2 or x.shape[-2:] != xstar.shape:
         raise ValueError(f"shape mismatch: {x.shape} vs {xstar.shape}")
-    defect = float(np.abs(xstar.T @ xstar - _eye(xstar.shape[1])).max())
-    if not defect <= ORTHONORMAL_TOL:
-        raise ValueError(f"xstar's columns are not orthonormal: max |xstar^T xstar - I| = {defect:.3g}")
+    _check_orthonormal(xstar, "xstar")
+    a, rest_sq = _span_split(x, xstar)
+    off = _sv_offsets(a.swapaxes(-1, -2) @ a, a.shape[-2])
+    return np.sqrt(rest_sq + np.add.reduce(off * off, axis=-1))
+
+
+def _span_split(x: np.ndarray, xstar: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A = xstar^T x for each (d, r) slice of x, and ||x - xstar A||_F^2,
+    the squared norm of the slice's part orthogonal to xstar's span."""
     a = xstar.T @ x
     rest = x - xstar @ a
-    off = _sv_offsets(a.swapaxes(-1, -2) @ a, a.shape[-2])
-    rest_sq = np.add.reduce((rest * rest).reshape(*rest.shape[:-2], -1), axis=-1)
-    return np.sqrt(rest_sq + np.add.reduce(off * off, axis=-1))
+    return a, np.add.reduce((rest * rest).reshape(*rest.shape[:-2], -1), axis=-1)
 
 
 def _norms(a: np.ndarray) -> np.ndarray:
@@ -121,14 +121,26 @@ def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> tuple[np.ndarray
 
     The averaged-Gram products are taken for the whole stack, negated, by
     one ``workers.neg_gram_products`` call, and serve both the gradient and
-    the objective f(x) = -tr(x^T mean_gram x) / 2.
+    the objective f(x) = -tr(x^T mean_gram x) / 2. ``ds`` and ``dist_mean``
+    are ``subspace_distance`` and ``distance_to_manifold`` bit for bit: the
+    k Grams A^T A (A = x*^T xbar) and the k Grams xbar^T xbar are stacked
+    into one ``eigvalsh`` call and one ``_sv_offsets`` pass, each Gram with
+    its own number of terms. x*'s orthonormality is not checked here:
+    ``engine.run`` checks it once per run.
     """
     neg_gram_x = workers.neg_gram_products(inst.mean_gram, xbars)
     f_terms = xbars * neg_gram_x
     f_sums = np.add.reduce(f_terms.reshape(len(xbars), -1), axis=1)
+    k, d, r = xbars.shape
+    a, rest_sq = _span_split(xbars, inst.x_star)
+    grams = np.empty((2, k, r, r))
+    np.matmul(a.swapaxes(-1, -2), a, out=grams[0])
+    np.matmul(xbars.swapaxes(-1, -2), xbars, out=grams[1])
+    off = _sv_offsets(grams, np.array([r, d])[:, None, None])
+    off_sq = np.add.reduce(off * off, axis=-1)
     return (
         _norms(tangent_project(xbars, neg_gram_x)),
         0.5 * f_sums - inst.f_star,
-        subspace_distance(xbars, inst.x_star),
-        distance_to_manifold(xbars),
+        np.sqrt(rest_sq + off_sq[0]),
+        np.sqrt(off_sq[1]),
     )

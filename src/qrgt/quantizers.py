@@ -141,11 +141,19 @@ def snap(
     return idx, gamma
 
 
-def dither_noise(rng: np.random.Generator, spec: QuantizerSpec, shape: tuple[int, ...]) -> np.ndarray:
+def dither_noise(
+    rng: np.random.Generator, spec: QuantizerSpec, shape: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """Half-step uniform dither on (-0.5/(2^N - 1), +0.5/(2^N - 1)), in
-    normalized units, drawn in row-major order."""
+    normalized units, drawn in row-major order; written into ``out``, of
+    ``shape``, when it is given. The values are those of
+    ``rng.uniform(-half, half, shape)`` bit for bit: numpy takes each as
+    low + (high - low) u from the double u that ``rng.random`` draws."""
     half = 0.5 / spec.levels
-    return rng.uniform(-half, half, size=shape)
+    noise = rng.random(shape, out=out)
+    noise *= half - -half
+    noise += -half
+    return noise
 
 
 def encode(values: np.ndarray, scales: float | np.ndarray, spec: QuantizerSpec) -> np.ndarray:

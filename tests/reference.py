@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 
 from qrgt import build_metropolis, make_instance, random_stiefel, workers
+from qrgt.stiefel import CHOLESKY_K
 from qrgt.streams import STREAM_DITHER, STREAM_INIT, stream_rng
 
 
@@ -125,6 +126,20 @@ def ref_subspace_distance(x, xstar):
 
 
 def ref_retract(x, xi):
+    """The Q factor of x + xi from the Cholesky factor of the augmented
+    matrix [[G, I], [I, c I]], G = y^T y, c = K / tr(G), one slice at a time;
+    only for slices that pass its conditioning screen, as a run's do."""
+    out = []
+    for y in np.reshape(x + xi, (-1, *x.shape[-2:])):
+        r = y.shape[1]
+        gram = y.T @ y
+        aug = np.block([[gram, np.eye(r)], [np.eye(r), CHOLESKY_K / np.trace(gram) * np.eye(r)]])
+        out.append(y @ np.linalg.cholesky(aug)[r:, :r])
+    return np.reshape(out, x.shape)
+
+
+def householder_retract(x, xi):
+    """The same Q factor by Householder QR, with the sign fix diag(R) > 0."""
     q, r = np.linalg.qr(x + xi)
     return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 

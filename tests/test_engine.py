@@ -287,6 +287,19 @@ class TestQuantizeAll:
             assert values.tobytes() == ref_values.tobytes()
             assert scales.tobytes() == ref_scales.tobytes()
 
+    def test_one_dither_buffer_per_run(self):
+        # Every block after the first is drawn into the first block's array.
+        inst = small_instance(seed=3)
+        cfg = AlgoConfig(alpha=1e-3, bits=5, seed=8)
+        eng = ring_engine(inst, cfg)
+        X = start(inst, cfg).x
+        RG, PG = tangent_project(X, eng.local_grads(X)), penalty_grad(X)
+        eng.quantize_all(RG, PG)
+        buffer = eng._noise
+        for _ in range(3 * engine.BLOCK):
+            eng.quantize_all(RG, PG)
+            assert eng._noise is buffer
+
     def test_run_draws_blocks_in_order(self, monkeypatch):
         # run() continues one generator, drawing BLOCK epochs of dither at a
         # time; the values drawn, concatenated, are epoch by epoch the
@@ -295,9 +308,10 @@ class TestQuantizeAll:
         # order as it is.
         drawn = []
 
-        def recording(rng, spec, shape):
-            drawn.append(dither_noise(rng, spec, shape))
-            return drawn[-1]
+        def recording(rng, spec, shape, out=None):
+            noise = dither_noise(rng, spec, shape, out)
+            drawn.append(noise.copy())
+            return noise
 
         monkeypatch.setattr(engine, "dither_noise", recording)
         stop_inst, stop_cfg = TestBlockEvaluation.stop_mid_block("qrgt")

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from qrgt import (
     subspace_distance,
 )
 
-from qrgt import engine, metrics, workers
+from qrgt import AlgoConfig, Topology, engine, metrics, run, workers
 
 from conftest import evaluate_state, stiefel_points
 from reference import ref_evaluate, svd_subspace_distance, wide_instance
@@ -262,6 +264,27 @@ class TestBlockMetrics:
         got = np.column_stack([consensus, *evaluate_means(xbars, inst)])
         expected = np.array([ref_evaluate(X, inst) for X in states])
         assert got.tobytes() == expected.tobytes()
+
+    def test_distances_are_the_public_functions(self, block_inst):
+        # ds and dist_mean come from one stacked eigvalsh call with the bits
+        # of subspace_distance and distance_to_manifold, at both widths.
+        for inst in (block_inst, wide_instance()):
+            _, xbars, _ = random_block(inst, engine.BLOCK, seed=9)
+            _, _, ds, dist_mean = evaluate_means(xbars, inst)
+            assert ds.tobytes() == subspace_distance(xbars, inst.x_star).tobytes()
+            assert dist_mean.tobytes() == distance_to_manifold(xbars).tobytes()
+
+    def test_xstar_checked_once_per_run(self, block_inst, monkeypatch):
+        # run() checks x*'s columns before its first epoch; a block does not.
+        topology, cfg = Topology.ring(block_inst.n_agents), AlgoConfig(alpha=1e-5, max_epochs=25)
+        bad = dataclasses.replace(block_inst, x_star=2.0 * block_inst.x_star)
+        with pytest.raises(ValueError, match="x_star's columns are not orthonormal"):
+            run(bad, topology, cfg)
+        checked = []
+        monkeypatch.setattr(metrics, "_check_orthonormal", None)
+        monkeypatch.setattr(engine, "_check_orthonormal", lambda x, name: checked.append(name))
+        run(block_inst, topology, cfg)
+        assert checked == ["x_star"]
 
     def test_norms_are_norm(self, rng):
         for shape in [(10, 10, 5), (3, 784, 5), (1, 6, 2), (4, 5, 5), (10, 16, 10, 5)]:

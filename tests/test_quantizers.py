@@ -219,6 +219,20 @@ class TestDithered:
         np.testing.assert_array_equal(a, b)
 
 
+class TestDitherBuffer:
+    @pytest.mark.parametrize("shape", [(10, 16, 10, 5), (10, 16, 784, 5)])
+    def test_buffer_draw_is_uniform(self, shape):
+        # Refilling one buffer gives, block after block, what a fresh
+        # uniform draw from the same stream gives.
+        spec = QuantizerSpec(8)
+        half = 0.5 / spec.levels
+        rng, fresh = np.random.default_rng(17), np.random.default_rng(17)
+        buf = np.empty(shape)
+        for _ in range(2):
+            assert dither_noise(rng, spec, shape, buf) is buf
+            assert buf.tobytes() == fresh.uniform(-half, half, shape).tobytes()
+
+
 class TestStacked:
     """A stacked (n, d, r) call equals the per-slice 2-D calls bit for bit."""
 

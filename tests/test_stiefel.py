@@ -12,10 +12,11 @@ from qrgt import (
     retract,
     tangent_project,
 )
-from qrgt.stiefel import RetractionError
+from qrgt import stiefel
+from qrgt.stiefel import CHOLESKY_K, RetractionError
 
 from conftest import random_tangent, stiefel_points
-from reference import manifold_defect, penalty, svd_distance_to_manifold
+from reference import householder_retract, manifold_defect, penalty, svd_distance_to_manifold
 
 
 class TestManifoldDims:
@@ -246,3 +247,72 @@ class TestRetract:
         y = retract(x, xi)
         assert np.isnan(y[1]).all()
         np.testing.assert_array_equal(y[[0, 2]], retract(x[[0, 2]], xi[[0, 2]]))
+
+
+def with_spectrum(d, lam, rng):
+    """A random (d, r) matrix whose Gram has the eigenvalues ``lam``."""
+    u = random_stiefel(d, len(lam), rng)
+    v = random_stiefel(len(lam), len(lam), rng)
+    return (u * np.sqrt(lam)) @ v.T
+
+
+def takes_cholesky_path(y):
+    """Whether the Cholesky factorization of retract's augmented matrix of
+    the one (d, r) matrix y succeeds, that is y passes the screen."""
+    try:
+        np.linalg.cholesky(stiefel._augmented(y))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+class TestCholeskyRetraction:
+    """retract reads the Q factor from one Cholesky factorization of the
+    augmented Gram; slices it refuses fall back to Householder QR."""
+
+    @pytest.mark.parametrize("d", [10, 784])
+    def test_agrees_with_householder(self, rng, d):
+        x = np.stack([random_stiefel(d, 5, rng) for _ in range(16)])
+        xi = tangent_project(x, 0.1 * rng.standard_normal(x.shape))
+        assert np.abs(retract(x, xi) - householder_retract(x, xi)).max() <= 1e-14
+
+    def test_mixed_stack(self, rng):
+        # A well-conditioned slice takes the Cholesky path; one with
+        # kappa^2 > K, a zero slice and a NaN slice fail the stacked call,
+        # which is then redone slice by slice.
+        good = with_spectrum(10, [1.0, 1.1, 0.9, 1.2, 0.8], rng)
+        ill = with_spectrum(10, [1.0, 1.0, 1.0, 1.0, 0.5 / CHOLESKY_K], rng)
+        nan = np.full((10, 5), np.nan)
+        assert takes_cholesky_path(good) and not takes_cholesky_path(ill)
+        y = np.stack([good, ill, nan, good[::-1]])
+        zero = np.zeros_like(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            q = retract(y, zero)
+            per_slice = [retract(a, b) for a, b in zip(y, zero)]
+            with pytest.raises(RetractionError, match="slice 2 is numerically rank-deficient"):
+                retract(np.stack([good, ill, np.zeros((10, 5)), nan]), np.zeros((4, 10, 5)))
+        for i in (0, 1, 3):
+            assert q[i].tobytes() == per_slice[i].tobytes()
+        assert np.isnan(q[2]).all() and np.isnan(per_slice[2]).all()
+        assert q[1].tobytes() == householder_retract(ill, np.zeros_like(ill)).tobytes()
+        assert np.abs(q[1].T @ q[1] - np.eye(5)).max() <= 1e-14
+
+    @pytest.mark.parametrize("d", [10, 784])
+    def test_orthonormal_just_inside_the_screen(self, rng, d):
+        # lambda_min(G) > tr(G) / K allows kappa^2 up to K - (r - 1): the
+        # largest eigenvalue just below that over four at 1.
+        worst = 0.0
+        for _ in range(20):
+            y = with_spectrum(d, [CHOLESKY_K - 4.5, 1.0, 1.0, 1.0, 1.0], rng)
+            assert takes_cholesky_path(y)
+            q = retract(y, np.zeros_like(y))
+            worst = max(worst, np.abs(q.T @ q - np.eye(5)).max())
+        assert worst <= 1e-12
+
+    def test_ill_conditioned_slice_orthonormal(self, rng):
+        # kappa^2 = 1e12 still has a Cholesky factor, whose Q would lose
+        # about 1e-4 of orthogonality; the screen sends it to Householder QR.
+        y = with_spectrum(10, [1.0, 1.0, 1.0, 1.0, 1e-12], rng)
+        q = retract(np.stack([y, y]), np.zeros((2, 10, 5)))
+        assert np.abs(q.swapaxes(-1, -2) @ q - np.eye(5)).max() <= 1e-14
