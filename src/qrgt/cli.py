@@ -10,7 +10,8 @@ before completing an epoch has nan metrics. Every value is resolved before
 the first run, and the index is rewritten after each finished value, so a
 sweep that stops early keeps the index of the values already run. Two values
 that resolve to the same setting, however spelled (``--values 8,08``, or
-``0.01,1e-2`` for ``alpha_hat``), are a configuration error.
+``0.01,1e-2`` for ``alpha_hat``), are a configuration error, as is a
+``topology_p`` sweep on a topology other than ``er``, which never reads it.
 
 Flags are read like config lines: ``parse_config`` reads each flag's text by
 its key's declared type, so no flag declares a type or a list of choices; the
@@ -44,6 +45,7 @@ import sys
 import warnings
 from dataclasses import fields
 from functools import partial
+from itertools import starmap
 from pathlib import Path
 
 import numpy as np
@@ -65,19 +67,18 @@ __all__ = ["main", "execute", "sweep", "write_trace_csv"]
 def write_trace_csv(path: str | Path, cfg: RunConfig, trace: RunTrace) -> None:
     """CSV with the resolved config as '#' comments, then one row per epoch.
 
-    Each row is formatted from the trace's columns and goes straight to the
-    file's buffer, so neither a ``TraceRow`` per row nor the whole text is
-    ever built. wall_ms is zeroed unless cfg.timing is set, keeping
-    same-seed runs byte-identical.
+    Each row is formatted from the trace's columns, every field by its
+    ``repr``, and goes straight to the file's buffer, so neither a
+    ``TraceRow`` per row nor the whole text is ever built. wall_ms is
+    written as 0.0 unless cfg.timing is set, keeping same-seed runs
+    byte-identical.
     """
-    timing = cfg.timing
+    line = ",".join("0.0" if f.name == "wall_ms" and not cfg.timing else f"{{{i}!r}}"
+                    for i, f in enumerate(fields(TraceRow))) + "\n"
     with Path(path).open("w") as out:
         out.writelines(f"# {f.name} = {getattr(cfg, f.name)}\n" for f in fields(cfg))
         out.write(CSV_HEADER + "\n")
-        out.writelines(
-            f"{epoch},{consensus!r},{grad!r},{gap!r},{ds!r},{dist!r},{wall if timing else 0.0!r},{wire}\n"
-            for epoch, consensus, grad, gap, ds, dist, wall, wire in trace.rows.tuples()
-        )
+        out.writelines(starmap(line.format, trace.rows.tuples()))
 
 
 def _check_out(path: str | Path) -> None:
@@ -128,6 +129,8 @@ def sweep(cfg: RunConfig, key: str, values: list[str]) -> int:
     """
     if key not in SWEEP_KEYS:
         raise ConfigError(f"sweep key must be one of {sorted(SWEEP_KEYS)}, got {key!r}")
+    if key == "topology_p" and cfg.topology != "er":  # every value would run the same graph
+        raise ConfigError(f"topology_p: only the er topology reads it, got topology = {cfg.topology}")
     if not values:
         raise ConfigError("values: need at least one value to sweep over")
     out = Path(cfg.out)

@@ -30,16 +30,19 @@ Each agent computes its local gradient on its own, by
 and their split over threads. The calling thread waits for any split, so
 whatever wraps ``_Engine.local_grads`` still runs on that thread only.
 
-An epoch of ``run`` is the step and a copy of its iterate: it runs the
-step, screens the iterates for divergence with one dot product, copies them
-into a ``(BLOCK, n, d, r)`` buffer (``evaluate``, the one per-epoch call of
-the metrics) and keeps the agent sums of the trackers and gradients. Every
-``BLOCK`` = 10 epochs, and when the loop ends, the pending epochs are
-evaluated together: the agent means, the consensus errors, the other four
-metrics and the tracker residuals, with the bits of one epoch at a time.
-So the ``ds`` stop is found up to 9 epochs late: an RGT run computes up to
-9 epochs past its stop, which leave no row, and ``RunTrace.epochs_computed``
-counts them. ``wall_ms`` still times the step alone.
+A run's numbers are one table, ``RunTrace.columns``: a column per name,
+entry k of every column describing epoch k, entry 0 the shared start. An
+epoch of ``run`` is the step and a copy of its iterate: it runs the step,
+screens the iterates for divergence with one dot product, copies them into
+a ``(BLOCK, n, d, r)`` buffer (``evaluate``, the one per-epoch call of the
+metrics) and keeps the agent sums of the trackers and gradients. The start
+is a block of one; after it, every ``BLOCK`` = 10 epochs, and when the loop
+ends, the pending epochs are evaluated together: the agent means, the
+consensus errors, the other four metrics and the tracker residuals, with
+the bits of one epoch at a time. So the ``ds`` stop is found up to 9 epochs
+late: an RGT run computes up to 9 epochs past its stop, which leave no
+row, and ``RunTrace.epochs_computed`` counts them. ``wall_ms`` still times
+the step alone.
 """
 
 from __future__ import annotations
@@ -48,8 +51,9 @@ import math
 import time
 from array import array
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from itertools import count, starmap
+from dataclasses import dataclass, fields
+from itertools import count, islice, starmap
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -95,7 +99,6 @@ __all__ = [
     "TrackingState",
     "TraceRow",
     "TraceRows",
-    "RunDiagnostics",
     "RunTrace",
     "step_size_bounds",
     "safety_step_bound",
@@ -152,30 +155,33 @@ class TraceRow:
     wire_bits_cum: int
 
 
+# The columns a run measures, in TraceRow's order; epoch and wire_bits_cum are derived.
+MEASURED = tuple(f.name for f in fields(TraceRow))[1:-1]
+
+
 class TraceRows(Sequence):
-    """The rows of a run's trace, read-only. The six measured fields,
-    ``consensus_error`` to ``wall_ms``, are kept as ``array('d')`` columns,
-    grown by appending: 48 bytes a row. ``epoch`` and ``wire_bits_cum`` are
-    derived from the row's position: row i is epoch i + 1, and its
-    ``wire_bits_cum`` is (epoch + 1) times the run's per-epoch ``payload``,
-    the initial gradient exchange counting as epoch 0's. A ``TraceRow``,
-    about 390 bytes, is built only when a row is read, by index, slice or
-    iteration; a slice is a list of them."""
+    """The rows of a run's trace, read-only: a view of entries 1 to K of the
+    ``MEASURED`` columns of the run's table, row i being epoch i + 1. Its
+    ``epoch`` is the row's entry index, and its ``wire_bits_cum`` is
+    (epoch + 1) times the run's per-epoch ``payload``, the initial gradient
+    exchange counting as epoch 0's. A ``TraceRow``, about 390 bytes, is
+    built only when a row is read, by index, slice or iteration; a slice is
+    a list of them."""
 
-    __slots__ = ("_columns", "_payload")
+    __slots__ = ("columns", "_payload")
 
-    def __init__(self, columns: tuple[array, ...], payload: int):
-        self._columns = columns
+    def __init__(self, columns: dict[str, array], payload: int):
+        self.columns = columns
         self._payload = payload
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns["ds"]) - 1
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]  # the position, from a negative index too: epoch is i + 1
-        return TraceRow(*self._row(i + 1, *(col[i] for col in self._columns)))
+        epoch = range(1, len(self) + 1)[index]  # from a negative index too
+        return TraceRow(*self._row(epoch, *(self.columns[name][epoch] for name in MEASURED)))
 
     def __iter__(self):
         return starmap(TraceRow, self.tuples())
@@ -183,54 +189,47 @@ class TraceRows(Sequence):
     def tuples(self):
         """The rows as plain tuples in ``TraceRow`` field order, read straight
         from the columns: no ``TraceRow`` is built."""
-        return map(self._row, count(1), *self._columns)
+        return map(self._row, count(1), *(islice(self.columns[name], 1, None) for name in MEASURED))
 
     def _row(self, epoch: int, *measured: float) -> tuple:
         return (epoch, *measured, (epoch + 1) * self._payload)
 
 
 @dataclass
-class RunDiagnostics:
-    """Per-epoch internals kept out of the CSV: used by invariant tests.
-
-    Entry 0 describes the initial state, so a filled array holds one more
-    entry than the trace has rows. Each is an ``array('d')``, 8 bytes an
-    entry. Every run fills ``tracker_residual``,
-    ||mean(s) - mean(g)|| / max(1, ||mean(g)||). Only a run with
-    ``diagnostics`` set fills the other three, which stay empty otherwise:
-    ``x_consensus_sq`` and ``s_consensus_sq``, the squared Frobenius
-    deviations of ``x`` and ``s`` from their agent means, and ``max_dist``,
-    the largest per-agent ``distance_to_manifold``, taken a block at a time
-    from the kept iterates (one r x r ``eigvalsh`` per agent per epoch).
-    """
-
-    tracker_residual: array = field(default_factory=lambda: array("d"))
-    x_consensus_sq: array = field(default_factory=lambda: array("d"))
-    s_consensus_sq: array = field(default_factory=lambda: array("d"))
-    max_dist: array = field(default_factory=lambda: array("d"))
-
-
-@dataclass
 class RunTrace:
-    """One row per completed epoch plus the reason the loop stopped.
+    """A run's table of numbers, its rows, and the reason the loop stopped.
 
-    ``rows`` is a read-only ``TraceRows`` sequence: it keeps the six
-    measured values of an epoch, 48 bytes, in columns, derives ``epoch`` and
-    ``wire_bits_cum``, and builds a ``TraceRow`` only when a row is read.
-    With the 8-byte ``tracker_residual`` entry of ``diagnostics``, a
-    finished trace holds about 59 bytes per epoch. ``epochs_computed`` is
-    the number of steps the loop ran: past the last row by the epochs a
-    ``ds`` stop's block ran beyond it, and by one at a divergence.
-    ``divergence`` is set only when ``termination`` is Diverged: one line
-    naming the epoch, the first agent that tripped, and the check.
+    ``columns`` maps each column's name to an ``array('d')`` whose entry k
+    is epoch k, entry 0 being the shared start, so every column holds one
+    more entry than the trace has rows; 8 bytes an entry. Every run fills
+    the ``MEASURED`` columns, ``consensus_error`` to ``wall_ms`` (entry 0 of
+    ``wall_ms`` times the initial state), and ``tracker_residual``,
+    ||mean(s) - mean(g)|| / max(1, ||mean(g)||): 56 bytes per epoch. A run
+    with ``diagnostics`` set also fills ``s_consensus_sq``, the squared
+    Frobenius deviation of ``s`` from its agent mean, and ``max_dist``, the
+    largest per-agent ``distance_to_manifold`` of the iterates, 72 bytes
+    per epoch in all. ``diagnostics`` reads the same columns by attribute.
+
+    ``rows`` is the read-only ``TraceRows`` view of entries 1 to K.
+    ``epochs_computed`` is the number of steps the loop ran: past the last
+    row by the epochs a ``ds`` stop's block ran beyond it, and by one at a
+    divergence. ``divergence`` is set only when ``termination`` is Diverged:
+    one line naming the epoch, the first agent that tripped, and the check.
     """
 
     rows: TraceRows
     termination: str
     sigma2: float
-    diagnostics: RunDiagnostics
     epochs_computed: int
     divergence: str | None = None
+
+    @property
+    def columns(self) -> dict[str, array]:
+        return self.rows.columns
+
+    @property
+    def diagnostics(self) -> SimpleNamespace:
+        return SimpleNamespace(**self.columns)
 
     @property
     def final(self) -> TraceRow:
@@ -374,30 +373,31 @@ def run(
 
     An epoch runs the step, appends its ``wall_ms``, copies its iterates into
     the block buffer by ``evaluate`` and keeps the agent sums of ``s`` and
-    ``g``. Every ``BLOCK`` epochs, and when the loop ends, the pending
-    epochs fill the other five columns and ``RunDiagnostics.tracker_residual``
-    together: ``agent_means`` takes their agent means and consensus errors,
-    and one ``evaluate_means`` call the other four metrics. The buffer of
-    iterates, and for Q-RGT the dither's, each hold BLOCK n d r float64
-    values. ``epoch`` and ``wire_bits_cum`` are not stored: the trace
-    derives them from ``wire_per_epoch``, the bits charged per epoch (n
-    quantized gradient messages for Q-RGT, none for RGT). The ``ds`` stop is
-    found per block: the trace ends at the first epoch with
-    ``ds <= ds_tol``, and the at most ``BLOCK - 1`` epochs run past it
-    leave no row, though ``epochs_computed`` counts them. A divergence ends
-    the loop before its epoch is kept. ``diagnostics`` additionally fills
-    ``x_consensus_sq``, ``s_consensus_sq`` and ``max_dist``; no row depends
-    on it. An instance whose ``x_star`` columns are not orthonormal is
-    refused with ``ValueError`` before the first epoch.
+    ``g``. The initial state is a block of one; after it, every ``BLOCK``
+    epochs, and when the loop ends, ``flush`` fills the pending epochs' other
+    columns together: ``agent_means`` takes their agent means and consensus
+    errors, and one ``evaluate_means`` call the other four metrics. The
+    buffer of iterates, and for Q-RGT the dither's, each hold BLOCK n d r
+    float64 values. ``epoch`` and ``wire_bits_cum`` are not stored: the
+    trace derives them from ``wire_per_epoch``, the bits charged per epoch
+    (n quantized gradient messages for Q-RGT, none for RGT). The ``ds`` stop
+    is found per block: the table ends at the first epoch after the start
+    with ``ds <= ds_tol``, every column cut at that one index, and the at
+    most ``BLOCK - 1`` epochs run past it leave no entry, though
+    ``epochs_computed`` counts them. A divergence ends the loop before its
+    epoch is kept. ``diagnostics`` adds the ``s_consensus_sq`` and
+    ``max_dist`` columns; no row depends on it. An instance whose ``x_star``
+    columns are not orthonormal is refused with ``ValueError`` before the
+    first epoch.
     """
     _check_orthonormal(inst.x_star, "x_star")  # once: the metrics read it unchecked
     mixing = build_metropolis(topology, cfg.t)
     eng = _Engine(inst, mixing, cfg)
     n, d, r = inst.n_agents, inst.dims.d, inst.dims.r
     wire_per_epoch = n * wire_size_bits(d * r, eng.qspec) if cfg.algorithm == ALGO_QRGT else 0
-    columns = tuple(array("d") for _ in range(6))  # consensus_error to wall_ms
-    put_wall = columns[5].append
-    diag = RunDiagnostics()
+    names = (*MEASURED, "tracker_residual", *(("s_consensus_sq", "max_dist") if diagnostics else ()))
+    columns = {name: array("d") for name in names}
+    put_wall = columns["wall_ms"].append
     termination = TERMINATION_MAX_EPOCHS
     divergence = None
     xs = np.empty((BLOCK, n, d, r))
@@ -408,48 +408,40 @@ def run(
         np.add.reduce(st.g, 0, out=g_sums[slot])
         if diagnostics:
             s_dev = st.s - s_sums[slot] / n
-            diag.s_consensus_sq.append(float(np.vdot(s_dev, s_dev)))
+            columns["s_consensus_sq"].append(float(np.vdot(s_dev, s_dev)))
 
-    def take_block(k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The agent means and consensus errors of the first ``k`` slots,
-        whose iterates ``agent_means`` overwrites; puts their tracker
-        residuals and, with ``diagnostics``, their other block-wise entries."""
+    def flush(k: int) -> bool:
+        """Fill the columns of the ``k`` pending epochs, whose iterates
+        ``agent_means`` overwrites; on a ds stop among them, cut every
+        column after it and return True."""
         if diagnostics:
-            _extend(diag.max_dist, distance_to_manifold(xs[:k]).max(axis=1))
+            _extend(columns["max_dist"], distance_to_manifold(xs[:k]).max(axis=1))
         xbars, consensus = agent_means(xs[:k])
         sbar, gbar = s_sums[:k], g_sums[:k]
         sbar /= n
         gbar /= n
         gbar_norms = _norms(gbar)
         sbar -= gbar
-        _extend(diag.tracker_residual, _norms(sbar) / np.fmax(gbar_norms, 1.0))
-        if diagnostics:
-            diag.x_consensus_sq.extend(c**2 for c in consensus.tolist())
-        return xbars, consensus
-
-    def flush(k: int) -> bool:
-        """Fill the columns of the ``k`` pending epochs; on a ds stop among
-        them, cut the trace after it and return True."""
-        xbars, consensus = take_block(k)
+        _extend(columns["tracker_residual"], _norms(sbar) / np.fmax(gbar_norms, 1.0))
         metrics = (consensus, *evaluate_means(xbars, inst))
-        for col, values in zip(columns, metrics):
-            _extend(col, values)
+        for name, values in zip(MEASURED, metrics):  # all but wall_ms, appended per epoch
+            _extend(columns[name], values)
         stops = np.flatnonzero(metrics[3] <= cfg.ds_tol)
         if stops.size == 0:
             return False
-        kept = len(columns[0]) - k + int(stops[0]) + 1
-        for col in columns:
-            del col[kept:]
-        for values in (diag.tracker_residual, diag.x_consensus_sq, diag.s_consensus_sq, diag.max_dist):
-            del values[kept + 1 :]
+        kept = len(columns["ds"]) - k + int(stops[0]) + 1
+        for values in columns.values():
+            del values[kept:]
         return True
 
-    state = eng.initial_state()
-    xs[0] = state.x  # epoch-0 entries: a block of one
-    keep_sums(state, 0)
-    take_block(1)
-    step = eng.step
     clock = time.perf_counter
+    tic = clock()
+    state = eng.initial_state()
+    put_wall((clock() - tic) * 1e3)
+    xs[0] = state.x  # the start, a block of one: no evaluate call, which counts steps
+    keep_sums(state, 0)
+    flush(1)  # the start never stops a run: a stop there cuts nothing, and goes unread
+    step = eng.step
     pending = 0  # epochs since the last flush
     for epoch in range(1, cfg.max_epochs + 1):
         tic = clock()
@@ -474,7 +466,7 @@ def run(
                 break
     if pending and flush(pending):  # a stop before the loop's end, or before a divergence
         termination, divergence = TERMINATION_DS, None
-    return RunTrace(TraceRows(columns, wire_per_epoch), termination, mixing.sigma2, diag, epoch, divergence)
+    return RunTrace(TraceRows(columns, wire_per_epoch), termination, mixing.sigma2, epoch, divergence)
 
 
 def _extend(values: array, new: np.ndarray) -> None:

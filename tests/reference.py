@@ -180,15 +180,16 @@ def ref_evaluate(X, inst):
 
 
 def reference_run(inst, topology, cfg):
-    """The rows, stop reason and every diagnostic list of ``run(inst,
-    topology, cfg, diagnostics=True)``, from the formulas above.
+    """The rows, stop reason and table of ``run(inst, topology, cfg,
+    diagnostics=True)``, from the formulas above.
 
-    Returns (rows, termination, diagnostics): each row is (epoch,
-    consensus_error, grad_norm, f_gap, ds, dist_mean, wire_bits_cum), and
-    ``diagnostics`` maps each ``RunDiagnostics`` field to its list. It has
-    no divergence check, so it suits only runs that do not diverge. The local
-    gradients are the stacked products, which equal every split of them bit
-    for bit.
+    Returns (rows, termination, columns): each row is (epoch,
+    consensus_error, grad_norm, f_gap, ds, dist_mean, wire_bits_cum), one
+    for each epoch 1 to K, and ``columns`` maps the name of every column of
+    the run's table but the timing ``wall_ms`` to its list of entries 0 to
+    K, entry 0 being the shared start. It has no divergence check, so it
+    suits only runs that do not diverge. The local gradients are the stacked
+    products, which equal every split of them bit for bit.
     """
     W_t = build_metropolis(topology, cfg.t).W_t
     n, d, r = inst.n_agents, inst.dims.d, inst.dims.r
@@ -207,25 +208,28 @@ def reference_run(inst, topology, cfg):
         noise = dither.uniform(-half, half, size=RG.shape)
         return ref_snap(RG, ref_penalty_grad(X), levels, noise)
 
-    diag = {"tracker_residual": [], "x_consensus_sq": [], "s_consensus_sq": [], "max_dist": []}
+    names = ("consensus_error", "grad_norm", "f_gap", "ds", "dist_mean",
+             "tracker_residual", "s_consensus_sq", "max_dist")
+    columns = {name: [] for name in names}
 
-    def record_diag(x, s, g, x_consensus_sq):
+    def record(x, s, g):
+        """Append epoch k's entries to every column; returns its five metrics."""
+        metrics = ref_evaluate(x, inst)
         sbar = s.mean(axis=0)
         gbar = g.mean(axis=0)
-        diag["tracker_residual"].append(
-            float(np.linalg.norm(sbar - gbar)) / max(1.0, float(np.linalg.norm(gbar)))
-        )
+        residual = float(np.linalg.norm(sbar - gbar)) / max(1.0, float(np.linalg.norm(gbar)))
         s_dev = s - sbar
-        diag["x_consensus_sq"].append(x_consensus_sq)
-        diag["s_consensus_sq"].append(float(np.vdot(s_dev, s_dev)))
-        diag["max_dist"].append(float(ref_distance_to_manifold(x).max()))
+        entries = (*metrics, residual, float(np.vdot(s_dev, s_dev)), float(ref_distance_to_manifold(x).max()))
+        for name, value in zip(names, entries):
+            columns[name].append(value)
+        return metrics
 
     x0 = random_stiefel(d, r, stream_rng(cfg.seed, STREAM_INIT))
     x = np.broadcast_to(x0, (n, d, r)).copy()
     RG = ref_tangent_project(x, local_grads(x))
     g = quantize(RG, x) if quantized else RG
     s = g.copy()
-    record_diag(x, s, g, float(np.linalg.norm(x - np.mean(x, axis=0))) ** 2)
+    record(x, s, g)  # the start never stops a run
     wire_per_epoch = n * (d * r * cfg.bits + 64) if quantized else 0
     wire_cum = wire_per_epoch
     rows = []
@@ -245,13 +249,12 @@ def reference_run(inst, topology, cfg):
             sn = mix(s) + gn - g
         x, s, g = xn, sn, gn
         wire_cum += wire_per_epoch
-        metrics = ref_evaluate(x, inst)
+        metrics = record(x, s, g)
         rows.append((epoch, *metrics, wire_cum))
-        record_diag(x, s, g, metrics[0] ** 2)
         if metrics[3] <= cfg.ds_tol:
             termination = "DsTolerance"
             break
-    return rows, termination, diag
+    return rows, termination, columns
 
 
 def reference_trace_csv(cfg, trace) -> str:

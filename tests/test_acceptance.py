@@ -185,8 +185,8 @@ def test_criterion_3_mixing_suite():
         cfg = AlgoConfig(alpha=1e-2, t=t, bits=4, max_epochs=120, seed=5)
         trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
         sig_eff = trace.sigma2**t
-        xs = np.sqrt(trace.diagnostics.x_consensus_sq)
-        ss = np.sqrt(trace.diagnostics.s_consensus_sq)
+        xs = trace.columns["consensus_error"]  # entries 0 to K: the start first
+        ss = np.sqrt(trace.columns["s_consensus_sq"])
         assert len(xs) == len(ss) == len(trace.rows) + 1 == cfg.max_epochs + 1
         for k in range(1, len(xs)):
             assert xs[k] <= sig_eff * xs[k - 1] + cfg.alpha * ss[k - 1] + 1e-10

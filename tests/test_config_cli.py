@@ -454,8 +454,12 @@ class TestMain:
             (["run"], "timing = maybe\n", "timing: expected bool, got 'maybe'"),
             (["sweep", "--key", "t", "--values", "1,x"], "", "t: expected int, got 'x'"),
             (["run"], "problem = x\n", "problem: unknown kind 'x', available: synthetic, mnist"),
+            # only an Erdos-Renyi draw reads topology_p: every value would run the same ring
+            (["sweep", "--key", "topology_p", "--values", "0.2,0.5"], "",
+             "topology_p: only the er topology reads it, got topology = ring"),
         ],
-        ids=["bits", "n", "alpha-hat", "algo", "topology", "sweep-key", "file-line", "sweep-value", "problem"],
+        ids=["bits", "n", "alpha-hat", "algo", "topology", "sweep-key", "file-line", "sweep-value", "problem",
+             "sweep-topology-p"],
     )
     def test_malformed_value_exit_2_one_line(self, tmp_path, capsys, no_run, args, line, error):
         # a flag is read as a config line is, and fails the same way
@@ -615,6 +619,18 @@ class TestMain:
         assert len(summary) == 1
         assert summary[0].startswith(f"DsTolerance after {rows} epochs ({computed} computed): final ds=")
         assert summary[0].endswith(f" -> {out}")
+
+    @pytest.mark.parametrize("algo", ["qrgt", "rgt"])
+    def test_start_never_stops_a_run(self, tmp_path, capsys, algo):
+        # every ds is below 10, the start's too: the stop falls at epoch 1,
+        # found in the block of epochs 1 to 10
+        out = tmp_path / "s.csv"
+        assert main(["run", "--preset", "synthetic", "--algo", algo, "--ds-tol", "10", "--out", str(out)]) == 0
+        summary = capsys.readouterr().out.splitlines()
+        assert len(summary) == 1
+        assert summary[0].startswith("DsTolerance after 1 epochs (10 computed): final ds=")
+        body = out.read_text().split(CSV_HEADER + "\n")[1].splitlines()
+        assert [line.split(",")[0] for line in body] == ["1"]
 
     @pytest.mark.parametrize("flags", [["--n", "2"], ["--topology", "complete"]])
     def test_package_warning_is_one_line(self, tmp_path, capsys, flags):

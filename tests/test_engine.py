@@ -807,21 +807,22 @@ class TestRun:
         # One-epoch consensus bound with Young's-inequality constants:
         # ||x_k - xbar_k||^2 <= (1+s)s/2 ||x_{k-1} - xbar_{k-1}||^2
         #                     + (1+s)/(1-s) a^2 ||s_{k-1} - sbar_{k-1}||^2
-        # where s is the contraction factor of the applied power W^t.
+        # where s is the contraction factor of the applied power W^t. The
+        # consensus errors are entries 0 to K of the consensus_error column.
         for t in (1, 2):
             inst = small_instance(seed=6)
             cfg = AlgoConfig(alpha=1e-2, t=t, bits=4, max_epochs=150, seed=13)
             trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
             sig = trace.sigma2**t
-            xs = trace.diagnostics.x_consensus_sq
-            ss = trace.diagnostics.s_consensus_sq
+            xs = trace.columns["consensus_error"]
+            ss = trace.columns["s_consensus_sq"]
             assert len(xs) == len(ss) == len(trace.rows) + 1 == 151
             for k in range(1, len(xs)):
                 bound = (
-                    0.5 * (1 + sig) * sig * xs[k - 1]
+                    0.5 * (1 + sig) * sig * xs[k - 1] ** 2
                     + (1 + sig) / (1 - sig) * cfg.alpha**2 * ss[k - 1]
                 )
-                assert xs[k] <= bound + 1e-8
+                assert xs[k] ** 2 <= bound + 1e-8
 
     def test_finished_run_frees_its_instance(self):
         # No reference cycle holds the engine, so the instance goes with the
@@ -839,12 +840,12 @@ class TestRun:
             gc.enable()
 
     def test_trace_memory_per_epoch(self):
-        # A finished trace keeps six 8-byte values a row in its columns (epoch
-        # and wire_bits_cum are derived) and one 8-byte tracker_residual
-        # entry, plus growth slack of at most 1/16 for an array; the 25%
-        # covers that. With epoch and wire_bits_cum stored too, a trace kept
-        # 75 B a row; a TraceRow object per row costs about 390 B, and a list
-        # of floats 32 B an entry.
+        # A finished trace keeps seven 8-byte entries an epoch in its table:
+        # the six measured columns (epoch and wire_bits_cum are derived) and
+        # tracker_residual, plus growth slack of at most 1/16 for an array;
+        # the 25% covers that. With epoch and wire_bits_cum stored too, a
+        # trace kept 75 B a row; a TraceRow object per row costs about 390 B,
+        # and a list of floats 32 B an entry.
         inst, topology, algo = TestReferenceRun.preset(max_epochs=5000)
         tracemalloc.start()
         try:
@@ -890,13 +891,16 @@ class TestRun:
     def test_diagnostics_switch(self):
         inst = small_instance()
         cfg = AlgoConfig(alpha=1e-3, max_epochs=5, seed=0)
-        full = run(inst, Topology.ring(4), cfg, diagnostics=True).diagnostics
-        for name in ("tracker_residual", "x_consensus_sq", "s_consensus_sq", "max_dist"):
-            values = getattr(full, name)
-            assert len(values) == 6 and all(np.isfinite(v) for v in values)
-        lean = run(inst, Topology.ring(4), cfg).diagnostics
-        assert lean.tracker_residual == full.tracker_residual
-        assert len(lean.x_consensus_sq) == len(lean.s_consensus_sq) == len(lean.max_dist) == 0
+        measured = ["consensus_error", "grad_norm", "f_gap", "ds", "dist_mean", "wall_ms"]
+        full = run(inst, Topology.ring(4), cfg, diagnostics=True)
+        assert list(full.columns) == [*measured, "tracker_residual", "s_consensus_sq", "max_dist"]
+        for name, values in full.columns.items():
+            assert len(values) == 6 and all(np.isfinite(v) for v in values), name
+            assert getattr(full.diagnostics, name) is values
+        lean = run(inst, Topology.ring(4), cfg)
+        assert list(lean.columns) == [*measured, "tracker_residual"]
+        for name in measured[:-1] + ["tracker_residual"]:
+            assert lean.columns[name] == full.columns[name], name
 
     def test_distances_are_distance_to_manifold(self, monkeypatch):
         # dist_mean and max_dist are distance_to_manifold bit for bit, and
@@ -915,7 +919,7 @@ class TestRun:
         trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
         assert len(trace.rows) == len(seen) == 6
         x0 = start(inst, cfg).x
-        for X, row, max_dist in zip([x0, *seen], [None, *trace.rows], trace.diagnostics.max_dist):
+        for X, row, max_dist in zip([x0, *seen], [None, *trace.rows], trace.columns["max_dist"]):
             assert max_dist == float(distance_to_manifold(X).max())
             assert abs(max_dist - float(svd_distance_to_manifold(X).max())) <= 1e-14
             if row is not None:
@@ -927,8 +931,13 @@ class TestRun:
 
 class TestBlockEvaluation:
     """run() evaluates BLOCK epochs at a time: a stop, a divergence or the
-    epoch cap inside a block leaves the rows and diagnostics of one epoch at
-    a time, bit for bit."""
+    epoch cap inside a block leaves the table of one epoch at a time, bit
+    for bit, every column one entry longer than the rows."""
+
+    @staticmethod
+    def aligned(trace):
+        """True when every column holds the start and one entry per row."""
+        return all(len(values) == len(trace.rows) + 1 for values in trace.columns.values())
 
     @staticmethod
     def stop_mid_block(algorithm="rgt"):
@@ -967,51 +976,68 @@ class TestBlockEvaluation:
             return "agent 0 is made to trip" if len(calls) == 26 else diverged(X, r)
 
         monkeypatch.setattr(engine, "_diverged", trips_at_epoch_26)
-        trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
-        assert len(calls) == 26 and trace.epochs_computed == 26
-        assert trace.termination == TERMINATION_DS and trace.divergence is None
-        assert len(trace.rows) == 23 and trace.final.ds <= cfg.ds_tol
-        for values in dataclasses.astuple(trace.diagnostics):
-            assert len(values) == 24
+        for diagnostics in (True, False):
+            calls.clear()
+            trace = run(inst, Topology.ring(4), cfg, diagnostics=diagnostics)
+            assert len(calls) == 26 and trace.epochs_computed == 26
+            assert trace.termination == TERMINATION_DS and trace.divergence is None
+            assert len(trace.rows) == 23 and trace.final.ds <= cfg.ds_tol
+            assert self.aligned(trace) and len(trace.columns["ds"]) == 24
 
     def test_divergence_mid_block(self):
         inst = small_instance()
         cfg = AlgoConfig(alpha=0.4, max_epochs=300, seed=0)
+        assert self.aligned(run(inst, Topology.ring(4), cfg))
         trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
-        assert trace.termination == TERMINATION_DIVERGED
+        assert self.aligned(trace) and trace.termination == TERMINATION_DIVERGED
         assert len(trace.rows) == 17 and len(trace.rows) % engine.BLOCK != 0
         assert trace.epochs_computed == 18  # the diverged epoch was computed, not kept
         assert trace.divergence.startswith(f"diverged at epoch {len(trace.rows) + 1}: agent ")
         assert np.isfinite([dataclasses.astuple(row) for row in trace.rows]).all()
-        expected, _, diag = reference_run(inst, Topology.ring(4), dataclasses.replace(cfg, max_epochs=17))
+        expected, _, columns = reference_run(inst, Topology.ring(4), dataclasses.replace(cfg, max_epochs=17))
         got = [(r.epoch, r.consensus_error, r.grad_norm, r.f_gap, r.ds, r.dist_mean, r.wire_bits_cum)
                for r in trace.rows]
         assert got == expected
-        for name, values in diag.items():
-            assert list(getattr(trace.diagnostics, name)) == values, name
+        for name, values in columns.items():
+            assert list(trace.columns[name]) == values, name
 
     @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
     def test_epoch_cap_inside_a_block(self, algorithm):
-        # 23 epochs: two full blocks and a tail of three, with the diagnostics
-        # and the blocked tracker residual checked by check.
+        # 23 epochs: two full blocks and a tail of three, with every column,
+        # the blocked tracker residual too, checked by check.
         inst = small_instance(seed=3)
         cfg = AlgoConfig(alpha=1e-2, bits=4, algorithm=algorithm, max_epochs=23, seed=8)
         rows, termination = TestReferenceRun().check(inst, Topology.ring(4), cfg)
         assert len(rows) == 23 and termination == TERMINATION_MAX_EPOCHS
+        for diagnostics in (True, False):
+            assert self.aligned(run(inst, Topology.ring(4), cfg, diagnostics=diagnostics))
+
+    @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
+    def test_start_never_stops_a_run(self, algorithm):
+        # The start's ds sits in the column the stop scans. With ds_tol above
+        # every ds, the run still computes the block of epochs 1 to 10 and
+        # keeps epoch 1 alone.
+        inst, topology, algo = TestReferenceRun.preset(algorithm=algorithm, ds_tol=10.0)
+        for diagnostics in (True, False):
+            trace = run(inst, topology, algo, diagnostics=diagnostics)
+            assert trace.columns["ds"][0] <= algo.ds_tol
+            assert trace.termination == TERMINATION_DS
+            assert len(trace.rows) == 1 and trace.epochs_computed == 10
+            assert self.aligned(trace)
 
 
 class TestReferenceRun:
     """run() gives the bits of reference.reference_run, the epoch arithmetic
     written out with numpy's wrapped calls, two products in the tangent
     projection and the tanh direction bit: every row field but the timing
-    wall_ms, the stop reason, and every diagnostic list."""
+    wall_ms, the stop reason, and every other column of the table."""
 
     @staticmethod
     def bits(values):
         return np.array(values, dtype=float).tobytes()
 
     def check(self, inst, topology, cfg):
-        rows, termination, diag = reference_run(inst, topology, cfg)
+        rows, termination, columns = reference_run(inst, topology, cfg)
         full = run(inst, topology, cfg, diagnostics=True)
         lean = run(inst, topology, cfg)
         for trace in (full, lean):
@@ -1022,12 +1048,13 @@ class TestReferenceRun:
             ]
             assert [(row[0], row[-1]) for row in got] == [(row[0], row[-1]) for row in rows]
             assert self.bits([row[1:-1] for row in got]) == self.bits([row[1:-1] for row in rows])
-            assert self.bits(trace.diagnostics.tracker_residual) == self.bits(diag["tracker_residual"])
-        for name, values in diag.items():
+            assert len(trace.columns["wall_ms"]) == len(rows) + 1
+        for name, values in columns.items():
             assert len(values) == len(rows) + 1
-            assert self.bits(getattr(full.diagnostics, name)) == self.bits(values), name
-        lean_diag = lean.diagnostics
-        assert len(lean_diag.x_consensus_sq) == len(lean_diag.s_consensus_sq) == len(lean_diag.max_dist) == 0
+            assert self.bits(full.columns[name]) == self.bits(values), name
+            if name in lean.columns:
+                assert self.bits(lean.columns[name]) == self.bits(values), name
+        assert set(full.columns) - set(lean.columns) == {"s_consensus_sq", "max_dist"}
         return rows, termination
 
     @staticmethod
