@@ -26,8 +26,8 @@ one generator, ``BLOCK`` of them at a time, the initial state taking
 block 0.
 
 Each agent computes its local gradient on its own, by
-``workers.neg_gram_products``, which alone picks the products' orientation
-and their split over threads. The calling thread waits for any split, so
+``workers.neg_gram_products``, which alone picks the products' panels and
+their split over threads. The calling thread waits for any split, so
 whatever wraps ``_Engine.local_grads`` still runs on that thread only.
 
 A run's numbers are one table, ``RunTrace.columns``: a column per name,

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import workers
 from .problems import ProblemInstance
-from .stiefel import _check_orthonormal, _sv_offsets, tangent_project
+from .stiefel import _check_orthonormal, _gram, _sv_offsets, tangent_project
 
 __all__ = [
     "subspace_distance",
@@ -66,7 +66,7 @@ def subspace_distance(x: np.ndarray, xstar: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"shape mismatch: {x.shape} vs {xstar.shape}")
     _check_orthonormal(xstar, "xstar")
     a, rest_sq = _span_split(x, xstar)
-    off = _sv_offsets(a.swapaxes(-1, -2) @ a, a.shape[-2])
+    off = _sv_offsets(_gram(a), a.shape[-2])
     return np.sqrt(rest_sq + np.add.reduce(off * off, axis=-1))
 
 
@@ -134,8 +134,8 @@ def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> tuple[np.ndarray
     k, d, r = xbars.shape
     a, rest_sq = _span_split(xbars, inst.x_star)
     grams = np.empty((2, k, r, r))
-    np.matmul(a.swapaxes(-1, -2), a, out=grams[0])
-    np.matmul(xbars.swapaxes(-1, -2), xbars, out=grams[1])
+    _gram(a, out=grams[0])
+    _gram(xbars, out=grams[1])
     off = _sv_offsets(grams, np.array([r, d])[:, None, None])
     off_sq = np.add.reduce(off * off, axis=-1)
     return (

@@ -20,6 +20,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .workers import SMALL_GEMM, panels
+
 log = logging.getLogger(__name__)
 
 __all__ = [
@@ -211,10 +213,20 @@ def mix(mixing: MixingMatrix, stacked) -> np.ndarray:
     """Apply W^t across agents: out_i = sum_j (W^t)_ij stacked_j.
 
     ``stacked`` is an (n, ...) array or a length-n sequence of equal-shape
-    arrays; the result is the stacked (n, ...) array.
+    arrays; the result is the stacked (n, ...) array. The product
+    W^t @ (n, m) is one GEMM when its M N K = n n m is at most
+    ``workers.SMALL_GEMM``, and otherwise is cut by columns into
+    ``workers.panels``, one GEMM each, that OpenBLAS's unpacked kernel
+    takes (at n = 16, up to 3906 columns).
     """
     X = np.asarray(stacked, dtype=float)
     n = mixing.n
     if X.shape[0] != n:
         raise ValueError(f"expected {n} stacked blocks, got {X.shape[0]}")
-    return (mixing.W_t @ X.reshape(n, -1)).reshape(X.shape)
+    flat = X.reshape(n, -1)
+    if n * flat.size <= SMALL_GEMM:
+        return np.matmul(mixing.W_t, flat).reshape(X.shape)
+    out = np.empty(flat.shape)
+    for lo, hi in panels(flat.shape[1], n * n):
+        np.matmul(mixing.W_t, flat[:, lo:hi], out=out[:, lo:hi])
+    return out.reshape(X.shape)

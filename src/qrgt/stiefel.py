@@ -100,6 +100,16 @@ def _eye(r: int) -> np.ndarray:
     return eye
 
 
+def _gram(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """x^T x for each (d, r) slice of x, written into ``out`` or a new
+    array: one GEMM of a C-contiguous copy of x^T with x. numpy hands
+    ``x.swapaxes(-1, -2) @ x``, a buffer times its own transpose, to BLAS
+    ``syrk``, which OpenBLAS ran slower: on a (16, 784, 5) stack 103 against
+    80 us, and on (16, 10, 5) 4.7 against 3.0 us (one thread). At d = 10
+    both gave the same bits. The GEMM's result came out exactly symmetric."""
+    return np.matmul(np.ascontiguousarray(x.swapaxes(-1, -2)), x, out=out)
+
+
 def tangent_project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Orthogonal projection of y onto the tangent space at x.
 
@@ -127,7 +137,7 @@ def distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
     r x r Gram x^T x, not from an SVD of x: see ``_sv_offsets``.
     """
     x = _check_matrix(x, "x")
-    off = _sv_offsets(x.swapaxes(-1, -2) @ x, x.shape[-2])
+    off = _sv_offsets(_gram(x), x.shape[-2])
     return np.sqrt(np.add.reduce(off * off, axis=-1))
 
 
@@ -163,7 +173,7 @@ def _sv_offsets(gram: np.ndarray, terms: int | np.ndarray) -> np.ndarray:
 def penalty_grad(x: np.ndarray) -> np.ndarray:
     """Gradient of the orthogonality penalty: 4 x (x^T x - I_r)."""
     x = _check_matrix(x, "x")
-    defect = x.swapaxes(-1, -2) @ x
+    defect = _gram(x)
     defect -= _eye(x.shape[-1])
     out = x @ defect
     out *= 4.0
@@ -235,15 +245,14 @@ def _augmented_template(r: int) -> np.ndarray:
 
 
 def _augmented(y: np.ndarray) -> np.ndarray:
-    """M = [[G, I], [I, c I]] for each (d, r) slice of y, with G = y^T y and
-    c = CHOLESKY_K / tr(G). numpy takes y^T y as one triangle and mirrors it,
-    and both off-diagonal blocks are written, so M is symmetric whichever
-    triangle LAPACK reads."""
+    """M = [[G, I], [I, c I]] for each (d, r) slice of y, with G = y^T y
+    (``_gram``) and c = CHOLESKY_K / tr(G). Both off-diagonal blocks are
+    written, and LAPACK reads only M's lower triangle."""
     r = y.shape[-1]
     lead = y.shape[:-2]
     m = np.empty((*lead, 2 * r, 2 * r))
     m[...] = _augmented_template(r)
-    np.matmul(y.swapaxes(-1, -2), y, out=m[..., :r, :r])
+    _gram(y, out=m[..., :r, :r])
     diag = m.reshape(*lead, 4 * r * r)[..., :: 2 * r + 1]
     trace = np.maximum(np.add.reduce(diag[..., :r], axis=-1), _TRACE_FLOOR)
     diag[..., r:] = (CHOLESKY_K / trace)[..., None]

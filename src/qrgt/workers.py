@@ -1,6 +1,7 @@
 """The agent split: which agents each thread handles, and the pinned pool
-that runs them; and ``neg_gram_products``, the one owner of the Gram
-products of the local gradients and of the metrics.
+that runs them; ``neg_gram_products``, the one owner of the Gram products
+of the local gradients and of the metrics; and ``panels``, the cut that
+keeps each BLAS call of those products and of ``network.mix`` small.
 
 A per-agent job over a large Gram stack (building the stack in
 ``problems.make_instance``, and the products of ``neg_gram_products``) is
@@ -10,6 +11,13 @@ runs one task per chunk. The rule: the Gram stack holds at least
 to one thread, and the process may run on at least two CPUs; then there is
 one chunk per CPU, no more chunks than agents. Otherwise there is one chunk,
 run on the calling thread, and no thread is started.
+
+Within a chunk, each agent's product G_i X_i is cut by rows into the
+``panels`` whose GEMMs have M N K of at most ``SMALL_GEMM``: OpenBLAS on
+one thread takes such a GEMM by its small-matrix kernel, which packs no
+operand, and at the MNIST shape four panels of 196 rows took about half
+the time of the one packed product (README, "Threads"). A product that
+fits in one panel, as every product on the d=10 preset does, is one call.
 
 Several chunks run on one lazily created module pool with a worker pinned
 to each CPU, while the calling thread waits. The CPUs and the BLAS thread
@@ -31,14 +39,26 @@ import numpy as np
 if TYPE_CHECKING:
     from concurrent.futures import ThreadPoolExecutor
 
-__all__ = ["SPLIT_GRAM_BYTES", "TRANSPOSE_MIN_D", "agent_chunks", "run_chunks", "neg_gram_products"]
+__all__ = [
+    "SPLIT_GRAM_BYTES",
+    "TRANSPOSE_MIN_D",
+    "SMALL_GEMM",
+    "agent_chunks",
+    "run_chunks",
+    "neg_gram_products",
+    "panels",
+]
 
 # Gram stacks at least this large have their per-agent work split across
 # threads; below it, waking a worker costs more than the split saves.
 SPLIT_GRAM_BYTES = 32 * 2**20
-# Grams at least this wide are multiplied as (X^T G)^T; narrower ones, which
-# fit in cache, run the plain G @ X faster (README, "Threads").
+# The metrics' one mean Gram, at least this wide, is multiplied as (X^T G)^T;
+# a narrower one, which fits in cache, runs the plain G @ X faster (README,
+# "Threads").
 TRANSPOSE_MIN_D = 512
+# The largest M N K of a GEMM that OpenBLAS, on one thread, hands to its
+# small-matrix kernel, which packs no operand (README, "Threads").
+SMALL_GEMM = 10**6
 # The BLAS thread variables; the split runs only when those set all say 1.
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -92,17 +112,17 @@ def neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     with X of shape (d, r) or a (k, d, r) stack, or an (n, d, d) stack with
     X of shape (n, d, r). The result is a new C-contiguous array.
 
-    Two separate rules. The orientation goes by width: at d of at least
-    ``TRANSPOSE_MIN_D`` each product is taken as (X^T G)^T. numpy hands a
-    row-major ``G @ X`` to BLAS as a column-major GEMM with M = r, and at
-    r = 5 the kernel leaves most of each vector lane idle, while ``X^T G``
-    runs as a GEMM with M = d. The split goes by size: a stack of
-    ``SPLIT_GRAM_BYTES`` or more is cut into the chunks of ``agent_chunks``,
-    one stacked product each. numpy's stacked matmul makes one BLAS call per
-    agent and releases the GIL, so every chunking gives the same bits, and
-    on OpenBLAS both orientations gave ``-np.matmul(G, X)`` bit for bit.
-    BLAS does not promise that; the tests compare them at d = 784 and on
-    the d = 10 preset.
+    Three separate rules. The split goes by size: a stack of
+    ``SPLIT_GRAM_BYTES`` or more is cut into the chunks of ``agent_chunks``.
+    Within a chunk, each product is cut by rows into ``panels``, one stacked
+    matmul per panel; numpy's stacked matmul makes one BLAS call per agent
+    and releases the GIL. The one (d, d) Gram of the metrics goes by width:
+    at d of at least ``TRANSPOSE_MIN_D`` it is taken as (X^T G)^T, one GEMM
+    of the stacked (k r, d) transposes with G, which reads G once. Every
+    chunking gives the same bits. A panel's rows may round differently from
+    the same rows of the uncut product, since BLAS picks its kernel by the
+    GEMM's size; the tests bound the difference at d = 784 and check that
+    the d = 10 preset, whose products are one panel, keeps the plain bits.
     """
     # Below the split size, one call: on the d = 10 preset, the chunk views
     # and the task would cost as much as the product itself.
@@ -114,21 +134,38 @@ def neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     return out
 
 
+def panels(length: int, unit: int) -> list[tuple[int, int]]:
+    """Near-equal ranges [lo, hi) covering 0..length-1, as few as keep each
+    range's ``unit * (hi - lo)`` at most ``SMALL_GEMM``: the row or column
+    panels of a GEMM whose M N K grows by ``unit`` per row or column. One
+    range when the whole fits, or when not even one row or column does."""
+    most = SMALL_GEMM // unit
+    count = -(-length // most) if most else 1
+    return [(length * k // count, length * (k + 1) // count) for k in range(count)]
+
+
 def _neg_products(G: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """-(G @ X) in the orientation ``neg_gram_products`` picks, written into
-    ``out`` or a new C-contiguous array. The transposed product goes through
+    """-(G @ X) by the rules of ``neg_gram_products``, written into ``out``
+    or a new C-contiguous array. A stack whose per-agent M N K is within
+    ``SMALL_GEMM``, and the narrow mean Gram, take one matmul with no view;
+    a larger stack takes one per panel. The transposed product goes through
     a C-contiguous (..., r, d) temporary: an ``out=`` view of the other
-    layout would take numpy's matmul off BLAS. One Gram with a stack of k
-    thin X is one GEMM of the stacked (k r, d) transposes with G, which reads
-    G once where numpy's stacked matmul would read it k times."""
-    if G.shape[-1] >= TRANSPOSE_MIN_D:
-        if G.ndim == 2 and X.ndim == 3:
+    layout would take numpy's matmul off BLAS."""
+    if G.ndim == 2 and G.shape[-1] >= TRANSPOSE_MIN_D:
+        if X.ndim == 3:
             rows = np.ascontiguousarray(np.swapaxes(X, -1, -2)).reshape(-1, G.shape[0])
             product = np.matmul(rows, G).reshape(len(X), X.shape[-1], -1)
         else:
             product = np.matmul(np.swapaxes(X, -1, -2), G)
         return np.negative(np.swapaxes(product, -1, -2), out=out, order="C")
-    out = np.matmul(G, X, out=out)
+    d, r = G.shape[-1], X.shape[-1]
+    if G.ndim == 2 or d * d * r <= SMALL_GEMM:
+        out = np.matmul(G, X, out=out)
+    else:
+        if out is None:
+            out = np.empty(X.shape)
+        for lo, hi in panels(d, d * r):
+            np.matmul(G[:, lo:hi], X, out=out[:, lo:hi])
     return np.negative(out, out=out)
 
 

@@ -10,10 +10,17 @@ from qrgt.stiefel import CHOLESKY_K
 from qrgt.streams import STREAM_DITHER, STREAM_INIT, stream_rng
 
 
+def gram(x: np.ndarray) -> np.ndarray:
+    """x^T x, batched over leading dimensions, as the package takes it: a
+    GEMM of a C-contiguous copy of x^T with x, not numpy's ``syrk`` of
+    ``x.T @ x``, which rounds differently at d = 784."""
+    return np.ascontiguousarray(np.swapaxes(x, -1, -2)) @ x
+
+
 def _gram_defect(x: np.ndarray) -> np.ndarray:
     """x^T x - I, batched over leading dimensions."""
     x = np.asarray(x, dtype=float)
-    return np.swapaxes(x, -1, -2) @ x - np.eye(x.shape[-1])
+    return gram(x) - np.eye(x.shape[-1])
 
 
 def manifold_defect(x: np.ndarray) -> float:
@@ -29,6 +36,13 @@ def penalty(x: np.ndarray) -> float:
 def local_grad(inst, agent: int, x: np.ndarray) -> np.ndarray:
     """Agent ``agent``'s Euclidean gradient -A_i^T A_i x, from its Gram."""
     return -(inst.grams[agent] @ x)
+
+
+def panel_products(grams: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """-(G_i @ X_i) for an (n, d, d) Gram stack, each product taken as its
+    ``workers.panels`` of rows, as one stacked matmul per panel."""
+    d, r = X.shape[-2:]
+    return -np.concatenate([np.matmul(grams[:, lo:hi], X) for lo, hi in workers.panels(d, d * r)], axis=1)
 
 
 def global_objective(inst, x: np.ndarray) -> float:
@@ -87,8 +101,10 @@ def svd_subspace_distance(x, xstar):
 # two products in the tangent projection, ``np.eye`` per call, the tanh
 # sigmoid for the direction bit, ``np.mean``, ``np.linalg.norm`` and
 # ``np.sum``, and both distances from the eigenvalues of an r x r Gram.
-# ``reference_run`` must give the same bits as ``run``; a change to the
-# package that alters one rounding breaks that.
+# Every Gram x^T x is ``gram``'s GEMM, and each product W^t Y and G_i X_i
+# is cut into ``workers.panels`` as the package cuts it. ``reference_run``
+# must give the same bits as ``run``; a change to the package that alters
+# one rounding breaks that.
 
 
 def ref_tangent_project(x, y):
@@ -113,7 +129,7 @@ def ref_sv_offsets(gram, terms):
 
 
 def ref_distance_to_manifold(x):
-    off = ref_sv_offsets(np.swapaxes(x, -1, -2) @ x, x.shape[-2])
+    off = ref_sv_offsets(gram(x), x.shape[-2])
     return np.sqrt((off**2).sum(axis=-1))
 
 
@@ -121,7 +137,7 @@ def ref_subspace_distance(x, xstar):
     """Procrustes for an orthonormal xstar: with A = xstar^T x,
     ||x - xstar A||^2 plus the squared distance of A to the orthogonal group."""
     a = xstar.T @ x
-    off = ref_sv_offsets(a.T @ a, a.shape[0])
+    off = ref_sv_offsets(gram(a), a.shape[0])
     return np.sqrt(np.sum((x - xstar @ a) ** 2) + np.sum(off**2))
 
 
@@ -132,8 +148,8 @@ def ref_retract(x, xi):
     out = []
     for y in np.reshape(x + xi, (-1, *x.shape[-2:])):
         r = y.shape[1]
-        gram = y.T @ y
-        aug = np.block([[gram, np.eye(r)], [np.eye(r), CHOLESKY_K / np.trace(gram) * np.eye(r)]])
+        g = gram(y)
+        aug = np.block([[g, np.eye(r)], [np.eye(r), CHOLESKY_K / np.trace(g) * np.eye(r)]])
         out.append(y @ np.linalg.cholesky(aug)[r:, :r])
     return np.reshape(out, x.shape)
 
@@ -189,7 +205,8 @@ def reference_run(inst, topology, cfg):
     the run's table but the timing ``wall_ms`` to its list of entries 0 to
     K, entry 0 being the shared start. It has no divergence check, so it
     suits only runs that do not diverge. The local gradients are the stacked
-    products, which equal every split of them bit for bit.
+    products panel by panel, which every split of the agents equals bit for
+    bit.
     """
     W_t = build_metropolis(topology, cfg.t).W_t
     n, d, r = inst.n_agents, inst.dims.d, inst.dims.r
@@ -199,10 +216,12 @@ def reference_run(inst, topology, cfg):
     quantized = cfg.algorithm == "qrgt"
 
     def mix(Y):
-        return (W_t @ Y.reshape(n, -1)).reshape(Y.shape)
+        flat = Y.reshape(n, -1)
+        cuts = workers.panels(flat.shape[1], n * n)
+        return np.hstack([W_t @ flat[:, lo:hi] for lo, hi in cuts]).reshape(Y.shape)
 
     def local_grads(X):
-        return -np.matmul(inst.grams, X)
+        return panel_products(inst.grams, X)
 
     def quantize(RG, X):
         noise = dither.uniform(-half, half, size=RG.shape)

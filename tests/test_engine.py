@@ -49,6 +49,7 @@ from reference import (
     fill_from,
     local_grad,
     manifold_defect,
+    panel_products,
     reference_run,
     svd_distance_to_manifold,
     svd_subspace_distance,
@@ -606,27 +607,28 @@ class TestAgentParallelGrads:
 
     @pytest.mark.parametrize("threads, chunks", [(2, [(0, 2), (2, 4)]), (1, [(0, 4)])])
     def test_wide_grams_bit_equal(self, monkeypatch, split_forced, kernel_chunks, wide, threads, chunks):
-        # The transposed products, split and in one chunk on the calling
-        # thread, against the plain stacked product at d = 784.
+        # The panel products, split and in one chunk on the calling thread,
+        # against the uncut agent range's panels at d = 784.
         monkeypatch.setattr(workers, "_THREADS", threads)
         eng = _Engine(wide, identity_mixing(4), AlgoConfig(alpha=1e-3))
         rng = np.random.default_rng(threads)
         for _ in range(5):
             X = rng.standard_normal((4, 784, 5))
-            assert eng.local_grads(X).tobytes() == (-np.matmul(wide.grams, X)).tobytes()
+            assert eng.local_grads(X).tobytes() == panel_products(wide.grams, X).tobytes()
         assert set(kernel_chunks) == set(chunks)
         assert (workers._pool is not None) == (threads > 1)
 
     def test_wide_few_agents_transposed_on_calling_thread(self, monkeypatch, wide):
-        # 19.7 MB of Grams at d = 784: the width picks the transposed
-        # products, and the size keeps them in one chunk, on this thread.
+        # 19.7 MB of Grams at d = 784: the size keeps the local gradients'
+        # four row panels in one chunk, on this thread; the metrics' mean
+        # Gram is transposed there too, and the mean's r x r Gram follows.
         monkeypatch.setattr(workers, "_THREADS", 2)  # only the size decides
         monkeypatch.setattr(workers, "_pool", None)
         matmul = np.matmul
         products = []
 
         def recording(a, b, **kwargs):
-            if b.shape[-1] == 784:
+            if 784 in (a.shape[-1], b.shape[-1]):
                 products.append((a.shape, b.shape, threading.get_ident()))
             return matmul(a, b, **kwargs)
 
@@ -640,9 +642,12 @@ class TestAgentParallelGrads:
         xbars, _ = agent_means(X[None].copy())
         evaluate_means(xbars, wide)
         main = threading.get_ident()
-        assert products == [((4, 5, 784), (4, 784, 784), main), ((5, 784), (784, 784), main)]
+        panel = ((4, 196, 784), (4, 784, 5), main)
+        metric_products = [((5, 784), (784, 784), main), ((1, 5, 784), (1, 784, 5), main)]
+        assert products == [panel] * 4 + metric_products
         assert threading.active_count() == before and workers._pool is None
-        assert grads.tobytes() == (-matmul(wide.grams, X)).tobytes()
+        monkeypatch.setattr(np, "matmul", matmul)
+        assert grads.tobytes() == panel_products(wide.grams, X).tobytes()
         assert seen[0].tobytes() == (-matmul(wide.mean_gram, np.mean(X, axis=0))).tobytes()
 
     def test_below_threshold_starts_no_thread(self, monkeypatch, kernel_chunks):
@@ -1099,7 +1104,8 @@ class TestReferenceRun:
 
     @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
     def test_wide_instance_split(self, split_forced, kernel_chunks, algorithm):
-        # d = 784: the transposed products of local_grads and evaluate.
+        # d = 784: the panel products of local_grads, the transposed product
+        # of evaluate_means and the GEMM Grams.
         inst = wide_instance()
         cfg = AlgoConfig(alpha=1e-4, bits=8, algorithm=algorithm, max_epochs=3, seed=1)
         rows, _ = self.check(inst, Topology.ring(4), cfg)

@@ -500,7 +500,7 @@ def assert_symmetric_grams(inst):
 
 class TestGramSymmetry:
     """Every Gram and the mean Gram equal their transposes byte for byte,
-    which the transposed products of the engine and the metrics rely on."""
+    which the metrics' transposed product relies on."""
 
     def build_all(self, tmp_path):
         path = tmp_path / "images.idx3"
