@@ -18,15 +18,32 @@ error is zero up to the rounding of the agent mean, and the tracker is
 seeded with the first gradient so that the tracker mean equals the gradient
 mean from epoch zero onward.
 
-The state of all agents is one ``TrackingState`` of stacked ``(n, d, r)``
-arrays, and ``run`` is the one driver of the recursion. Epoch k's dither is
-block k of (n, d, r) draws from the run's one dither stream, agent i taking
-slice i (layout in ``streams``); the engine draws the blocks in order from
-one generator, ``BLOCK`` of them at a time, the initial state taking
-block 0.
+The state of all agents is one ``TrackingState``: the iterates ``x``, a
+stacked ``(n, d, r)`` array, and ``sg``, one ``(2, n, d, r)`` array of the
+trackers and the gradients. A step takes the pair ``(x, sg)`` and returns
+the next pair, new arrays, and ``run`` is the one driver of the
+recursion. Epoch k's dither is block k of (n, d, r) draws from the run's
+one dither stream, agent i taking slice i (layout in ``streams``); the
+engine draws the blocks in order from one generator, ``BLOCK`` of them at
+a time, the initial state taking block 0.
+
+Each formula has one implementation, a kernel that its public function
+calls after checking its input: ``network.mix``, ``stiefel``'s
+``tangent_project``, ``penalty_grad`` and ``retract``, ``quantizers.snap``
+and ``workers.neg_gram_products``. The engine calls the kernels unchecked,
+since at d = 10 an epoch is bound by per-call overhead. It binds them to
+the names ``mix``, ``tangent_project``, ``penalty_grad`` (a quarter of the
+gradient, without the public function's exact scale by 4) and ``retract``,
+calls ``metrics.evaluate`` as ``evaluate``, and runs the local gradients
+and the quantizer through ``_Engine.local_grads`` and
+``_Engine.quantize_all``. A benchmark wraps these names, looked up at each
+call, to trace the layers and clock the epochs, so they stay, each called
+as often per epoch as before. The steps and the epoch loop of ``run``
+write every elementwise result in place; only the per-block flush and the
+``diagnostics`` columns take temporaries.
 
 Each agent computes its local gradient on its own, by
-``workers.neg_gram_products``, which alone picks the products' panels and
+``workers._neg_gram_products``, which alone picks the products' panels and
 their split over threads. The calling thread waits for any split, so
 whatever wraps ``_Engine.local_grads`` still runs on that thread only.
 
@@ -35,14 +52,15 @@ entry k of every column describing epoch k, entry 0 the shared start. An
 epoch of ``run`` is the step and a copy of its iterate: it runs the step,
 screens the iterates for divergence with one dot product, copies them into
 a ``(BLOCK, n, d, r)`` buffer (``evaluate``, the one per-epoch call of the
-metrics) and keeps the agent sums of the trackers and gradients. The start
-is a block of one; after it, every ``BLOCK`` = 10 epochs, and when the loop
-ends, the pending epochs are evaluated together: the agent means, the
-consensus errors, the other four metrics and the tracker residuals, with
-the bits of one epoch at a time. So the ``ds`` stop is found up to 9 epochs
-late: an RGT run computes up to 9 epochs past its stop, which leave no
-row, and ``RunTrace.epochs_computed`` counts them. ``wall_ms`` still times
-the step alone.
+metrics) and keeps the agent sums of the trackers and gradients, one
+reduction over ``sg``. The start is a block of one; after it, every
+``BLOCK`` = 10 epochs, and when the loop ends, the pending epochs are
+evaluated together: the agent means, the consensus errors, the other four
+metrics and the tracker residuals, with the bits of one epoch at a time.
+So the ``ds`` stop is found up to 9 epochs late: an RGT run computes up to
+9 epochs past its stop, which leave no row, and
+``RunTrace.epochs_computed`` counts them. ``wall_ms`` still times the step
+alone.
 """
 
 from __future__ import annotations
@@ -54,23 +72,20 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import count, islice, starmap
 from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
 from . import workers
 from .metrics import _norms, agent_means, evaluate, evaluate_means
-from .network import MixingMatrix, Topology, build_metropolis, mix
+from .network import MixingMatrix, Topology, build_metropolis
+from .network import _mix as mix
 from .problems import ProblemInstance
-from .quantizers import QuantizerSpec, dither_noise, snap, wire_size_bits
-from .stiefel import (
-    SmoothnessConstants,
-    _check_orthonormal,
-    distance_to_manifold,
-    penalty_grad,
-    random_stiefel,
-    retract,
-    tangent_project,
-)
+from .quantizers import _DIRECTION_THRESHOLD, QuantizerSpec, _snap, dither_noise, wire_size_bits
+from .stiefel import SmoothnessConstants, _check_orthonormal, distance_to_manifold, random_stiefel
+from .stiefel import _penalty_quarter as penalty_grad
+from .stiefel import _retract as retract
+from .stiefel import _tangent_project as tangent_project
 from .streams import STREAM_DITHER, STREAM_INIT, stream_rng
 
 ALGO_QRGT = "qrgt"
@@ -130,15 +145,21 @@ class AlgoConfig:
         QuantizerSpec(bits=self.bits)  # range check
 
 
-@dataclass(frozen=True)
-class TrackingState:
-    """All agents' decision variables ``x``, trackers ``s`` and last
-    (quantized or exact) Riemannian gradients ``g``, each stacked as an
-    ``(n, d, r)`` array indexed by agent."""
+class TrackingState(NamedTuple):
+    """All agents' decision variables ``x``, an ``(n, d, r)`` array indexed
+    by agent, and ``sg``, one ``(2, n, d, r)`` array holding their trackers
+    ``s`` and their last (quantized or exact) Riemannian gradients ``g``."""
 
     x: np.ndarray
-    s: np.ndarray
-    g: np.ndarray
+    sg: np.ndarray
+
+    @property
+    def s(self) -> np.ndarray:
+        return self.sg[0]
+
+    @property
+    def g(self) -> np.ndarray:
+        return self.sg[1]
 
 
 @dataclass(frozen=True)
@@ -269,6 +290,7 @@ class _Engine:
         self.mixing = mixing
         self.cfg = cfg
         self.qspec = QuantizerSpec(bits=cfg.bits)
+        self._levels = float(self.qspec.levels)  # a float multiplies and divides faster than an int
         self._dither = stream_rng(cfg.seed, STREAM_DITHER)
         self._noise = None  # the run's one buffer of BLOCK dither blocks; quantize_all takes the next
         self._next = BLOCK
@@ -283,10 +305,14 @@ class _Engine:
         return self.qrgt_step if self.cfg.algorithm == ALGO_QRGT else self.rgt_step
 
     def local_grads(self, X: np.ndarray) -> np.ndarray:
-        return workers.neg_gram_products(self.inst.grams, X)
+        return workers._neg_gram_products(self.inst.grams, X)
 
-    def quantize_all(self, RG: np.ndarray, PG: np.ndarray):
-        """Quantize every agent's gradient; returns (values, scales, None).
+    def quantize_all(self, RG: np.ndarray, PG: np.ndarray, out: np.ndarray | None = None):
+        """Quantize every agent's gradient ``RG``; returns (values, scales,
+        None), the values written into ``out`` or a new array. ``PG`` is the
+        engine's ``penalty_grad``, a quarter of the penalty gradient, so its
+        direction bits are taken against a quarter of the snap's threshold:
+        the same bits as the gradient against the whole one.
 
         The k-th call takes block k of the run's one dither stream: draws
         [k B, (k+1) B) of ``stream_rng(cfg.seed, STREAM_DITHER)``,
@@ -305,54 +331,73 @@ class _Engine:
             self._next = 0
         noise = self._noise[self._next]
         self._next += 1
-        return (*snap(RG, PG, self.qspec, noise), None)
+        values, scales = _snap(RG, PG, self._levels, noise, out, _DIRECTION_THRESHOLD / 4)
+        return values, scales, None
 
     def initial_state(self) -> TrackingState:
         """Shared start, trackers seeded with the first gradient."""
         x0 = random_stiefel(self.inst.dims.d, self.inst.dims.r, stream_rng(self.cfg.seed, STREAM_INIT))
-        X = np.broadcast_to(x0, (self.inst.n_agents, *x0.shape)).copy()
-        RG = tangent_project(X, self.local_grads(X))
+        x = np.broadcast_to(x0, (self.inst.n_agents, *x0.shape)).copy()
+        sg = np.empty((2, *x.shape))
         if self.cfg.algorithm == ALGO_QRGT:
-            G = self.quantize_all(RG, penalty_grad(X))[0]
-            return TrackingState(X, G.copy(), G)
-        return TrackingState(X, RG.copy(), RG)
+            self.quantize_all(tangent_project(x, self.local_grads(x)), penalty_grad(x), sg[1])
+        else:
+            tangent_project(x, self.local_grads(x), sg[1])
+        sg[0] = sg[1]
+        return TrackingState(x, sg)
 
-    def qrgt_step(self, st: TrackingState) -> TrackingState:
-        Xn = mix(self.mixing, st.x)
-        Xn -= self.cfg.alpha * st.s
-        RG = tangent_project(Xn, self.local_grads(Xn))
-        Gn = self.quantize_all(RG, penalty_grad(Xn))[0]
-        Sn = mix(self.mixing, st.s)
-        Sn += Gn
-        Sn -= st.g
-        return TrackingState(Xn, Sn, Gn)
+    def qrgt_step(self, x: np.ndarray, sg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One Q-RGT epoch from the iterates ``x`` and the trackers and
+        gradients ``sg`` of a ``TrackingState``; returns the next pair, new
+        arrays, and leaves its arguments as they were. The new ``sg`` is
+        allocated fresh, and its tracker slot holds alpha s until the
+        tracker is written."""
+        s, g = sg[0], sg[1]
+        new = np.empty(sg.shape)
+        s_new, g_new = new[0], new[1]
+        W_t = self.mixing.W_t
+        x_new = mix(W_t, x)
+        np.multiply(s, self.cfg.alpha, out=s_new)
+        x_new -= s_new
+        self.quantize_all(tangent_project(x_new, self.local_grads(x_new)), penalty_grad(x_new), g_new)
+        np.add(mix(W_t, s), g_new, out=s_new)
+        s_new -= g
+        return x_new, new
 
-    def rgt_step(self, st: TrackingState) -> TrackingState:
-        direction = mix(self.mixing, st.x)
-        direction -= st.x
-        direction -= self.cfg.alpha * st.s
-        Xi = tangent_project(st.x, direction)
-        Xn = retract(st.x, Xi)
-        Gn = tangent_project(Xn, self.local_grads(Xn))
-        Sn = mix(self.mixing, st.s)
-        Sn += Gn
-        Sn -= st.g
-        return TrackingState(Xn, Sn, Gn)
+    def rgt_step(self, x: np.ndarray, sg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """One RGT epoch, as ``qrgt_step`` takes and returns its state."""
+        s, g = sg[0], sg[1]
+        new = np.empty(sg.shape)
+        s_new, g_new = new[0], new[1]
+        W_t = self.mixing.W_t
+        direction = mix(W_t, x)
+        direction -= x
+        np.multiply(s, self.cfg.alpha, out=s_new)
+        direction -= s_new
+        x_new = retract(x, tangent_project(x, direction))
+        tangent_project(x_new, self.local_grads(x_new), g_new)
+        np.add(mix(W_t, s), g_new, out=s_new)
+        s_new -= g
+        return x_new, new
+
+
+def _norm_bound(r: int) -> float:
+    """The largest Frobenius norm an agent's iterate may have: 1e3 sqrt(r)."""
+    return 1e3 * math.sqrt(r)
 
 
 def _diverged(X: np.ndarray, r: int) -> str | None:
     """None while every agent's iterate is finite with Frobenius norm at
-    most 1e3 sqrt(r); otherwise the first agent that tripped and the check.
+    most ``_norm_bound(r)``; otherwise the first agent that tripped and the
+    check.
 
-    A stack whose whole squared norm, one dot product, is at most the
-    squared bound has every agent within the bound and finite, so it passes
-    without a look at the agents. Otherwise one pass of per-agent squared
-    norms decides; a NaN or infinite entry makes its agent's norm NaN or
+    ``run`` calls it only for a stack whose whole squared norm, one dot
+    product, is not at most the squared bound: a stack within it has every
+    agent within the bound and finite. One pass of per-agent squared norms
+    decides; a NaN or infinite entry makes its agent's norm NaN or
     infinite, which fails the comparison.
     """
-    bound = 1e3 * math.sqrt(r)
-    if np.vdot(X, X) <= bound * bound:
-        return None
+    bound = _norm_bound(r)
     norms = np.sqrt(np.einsum("ijk,ijk->i", X, X))
     within = norms <= bound
     if within.all():
@@ -371,9 +416,11 @@ def run(
 ) -> RunTrace:
     """Execute epochs until max_epochs, the early-stop threshold, or divergence.
 
-    An epoch runs the step, appends its ``wall_ms``, copies its iterates into
-    the block buffer by ``evaluate`` and keeps the agent sums of ``s`` and
-    ``g``. The initial state is a block of one; after it, every ``BLOCK``
+    An epoch runs the step, screens its iterates for divergence with one
+    dot product (``_diverged`` looks at the agents only when that fails),
+    appends its ``wall_ms``, copies its iterates into the block buffer by
+    ``evaluate`` and keeps the agent sums of ``s`` and ``g``, one
+    ``np.add.reduce`` over the step's ``sg``. The initial state is a block of one; after it, every ``BLOCK``
     epochs, and when the loop ends, ``flush`` fills the pending epochs' other
     columns together: ``agent_means`` takes their agent means and consensus
     errors, and one ``evaluate_means`` call the other four metrics. The
@@ -401,13 +448,15 @@ def run(
     termination = TERMINATION_MAX_EPOCHS
     divergence = None
     xs = np.empty((BLOCK, n, d, r))
-    s_sums, g_sums = np.empty((BLOCK, d, r)), np.empty((BLOCK, d, r))
+    sums = np.empty((2, BLOCK, d, r))  # the agent sums of s and of g, epoch by epoch
+    x_slots, sum_slots = list(xs), list(sums.swapaxes(0, 1))
+    bound = _norm_bound(r)
+    bound_sq = bound * bound
 
-    def keep_sums(st: TrackingState, slot: int) -> None:
-        np.add.reduce(st.s, 0, out=s_sums[slot])
-        np.add.reduce(st.g, 0, out=g_sums[slot])
+    def keep_sums(sg: np.ndarray, slot: int) -> None:
+        np.add.reduce(sg, 1, out=sum_slots[slot])
         if diagnostics:
-            s_dev = st.s - s_sums[slot] / n
+            s_dev = sg[0] - sums[0, slot] / n
             columns["s_consensus_sq"].append(float(np.vdot(s_dev, s_dev)))
 
     def flush(k: int) -> bool:
@@ -417,7 +466,7 @@ def run(
         if diagnostics:
             _extend(columns["max_dist"], distance_to_manifold(xs[:k]).max(axis=1))
         xbars, consensus = agent_means(xs[:k])
-        sbar, gbar = s_sums[:k], g_sums[:k]
+        sbar, gbar = sums[:, :k]
         sbar /= n
         gbar /= n
         gbar_norms = _norms(gbar)
@@ -436,28 +485,32 @@ def run(
 
     clock = time.perf_counter
     tic = clock()
-    state = eng.initial_state()
+    x, sg = eng.initial_state()
     put_wall((clock() - tic) * 1e3)
-    xs[0] = state.x  # the start, a block of one: no evaluate call, which counts steps
-    keep_sums(state, 0)
+    xs[0] = x  # the start, a block of one: no evaluate call, which counts steps
+    keep_sums(sg, 0)
     flush(1)  # the start never stops a run: a stop there cuts nothing, and goes unread
     step = eng.step
     pending = 0  # epochs since the last flush
     for epoch in range(1, cfg.max_epochs + 1):
         tic = clock()
-        state = step(state)
+        x, sg = step(x, sg)
         wall_ms = (clock() - tic) * 1e3
-        why = _diverged(state.x, r)
-        if why is not None:
-            termination = TERMINATION_DIVERGED
-            divergence = f"diverged at epoch {epoch}: {why}"
-            break
+        # The divergence screen: a stack whose squared norm is within the
+        # squared bound passes, and only one that is not (NaN included) goes
+        # to _diverged's per-agent pass.
+        if not np.vdot(x, x) <= bound_sq:
+            why = _diverged(x, r)
+            if why is not None:
+                termination = TERMINATION_DIVERGED
+                divergence = f"diverged at epoch {epoch}: {why}"
+                break
         # Exactly one call of the module name ``evaluate`` per epoch: the
         # benchmark clocks epochs by wrapping it, and without one stamp per
         # epoch it falls back to whole-solve times.
-        evaluate(state.x, xs[pending])
+        evaluate(x, x_slots[pending])
         put_wall(wall_ms)
-        keep_sums(state, pending)
+        keep_sums(sg, pending)
         pending += 1
         if pending == BLOCK:
             pending = 0

@@ -120,7 +120,7 @@ def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> tuple[np.ndarray
     a float64 array of length k.
 
     The averaged-Gram products are taken for the whole stack, negated, by
-    one ``workers.neg_gram_products`` call, and serve both the gradient and
+    one ``workers._neg_gram_products`` call, and serve both the gradient and
     the objective f(x) = -tr(x^T mean_gram x) / 2. ``ds`` and ``dist_mean``
     are ``subspace_distance`` and ``distance_to_manifold`` bit for bit: the
     k Grams A^T A (A = x*^T xbar) and the k Grams xbar^T xbar are stacked
@@ -128,7 +128,7 @@ def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> tuple[np.ndarray
     its own number of terms. x*'s orthonormality is not checked here:
     ``engine.run`` checks it once per run.
     """
-    neg_gram_x = workers.neg_gram_products(inst.mean_gram, xbars)
+    neg_gram_x = workers._neg_gram_products(inst.mean_gram, xbars)
     f_terms = xbars * neg_gram_x
     f_sums = np.add.reduce(f_terms.reshape(len(xbars), -1), axis=1)
     k, d, r = xbars.shape

@@ -213,20 +213,26 @@ def mix(mixing: MixingMatrix, stacked) -> np.ndarray:
     """Apply W^t across agents: out_i = sum_j (W^t)_ij stacked_j.
 
     ``stacked`` is an (n, ...) array or a length-n sequence of equal-shape
-    arrays; the result is the stacked (n, ...) array. The product
-    W^t @ (n, m) is one GEMM when its M N K = n n m is at most
-    ``workers.SMALL_GEMM``, and otherwise is cut by columns into
-    ``workers.panels``, one GEMM each, that OpenBLAS's unpacked kernel
-    takes (at n = 16, up to 3906 columns).
+    arrays; the result is the stacked (n, ...) array, by ``_mix`` after the
+    checks.
     """
     X = np.asarray(stacked, dtype=float)
-    n = mixing.n
-    if X.shape[0] != n:
-        raise ValueError(f"expected {n} stacked blocks, got {X.shape[0]}")
+    if X.shape[0] != mixing.n:
+        raise ValueError(f"expected {mixing.n} stacked blocks, got {X.shape[0]}")
+    return _mix(mixing.W_t, X)
+
+
+def _mix(W_t: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The kernel of ``mix``, unchecked: W_t @ X over the leading axis of a
+    float (n, ...) array X. The product W^t @ (n, m) is one GEMM when its
+    M N K = n n m is at most ``workers.SMALL_GEMM``, and otherwise is cut by
+    columns into ``workers.panels``, one GEMM each, that OpenBLAS's unpacked
+    kernel takes (at n = 16, up to 3906 columns)."""
+    n = len(W_t)
     flat = X.reshape(n, -1)
     if n * flat.size <= SMALL_GEMM:
-        return np.matmul(mixing.W_t, flat).reshape(X.shape)
+        return np.matmul(W_t, flat).reshape(X.shape)
     out = np.empty(flat.shape)
     for lo, hi in panels(flat.shape[1], n * n):
-        np.matmul(mixing.W_t, flat[:, lo:hi], out=out[:, lo:hi])
+        np.matmul(W_t, flat[:, lo:hi], out=out[:, lo:hi])
     return out.reshape(X.shape)

@@ -9,11 +9,13 @@ positive, so the quantization error itself pulls iterates toward the
 manifold. Where the penalty gradient is zero (on the manifold) the snap is a
 pure floor.
 
-``snap`` is the one arithmetic path. It returns the dequantized values and
-the scales, which is all a run needs; ``encode`` recovers the integer codes
-from them by inverting ``dequantize``, exactly for every normal, finite
-scale. ``pack_codes`` and ``unpack_codes`` serialize one message, and
-``wire_size_bits`` is the size a run charges for it.
+``snap`` is the one arithmetic path: it checks its input and calls its
+unchecked kernel ``_snap``, which the engine calls directly. It returns
+the dequantized values and the scales, which is all a run needs;
+``encode`` recovers the integer codes from them by inverting
+``dequantize``, exactly for every normal, finite scale. ``pack_codes``
+and ``unpack_codes`` serialize one message, and ``wire_size_bits`` is the
+size a run charges for it.
 
 The floor plus a {0, 1} bit can undershoot the grid by one step (dither
 below the bottom grid point) or overshoot it by one (a raised entry already
@@ -122,17 +124,33 @@ def snap(
     pgrad = np.asarray(pgrad, dtype=float)
     if g.shape != pgrad.shape:
         raise ValueError(f"shape mismatch: g is {g.shape}, pgrad is {pgrad.shape}")
+    return _snap(g, pgrad, spec.levels, noise)
+
+
+def _snap(
+    g: np.ndarray,
+    pgrad: np.ndarray,
+    levels: float,
+    noise: np.ndarray,
+    out: np.ndarray | None = None,
+    threshold: float = _DIRECTION_THRESHOLD,
+) -> tuple[np.ndarray, float | np.ndarray]:
+    """The kernel of ``snap``, unchecked, for float arrays of one shape and
+    the grid divisor ``levels`` = 2^N - 1; the values are written into
+    ``out`` or a new array. The direction bit is ``pgrad > threshold``: a
+    ``pgrad`` that is the penalty gradient scaled by a power of two, with
+    ``threshold`` scaled alike, sets the same bits, since that scale is
+    exact."""
     gamma = scale_factor(g)
-    has_zero = not gamma.all()
+    has_zero = np.count_nonzero(gamma) != gamma.size
     # a zero slice is divided by 1, then zeroed
     safe = _nonzero_scale(gamma) if has_zero else gamma[..., None, None]
-    levels = spec.levels
-    idx = g / safe
+    idx = np.divide(g, safe, out=out)
     idx += 0.5
     idx += noise
     idx *= levels
     np.floor(idx, out=idx)
-    np.add(idx, pgrad > _DIRECTION_THRESHOLD, out=idx)
+    np.add(idx, pgrad > threshold, out=idx)
     idx /= levels
     idx -= 0.5
     idx *= safe

@@ -1,7 +1,9 @@
 """The agent split: which agents each thread handles, and the pinned pool
 that runs them; ``neg_gram_products``, the one owner of the Gram products
-of the local gradients and of the metrics; and ``panels``, the cut that
-keeps each BLAS call of those products and of ``network.mix`` small.
+of the local gradients and of the metrics, which checks its input and
+calls its unchecked kernel ``_neg_gram_products`` (the engine and the
+metrics call the kernel); and ``panels``, the cut that keeps each BLAS
+call of those products and of ``network.mix`` small.
 
 A per-agent job over a large Gram stack (building the stack in
 ``problems.make_instance``, and the products of ``neg_gram_products``) is
@@ -110,7 +112,25 @@ def run_chunks(tasks: list[Callable[[], None]]) -> None:
 def neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """-(G @ X) for a symmetric Gram ``G`` and a thin ``X``: a (d, d) matrix
     with X of shape (d, r) or a (k, d, r) stack, or an (n, d, d) stack with
-    X of shape (n, d, r). The result is a new C-contiguous array.
+    X of shape (n, d, r). The result is a new C-contiguous array, by
+    ``_neg_gram_products`` after the shape checks; a shape outside these
+    raises ``ValueError``.
+    """
+    G = np.asarray(G, dtype=float)
+    X = np.asarray(X, dtype=float)
+    if G.ndim not in (2, 3) or G.shape[-1] != G.shape[-2]:
+        raise ValueError(f"G must be a (d, d) matrix or an (n, d, d) stack, got shape {G.shape}")
+    if G.ndim == 3:
+        fits = X.ndim == 3 and X.shape[:2] == G.shape[:2]
+    else:
+        fits = X.ndim in (2, 3) and X.shape[-2] == G.shape[0]
+    if not fits:
+        raise ValueError(f"shape mismatch: G is {G.shape}, X is {X.shape}")
+    return _neg_gram_products(G, X)
+
+
+def _neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The kernel of ``neg_gram_products``, unchecked.
 
     Three separate rules. The split goes by size: a stack of
     ``SPLIT_GRAM_BYTES`` or more is cut into the chunks of ``agent_chunks``.
@@ -145,7 +165,7 @@ def panels(length: int, unit: int) -> list[tuple[int, int]]:
 
 
 def _neg_products(G: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """-(G @ X) by the rules of ``neg_gram_products``, written into ``out``
+    """-(G @ X) by the rules of ``_neg_gram_products``, written into ``out``
     or a new C-contiguous array. A stack whose per-agent M N K is within
     ``SMALL_GEMM``, and the narrow mean Gram, take one matmul with no view;
     a larger stack takes one per panel. The transposed product goes through

@@ -98,7 +98,7 @@ def svd_subspace_distance(x, xstar):
 
 # ---------------------------------------------------------------------------
 # The epoch arithmetic of ``qrgt.run`` written out plainly: ``np.swapaxes``,
-# two products in the tangent projection, ``np.eye`` per call, the tanh
+# one product and its transpose in the tangent projection, ``np.eye`` per call, the tanh
 # sigmoid for the direction bit, ``np.mean``, ``np.linalg.norm`` and
 # ``np.sum``, and both distances from the eigenvalues of an r x r Gram.
 # Every Gram x^T x is ``gram``'s GEMM, and each product W^t Y and G_i X_i
@@ -108,10 +108,12 @@ def svd_subspace_distance(x, xstar):
 
 
 def ref_tangent_project(x, y):
-    xt = np.swapaxes(x, -1, -2)
-    yt = np.swapaxes(y, -1, -2)
-    sym = xt @ y + yt @ x
-    return y - 0.5 * (x @ sym)
+    """y - x (M + M^T) / 2 with M = x^T y, one product, as the package
+    takes it. A second product y^T x would not do: it need not round as
+    M^T does, and under OpenBLAS's Haswell kernels the two differed in 300
+    of 300 random (10, 10, 5) stacks."""
+    m = np.swapaxes(x, -1, -2) @ y
+    return y - 0.5 * (x @ (m + np.swapaxes(m, -1, -2)))
 
 
 def ref_penalty_grad(x):

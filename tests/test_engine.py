@@ -39,9 +39,10 @@ from qrgt.engine import (
     TERMINATION_DS,
     TERMINATION_MAX_EPOCHS,
     TraceRow,
+    TrackingState,
     _Engine,
 )
-from qrgt.network import MixingMatrix
+from qrgt.network import MixingMatrix, mix
 from qrgt.quantizers import dither_noise
 from qrgt.streams import STREAM_DITHER, stream_rng
 
@@ -183,7 +184,7 @@ class TestQrgtEpoch:
         eng = _Engine(inst, identity_mixing(), cfg)
         state = eng.initial_state()
         assert np.abs(state.s[0]).max() <= 1e-14
-        after = eng.qrgt_step(state)
+        after = TrackingState(*eng.qrgt_step(*state))
         np.testing.assert_allclose(after.x[0], state.x[0], rtol=0, atol=1e-15)
 
     def test_tracker_mean_identity_over_run(self):
@@ -220,7 +221,7 @@ class TestQrgtEpoch:
         state = eng.initial_state()
         x0 = state.x[0].copy()
         for _ in range(100):
-            state = eng.step(state)
+            state = TrackingState(*eng.step(*state))
 
         # independent plain-numpy reference
         n = inst.n_agents
@@ -252,9 +253,9 @@ class TestQrgtEpoch:
         first, second = ring_engine(inst, cfg), ring_engine(inst, cfg)
         state = first.initial_state()
         second.initial_state()
-        a = first.step(state)
-        b = second.step(state)
-        c = first.step(state)
+        a = TrackingState(*first.step(*state))
+        b = TrackingState(*second.step(*state))
+        c = TrackingState(*first.step(*state))
         np.testing.assert_array_equal(a.x[0], b.x[0])
         np.testing.assert_array_equal(a.g[0], b.g[0])
         assert not np.array_equal(a.g[0], c.g[0])
@@ -280,11 +281,16 @@ class TestQuantizeAll:
         eng = ring_engine(inst, cfg)
         X = start(inst, cfg).x + 0.05 * np.random.default_rng(1).standard_normal((4, 5, 3))
         RG = tangent_project(X, eng.local_grads(X))
-        PG = penalty_grad(X)
+        # quantize_all takes the engine's penalty_grad, a quarter of the
+        # public one; entries at the quarter threshold 2^-54 and next to it
+        # must set the bits the whole gradient sets against 2^-52.
+        PQ = engine.penalty_grad(X)
+        PQ.flat[:4] = [2.0**-54, np.nextafter(2.0**-54, 1.0), np.nextafter(2.0**-54, 0.0), 0.0]
         spec = QuantizerSpec(bits=3)
         for epoch in range(4):
-            values, scales, _ = eng.quantize_all(RG, PG)
-            ref_values, ref_scales = snap(RG, PG, spec, advanced_dither(cfg.seed, epoch, RG.shape, spec))
+            values, scales, _ = eng.quantize_all(RG, PQ)
+            noise = advanced_dither(cfg.seed, epoch, RG.shape, spec)
+            ref_values, ref_scales = snap(RG, 4.0 * PQ, spec, noise)
             assert values.tobytes() == ref_values.tobytes()
             assert scales.tobytes() == ref_scales.tobytes()
 
@@ -357,7 +363,7 @@ class TestRgtEpoch:
         eng = _Engine(inst, mixing, cfg)
         state = eng.initial_state()
         for _ in range(1, 30):
-            state = eng.rgt_step(state)
+            state = TrackingState(*eng.rgt_step(*state))
             assert max(manifold_defect(x) for x in state.x) <= 1e-8
 
     def test_single_agent_reduces_to_centralized_descent(self):
@@ -369,7 +375,7 @@ class TestRgtEpoch:
         state = eng.initial_state()
         x_ref = state.x[0].copy()
         for _ in range(1, 20):
-            state = eng.rgt_step(state)
+            state = TrackingState(*eng.rgt_step(*state))
             g = tangent_project(x_ref, local_grad(inst, 0, x_ref))
             x_ref = retract(x_ref, -cfg.alpha * g)
             np.testing.assert_allclose(state.x[0], x_ref, atol=1e-12)
@@ -391,7 +397,7 @@ class TestBatchedRetraction:
             eng = _Engine(inst, mixing, algo)
             state = eng.initial_state()
             for _ in range(epochs):
-                state = eng.rgt_step(state)
+                state = TrackingState(*eng.rgt_step(*state))
             return state
 
         batched = advance()
@@ -538,6 +544,62 @@ class TestBenchmarkHooks:
         assert calls["local_grads"] == self.EPOCHS + 1
         assert sorted(kernel_chunks) == [(0, 2)] * (self.EPOCHS + 1) + [(2, 4)] * (self.EPOCHS + 1)
 
+    @pytest.mark.parametrize("d", [10, 784])
+    @pytest.mark.parametrize(
+        "name", ["mix", "tangent_project", "penalty_grad", "retract", "snap", "neg_gram_products"]
+    )
+    def test_public_function_is_the_engines_kernel(self, name, d):
+        # Each public function checks its input and then calls the kernel
+        # the engine calls unchecked: the same bits at the preset shape and
+        # at d = 784, and the checks' own ValueError for every input they
+        # refuse (a kernel handed such an input may raise one of numpy's).
+        rng = np.random.default_rng(d)
+        n, r = 16, 5
+        x = np.linalg.qr(rng.standard_normal((n, d, r)))[0]
+        y = rng.standard_normal((n, d, r))
+        xi = tangent_project(x, 0.1 * y)
+        mixing = build_metropolis(Topology.ring(n))
+        spec = QuantizerSpec(bits=8)
+        noise = dither_noise(rng, spec, y.shape)
+        k = n if d == 10 else 2  # a (2, 784, 784) Gram stack is 9.8 MB
+        a = rng.standard_normal((k, d, d))
+        grams = a + a.swapaxes(1, 2)
+        public, args, kernel, kernel_args, refused, check = {
+            "mix": (mix, (mixing, x), engine.mix, (mixing.W_t, x), [(mixing, x[:-1])], "stacked blocks"),
+            "tangent_project": (
+                tangent_project, (x, y), engine.tangent_project, (x, y),
+                [(x[0, 0], y[0, 0]), (x, y[..., :-1]), (x[..., :-1, :], y)],
+                "2-dimensional|shape mismatch: x is",
+            ),
+            # the engine's kernel is a quarter of the gradient; the scale by 4 is exact
+            "penalty_grad": (
+                penalty_grad, (x,), lambda x: 4.0 * engine.penalty_grad(x), (x,), [(x[0, 0],)], "2-dimensional",
+            ),
+            "retract": (
+                retract, (x, xi), engine.retract, (x, xi),
+                [(x[0, 0], xi[0, 0]), (x, xi[:-1]), (x[0], xi)],
+                "2-dimensional|shape mismatch: x is",
+            ),
+            "snap": (
+                snap, (y, x, spec, noise), engine._snap, (y, x, float(spec.levels), noise),
+                [(y, x[:-1], spec, noise), (y, x[..., :-1], spec, noise)],
+                "shape mismatch: g is",
+            ),
+            "neg_gram_products": (
+                workers.neg_gram_products, (grams, x[:k]), workers._neg_gram_products, (grams, x[:k]),
+                [(grams, x[: k - 1]), (grams[..., :-1], x[:k]), (grams[0], x[..., :-1, :]), (grams[0, 0], x[0])],
+                "G must be|shape mismatch: G is",
+            ),
+        }[name]
+        got, expected = public(*args), kernel(*kernel_args)
+        if name != "snap":  # the one that returns a pair, (values, scales)
+            got, expected = (got,), (expected,)
+        for got_part, expected_part in zip(got, expected, strict=True):
+            assert np.asarray(got_part).tobytes() == np.asarray(expected_part).tobytes()
+        for bad in refused:
+            with pytest.raises(ValueError, match=check):
+                public(*bad)
+
 
 class TestAgentParallelGrads:
     """local_grads split over threads gives the one-thread result bit for bit."""
@@ -553,7 +615,7 @@ class TestAgentParallelGrads:
         eng = _Engine(inst, mixing, algo)
         state = eng.initial_state()
         for _ in range(epochs):
-            state = eng.step(state)
+            state = TrackingState(*eng.step(*state))
         return eng, state
 
     @staticmethod
@@ -973,14 +1035,16 @@ class TestBlockEvaluation:
 
     def test_stop_found_before_a_divergence_in_its_block(self, monkeypatch):
         inst, cfg = self.stop_mid_block()
-        diverged = engine._diverged
         calls = []
 
-        def trips_at_epoch_26(X, r):
+        def nan_at_epoch_26(x, xi):
             calls.append(1)
-            return "agent 0 is made to trip" if len(calls) == 26 else diverged(X, r)
+            y = retract(x, xi)
+            if len(calls) == 26:
+                y[0, 0, 0] = np.nan  # agent 0 trips the divergence check
+            return y
 
-        monkeypatch.setattr(engine, "_diverged", trips_at_epoch_26)
+        monkeypatch.setattr(engine, "retract", nan_at_epoch_26)
         for diagnostics in (True, False):
             calls.clear()
             trace = run(inst, Topology.ring(4), cfg, diagnostics=diagnostics)
@@ -1033,8 +1097,8 @@ class TestBlockEvaluation:
 
 class TestReferenceRun:
     """run() gives the bits of reference.reference_run, the epoch arithmetic
-    written out with numpy's wrapped calls, two products in the tangent
-    projection and the tanh direction bit: every row field but the timing
+    written out with numpy's wrapped calls, one product and its transpose in
+    the tangent projection and the tanh direction bit: every row field but the timing
     wall_ms, the stop reason, and every other column of the table."""
 
     @staticmethod

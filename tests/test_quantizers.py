@@ -435,8 +435,8 @@ class TestRunMessages:
         sent = []
         quantize_all = _Engine.quantize_all
 
-        def recording(self, RG, PG):
-            values, scales, empty = quantize_all(self, RG, PG)
+        def recording(self, *args):
+            values, scales, empty = quantize_all(self, *args)
             assert empty is None
             sent.append((values.copy(), scales.copy()))
             return values, scales, empty
