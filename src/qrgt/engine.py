@@ -21,16 +21,18 @@ mean from epoch zero onward.
 The state of all agents is one ``TrackingState``: the iterates ``x``, a
 stacked ``(n, d, r)`` array, and ``sg``, one ``(2, n, d, r)`` array of the
 trackers and the gradients. A step takes the pair ``(x, sg)`` and returns
-the next pair, new arrays, and ``run`` is the one driver of the
-recursion. Epoch k's dither is block k of (n, d, r) draws from the run's
-one dither stream, agent i taking slice i (layout in ``streams``); the
-engine draws the blocks in order from one generator, ``BLOCK`` of them at
-a time, the initial state taking block 0.
+the next pair, leaving its arguments as they were: a new ``x``, and the
+new trackers and gradients written into the ``out`` array it is given, or
+into a new one. ``run`` is the one driver of the recursion. Epoch k's
+dither is block k of (n, d, r) draws from the run's one dither stream,
+agent i taking slice i (layout in ``streams``); the engine draws the
+blocks in order from one generator, ``BLOCK`` of them at a time, the
+initial state taking block 0.
 
 Each formula has one implementation, a kernel that its public function
 calls after checking its input: ``network.mix``, ``stiefel``'s
 ``tangent_project``, ``penalty_grad`` and ``retract``, ``quantizers.snap``
-and ``workers.neg_gram_products``. The engine calls the kernels unchecked,
+and ``workers.gram_products``. The engine calls the kernels unchecked,
 since at d = 10 an epoch is bound by per-call overhead. It binds them to
 the names ``mix``, ``tangent_project``, ``penalty_grad`` (a quarter of the
 gradient, without the public function's exact scale by 4) and ``retract``,
@@ -40,23 +42,28 @@ and the quantizer through ``_Engine.local_grads`` and
 call, to trace the layers and clock the epochs, so they stay, each called
 as often per epoch as before. The steps and the epoch loop of ``run``
 write every elementwise result in place; only the per-block flush and the
-``diagnostics`` columns take temporaries.
+``diagnostics`` columns take temporaries. RGT's ``retract`` fills one
+``(n, 2r, 2r)`` buffer that the engine makes once per run.
 
-Each agent computes its local gradient on its own, by
-``workers._neg_gram_products``, which alone picks the products' panels and
-their split over threads. The calling thread waits for any split, so
+Each agent computes its local gradient on its own from the product G_i x_i
+of ``workers._gram_products``, which alone picks the products' panels and
+their split over threads. The gradient is the negation of that product,
+and ``tangent_project(x, P, out, negate=True)`` projects it without a
+pass that negates it. The calling thread waits for any split, so
 whatever wraps ``_Engine.local_grads`` still runs on that thread only.
 
 A run's numbers are one table, ``RunTrace.columns``: a column per name,
 entry k of every column describing epoch k, entry 0 the shared start. An
 epoch of ``run`` is the step and a copy of its iterate: it runs the step,
-screens the iterates for divergence with one dot product, copies them into
-a ``(BLOCK, n, d, r)`` buffer (``evaluate``, the one per-epoch call of the
-metrics) and keeps the agent sums of the trackers and gradients, one
-reduction over ``sg``. The start is a block of one; after it, every
-``BLOCK`` = 10 epochs, and when the loop ends, the pending epochs are
-evaluated together: the agent means, the consensus errors, the other four
-metrics and the tracker residuals, with the bits of one epoch at a time.
+which writes its trackers and gradients into the epoch's slot of a
+``(BLOCK, 2, n, d, r)`` buffer, screens the iterates for divergence with
+one dot product, and copies them into a ``(BLOCK, n, d, r)`` buffer
+(``evaluate``, the one per-epoch call of the metrics). The start is a
+block of one; after it, every ``BLOCK`` = 10 epochs, and when the loop
+ends, the pending epochs are evaluated together: the agent sums of their
+trackers and gradients (one reduction over the slots), the agent means,
+the consensus errors, the other four metrics and the tracker residuals,
+with the bits of one epoch at a time.
 So the ``ds`` stop is found up to 9 epochs late: an RGT run computes up to
 9 epochs past its stop, which leave no row, and
 ``RunTrace.epochs_computed`` counts them. ``wall_ms`` still times the step
@@ -71,6 +78,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import count, islice, starmap
+from numbers import Integral
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -83,6 +91,7 @@ from .network import _mix as mix
 from .problems import ProblemInstance
 from .quantizers import _DIRECTION_THRESHOLD, QuantizerSpec, _snap, dither_noise, wire_size_bits
 from .stiefel import SmoothnessConstants, _check_orthonormal, distance_to_manifold, random_stiefel
+from .stiefel import _augmented_buffer
 from .stiefel import _penalty_quarter as penalty_grad
 from .stiefel import _retract as retract
 from .stiefel import _tangent_project as tangent_project
@@ -136,8 +145,16 @@ class AlgoConfig:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        for name in ("t", "bits", "max_epochs", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.t < 1:
+            raise ValueError(f"t must be >= 1, got {self.t}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
         if not (math.isfinite(self.ds_tol) and self.ds_tol >= 0):
@@ -148,7 +165,10 @@ class AlgoConfig:
 class TrackingState(NamedTuple):
     """All agents' decision variables ``x``, an ``(n, d, r)`` array indexed
     by agent, and ``sg``, one ``(2, n, d, r)`` array holding their trackers
-    ``s`` and their last (quantized or exact) Riemannian gradients ``g``."""
+    ``s`` and their last (quantized or exact) Riemannian gradients ``g``.
+    In ``run``, each epoch's ``sg`` is a slot of the run's block buffer,
+    overwritten ``BLOCK`` epochs later; a caller that keeps a state past
+    that copies it."""
 
     x: np.ndarray
     sg: np.ndarray
@@ -294,6 +314,8 @@ class _Engine:
         self._dither = stream_rng(cfg.seed, STREAM_DITHER)
         self._noise = None  # the run's one buffer of BLOCK dither blocks; quantize_all takes the next
         self._next = BLOCK
+        # the one buffer that RGT's retract refills each epoch
+        self._augmented = _augmented_buffer((inst.n_agents,), inst.dims.r) if cfg.algorithm == ALGO_RGT else None
 
     @property
     def step(self):
@@ -305,7 +327,9 @@ class _Engine:
         return self.qrgt_step if self.cfg.algorithm == ALGO_QRGT else self.rgt_step
 
     def local_grads(self, X: np.ndarray) -> np.ndarray:
-        return workers._neg_gram_products(self.inst.grams, X)
+        """The products G_i X_i of every agent's Gram with its iterate, a
+        new array; agent i's Euclidean gradient is their negation."""
+        return workers._gram_products(self.inst.grams, X)
 
     def quantize_all(self, RG: np.ndarray, PG: np.ndarray, out: np.ndarray | None = None):
         """Quantize every agent's gradient ``RG``; returns (values, scales,
@@ -340,42 +364,50 @@ class _Engine:
         x = np.broadcast_to(x0, (self.inst.n_agents, *x0.shape)).copy()
         sg = np.empty((2, *x.shape))
         if self.cfg.algorithm == ALGO_QRGT:
-            self.quantize_all(tangent_project(x, self.local_grads(x)), penalty_grad(x), sg[1])
+            self.quantize_all(tangent_project(x, self.local_grads(x), negate=True), penalty_grad(x), sg[1])
         else:
-            tangent_project(x, self.local_grads(x), sg[1])
+            tangent_project(x, self.local_grads(x), sg[1], negate=True)
         sg[0] = sg[1]
         return TrackingState(x, sg)
 
-    def qrgt_step(self, x: np.ndarray, sg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def qrgt_step(
+        self, x: np.ndarray, sg: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """One Q-RGT epoch from the iterates ``x`` and the trackers and
-        gradients ``sg`` of a ``TrackingState``; returns the next pair, new
-        arrays, and leaves its arguments as they were. The new ``sg`` is
-        allocated fresh, and its tracker slot holds alpha s until the
-        tracker is written."""
+        gradients ``sg`` of a ``TrackingState``; returns the next pair and
+        leaves its arguments as they were. The new ``x`` is a new array; the
+        new trackers and gradients are written into ``out``, a
+        ``(2, n, d, r)`` array that shares no memory with ``x`` or ``sg``,
+        or into a new one when ``out`` is None, with the same bits. The
+        tracker slot holds alpha s until the tracker is written."""
         s, g = sg[0], sg[1]
-        new = np.empty(sg.shape)
+        new = np.empty(sg.shape) if out is None else out
         s_new, g_new = new[0], new[1]
         W_t = self.mixing.W_t
         x_new = mix(W_t, x)
         np.multiply(s, self.cfg.alpha, out=s_new)
         x_new -= s_new
-        self.quantize_all(tangent_project(x_new, self.local_grads(x_new)), penalty_grad(x_new), g_new)
+        rgrad = tangent_project(x_new, self.local_grads(x_new), negate=True)
+        self.quantize_all(rgrad, penalty_grad(x_new), g_new)
         np.add(mix(W_t, s), g_new, out=s_new)
         s_new -= g
         return x_new, new
 
-    def rgt_step(self, x: np.ndarray, sg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """One RGT epoch, as ``qrgt_step`` takes and returns its state."""
+    def rgt_step(
+        self, x: np.ndarray, sg: np.ndarray, out: np.ndarray | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One RGT epoch, as ``qrgt_step`` takes and returns its state. The
+        retraction refills the engine's one buffer."""
         s, g = sg[0], sg[1]
-        new = np.empty(sg.shape)
+        new = np.empty(sg.shape) if out is None else out
         s_new, g_new = new[0], new[1]
         W_t = self.mixing.W_t
         direction = mix(W_t, x)
         direction -= x
         np.multiply(s, self.cfg.alpha, out=s_new)
         direction -= s_new
-        x_new = retract(x, tangent_project(x, direction))
-        tangent_project(x_new, self.local_grads(x_new), g_new)
+        x_new = retract(x, tangent_project(x, direction), self._augmented)
+        tangent_project(x_new, self.local_grads(x_new), g_new, negate=True)
         np.add(mix(W_t, s), g_new, out=s_new)
         s_new -= g
         return x_new, new
@@ -416,21 +448,26 @@ def run(
 ) -> RunTrace:
     """Execute epochs until max_epochs, the early-stop threshold, or divergence.
 
-    An epoch runs the step, screens its iterates for divergence with one
-    dot product (``_diverged`` looks at the agents only when that fails),
-    appends its ``wall_ms``, copies its iterates into the block buffer by
-    ``evaluate`` and keeps the agent sums of ``s`` and ``g``, one
-    ``np.add.reduce`` over the step's ``sg``. The initial state is a block of one; after it, every ``BLOCK``
-    epochs, and when the loop ends, ``flush`` fills the pending epochs' other
-    columns together: ``agent_means`` takes their agent means and consensus
-    errors, and one ``evaluate_means`` call the other four metrics. The
-    buffer of iterates, and for Q-RGT the dither's, each hold BLOCK n d r
-    float64 values. ``epoch`` and ``wire_bits_cum`` are not stored: the
-    trace derives them from ``wire_per_epoch``, the bits charged per epoch
-    (n quantized gradient messages for Q-RGT, none for RGT). The ``ds`` stop
-    is found per block: the table ends at the first epoch after the start
-    with ``ds <= ds_tol``, every column cut at that one index, and the at
-    most ``BLOCK - 1`` epochs run past it leave no entry, though
+    An epoch runs the step, which writes its ``s`` and ``g`` into the
+    epoch's slot of a ``(BLOCK, 2, n, d, r)`` buffer (epoch k reads slot
+    k - 1 and writes slot k, mod ``BLOCK``; the start's ``sg`` is an array
+    of its own), screens its iterates for divergence with one dot product
+    (``_diverged`` looks at the agents only when that fails), appends its
+    ``wall_ms`` and copies its iterates into the block buffer by
+    ``evaluate``. The initial state is a block of one; after it, every
+    ``BLOCK`` epochs, and when the loop ends, ``flush`` fills the pending
+    epochs' other columns together: one ``np.add.reduce`` over the agent
+    axis of their slots takes the agent sums of ``s`` and ``g``, adding
+    the agents in the order one epoch's reduction does, ``agent_means``
+    takes their agent means and consensus errors, and one
+    ``evaluate_means`` call the other four metrics. The buffer of iterates,
+    and for Q-RGT the dither's, each hold BLOCK n d r float64 values, and
+    the slots twice as many. ``epoch`` and ``wire_bits_cum`` are not
+    stored: the trace derives them from ``wire_per_epoch``, the bits charged
+    per epoch (n quantized gradient messages for Q-RGT, none for RGT). The
+    ``ds`` stop is found per block: the table ends at the first epoch after
+    the start with ``ds <= ds_tol``, every column cut at that one index, and
+    the at most ``BLOCK - 1`` epochs run past it leave no entry, though
     ``epochs_computed`` counts them. A divergence ends the loop before its
     epoch is kept. ``diagnostics`` adds the ``s_consensus_sq`` and
     ``max_dist`` columns; no row depends on it. An instance whose ``x_star``
@@ -448,27 +485,28 @@ def run(
     termination = TERMINATION_MAX_EPOCHS
     divergence = None
     xs = np.empty((BLOCK, n, d, r))
-    sums = np.empty((2, BLOCK, d, r))  # the agent sums of s and of g, epoch by epoch
-    x_slots, sum_slots = list(xs), list(sums.swapaxes(0, 1))
+    slots = np.empty((BLOCK, 2, n, d, r))  # the trackers and gradients, epoch by epoch
+    sums = np.empty((2, BLOCK, d, r))  # their agent sums
+    x_slots, sg_slots = list(xs), list(slots)
     bound = _norm_bound(r)
     bound_sq = bound * bound
 
-    def keep_sums(sg: np.ndarray, slot: int) -> None:
-        np.add.reduce(sg, 1, out=sum_slots[slot])
-        if diagnostics:
-            s_dev = sg[0] - sums[0, slot] / n
-            columns["s_consensus_sq"].append(float(np.vdot(s_dev, s_dev)))
-
-    def flush(k: int) -> bool:
-        """Fill the columns of the ``k`` pending epochs, whose iterates
-        ``agent_means`` overwrites; on a ds stop among them, cut every
-        column after it and return True."""
+    def flush(sgs: np.ndarray) -> bool:
+        """Fill the columns of the pending epochs, whose trackers and
+        gradients are the ``(k, 2, n, d, r)`` stack ``sgs`` and whose
+        iterates ``agent_means`` overwrites; on a ds stop among them, cut
+        every column after it and return True."""
+        k = len(sgs)
+        np.add.reduce(sgs, 2, out=sums[:, :k].swapaxes(0, 1))
         if diagnostics:
             _extend(columns["max_dist"], distance_to_manifold(xs[:k]).max(axis=1))
         xbars, consensus = agent_means(xs[:k])
         sbar, gbar = sums[:, :k]
         sbar /= n
         gbar /= n
+        if diagnostics:
+            s_devs = sgs[:, 0] - sbar[:, None]
+            columns["s_consensus_sq"].extend(float(np.vdot(s_dev, s_dev)) for s_dev in s_devs)
         gbar_norms = _norms(gbar)
         sbar -= gbar
         _extend(columns["tracker_residual"], _norms(sbar) / np.fmax(gbar_norms, 1.0))
@@ -488,13 +526,12 @@ def run(
     x, sg = eng.initial_state()
     put_wall((clock() - tic) * 1e3)
     xs[0] = x  # the start, a block of one: no evaluate call, which counts steps
-    keep_sums(sg, 0)
-    flush(1)  # the start never stops a run: a stop there cuts nothing, and goes unread
+    flush(sg[None])  # the start never stops a run: a stop there cuts nothing, and goes unread
     step = eng.step
-    pending = 0  # epochs since the last flush
+    pending = 0  # epochs since the last flush, and the slot this epoch writes
     for epoch in range(1, cfg.max_epochs + 1):
         tic = clock()
-        x, sg = step(x, sg)
+        x, sg = step(x, sg, sg_slots[pending])
         wall_ms = (clock() - tic) * 1e3
         # The divergence screen: a stack whose squared norm is within the
         # squared bound passes, and only one that is not (NaN included) goes
@@ -510,14 +547,13 @@ def run(
         # epoch it falls back to whole-solve times.
         evaluate(x, x_slots[pending])
         put_wall(wall_ms)
-        keep_sums(sg, pending)
         pending += 1
         if pending == BLOCK:
             pending = 0
-            if flush(BLOCK):
+            if flush(slots):
                 termination = TERMINATION_DS
                 break
-    if pending and flush(pending):  # a stop before the loop's end, or before a divergence
+    if pending and flush(slots[:pending]):  # a stop before the loop's end, or before a divergence
         termination, divergence = TERMINATION_DS, None
     return RunTrace(TraceRows(columns, wire_per_epoch), termination, mixing.sigma2, epoch, divergence)
 

@@ -119,17 +119,19 @@ def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> tuple[np.ndarray
     column order: ``grad_norm``, ``f_gap``, ``ds`` and ``dist_mean``, each
     a float64 array of length k.
 
-    The averaged-Gram products are taken for the whole stack, negated, by
-    one ``workers._neg_gram_products`` call, and serve both the gradient and
-    the objective f(x) = -tr(x^T mean_gram x) / 2. ``ds`` and ``dist_mean``
-    are ``subspace_distance`` and ``distance_to_manifold`` bit for bit: the
-    k Grams A^T A (A = x*^T xbar) and the k Grams xbar^T xbar are stacked
-    into one ``eigvalsh`` call and one ``_sv_offsets`` pass, each Gram with
-    its own number of terms. x*'s orthonormality is not checked here:
+    The averaged-Gram products P = mean_gram xbar are taken for the whole
+    stack by one ``workers._gram_products`` call, and serve both the
+    gradient and the objective f(x) = -tr(x^T P) / 2. The Euclidean
+    gradient is -P; its projection is the exact negation of P's, so the
+    gradient norm is taken from P's projection, with the same bits. ``ds``
+    and ``dist_mean`` are ``subspace_distance`` and ``distance_to_manifold``
+    bit for bit: the k Grams A^T A (A = x*^T xbar) and the k Grams
+    xbar^T xbar are stacked into one ``eigvalsh`` call and one
+    ``_sv_offsets`` pass, each Gram with its own number of terms. x*'s orthonormality is not checked here:
     ``engine.run`` checks it once per run.
     """
-    neg_gram_x = workers._neg_gram_products(inst.mean_gram, xbars)
-    f_terms = xbars * neg_gram_x
+    gram_x = workers._gram_products(inst.mean_gram, xbars)
+    f_terms = xbars * gram_x
     f_sums = np.add.reduce(f_terms.reshape(len(xbars), -1), axis=1)
     k, d, r = xbars.shape
     a, rest_sq = _span_split(xbars, inst.x_star)
@@ -139,8 +141,8 @@ def evaluate_means(xbars: np.ndarray, inst: ProblemInstance) -> tuple[np.ndarray
     off = _sv_offsets(grams, np.array([r, d])[:, None, None])
     off_sq = np.add.reduce(off * off, axis=-1)
     return (
-        _norms(tangent_project(xbars, neg_gram_x)),
-        0.5 * f_sums - inst.f_star,
+        _norms(tangent_project(xbars, gram_x)),
+        -0.5 * f_sums - inst.f_star,
         np.sqrt(rest_sq + off_sq[0]),
         np.sqrt(off_sq[1]),
     )

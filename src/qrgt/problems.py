@@ -105,7 +105,7 @@ class ProblemInstance:
     themselves are not kept (see ``synthetic_blocks`` and ``mnist_blocks``).
     Each ``grams[i]`` and ``mean_gram`` equals its transpose bit for bit
     (numpy computes ``a.T @ a`` as one triangle and mirrors it), so a product
-    G @ x may be taken as (x^T G)^T; ``workers.neg_gram_products`` does so
+    G @ x may be taken as (x^T G)^T; ``workers.gram_products`` does so
     for ``mean_gram``.
     """
 

@@ -128,16 +128,26 @@ def tangent_project(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return _tangent_project(x, y)
 
 
-def _tangent_project(x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _tangent_project(
+    x: np.ndarray, y: np.ndarray, out: np.ndarray | None = None, negate: bool = False
+) -> np.ndarray:
     """The kernel of ``tangent_project``, unchecked, written into ``out`` or
     a new array. Takes the one product M = x^T y and uses M + M^T for
     x^T y + y^T x. The product y^T x is not taken: it need not round as
     M^T does, and under OpenBLAS's Haswell kernels the two differed in
-    every one of 300 random (10, 10, 5) stacks."""
+    every one of 300 random (10, 10, 5) stacks.
+
+    With ``negate`` it returns the projection of -y, as x (M + M^T) / 2 - y:
+    the projection of y with the operands of its last subtraction swapped.
+    Every product of the formula is odd in y and rounding is symmetric, so
+    this is the projection of a negated copy of y bit for bit, without the
+    pass that negates it: the Riemannian gradient from the product G x of a
+    loss whose Euclidean gradient is -G x."""
     m = x.swapaxes(-1, -2) @ y
     p = x @ (m + m.swapaxes(-1, -2))
     p *= 0.5
-    return np.subtract(y, p, out=p if out is None else out)
+    out = p if out is None else out
+    return np.subtract(p, y, out=out) if negate else np.subtract(y, p, out=out)
 
 
 def distance_to_manifold(x: np.ndarray) -> float | np.ndarray:
@@ -264,14 +274,26 @@ def _augmented_template(r: int) -> np.ndarray:
     return template
 
 
-def _augmented(y: np.ndarray) -> np.ndarray:
-    """M = [[G, I], [I, c I]] for each (d, r) slice of y, with G = y^T y
-    (``_gram``) and c = CHOLESKY_K / tr(G). Both off-diagonal blocks are
-    written, and LAPACK reads only M's lower triangle."""
-    r = y.shape[-1]
-    lead = y.shape[:-2]
+def _augmented_buffer(lead: tuple[int, ...], r: int) -> np.ndarray:
+    """A new C-contiguous (*lead, 2r, 2r) stack of [[0, I], [I, 0]]: the
+    buffer ``_augmented`` fills, whose identity blocks and zeros it never
+    writes."""
     m = np.empty((*lead, 2 * r, 2 * r))
     m[...] = _augmented_template(r)
+    return m
+
+
+def _augmented(y: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+    """M = [[G, I], [I, c I]] for each (d, r) slice of y, with G = y^T y
+    (``_gram``) and c = CHOLESKY_K / tr(G), written into ``m``, an
+    ``_augmented_buffer`` of y's leading shape, or a new one. Only G and
+    the c diagonal are written, so one buffer serves any number of calls.
+    Both off-diagonal blocks are held, and LAPACK reads only M's lower
+    triangle."""
+    r = y.shape[-1]
+    lead = y.shape[:-2]
+    if m is None:
+        m = _augmented_buffer(lead, r)
     _gram(y, out=m[..., :r, :r])
     diag = m.reshape(*lead, 4 * r * r)[..., :: 2 * r + 1]
     trace = np.maximum(np.add.reduce(diag[..., :r], axis=-1), _TRACE_FLOOR)
@@ -324,6 +346,10 @@ def retract(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     bit. A y whose Gram overflows (entries beyond about 1e150) is outside
     the Cholesky path's range: numpy warns of the overflow, and the result
     is not finite.
+
+    Each call builds its M in a new buffer. The engine calls ``_retract``
+    with one buffer of the run's shape, which each call refills with G and
+    c only; the results are the same bits.
     """
     x = _check_matrix(x, "x")
     xi = _check_matrix(xi, "xi")
@@ -332,11 +358,13 @@ def retract(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
     return _retract(x, xi)
 
 
-def _retract(x: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The kernel of ``retract``, unchecked."""
+def _retract(x: np.ndarray, xi: np.ndarray, m: np.ndarray | None = None) -> np.ndarray:
+    """The kernel of ``retract``, unchecked. ``m`` is the ``_augmented_buffer``
+    that ``_augmented`` fills, one a caller keeps across calls, or None for
+    a new one, as ``retract`` takes; the results are the same bits."""
     y = x + xi
     r = y.shape[-1]
-    m = _augmented(y)
+    m = _augmented(y, m)
     try:
         return y @ np.linalg.cholesky(m)[..., r:, :r]
     except np.linalg.LinAlgError:

@@ -1,12 +1,12 @@
 """The agent split: which agents each thread handles, and the pinned pool
-that runs them; ``neg_gram_products``, the one owner of the Gram products
+that runs them; ``gram_products``, the one owner of the Gram products
 of the local gradients and of the metrics, which checks its input and
-calls its unchecked kernel ``_neg_gram_products`` (the engine and the
+calls its unchecked kernel ``_gram_products`` (the engine and the
 metrics call the kernel); and ``panels``, the cut that keeps each BLAS
 call of those products and of ``network.mix`` small.
 
 A per-agent job over a large Gram stack (building the stack in
-``problems.make_instance``, and the products of ``neg_gram_products``) is
+``problems.make_instance``, and the products of ``gram_products``) is
 cut into contiguous agent chunks by ``agent_chunks``, and ``run_chunks``
 runs one task per chunk. The rule: the Gram stack holds at least
 ``SPLIT_GRAM_BYTES`` (MNIST-sized data, not the d=10 preset), BLAS is pinned
@@ -47,7 +47,7 @@ __all__ = [
     "SMALL_GEMM",
     "agent_chunks",
     "run_chunks",
-    "neg_gram_products",
+    "gram_products",
     "panels",
 ]
 
@@ -109,11 +109,11 @@ def run_chunks(tasks: list[Callable[[], None]]) -> None:
             raise error
 
 
-def neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """-(G @ X) for a symmetric Gram ``G`` and a thin ``X``: a (d, d) matrix
+def gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """G @ X for a symmetric Gram ``G`` and a thin ``X``: a (d, d) matrix
     with X of shape (d, r) or a (k, d, r) stack, or an (n, d, d) stack with
     X of shape (n, d, r). The result is a new C-contiguous array, by
-    ``_neg_gram_products`` after the shape checks; a shape outside these
+    ``_gram_products`` after the shape checks; a shape outside these
     raises ``ValueError``.
     """
     G = np.asarray(G, dtype=float)
@@ -126,11 +126,11 @@ def neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
         fits = X.ndim in (2, 3) and X.shape[-2] == G.shape[0]
     if not fits:
         raise ValueError(f"shape mismatch: G is {G.shape}, X is {X.shape}")
-    return _neg_gram_products(G, X)
+    return _gram_products(G, X)
 
 
-def _neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """The kernel of ``neg_gram_products``, unchecked.
+def _gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """The kernel of ``gram_products``, unchecked.
 
     Three separate rules. The split goes by size: a stack of
     ``SPLIT_GRAM_BYTES`` or more is cut into the chunks of ``agent_chunks``.
@@ -147,10 +147,10 @@ def _neg_gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     # Below the split size, one call: on the d = 10 preset, the chunk views
     # and the task would cost as much as the product itself.
     if G.ndim == 2 or G.nbytes < SPLIT_GRAM_BYTES:
-        return _neg_products(G, X)
+        return _products(G, X)
     out = np.empty(X.shape)
     chunks = agent_chunks(len(G), G.nbytes)
-    run_chunks([partial(_neg_products, G[lo:hi], X[lo:hi], out[lo:hi]) for lo, hi in chunks])
+    run_chunks([partial(_products, G[lo:hi], X[lo:hi], out[lo:hi]) for lo, hi in chunks])
     return out
 
 
@@ -164,20 +164,21 @@ def panels(length: int, unit: int) -> list[tuple[int, int]]:
     return [(length * k // count, length * (k + 1) // count) for k in range(count)]
 
 
-def _neg_products(G: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """-(G @ X) by the rules of ``_neg_gram_products``, written into ``out``
-    or a new C-contiguous array. A stack whose per-agent M N K is within
+def _products(G: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """G @ X by the rules of ``_gram_products``, written into ``out`` or a
+    new C-contiguous array. A stack whose per-agent M N K is within
     ``SMALL_GEMM``, and the narrow mean Gram, take one matmul with no view;
     a larger stack takes one per panel. The transposed product goes through
     a C-contiguous (..., r, d) temporary: an ``out=`` view of the other
-    layout would take numpy's matmul off BLAS."""
+    layout would take numpy's matmul off BLAS. Its one copy back to the
+    (..., d, r) layout is ``np.positive``, which keeps every bit."""
     if G.ndim == 2 and G.shape[-1] >= TRANSPOSE_MIN_D:
         if X.ndim == 3:
             rows = np.ascontiguousarray(np.swapaxes(X, -1, -2)).reshape(-1, G.shape[0])
             product = np.matmul(rows, G).reshape(len(X), X.shape[-1], -1)
         else:
             product = np.matmul(np.swapaxes(X, -1, -2), G)
-        return np.negative(np.swapaxes(product, -1, -2), out=out, order="C")
+        return np.positive(np.swapaxes(product, -1, -2), out=out, order="C")
     d, r = G.shape[-1], X.shape[-1]
     if G.ndim == 2 or d * d * r <= SMALL_GEMM:
         out = np.matmul(G, X, out=out)
@@ -186,7 +187,7 @@ def _neg_products(G: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -
             out = np.empty(X.shape)
         for lo, hi in panels(d, d * r):
             np.matmul(G[:, lo:hi], X, out=out[:, lo:hi])
-    return np.negative(out, out=out)
+    return out
 
 
 def _worker_pool() -> ThreadPoolExecutor:

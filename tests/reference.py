@@ -39,10 +39,10 @@ def local_grad(inst, agent: int, x: np.ndarray) -> np.ndarray:
 
 
 def panel_products(grams: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """-(G_i @ X_i) for an (n, d, d) Gram stack, each product taken as its
+    """G_i @ X_i for an (n, d, d) Gram stack, each product taken as its
     ``workers.panels`` of rows, as one stacked matmul per panel."""
     d, r = X.shape[-2:]
-    return -np.concatenate([np.matmul(grams[:, lo:hi], X) for lo, hi in workers.panels(d, d * r)], axis=1)
+    return np.concatenate([np.matmul(grams[:, lo:hi], X) for lo, hi in workers.panels(d, d * r)], axis=1)
 
 
 def global_objective(inst, x: np.ndarray) -> float:
@@ -223,7 +223,7 @@ def reference_run(inst, topology, cfg):
         return np.hstack([W_t @ flat[:, lo:hi] for lo, hi in cuts]).reshape(Y.shape)
 
     def local_grads(X):
-        return panel_products(inst.grams, X)
+        return -panel_products(inst.grams, X)
 
     def quantize(RG, X):
         noise = dither.uniform(-half, half, size=RG.shape)

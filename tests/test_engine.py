@@ -89,7 +89,7 @@ def kernel_chunks(monkeypatch):
     on, in the order they ran, each read from where its Gram view starts in
     the whole stack."""
     ran = []
-    kernel = workers._neg_products
+    kernel = workers._products
 
     def recording(G, X, out=None):
         if G.ndim == 3:
@@ -98,7 +98,7 @@ def kernel_chunks(monkeypatch):
             ran.append((lo, lo + len(G)))
         return kernel(G, X, out)
 
-    monkeypatch.setattr(workers, "_neg_products", recording)
+    monkeypatch.setattr(workers, "_products", recording)
     return ran
 
 
@@ -125,11 +125,27 @@ class TestAlgoConfig:
             dict(alpha=0.1, algorithm="dgd"),
             dict(alpha=0.1, bits=0),
             dict(alpha=0.1, ds_tol=-1.0),
+            # values run() cannot use: each is refused here, naming its field
+            dict(alpha=0.1, max_epochs=2.5),
+            dict(alpha=0.1, max_epochs=True),
+            dict(alpha=0.1, bits=8.0),
+            dict(alpha=0.1, bits=True),
+            dict(alpha=0.1, t=1.0),
+            dict(alpha=0.1, t=False),
+            dict(alpha=0.1, t=0),
+            dict(alpha=0.1, seed=-1),
+            dict(alpha=0.1, seed=0.5),
+            dict(alpha=0.1, seed=False),
         ],
     )
     def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
+        field = next(iter(kwargs.keys() - {"alpha"}), "alpha")
+        with pytest.raises(ValueError, match=f"^{field} must be"):
             AlgoConfig(**kwargs)
+
+    def test_numpy_integers_accepted(self):
+        cfg = AlgoConfig(alpha=0.1, t=np.int64(2), bits=np.int32(4), max_epochs=np.int64(3), seed=np.uint8(1))
+        assert len(run(small_instance(), Topology.ring(4), cfg).rows) == 3
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     @pytest.mark.parametrize("name", ["alpha", "ds_tol"])
@@ -381,8 +397,8 @@ class TestRgtEpoch:
             np.testing.assert_allclose(state.x[0], x_ref, atol=1e-12)
 
 
-def per_agent_retract(x, xi):
-    """Reference retraction: one 2-D call per agent."""
+def per_agent_retract(x, xi, m=None):
+    """Reference retraction: one 2-D call per agent, each with a new buffer."""
     return np.stack([retract(a, b) for a, b in zip(x, xi)])
 
 
@@ -409,7 +425,7 @@ class TestBatchedRetraction:
     def test_one_retract_call_per_epoch(self, monkeypatch):
         calls = []
 
-        def counting(x, xi):
+        def counting(x, xi, m=None):
             calls.append(x.shape)
             return retract(x, xi)
 
@@ -418,6 +434,31 @@ class TestBatchedRetraction:
         trace = run(small_instance(seed=2), Topology.ring(4), cfg)
         assert len(trace.rows) == 7
         assert calls == [(4, 6, 2)] * 7
+
+
+class TestStepInto:
+    """A step given ``out`` writes the new trackers and gradients there and
+    nowhere else: its arguments keep their bits, and the result is the
+    step's without ``out``, bit for bit."""
+
+    @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
+    def test_out_equals_a_new_array(self, algorithm):
+        inst, _, algo = TestReferenceRun.preset(algorithm=algorithm)
+        mixing = build_metropolis(Topology.ring(inst.n_agents), algo.t)
+        fresh, into = _Engine(inst, mixing, algo), _Engine(inst, mixing, algo)
+        state = fresh.initial_state()
+        assert state.sg.tobytes() == into.initial_state().sg.tobytes()
+        slots = np.full((2, *state.sg.shape), np.nan)  # each slot written whole, or NaN shows
+        for epoch in range(25):  # past two dither blocks of BLOCK epochs
+            x, sg = state.x.copy(), state.sg.copy()
+            expected = fresh.step(*state)
+            out = slots[epoch % 2]
+            got = into.step(state.x, state.sg, out)
+            assert got[1] is out
+            assert state.x.tobytes() == x.tobytes() and state.sg.tobytes() == sg.tobytes()
+            assert got[0].tobytes() == expected[0].tobytes()
+            assert got[1].tobytes() == expected[1].tobytes()
+            state = TrackingState(*expected)
 
 
 def old_divergence_rule(X, r):
@@ -546,7 +587,7 @@ class TestBenchmarkHooks:
 
     @pytest.mark.parametrize("d", [10, 784])
     @pytest.mark.parametrize(
-        "name", ["mix", "tangent_project", "penalty_grad", "retract", "snap", "neg_gram_products"]
+        "name", ["mix", "tangent_project", "penalty_grad", "retract", "snap", "gram_products"]
     )
     def test_public_function_is_the_engines_kernel(self, name, d):
         # Each public function checks its input and then calls the kernel
@@ -585,8 +626,8 @@ class TestBenchmarkHooks:
                 [(y, x[:-1], spec, noise), (y, x[..., :-1], spec, noise)],
                 "shape mismatch: g is",
             ),
-            "neg_gram_products": (
-                workers.neg_gram_products, (grams, x[:k]), workers._neg_gram_products, (grams, x[:k]),
+            "gram_products": (
+                workers.gram_products, (grams, x[:k]), workers._gram_products, (grams, x[:k]),
                 [(grams, x[: k - 1]), (grams[..., :-1], x[:k]), (grams[0], x[..., :-1, :]), (grams[0, 0], x[0])],
                 "G must be|shape mismatch: G is",
             ),
@@ -649,7 +690,7 @@ class TestAgentParallelGrads:
         assert set(kernel_chunks) == {(0, 1), (1, 3), (3, 5)}
         assert workers._pool._max_workers == 3
         X = split.x
-        assert eng.local_grads(X).tobytes() == (-np.matmul(inst.grams, X)).tobytes()
+        assert eng.local_grads(X).tobytes() == np.matmul(inst.grams, X).tobytes()
         kernel_chunks.clear()
         monkeypatch.setattr(workers, "SPLIT_GRAM_BYTES", 1 << 62)
         _, serial = self.advance(inst, mixing, algo, 50)
@@ -710,7 +751,7 @@ class TestAgentParallelGrads:
         assert threading.active_count() == before and workers._pool is None
         monkeypatch.setattr(np, "matmul", matmul)
         assert grads.tobytes() == panel_products(wide.grams, X).tobytes()
-        assert seen[0].tobytes() == (-matmul(wide.mean_gram, np.mean(X, axis=0))).tobytes()
+        assert seen[0].tobytes() == matmul(wide.mean_gram, np.mean(X, axis=0)).tobytes()
 
     def test_below_threshold_starts_no_thread(self, monkeypatch, kernel_chunks):
         monkeypatch.setattr(workers, "_THREADS", 2)  # only the size decides
@@ -1018,7 +1059,7 @@ class TestBlockEvaluation:
     def test_rgt_stops_mid_block(self, monkeypatch):
         inst, cfg = self.stop_mid_block()
         steps = []
-        monkeypatch.setattr(engine, "retract", lambda x, xi: steps.append(1) or retract(x, xi))
+        monkeypatch.setattr(engine, "retract", lambda x, xi, m=None: steps.append(1) or retract(x, xi))
         rows, termination = TestReferenceRun().check(inst, Topology.ring(4), cfg)
         assert termination == TERMINATION_DS and len(rows) == 23
         assert len(rows) % engine.BLOCK != 0
@@ -1037,7 +1078,7 @@ class TestBlockEvaluation:
         inst, cfg = self.stop_mid_block()
         calls = []
 
-        def nan_at_epoch_26(x, xi):
+        def nan_at_epoch_26(x, xi, m=None):
             calls.append(1)
             y = retract(x, xi)
             if len(calls) == 26:

@@ -235,20 +235,20 @@ class TestEvaluateProduct:
         assert len(seen) == 1 and seen[0].shape == xbars.shape
         for k, xbar in enumerate(xbars):
             gram_x = inst.mean_gram @ xbar
-            assert seen[0][k].tobytes() == (-gram_x).tobytes()
+            assert seen[0][k].tobytes() == gram_x.tobytes()
             assert f_gap[k] == float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star
 
     @pytest.mark.parametrize("threshold", [0, 1 << 62])
     def test_stacked_product_is_separate_products(self, block_inst, monkeypatch, threshold):
-        # One stacked neg_gram_products call over a block of means gives
+        # One stacked gram_products call over a block of means gives
         # what a call per mean gives; at d = 784 with the transposed
         # orientation that is one GEMM of the (B r, d) transposes with G
         # against B GEMMs of (r, d), which OpenBLAS does not promise.
         monkeypatch.setattr(workers, "TRANSPOSE_MIN_D", threshold)
         _, xbars, _ = random_block(block_inst, engine.BLOCK, seed=8)
         G = block_inst.mean_gram
-        stacked = workers.neg_gram_products(G, xbars)
-        separate = np.array([workers.neg_gram_products(G, xbar) for xbar in xbars])
+        stacked = workers.gram_products(G, xbars)
+        separate = np.array([workers.gram_products(G, xbar) for xbar in xbars])
         assert stacked.flags.c_contiguous
         assert stacked.tobytes() == separate.tobytes()
 

@@ -86,6 +86,16 @@ class TestTangentProject:
         for i in range(4):
             np.testing.assert_array_equal(batched[i], tangent_project(X[i], Y[i]))
 
+    @pytest.mark.parametrize("d", [10, 784])
+    def test_negate_projects_the_negation(self, rng, d):
+        # The engine's gradient from P = G x: the projection of -P with no
+        # negated copy, bit for bit, off the manifold too.
+        x = rng.standard_normal((16, d, 5))
+        P = rng.standard_normal((16, d, 5))
+        out = np.empty_like(P)
+        assert stiefel._tangent_project(x, P, out, negate=True) is out
+        assert out.tobytes() == tangent_project(x, -P).tobytes()
+
 
 class TestRiemannianGrad:
     """The Riemannian gradient is the tangent projection of the Euclidean one."""
@@ -297,6 +307,27 @@ class TestCholeskyRetraction:
         assert np.isnan(q[2]).all() and np.isnan(per_slice[2]).all()
         assert q[1].tobytes() == householder_retract(ill, np.zeros_like(ill)).tobytes()
         assert np.abs(q[1].T @ q[1] - np.eye(5)).max() <= 1e-14
+
+    @pytest.mark.parametrize("d", [10, 784])
+    def test_reused_buffer_is_a_new_buffer(self, rng, d):
+        # The engine's one buffer, refilled by each call, against retract's
+        # new buffer per call: a healthy stack, one whose ill slice sends the
+        # call to the per-slice fallback (which reads the buffer), one with
+        # a NaN slice, and a healthy one again.
+        good = [with_spectrum(d, [1.0, 1.1, 0.9, 1.2, 0.8], rng) for _ in range(4)]
+        ill = with_spectrum(d, [1.0, 1.0, 1.0, 1.0, 0.5 / CHOLESKY_K], rng)
+        nan = np.full((d, 5), np.nan)
+        stacks = [good, [good[0], ill, good[2], good[3]], [good[0], good[1], nan, good[3]], good[::-1]]
+        m = stiefel._augmented_buffer((4,), 5)
+        for slices in stacks:
+            y = np.stack(slices)
+            xi = 1e-6 * rng.standard_normal(y.shape)
+            refused = [not takes_cholesky_path(a + b) for a, b in zip(y, xi)]
+            assert refused == [a is ill for a in slices]
+            assert stiefel._retract(y, xi, m).tobytes() == retract(y, xi).tobytes()
+        deficient = np.stack([good[0], good[1], good[2], np.zeros((d, 5))])
+        with pytest.raises(RetractionError, match="slice 3 is numerically rank-deficient"):
+            stiefel._retract(deficient, np.zeros_like(deficient), m)
 
     @pytest.mark.parametrize("d", [10, 784])
     def test_orthonormal_just_inside_the_screen(self, rng, d):

@@ -87,7 +87,7 @@ class TestProducts:
         eng = _Engine(wide, build_metropolis(Topology.ring(4)), AlgoConfig(alpha=1e-3))
         for _ in range(3):
             X = rng.standard_normal((4, 784, 5))
-            error = eng.local_grads(X) + np.matmul(wide.grams, X)
+            error = eng.local_grads(X) - np.matmul(wide.grams, X)
             for G, x, e in zip(wide.grams, X, error):
                 assert np.linalg.norm(e) <= 8 * 784 * eps * np.linalg.norm(G) * np.linalg.norm(x)
 
@@ -107,5 +107,5 @@ class TestProducts:
         (G, x, _), (W, flat, out) = matmul_calls
         assert G is preset.grams and x is X
         assert W is mixing.W_t and flat.base is X and out is None
-        assert grads.tobytes() == (-np.matmul(preset.grams, X)).tobytes()
+        assert grads.tobytes() == np.matmul(preset.grams, X).tobytes()
         assert mixed.tobytes() == (mixing.W_t @ X.reshape(16, -1)).reshape(X.shape).tobytes()
