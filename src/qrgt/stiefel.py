@@ -265,21 +265,12 @@ CHOLESKY_K = 1e3
 _TRACE_FLOOR = CHOLESKY_K * 1e-300
 
 
-@cache
-def _augmented_template(r: int) -> np.ndarray:
-    """The 2r x 2r matrix [[0, I], [I, 0]], made once per r and read-only."""
-    template = np.zeros((2 * r, 2 * r))
-    template[:r, r:] = template[r:, :r] = np.eye(r)
-    template.flags.writeable = False
-    return template
-
-
 def _augmented_buffer(lead: tuple[int, ...], r: int) -> np.ndarray:
     """A new C-contiguous (*lead, 2r, 2r) stack of [[0, I], [I, 0]]: the
     buffer ``_augmented`` fills, whose identity blocks and zeros it never
     writes."""
-    m = np.empty((*lead, 2 * r, 2 * r))
-    m[...] = _augmented_template(r)
+    m = np.zeros((*lead, 2 * r, 2 * r))
+    m[..., :r, r:] = m[..., r:, :r] = _eye(r)
     return m
 
 
