@@ -78,7 +78,7 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import count, islice, starmap
-from numbers import Integral
+from numbers import Integral, Real
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -143,12 +143,14 @@ class AlgoConfig:
     algorithm: str = ALGO_QRGT
 
     def __post_init__(self) -> None:
+        reals = ("alpha", "ds_tol")
+        for name in (*reals, "t", "bits", "max_epochs", "seed"):
+            value = getattr(self, name)
+            kind, word = (Real, "a real number") if name in reals else (Integral, "an integer")
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{name} must be {word}, got {value!r}")
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        for name in ("t", "bits", "max_epochs", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.t < 1:

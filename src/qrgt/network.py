@@ -69,7 +69,13 @@ def _is_connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
     return len(seen) == n
 
 
+def _check_agent_count(n: int) -> None:
+    if n < 2:
+        raise GraphError(f"need at least 2 agents, got n={n}")
+
+
 def _canonical_edges(n: int, pairs) -> frozenset[tuple[int, int]]:
+    _check_agent_count(n)  # first: a ring of one agent is the self-loop (0, 0)
     edges = set()
     for i, j in pairs:
         i, j = int(i), int(j)
@@ -90,8 +96,7 @@ class Topology:
     resamples: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 2:
-            raise GraphError(f"need at least 2 agents, got n={self.n}")
+        _check_agent_count(self.n)
         if not _is_connected(self.n, self.edges):
             raise GraphError("graph is not connected")
 

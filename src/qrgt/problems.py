@@ -104,9 +104,8 @@ class ProblemInstance:
     by agent; every local gradient is computed from it. The data blocks A_i
     themselves are not kept (see ``synthetic_blocks`` and ``mnist_blocks``).
     Each ``grams[i]`` and ``mean_gram`` equals its transpose bit for bit
-    (numpy computes ``a.T @ a`` as one triangle and mirrors it), so a product
-    G @ x may be taken as (x^T G)^T; ``workers.gram_products`` does so
-    for ``mean_gram``.
+    (numpy computes ``a.T @ a`` as one triangle and mirrors it), so -G x,
+    with no symmetrized (G + G^T) / 2, is the gradient of -tr(x^T G x) / 2.
     """
 
     row_counts: tuple[int, ...]

@@ -124,6 +124,8 @@ def snap(
     pgrad = np.asarray(pgrad, dtype=float)
     if g.shape != pgrad.shape:
         raise ValueError(f"shape mismatch: g is {g.shape}, pgrad is {pgrad.shape}")
+    if np.shape(noise) != g.shape:
+        raise ValueError(f"shape mismatch: g is {g.shape}, noise is {np.shape(noise)}")
     return _snap(g, pgrad, spec.levels, noise)
 
 

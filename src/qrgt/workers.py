@@ -14,12 +14,13 @@ to one thread, and the process may run on at least two CPUs; then there is
 one chunk per CPU, no more chunks than agents. Otherwise there is one chunk,
 run on the calling thread, and no thread is started.
 
-Within a chunk, each agent's product G_i X_i is cut by rows into the
-``panels`` whose GEMMs have M N K of at most ``SMALL_GEMM``: OpenBLAS on
-one thread takes such a GEMM by its small-matrix kernel, which packs no
-operand, and at the MNIST shape four panels of 196 rows took about half
-the time of the one packed product (README, "Threads"). A product that
-fits in one panel, as every product on the d=10 preset does, is one call.
+Within a chunk, each product G X, an agent's G_i X_i or the metrics'
+mean Gram times a mean, is cut by rows into the ``panels`` whose GEMMs
+have M N K of at most ``SMALL_GEMM``: OpenBLAS on one thread takes such a
+GEMM by its small-matrix kernel, which packs no operand, and at the MNIST
+shape four panels of 196 rows took about half the time of the one packed
+product (README, "Threads"). A product that fits in one panel, as every
+product on the d=10 preset does, is one call.
 
 Several chunks run on one lazily created module pool with a worker pinned
 to each CPU, while the calling thread waits. The CPUs and the BLAS thread
@@ -43,7 +44,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "SPLIT_GRAM_BYTES",
-    "TRANSPOSE_MIN_D",
     "SMALL_GEMM",
     "agent_chunks",
     "run_chunks",
@@ -54,10 +54,6 @@ __all__ = [
 # Gram stacks at least this large have their per-agent work split across
 # threads; below it, waking a worker costs more than the split saves.
 SPLIT_GRAM_BYTES = 32 * 2**20
-# The metrics' one mean Gram, at least this wide, is multiplied as (X^T G)^T;
-# a narrower one, which fits in cache, runs the plain G @ X faster (README,
-# "Threads").
-TRANSPOSE_MIN_D = 512
 # The largest M N K of a GEMM that OpenBLAS, on one thread, hands to its
 # small-matrix kernel, which packs no operand (README, "Threads").
 SMALL_GEMM = 10**6
@@ -132,20 +128,20 @@ def gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
 def _gram_products(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """The kernel of ``gram_products``, unchecked.
 
-    Three separate rules. The split goes by size: a stack of
-    ``SPLIT_GRAM_BYTES`` or more is cut into the chunks of ``agent_chunks``.
-    Within a chunk, each product is cut by rows into ``panels``, one stacked
-    matmul per panel; numpy's stacked matmul makes one BLAS call per agent
-    and releases the GIL. The one (d, d) Gram of the metrics goes by width:
-    at d of at least ``TRANSPOSE_MIN_D`` it is taken as (X^T G)^T, one GEMM
-    of the stacked (k r, d) transposes with G, which reads G once. Every
-    chunking gives the same bits. A panel's rows may round differently from
-    the same rows of the uncut product, since BLAS picks its kernel by the
-    GEMM's size; the tests bound the difference at d = 784 and check that
-    the d = 10 preset, whose products are one panel, keeps the plain bits.
+    Two rules. The split goes by size: a stack of ``SPLIT_GRAM_BYTES`` or
+    more is cut into the chunks of ``agent_chunks``; the one (d, d) Gram of
+    the metrics never is. Within a chunk, each product is cut by rows into
+    ``panels``, one matmul per panel; numpy's matmul makes one BLAS call per
+    agent or mean and releases the GIL. So every product is the same BLAS
+    calls in any chunk and in any stack of means, and every chunking gives
+    the same bits. A panel's rows may round differently from the same rows
+    of the uncut product, since BLAS picks its kernel by the GEMM's size;
+    the tests bound the difference at d = 784 and check that the d = 10
+    preset, whose products are one panel, keeps the plain bits.
     """
     # Below the split size, one call: on the d = 10 preset, the chunk views
-    # and the task would cost as much as the product itself.
+    # and the task would cost as much as the product itself. A (d, d) Gram
+    # has no agents: from d = 2048 its 32 MiB would be cut along its rows.
     if G.ndim == 2 or G.nbytes < SPLIT_GRAM_BYTES:
         return _products(G, X)
     out = np.empty(X.shape)
@@ -165,28 +161,17 @@ def panels(length: int, unit: int) -> list[tuple[int, int]]:
 
 
 def _products(G: np.ndarray, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """G @ X by the rules of ``_gram_products``, written into ``out`` or a
-    new C-contiguous array. A stack whose per-agent M N K is within
-    ``SMALL_GEMM``, and the narrow mean Gram, take one matmul with no view;
-    a larger stack takes one per panel. The transposed product goes through
-    a C-contiguous (..., r, d) temporary: an ``out=`` view of the other
-    layout would take numpy's matmul off BLAS. Its one copy back to the
-    (..., d, r) layout is ``np.positive``, which keeps every bit."""
-    if G.ndim == 2 and G.shape[-1] >= TRANSPOSE_MIN_D:
-        if X.ndim == 3:
-            rows = np.ascontiguousarray(np.swapaxes(X, -1, -2)).reshape(-1, G.shape[0])
-            product = np.matmul(rows, G).reshape(len(X), X.shape[-1], -1)
-        else:
-            product = np.matmul(np.swapaxes(X, -1, -2), G)
-        return np.positive(np.swapaxes(product, -1, -2), out=out, order="C")
+    """G @ X by the rules of ``_gram_products``, for a (d, d) or (n, d, d)
+    Gram, written into ``out`` or a new C-contiguous array. A product whose
+    M N K is within ``SMALL_GEMM`` takes one matmul with no view; a larger
+    one takes one matmul per row panel."""
     d, r = G.shape[-1], X.shape[-1]
-    if G.ndim == 2 or d * d * r <= SMALL_GEMM:
-        out = np.matmul(G, X, out=out)
-    else:
-        if out is None:
-            out = np.empty(X.shape)
-        for lo, hi in panels(d, d * r):
-            np.matmul(G[:, lo:hi], X, out=out[:, lo:hi])
+    if d * d * r <= SMALL_GEMM:
+        return np.matmul(G, X, out=out)
+    if out is None:
+        out = np.empty(X.shape)
+    for lo, hi in panels(d, d * r):
+        np.matmul(G[..., lo:hi, :], X, out=out[..., lo:hi, :])
     return out
 
 

@@ -39,10 +39,12 @@ def local_grad(inst, agent: int, x: np.ndarray) -> np.ndarray:
 
 
 def panel_products(grams: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """G_i @ X_i for an (n, d, d) Gram stack, each product taken as its
-    ``workers.panels`` of rows, as one stacked matmul per panel."""
+    """G @ X for a (d, d) Gram, or G_i @ X_i for an (n, d, d) stack, each
+    product taken as its ``workers.panels`` of rows, one matmul per panel:
+    the reference form of every Gram product."""
     d, r = X.shape[-2:]
-    return np.concatenate([np.matmul(grams[:, lo:hi], X) for lo, hi in workers.panels(d, d * r)], axis=1)
+    cuts = workers.panels(d, d * r)
+    return np.concatenate([np.matmul(grams[..., lo:hi, :], X) for lo, hi in cuts], axis=-2)
 
 
 def global_objective(inst, x: np.ndarray) -> float:
@@ -101,10 +103,10 @@ def svd_subspace_distance(x, xstar):
 # one product and its transpose in the tangent projection, ``np.eye`` per call, the tanh
 # sigmoid for the direction bit, ``np.mean``, ``np.linalg.norm`` and
 # ``np.sum``, and both distances from the eigenvalues of an r x r Gram.
-# Every Gram x^T x is ``gram``'s GEMM, and each product W^t Y and G_i X_i
-# is cut into ``workers.panels`` as the package cuts it. ``reference_run``
-# must give the same bits as ``run``; a change to the package that alters
-# one rounding breaks that.
+# Every Gram x^T x is ``gram``'s GEMM, and each product W^t Y, G_i X_i and
+# mean_gram xbar is cut into ``workers.panels`` as the package cuts it.
+# ``reference_run`` must give the same bits as ``run``; a change to the
+# package that alters one rounding breaks that.
 
 
 def ref_tangent_project(x, y):
@@ -183,10 +185,7 @@ def ref_snap(g, pgrad, levels, noise):
 def ref_evaluate(X, inst):
     """(consensus_error, grad_norm, f_gap, ds, dist_mean) at the agent mean."""
     xbar = np.mean(X, axis=0)
-    if inst.dims.d >= workers.TRANSPOSE_MIN_D:
-        neg_gram_x = np.negative((xbar.T @ inst.mean_gram).T, order="C")
-    else:
-        neg_gram_x = -(inst.mean_gram @ xbar)
+    neg_gram_x = -panel_products(inst.mean_gram, xbar)
     rgrad = ref_tangent_project(xbar, neg_gram_x)
     return (
         float(np.linalg.norm(X - xbar)),

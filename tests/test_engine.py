@@ -136,6 +136,10 @@ class TestAlgoConfig:
             dict(alpha=0.1, seed=-1),
             dict(alpha=0.1, seed=0.5),
             dict(alpha=0.1, seed=False),
+            dict(alpha=True),
+            dict(alpha="0.1"),
+            dict(alpha=0.1, ds_tol=True),
+            dict(alpha=0.1, ds_tol="1"),
         ],
     )
     def test_invalid(self, kwargs):
@@ -721,10 +725,11 @@ class TestAgentParallelGrads:
         assert set(kernel_chunks) == set(chunks)
         assert (workers._pool is not None) == (threads > 1)
 
-    def test_wide_few_agents_transposed_on_calling_thread(self, monkeypatch, wide):
+    def test_wide_few_agents_on_calling_thread(self, monkeypatch, wide):
         # 19.7 MB of Grams at d = 784: the size keeps the local gradients'
         # four row panels in one chunk, on this thread; the metrics' mean
-        # Gram is transposed there too, and the mean's r x r Gram follows.
+        # Gram takes the same four row panels there too, and the mean's
+        # r x r Gram follows.
         monkeypatch.setattr(workers, "_THREADS", 2)  # only the size decides
         monkeypatch.setattr(workers, "_pool", None)
         matmul = np.matmul
@@ -746,12 +751,12 @@ class TestAgentParallelGrads:
         evaluate_means(xbars, wide)
         main = threading.get_ident()
         panel = ((4, 196, 784), (4, 784, 5), main)
-        metric_products = [((5, 784), (784, 784), main), ((1, 5, 784), (1, 784, 5), main)]
-        assert products == [panel] * 4 + metric_products
+        mean_panel = ((196, 784), (1, 784, 5), main)
+        assert products == [panel] * 4 + [mean_panel] * 4 + [((1, 5, 784), (1, 784, 5), main)]
         assert threading.active_count() == before and workers._pool is None
         monkeypatch.setattr(np, "matmul", matmul)
         assert grads.tobytes() == panel_products(wide.grams, X).tobytes()
-        assert seen[0].tobytes() == matmul(wide.mean_gram, np.mean(X, axis=0)).tobytes()
+        assert seen[0].tobytes() == panel_products(wide.mean_gram, np.mean(X, axis=0)).tobytes()
 
     def test_below_threshold_starts_no_thread(self, monkeypatch, kernel_chunks):
         monkeypatch.setattr(workers, "_THREADS", 2)  # only the size decides
@@ -1209,8 +1214,8 @@ class TestReferenceRun:
 
     @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
     def test_wide_instance_split(self, split_forced, kernel_chunks, algorithm):
-        # d = 784: the panel products of local_grads, the transposed product
-        # of evaluate_means and the GEMM Grams.
+        # d = 784: the panel products of local_grads and of evaluate_means,
+        # and the GEMM Grams.
         inst = wide_instance()
         cfg = AlgoConfig(alpha=1e-4, bits=8, algorithm=algorithm, max_epochs=3, seed=1)
         rows, _ = self.check(inst, Topology.ring(4), cfg)

@@ -18,7 +18,7 @@ from qrgt import (
 from qrgt import AlgoConfig, Topology, engine, metrics, run, workers
 
 from conftest import evaluate_state, stiefel_points
-from reference import ref_evaluate, svd_subspace_distance, wide_instance
+from reference import panel_products, ref_evaluate, svd_subspace_distance, wide_instance
 
 
 def random_orthogonal(r, rng):
@@ -212,15 +212,11 @@ def random_block(inst, k, seed):
 
 
 class TestEvaluateProduct:
-    """evaluate_means' mean_gram @ xbar over a block of means, taken as one
-    product of the stacked (xbar^T) with mean_gram on wide Grams, is
-    byte-equal to the plain product of each mean, at d = 784 and on the
-    preset, on either side of the width threshold."""
+    """evaluate_means' mean_gram @ xbar over a block of means is byte-equal
+    to each mean's own row panels, at d = 784 and on the preset."""
 
-    @pytest.mark.parametrize("threshold", [0, 1 << 62])
-    def test_gram_product_bit_equal(self, block_inst, monkeypatch, threshold):
+    def test_gram_product_bit_equal(self, block_inst, monkeypatch):
         inst = block_inst
-        monkeypatch.setattr(workers, "TRANSPOSE_MIN_D", threshold)
         seen = []
         project = metrics.tangent_project
 
@@ -234,17 +230,13 @@ class TestEvaluateProduct:
         _, f_gap, _, _ = evaluate_means(xbars, inst)
         assert len(seen) == 1 and seen[0].shape == xbars.shape
         for k, xbar in enumerate(xbars):
-            gram_x = inst.mean_gram @ xbar
+            gram_x = panel_products(inst.mean_gram, xbar)
             assert seen[0][k].tobytes() == gram_x.tobytes()
             assert f_gap[k] == float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star
 
-    @pytest.mark.parametrize("threshold", [0, 1 << 62])
-    def test_stacked_product_is_separate_products(self, block_inst, monkeypatch, threshold):
-        # One stacked gram_products call over a block of means gives
-        # what a call per mean gives; at d = 784 with the transposed
-        # orientation that is one GEMM of the (B r, d) transposes with G
-        # against B GEMMs of (r, d), which OpenBLAS does not promise.
-        monkeypatch.setattr(workers, "TRANSPOSE_MIN_D", threshold)
+    def test_stacked_product_is_separate_products(self, block_inst):
+        # One stacked gram_products call over a block of means gives what a
+        # call per mean gives: each mean's panels are their own GEMMs.
         _, xbars, _ = random_block(block_inst, engine.BLOCK, seed=8)
         G = block_inst.mean_gram
         stacked = workers.gram_products(G, xbars)

@@ -19,6 +19,13 @@ class TestTopology:
         topo = Topology.complete(5)
         assert len(topo.edges) == 10
 
+    @pytest.mark.parametrize("build", ["ring", "complete"])
+    def test_one_agent_rejected(self, build):
+        # The count is checked before the edges: a ring of one agent would
+        # otherwise be refused as the self-loop (0, 0).
+        with pytest.raises(GraphError, match="^need at least 2 agents, got n=1$"):
+            getattr(Topology, build)(1)
+
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
             Topology.from_edges(4, [(0, 1), (2, 3)])

@@ -500,7 +500,7 @@ def assert_symmetric_grams(inst):
 
 class TestGramSymmetry:
     """Every Gram and the mean Gram equal their transposes byte for byte,
-    which the metrics' transposed product relies on."""
+    so -G x is the gradient of the objective with no symmetrization."""
 
     def build_all(self, tmp_path):
         path = tmp_path / "images.idx3"

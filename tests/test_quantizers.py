@@ -88,6 +88,14 @@ class TestLanding:
         with pytest.raises(ValueError):
             snap(np.ones((2, 2)), np.ones((3, 2)), QuantizerSpec(4), np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("noise", [np.zeros(2), 0.0, np.zeros((2, 3))])
+    def test_noise_shape_mismatch(self, noise):
+        # A noise of any other shape than g's is refused, even one that
+        # would broadcast against g.
+        g = np.ones((3, 2))
+        with pytest.raises(ValueError, match="noise is"):
+            snap(g, np.ones_like(g), QuantizerSpec(4), noise)
+
 
 class TestDirectionBit:
     """snap's direction bit, pgrad > 2^-52, against the sigmoid form

@@ -1,5 +1,5 @@
-"""The row panels of the local gradients' Gram products and the column
-panels of ``mix``: every BLAS call stays within ``workers.SMALL_GEMM``
+"""The row panels of the Gram products, the local gradients' and the
+metrics', and the column panels of ``mix``: every BLAS call stays within ``workers.SMALL_GEMM``
 multiply-adds, a cut product stays within a rounding bound of the uncut
 one, and a product of one panel is the plain call, bit for bit."""
 
@@ -90,6 +90,14 @@ class TestProducts:
             error = eng.local_grads(X) - np.matmul(wide.grams, X)
             for G, x, e in zip(wide.grams, X, error):
                 assert np.linalg.norm(e) <= 8 * 784 * eps * np.linalg.norm(G) * np.linalg.norm(x)
+
+    def test_mean_gram_panels_near_the_plain_product(self, wide):
+        # The metrics' (d, d) mean Gram over a block of ten means.
+        eps = np.finfo(float).eps
+        G = wide.mean_gram
+        X = np.random.default_rng(6).standard_normal((10, 784, 5))
+        for x, e in zip(X, workers.gram_products(G, X) - np.matmul(G, X)):
+            assert np.linalg.norm(e) <= 8 * 784 * eps * np.linalg.norm(G) * np.linalg.norm(x)
 
     def test_wide_mix_near_the_plain_product(self):
         eps = np.finfo(float).eps
