@@ -213,10 +213,14 @@ def random_block(inst, k, seed):
 
 class TestEvaluateProduct:
     """evaluate_means' mean_gram @ xbar over a block of means is byte-equal
-    to each mean's own row panels, at d = 784 and on the preset."""
+    to each mean's own row panels, at d = 784 and on the preset, with
+    ``SMALL_GEMM`` at 0 (every product one view-panel), at its own value
+    and past any product (one plain matmul)."""
 
-    def test_gram_product_bit_equal(self, block_inst, monkeypatch):
+    @pytest.mark.parametrize("threshold", [0, 1 << 62, workers.SMALL_GEMM])
+    def test_gram_product_bit_equal(self, block_inst, monkeypatch, threshold):
         inst = block_inst
+        monkeypatch.setattr(workers, "SMALL_GEMM", threshold)
         seen = []
         project = metrics.tangent_project
 
@@ -234,9 +238,11 @@ class TestEvaluateProduct:
             assert seen[0][k].tobytes() == gram_x.tobytes()
             assert f_gap[k] == float(-0.5 * np.sum(xbar * gram_x)) - inst.f_star
 
-    def test_stacked_product_is_separate_products(self, block_inst):
+    @pytest.mark.parametrize("threshold", [0, 1 << 62, workers.SMALL_GEMM])
+    def test_stacked_product_is_separate_products(self, block_inst, monkeypatch, threshold):
         # One stacked gram_products call over a block of means gives what a
         # call per mean gives: each mean's panels are their own GEMMs.
+        monkeypatch.setattr(workers, "SMALL_GEMM", threshold)
         _, xbars, _ = random_block(block_inst, engine.BLOCK, seed=8)
         G = block_inst.mean_gram
         stacked = workers.gram_products(G, xbars)
