@@ -4,12 +4,12 @@ Precedence, lowest to highest: built-in defaults, preset, config file, CLI
 flags. The ``QRGT_MNIST_PATH`` environment variable supplies ``mnist_path``
 for an MNIST run only when none of those sets it, so the resolved config
 names the file that is read. Every knob is a flat ``key = value`` line;
-``#`` starts a comment. ``RunConfig`` alone names, types and defaults each
-setting: a preset holds only its departures, and ``AlgoConfig`` and
-``SyntheticSpec`` take the fields they share with it by name. A file line, a
-flag and a sweep value are text, read here alone by the key's declared type;
-a typed override must have that type. Unknown keys are errors, as are
-malformed and out-of-range values, and each names the key.
+``#`` starts a comment. ``RunConfig`` names, types and defaults each key; a
+preset holds only its departures. A file line, a flag and a sweep value are
+text, read here alone by the key's declared type; a typed override must have
+that type. The type that reads a value owns its rule: a config is checked by
+building ``AlgoConfig`` and ``SyntheticSpec`` from it, and their refusal is
+raised as ``ConfigError`` with its text, which names the key.
 
 The user-facing step size ``alpha_hat`` is normalized by the data volume:
 ``effective_alpha`` is n * alpha_hat / total_rows for synthetic data and
@@ -21,13 +21,15 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_type_hints
 
-from .engine import ALGO_QRGT, ALGORITHMS, AlgoConfig
-from .network import Topology, _read_utf8
+from .engine import ALGO_QRGT, AlgoConfig
+from .network import Topology, _check_agent_count, _check_edge_probability, _read_utf8
 from .problems import ProblemInstance, SyntheticSpec, generate_synthetic, idx_image_size, load_mnist
+from .stiefel import ManifoldDims
 from .streams import STREAM_TOPOLOGY, stream_rng
 
 MNIST_PATH_ENV = "QRGT_MNIST_PATH"
@@ -98,9 +100,22 @@ TOPOLOGIES: dict[str, Callable[[RunConfig], Topology]] = {
 }
 
 
+@contextmanager
+def _owned_rules(prefix: str = "", suffix: str = ""):
+    """Raise a library type's ``ValueError`` as ``ConfigError``, its text between the affixes."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{prefix}{exc}{suffix}") from None
+
+
+def _shared(kind: type, cfg: RunConfig) -> dict:
+    """cfg's values of the fields of ``kind`` that RunConfig declares too."""
+    return {f.name: getattr(cfg, f.name) for f in fields(kind) if f.name in _KEY_TYPES}
+
+
 def _synthetic_instance(cfg: RunConfig) -> ProblemInstance:
-    shared = {f.name: getattr(cfg, f.name) for f in fields(SyntheticSpec)}
-    return generate_synthetic(SyntheticSpec(**shared))
+    return generate_synthetic(SyntheticSpec(**_shared(SyntheticSpec, cfg)))
 
 
 def _mnist_instance(cfg: RunConfig) -> ProblemInstance:
@@ -108,8 +123,8 @@ def _mnist_instance(cfg: RunConfig) -> ProblemInstance:
     if not path:
         raise ConfigError(f"mnist_path: set the key or the {MNIST_PATH_ENV} env var")
     size = idx_image_size(path)
-    if cfg.r > size:
-        raise ConfigError(f"r: must be at most the image size {size} of {path}, got {cfg.r}")
+    with _owned_rules(suffix=f" (d is the image size {size} of {path})"):
+        ManifoldDims(size, cfg.r)
     return load_mnist(path, n=cfg.n, r=cfg.r, seed=cfg.seed)
 
 
@@ -149,48 +164,23 @@ def _coerce(key: str, value):
 
 
 def _validate(cfg: RunConfig) -> RunConfig:
-    for key in sorted(k for k, kind in _KEY_TYPES.items() if kind is float):
-        if not math.isfinite(getattr(cfg, key)):
-            raise ConfigError(f"{key}: must be finite, got {getattr(cfg, key)}")
     if cfg.problem not in PROBLEMS:
         raise ConfigError(f"problem: unknown kind {cfg.problem!r}, available: {', '.join(PROBLEMS)}")
-    if cfg.algorithm not in ALGORITHMS:
-        raise ConfigError(f"algorithm: must be one of {', '.join(ALGORITHMS)}, got {cfg.algorithm!r}")
     if cfg.topology not in TOPOLOGIES:
         raise ConfigError(f"topology: unknown kind {cfg.topology!r}, available: {', '.join(TOPOLOGIES)}")
     if cfg.topology == "edges" and not cfg.edge_file:
         raise ConfigError("edge_file: required when topology = edges")
-    if not (1 <= cfg.bits <= 32):
-        raise ConfigError(f"bits: must be in [1, 32], got {cfg.bits}")
-    if not (0.0 < cfg.eigengap < 1.0):
-        raise ConfigError(f"eigengap: must be in (0, 1), got {cfg.eigengap}")
-    if not (0.0 < cfg.topology_p <= 1.0):
-        raise ConfigError(f"topology_p: must be in (0, 1], got {cfg.topology_p}")
-    if cfg.alpha_hat <= 0:
-        raise ConfigError(f"alpha_hat: must be positive, got {cfg.alpha_hat}")
-    if cfg.ds_tol < 0:
-        raise ConfigError(f"ds_tol: must be nonnegative, got {cfg.ds_tol}")
-    if cfg.max_epochs < 1:
-        raise ConfigError(f"max_epochs: must be >= 1, got {cfg.max_epochs}")
-    if cfg.t < 1:
-        raise ConfigError(f"t: must be >= 1, got {cfg.t}")
-    if cfg.n < 2:
-        raise ConfigError(f"n: need at least 2 agents, got {cfg.n}")
-    for key in ("m", "d", "r"):
-        if getattr(cfg, key) < 1:
-            raise ConfigError(f"{key}: must be >= 1, got {getattr(cfg, key)}")
-    if cfg.leading_sv <= 0:
-        raise ConfigError(f"leading_sv: must be positive, got {cfg.leading_sv}")
-    if not math.isfinite(cfg.leading_sv * cfg.leading_sv):  # the Grams scale with its square
-        raise ConfigError(f"leading_sv: its square must be a finite float64, got {cfg.leading_sv}")
-    if cfg.problem == "synthetic" and cfg.r > cfg.d:
-        raise ConfigError(f"r: must be at most d = {cfg.d}, got {cfg.r}")
-    if cfg.problem == "synthetic" and cfg.n * cfg.m < cfg.d:
-        raise ConfigError(f"m: need n*m >= d = {cfg.d} for full rank, got n*m = {cfg.n * cfg.m}")
-    if cfg.seed < 0:
-        raise ConfigError(f"seed: must be >= 0, got {cfg.seed}")
-    if cfg.problem == "synthetic":  # the row count is known before any data
-        effective_alpha(cfg, cfg.n * cfg.m)
+    if not (math.isfinite(cfg.alpha_hat) and cfg.alpha_hat > 0):
+        raise ConfigError(f"alpha_hat: must be positive and finite, got {cfg.alpha_hat}")
+    with _owned_rules("topology_p: "):
+        _check_edge_probability(cfg.topology_p)
+    with _owned_rules():
+        _check_agent_count(cfg.n)
+        alpha = cfg.alpha_hat  # stands in for an MNIST step, known once the file is read
+        if cfg.problem == "synthetic":  # the row count is known before any data
+            SyntheticSpec(**_shared(SyntheticSpec, cfg))
+            alpha = effective_alpha(cfg, cfg.n * cfg.m)
+        AlgoConfig(alpha=alpha, **_shared(AlgoConfig, cfg))
     return cfg
 
 
@@ -252,8 +242,7 @@ def build_topology(cfg: RunConfig) -> Topology:
 
 
 def algo_config(cfg: RunConfig, inst: ProblemInstance) -> AlgoConfig:
-    shared = {f.name: getattr(cfg, f.name) for f in fields(AlgoConfig) if f.name in _KEY_TYPES}
-    return AlgoConfig(alpha=effective_alpha(cfg, inst.total_rows), **shared)
+    return AlgoConfig(alpha=effective_alpha(cfg, inst.total_rows), **_shared(AlgoConfig, cfg))
 
 
 def with_value(cfg: RunConfig, key: str, value) -> RunConfig:

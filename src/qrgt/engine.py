@@ -78,7 +78,6 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import count, islice, starmap
-from numbers import Integral, Real
 from types import SimpleNamespace
 from typing import NamedTuple
 
@@ -90,7 +89,7 @@ from .network import MixingMatrix, Topology, build_metropolis
 from .network import _mix as mix
 from .problems import ProblemInstance
 from .quantizers import _DIRECTION_THRESHOLD, QuantizerSpec, _snap, dither_noise, wire_size_bits
-from .stiefel import SmoothnessConstants, _check_orthonormal, distance_to_manifold, random_stiefel
+from .stiefel import SmoothnessConstants, _check_fields, _check_orthonormal, distance_to_manifold, random_stiefel
 from .stiefel import _augmented_buffer
 from .stiefel import _penalty_quarter as penalty_grad
 from .stiefel import _retract as retract
@@ -143,24 +142,15 @@ class AlgoConfig:
     algorithm: str = ALGO_QRGT
 
     def __post_init__(self) -> None:
-        reals = ("alpha", "ds_tol")
-        for name in (*reals, "t", "bits", "max_epochs", "seed"):
-            value = getattr(self, name)
-            kind, word = (Real, "a real number") if name in reals else (Integral, "an integer")
-            if isinstance(value, bool) or not isinstance(value, kind):
-                raise ValueError(f"{name} must be {word}, got {value!r}")
+        _check_fields(self, counts=("t", "max_epochs"), integers=("bits", "seed"), reals=("alpha", "ds_tol"))
         if not (math.isfinite(self.alpha) and self.alpha > 0):
-            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.t < 1:
-            raise ValueError(f"t must be >= 1, got {self.t}")
+            raise ValueError(f"alpha: must be positive and finite, got {self.alpha}")
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"algorithm must be one of {ALGORITHMS}, got {self.algorithm!r}")
+            raise ValueError(f"algorithm: must be one of {', '.join(ALGORITHMS)}, got {self.algorithm!r}")
         if not (math.isfinite(self.ds_tol) and self.ds_tol >= 0):
-            raise ValueError(f"ds_tol must be nonnegative and finite, got {self.ds_tol}")
+            raise ValueError(f"ds_tol: must be nonnegative and finite, got {self.ds_tol}")
         QuantizerSpec(bits=self.bits)  # range check
 
 
@@ -473,10 +463,12 @@ def run(
     ``epochs_computed`` counts them. A divergence ends the loop before its
     epoch is kept. ``diagnostics`` adds the ``s_consensus_sq`` and
     ``max_dist`` columns; no row depends on it. An instance whose ``x_star``
-    columns are not orthonormal is refused with ``ValueError`` before the
-    first epoch.
+    columns are not orthonormal, or whose agents are not the topology's, is
+    refused with ``ValueError`` before the first epoch.
     """
     _check_orthonormal(inst.x_star, "x_star")  # once: the metrics read it unchecked
+    if topology.n != inst.n_agents:  # W^t would mix slices of other agents' rows
+        raise ValueError(f"topology: has {topology.n} agents, but the instance has {inst.n_agents}")
     mixing = build_metropolis(topology, cfg.t)
     eng = _Engine(inst, mixing, cfg)
     n, d, r = inst.n_agents, inst.dims.d, inst.dims.r

@@ -71,7 +71,12 @@ def _is_connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
 
 def _check_agent_count(n: int) -> None:
     if n < 2:
-        raise GraphError(f"need at least 2 agents, got n={n}")
+        raise GraphError(f"n: need at least 2 agents, got {n}")
+
+
+def _check_edge_probability(p: float) -> None:
+    if not (0.0 < p <= 1.0):
+        raise GraphError(f"edge probability must be in (0, 1], got {p}")
 
 
 def _canonical_edges(n: int, pairs) -> frozenset[tuple[int, int]]:
@@ -121,8 +126,8 @@ class Topology:
     @classmethod
     def erdos_renyi(cls, n: int, p: float, seed: int) -> "Topology":
         """Connected G(n, p); resamples with incremented seed until connected."""
-        if not (0.0 < p <= 1.0):
-            raise GraphError(f"edge probability must be in (0, 1], got {p}")
+        _check_agent_count(n)
+        _check_edge_probability(p)
         for attempt in range(_ER_MAX_ATTEMPTS):
             rng = np.random.default_rng(seed + attempt)
             mask = rng.random((n, n)) < p
@@ -176,9 +181,9 @@ class MixingMatrix:
 def second_singular_value(W: np.ndarray) -> float:
     """Second largest singular value of a symmetric doubly stochastic W."""
     W = np.asarray(W, dtype=float)
+    if W.ndim != 2 or W.shape[0] != W.shape[1] or W.size == 0:
+        raise ValueError(f"W must be a nonempty square matrix, got shape {W.shape}")
     scale = max(1.0, float(np.abs(W).max()))
-    if W.ndim != 2 or W.shape[0] != W.shape[1]:
-        raise ValueError(f"W must be square, got shape {W.shape}")
     if np.abs(W - W.T).max() > 1e-12 * scale:
         raise ValueError("W must be symmetric")
     if np.abs(W.sum(axis=1) - 1.0).max() > 1e-12 * W.shape[0]:
@@ -192,7 +197,7 @@ def second_singular_value(W: np.ndarray) -> float:
 def build_metropolis(topology: Topology, t: int = 1) -> MixingMatrix:
     """Metropolis weights for a connected topology, with W^t precomputed."""
     if t < 1:
-        raise ValueError(f"consensus power t must be >= 1, got {t}")
+        raise ValueError(f"t: must be >= 1, got {t}")
     n = topology.n
     deg = topology.degrees
     W = np.zeros((n, n))
@@ -222,8 +227,8 @@ def mix(mixing: MixingMatrix, stacked) -> np.ndarray:
     checks.
     """
     X = np.asarray(stacked, dtype=float)
-    if X.shape[0] != mixing.n:
-        raise ValueError(f"expected {mixing.n} stacked blocks, got {X.shape[0]}")
+    if X.shape[:1] != (mixing.n,):
+        raise ValueError(f"stacked: expected {mixing.n} stacked blocks, got shape {X.shape}")
     return _mix(mixing.W_t, X)
 
 

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import workers
-from .stiefel import ManifoldDims, SmoothnessConstants
+from .stiefel import ManifoldDims, SmoothnessConstants, _check_fields
 from .streams import STREAM_DATA, STREAM_SHUFFLE, stream_rng
 
 __all__ = [
@@ -80,19 +80,14 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 < self.eigengap < 1.0):
-            raise ValueError(f"eigengap must be in (0, 1), got {self.eigengap}")
-        if self.n < 1 or self.m < 1:
-            raise ValueError("n and m must be positive")
-        if self.n * self.m < self.d:
-            raise ValueError(
-                f"need n*m >= d for full rank, got {self.n * self.m} < {self.d}"
-            )
-        if self.leading_sv <= 0:
-            raise ValueError("leading_sv must be positive")
-        if not math.isfinite(self.leading_sv * self.leading_sv):
-            raise ValueError(f"leading_sv must have a finite square, got {self.leading_sv}")
+        _check_fields(self, counts=("n", "m"), integers=("seed",), reals=("eigengap", "leading_sv"))
         ManifoldDims(self.d, self.r)
+        if not (0.0 < self.eigengap < 1.0):
+            raise ValueError(f"eigengap: must be in (0, 1), got {self.eigengap}")
+        if not (self.leading_sv > 0 and math.isfinite(self.leading_sv * self.leading_sv)):
+            raise ValueError(f"leading_sv: must be positive with a finite square, got {self.leading_sv}")
+        if self.n * self.m < self.d:
+            raise ValueError(f"m: need n*m >= d = {self.d} for full rank, got n*m = {self.n * self.m}")
 
 
 @dataclass

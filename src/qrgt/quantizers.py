@@ -58,7 +58,7 @@ class QuantizerSpec:
 
     def __post_init__(self) -> None:
         if not (1 <= self.bits <= 32):
-            raise ValueError(f"bits must be in [1, 32], got {self.bits}")
+            raise ValueError(f"bits: must be in [1, 32], got {self.bits}")
 
     @property
     def levels(self) -> int:

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -44,6 +45,19 @@ class RetractionError(RuntimeError):
     """QR retraction received a numerically rank-deficient argument."""
 
 
+def _check_fields(spec, counts=(), integers=(), reals=()) -> None:
+    """``ValueError`` naming the first field of ``spec`` that is not of its
+    kind, an integer for ``counts`` and ``integers`` and a real number for
+    ``reals`` (never a bool), or a field of ``counts`` below 1."""
+    for name in (*counts, *integers, *reals):
+        value = getattr(spec, name)
+        kind, word = (Real, "a real number") if name in reals else (Integral, "an integer")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ValueError(f"{name}: must be {word}, got {value!r}")
+        if name in counts and value < 1:
+            raise ValueError(f"{name}: must be >= 1, got {value}")
+
+
 @dataclass(frozen=True)
 class ManifoldDims:
     """Shape of St(d, r)."""
@@ -52,8 +66,9 @@ class ManifoldDims:
     r: int
 
     def __post_init__(self) -> None:
-        if not (1 <= self.r <= self.d):
-            raise ValueError(f"need 1 <= r <= d, got d={self.d}, r={self.r}")
+        _check_fields(self, counts=("d", "r"))
+        if self.r > self.d:
+            raise ValueError(f"r: must be at most d = {self.d}, got {self.r}")
 
 
 @dataclass(frozen=True)

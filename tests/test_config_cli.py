@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qrgt import cli
+from qrgt import AlgoConfig, QuantizerSpec, SyntheticSpec, cli
 from qrgt.cli import CSV_HEADER, execute, main, sweep, write_trace_csv
 from qrgt.config import (
     ConfigError,
@@ -26,6 +26,12 @@ from qrgt.network import Topology
 
 from reference import reference_trace_csv
 from test_problems import write_idx3
+
+
+def default_spec(**changes) -> SyntheticSpec:
+    """The SyntheticSpec of RunConfig's defaults, with ``changes``."""
+    defaults = RunConfig()
+    return SyntheticSpec(**{f.name: getattr(defaults, f.name) for f in dataclasses.fields(SyntheticSpec)} | changes)
 
 
 @pytest.fixture
@@ -142,6 +148,33 @@ class TestParseConfig:
     def test_named_validation_errors(self, key, value, fragment):
         with pytest.raises(ConfigError, match=fragment):
             parse_config(overrides={key: value})
+
+    @pytest.mark.parametrize(
+        "overrides, owner",
+        [
+            ({"bits": 0}, lambda: QuantizerSpec(bits=0)),
+            ({"t": 0}, lambda: AlgoConfig(alpha=0.1, t=0)),
+            ({"max_epochs": 0}, lambda: AlgoConfig(alpha=0.1, max_epochs=0)),
+            ({"seed": -1}, lambda: AlgoConfig(alpha=0.1, seed=-1)),
+            ({"ds_tol": -1.0}, lambda: AlgoConfig(alpha=0.1, ds_tol=-1.0)),
+            ({"algorithm": "sgd"}, lambda: AlgoConfig(alpha=0.1, algorithm="sgd")),
+            ({"eigengap": 1.0}, lambda: default_spec(eigengap=1.0)),
+            ({"leading_sv": 1e200}, lambda: default_spec(leading_sv=1e200)),
+            ({"m": 0}, lambda: default_spec(m=0)),
+            ({"r": 20, "d": 10}, lambda: default_spec(r=20, d=10)),
+            ({"n": 2, "m": 2}, lambda: default_spec(n=2, m=2)),
+            ({"n": 1}, lambda: Topology.ring(1)),
+        ],
+        ids=["bits", "t", "max_epochs", "seed", "ds_tol", "algorithm", "eigengap", "leading_sv", "m", "r-above-d",
+             "n*m-below-d", "n"],
+    )
+    def test_one_wording_per_rule(self, overrides, owner):
+        # the config layer checks a key through the type that owns its rule
+        with pytest.raises(ValueError) as owned:
+            owner()
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(overrides=overrides)
+        assert str(parsed.value) == str(owned.value)
 
     @pytest.mark.parametrize(
         "key, value, error",
@@ -592,6 +625,28 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: r: ") and "image size 784" in err[0]
+
+    def test_mnist_rank_below_one_exit_2_no_csv(self, tmp_path, capsys, monkeypatch):
+        # an MNIST run reads r against the image size, once it reads the file's header
+        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+        idx = tmp_path / "img.idx3"
+        write_idx3(idx, np.zeros((16, 4, 4), dtype=np.uint8))
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"preset = mnist\nmnist_path = {idx}\nr = 0\n")
+        cfg = parse_config(file=path)  # reads no file
+        assert cfg.r == 0
+        out = tmp_path / "never.csv"
+        code = main(["run", "--config", str(path), "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: r: must be >= 1, got 0 (d is the image size 16 of {idx})"
+        ]
+
+    def test_mnist_reads_no_synthetic_key(self):
+        # eigengap, leading_sv, m and d shape synthetic data only
+        cfg = parse_config(preset="mnist", overrides={"eigengap": 1.0, "leading_sv": -1.0, "m": 0, "d": 0})
+        assert (cfg.eigengap, cfg.leading_sv, cfg.m, cfg.d) == (1.0, -1.0, 0, 0)
 
     @pytest.mark.parametrize("algo, payload", [("qrgt", True), ("rgt", False)])
     def test_summary_names_payload_for_qrgt_only(self, tmp_path, capsys, algo, payload):

@@ -144,7 +144,7 @@ class TestAlgoConfig:
     )
     def test_invalid(self, kwargs):
         field = next(iter(kwargs.keys() - {"alpha"}), "alpha")
-        with pytest.raises(ValueError, match=f"^{field} must be"):
+        with pytest.raises(ValueError, match=f"^{field}: must be"):
             AlgoConfig(**kwargs)
 
     def test_numpy_integers_accepted(self):
@@ -155,7 +155,7 @@ class TestAlgoConfig:
     @pytest.mark.parametrize("name", ["alpha", "ds_tol"])
     def test_non_finite_rejected(self, name, value):
         # nan passes every ordered comparison's negation: nan <= 0 is false
-        with pytest.raises(ValueError, match=f"^{name} must be .* and finite, got {value}$"):
+        with pytest.raises(ValueError, match=f"^{name}: must be .* and finite, got {value}$"):
             AlgoConfig(**{"alpha": 0.1, name: value})
 
 
@@ -878,6 +878,12 @@ class TestRun:
         trace = run(inst, Topology.ring(4), cfg)
         assert trace.termination == TERMINATION_DS
         assert len(trace.rows) == 1
+
+    @pytest.mark.parametrize("agents", [4, 12])
+    def test_topology_of_another_size_rejected(self, agents):
+        # W^t of another size would mix slices of the stacked rows, not agents
+        with pytest.raises(ValueError, match=f"^topology: has {agents} agents, but the instance has 8$"):
+            run(small_instance(n=8), Topology.ring(agents), AlgoConfig(alpha=1e-3, max_epochs=1))
 
     def test_divergence_detected(self):
         inst = small_instance()

@@ -23,8 +23,12 @@ class TestTopology:
     def test_one_agent_rejected(self, build):
         # The count is checked before the edges: a ring of one agent would
         # otherwise be refused as the self-loop (0, 0).
-        with pytest.raises(GraphError, match="^need at least 2 agents, got n=1$"):
+        with pytest.raises(GraphError, match="^n: need at least 2 agents, got 1$"):
             getattr(Topology, build)(1)
+
+    def test_erdos_renyi_negative_count_rejected(self):
+        with pytest.raises(GraphError, match="^n: need at least 2 agents, got -1$"):
+            Topology.erdos_renyi(-1, 0.5, 0)
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
@@ -155,6 +159,10 @@ class TestSecondSingularValue:
         with pytest.raises(ValueError):
             second_singular_value(np.eye(3) * 0.9)
 
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match=r"^W must be a nonempty square matrix, got shape \(0, 0\)$"):
+            second_singular_value(np.zeros((0, 0)))
+
 
 class TestMix:
     def test_consensus_fixed_point(self, rng):
@@ -202,3 +210,7 @@ class TestMix:
         mixing = build_metropolis(Topology.ring(4))
         with pytest.raises(ValueError):
             mix(mixing, rng.standard_normal((5, 3, 2)))
+
+    def test_scalar_rejected(self):
+        with pytest.raises(ValueError, match=r"^stacked: expected 4 stacked blocks, got shape \(\)$"):
+            mix(build_metropolis(Topology.ring(4)), 3.0)

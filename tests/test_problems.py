@@ -1,3 +1,4 @@
+import re
 import struct
 import threading
 import tracemalloc
@@ -68,6 +69,26 @@ class TestSyntheticSpec:
     def test_leading_sv_needs_a_positive_finite_square(self, bad):
         with pytest.raises(ValueError, match="leading_sv"):
             SyntheticSpec(n=2, m=10, d=4, r=2, eigengap=0.5, leading_sv=bad)
+
+    @pytest.mark.parametrize(
+        "field, value, word",
+        [
+            ("n", 2.5, "an integer"),
+            ("n", True, "an integer"),
+            ("m", True, "an integer"),
+            ("d", 6.0, "an integer"),
+            ("r", True, "an integer"),
+            ("seed", 0.5, "an integer"),
+            ("eigengap", "0.5", "a real number"),
+            ("eigengap", True, "a real number"),
+            ("leading_sv", False, "a real number"),
+        ],
+    )
+    def test_non_number_rejected(self, field, value, word):
+        # each is refused naming its field, not read as 1 or left to a TypeError
+        kwargs = dict(n=2, m=20, d=6, r=2, eigengap=0.8, seed=0, leading_sv=1.0) | {field: value}
+        with pytest.raises(ValueError, match=f"^{field}: must be {word}, got {re.escape(repr(value))}$"):
+            SyntheticSpec(**kwargs)
 
 
 class TestLocalGradient:
