@@ -10,15 +10,12 @@ from .engine import (
     RunTrace,
     TrackingState,
     run,
-    safety_step_bound,
-    step_size_bounds,
 )
 from .metrics import agent_means, consensus_error, evaluate, evaluate_means, subspace_distance
 from .network import MixingMatrix, Topology, build_metropolis, mix, second_singular_value
 from .problems import (
     ProblemInstance,
     SyntheticSpec,
-    estimate_smoothness,
     generate_synthetic,
     load_mnist,
     make_instance,
@@ -29,7 +26,6 @@ from .problems import (
 from .quantizers import QuantizerSpec, dequantize, encode, scale_factor, snap, wire_size_bits
 from .stiefel import (
     ManifoldDims,
-    SmoothnessConstants,
     distance_to_manifold,
     penalty_grad,
     random_stiefel,

@@ -89,7 +89,7 @@ from .network import MixingMatrix, Topology, build_metropolis
 from .network import _mix as mix
 from .problems import ProblemInstance
 from .quantizers import _DIRECTION_THRESHOLD, QuantizerSpec, _snap, dither_noise, wire_size_bits
-from .stiefel import SmoothnessConstants, _check_fields, _check_orthonormal, distance_to_manifold, random_stiefel
+from .stiefel import _check_fields, _check_orthonormal, distance_to_manifold, random_stiefel
 from .stiefel import _augmented_buffer
 from .stiefel import _penalty_quarter as penalty_grad
 from .stiefel import _retract as retract
@@ -123,8 +123,6 @@ __all__ = [
     "TraceRow",
     "TraceRows",
     "RunTrace",
-    "step_size_bounds",
-    "safety_step_bound",
     "run",
 ]
 
@@ -142,11 +140,11 @@ class AlgoConfig:
     algorithm: str = ALGO_QRGT
 
     def __post_init__(self) -> None:
-        _check_fields(self, counts=("t", "max_epochs"), integers=("bits", "seed"), reals=("alpha", "ds_tol"))
+        _check_fields(
+            self, counts=("t", "max_epochs"), integers=("bits",), naturals=("seed",), reals=("alpha", "ds_tol")
+        )
         if not (math.isfinite(self.alpha) and self.alpha > 0):
             raise ValueError(f"alpha: must be positive and finite, got {self.alpha}")
-        if self.seed < 0:
-            raise ValueError(f"seed: must be >= 0, got {self.seed}")
         if self.algorithm not in ALGORITHMS:
             raise ValueError(f"algorithm: must be one of {', '.join(ALGORITHMS)}, got {self.algorithm!r}")
         if not (math.isfinite(self.ds_tol) and self.ds_tol >= 0):
@@ -267,31 +265,6 @@ class RunTrace:
     @property
     def final(self) -> TraceRow:
         return self.rows[-1]
-
-
-def step_size_bounds(consts: SmoothnessConstants, sigma2: float, n: int) -> dict[str, float]:
-    """All step-size bounds by name.
-
-    ``descent``, ``consensus``, ``rate`` and ``consensus_rate`` jointly
-    guarantee the O(1/K) rate.
-    """
-    if not (0.0 <= sigma2 < 1.0):
-        raise ValueError(f"sigma2 must be in [0, 1), got {sigma2}")
-    if n < 1:
-        raise ValueError("n must be positive")
-    lg = consts.L_g
-    gap = 1.0 - sigma2
-    return {
-        "descent": 1.0 / (8.0 * lg),
-        "consensus": gap**2 / (16.0 * lg),
-        "rate": np.sqrt(n * gap**3 / (2.0 * lg**2 + 1.0)) / (16.0 * lg),
-        "consensus_rate": (n * gap**3) ** 0.25 / (16.0 * lg),
-    }
-
-
-def safety_step_bound(consts: SmoothnessConstants, sigma2: float, n: int) -> float:
-    """Tightest step size under which every convergence guarantee holds."""
-    return min(step_size_bounds(consts, sigma2, n).values())
 
 
 class _Engine:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .stiefel import _check_number
 from .workers import SMALL_GEMM, panels
 
 log = logging.getLogger(__name__)
@@ -70,6 +71,7 @@ def _is_connected(n: int, edges: frozenset[tuple[int, int]]) -> bool:
 
 
 def _check_agent_count(n: int) -> None:
+    _check_number("n", n, error=GraphError)
     if n < 2:
         raise GraphError(f"n: need at least 2 agents, got {n}")
 
@@ -115,11 +117,13 @@ class Topology:
 
     @classmethod
     def ring(cls, n: int) -> "Topology":
+        _check_agent_count(n)  # before range(n) reads it
         pairs = {(i, (i + 1) % n) for i in range(n)}
         return cls(n, _canonical_edges(n, pairs))
 
     @classmethod
     def complete(cls, n: int) -> "Topology":
+        _check_agent_count(n)  # before range(n) reads it
         pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
         return cls(n, _canonical_edges(n, pairs))
 
@@ -196,8 +200,7 @@ def second_singular_value(W: np.ndarray) -> float:
 
 def build_metropolis(topology: Topology, t: int = 1) -> MixingMatrix:
     """Metropolis weights for a connected topology, with W^t precomputed."""
-    if t < 1:
-        raise ValueError(f"t: must be >= 1, got {t}")
+    _check_number("t", t, low=1)
     n = topology.n
     deg = topology.degrees
     W = np.zeros((n, n))

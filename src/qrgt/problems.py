@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import workers
-from .stiefel import ManifoldDims, SmoothnessConstants, _check_fields
+from .stiefel import ManifoldDims, _check_fields, _check_number
 from .streams import STREAM_DATA, STREAM_SHUFFLE, stream_rng
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "mnist_blocks",
     "idx_image_size",
     "load_mnist",
-    "estimate_smoothness",
 ]
 
 MNIST_IMAGE_MAGIC = 0x00000803
@@ -80,7 +79,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_fields(self, counts=("n", "m"), integers=("seed",), reals=("eigengap", "leading_sv"))
+        _check_fields(self, counts=("n", "m"), naturals=("seed",), reals=("eigengap", "leading_sv"))
         ManifoldDims(self.d, self.r)
         if not (0.0 < self.eigengap < 1.0):
             raise ValueError(f"eigengap: must be in (0, 1), got {self.eigengap}")
@@ -242,6 +241,7 @@ def mnist_blocks(path, n: int, seed: int = 0) -> tuple[tuple[int, ...], int, Blo
     buffer only when it is filled, so neither the shuffled bytes nor the
     float64 matrix of the whole file is ever built.
     """
+    _check_number("n", n, low=1)  # before the file is read and split n ways
     raw = Path(path).read_bytes()
     count, rows, cols = _idx_header(raw, path)
     expected = 16 + count * rows * cols
@@ -291,16 +291,3 @@ def load_mnist(path, n: int, r: int = 5, seed: int = 0) -> ProblemInstance:
     its Gram is kept."""
     return make_instance(*mnist_blocks(path, n, seed), r)
 
-
-def estimate_smoothness(inst: ProblemInstance) -> SmoothnessConstants:
-    """Data-driven Lipschitz constants for the eigenvector objective.
-
-    L is the top eigenvalue of the averaged Gram (the Lipschitz constant of
-    the global Euclidean gradient). L_f bounds max_i ||grad f_i|| over the
-    manifold: for x with orthonormal columns, ||G x||_F^2 is at most the sum
-    of the top-r squared eigenvalues of G. The proximal radius is 1.
-    """
-    L = float(np.linalg.eigvalsh(inst.mean_gram)[-1])
-    top = np.linalg.eigvalsh(inst.grams)[:, -inst.dims.r :]
-    L_f = float(np.sqrt(np.sum(top**2, axis=1)).max())
-    return SmoothnessConstants(L=L, L_f=L_f)

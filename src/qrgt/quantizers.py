@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .stiefel import _check_fields
+
 __all__ = [
     "QuantizerSpec",
     "scale_factor",
@@ -57,6 +59,7 @@ class QuantizerSpec:
     bits: int
 
     def __post_init__(self) -> None:
+        _check_fields(self, integers=("bits",))
         if not (1 <= self.bits <= 32):
             raise ValueError(f"bits: must be in [1, 32], got {self.bits}")
 

@@ -31,7 +31,6 @@ import numpy as np
 
 __all__ = [
     "ManifoldDims",
-    "SmoothnessConstants",
     "RetractionError",
     "tangent_project",
     "distance_to_manifold",
@@ -45,17 +44,23 @@ class RetractionError(RuntimeError):
     """QR retraction received a numerically rank-deficient argument."""
 
 
-def _check_fields(spec, counts=(), integers=(), reals=()) -> None:
-    """``ValueError`` naming the first field of ``spec`` that is not of its
-    kind, an integer for ``counts`` and ``integers`` and a real number for
-    ``reals`` (never a bool), or a field of ``counts`` below 1."""
-    for name in (*counts, *integers, *reals):
-        value = getattr(spec, name)
-        kind, word = (Real, "a real number") if name in reals else (Integral, "an integer")
-        if isinstance(value, bool) or not isinstance(value, kind):
-            raise ValueError(f"{name}: must be {word}, got {value!r}")
-        if name in counts and value < 1:
-            raise ValueError(f"{name}: must be >= 1, got {value}")
+def _check_number(name: str, value, real: bool = False, low: int | None = None, error=ValueError) -> None:
+    """``error`` naming ``name`` unless ``value`` is an integer, or a real
+    number if ``real`` (never a bool), and at least ``low`` if given."""
+    kind, word = (Real, "a real number") if real else (Integral, "an integer")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise error(f"{name}: must be {word}, got {value!r}")
+    if low is not None and value < low:
+        raise error(f"{name}: must be >= {low}, got {value}")
+
+
+def _check_fields(spec, counts=(), integers=(), naturals=(), reals=()) -> None:
+    """``_check_number`` on each named field of ``spec``: an integer for
+    ``counts`` (at least 1), ``naturals`` (at least 0) and ``integers``,
+    and a real number for ``reals``."""
+    for name in (*counts, *integers, *naturals, *reals):
+        low = 1 if name in counts else 0 if name in naturals else None
+        _check_number(name, getattr(spec, name), real=name in reals, low=low)
 
 
 @dataclass(frozen=True)
@@ -69,28 +74,6 @@ class ManifoldDims:
         _check_fields(self, counts=("d", "r"))
         if self.r > self.d:
             raise ValueError(f"r: must be at most d = {self.d}, got {self.r}")
-
-
-@dataclass(frozen=True)
-class SmoothnessConstants:
-    """Lipschitz-type constants of the objective on and near the manifold.
-
-    ``L`` is the Euclidean Lipschitz constant of the gradient, ``L_f`` the
-    normal-component bound (max gradient norm on the manifold divided by the
-    proximal radius). Their sum ``L_g`` bounds smoothness along the manifold
-    and sets the step-size bounds.
-    """
-
-    L: float
-    L_f: float
-
-    def __post_init__(self) -> None:
-        if self.L <= 0 or self.L_f <= 0:
-            raise ValueError("L and L_f must be positive")
-
-    @property
-    def L_g(self) -> float:
-        return self.L + self.L_f
 
 
 # Largest entry of |x^T x - I| that ``_check_orthonormal`` accepts.

@@ -18,7 +18,6 @@ from qrgt import (
     Topology,
     build_metropolis,
     consensus_error,
-    estimate_smoothness,
     generate_synthetic,
     load_mnist,
     mnist_blocks,
@@ -26,7 +25,6 @@ from qrgt import (
     random_stiefel,
     retract,
     run,
-    safety_step_bound,
     snap,
     subspace_distance,
     tangent_project,
@@ -264,8 +262,8 @@ def test_criterion_5_synthetic_reproduction(preset_runs):
 def test_criterion_6_rate_law():
     tic = time.perf_counter()
     inst = generate_synthetic(SyntheticSpec(n=16, m=1000, d=10, r=5, eigengap=0.8, seed=0))
-    mixing_sigma2 = build_metropolis(RING16).sigma2
-    alpha = safety_step_bound(estimate_smoothness(inst), mixing_sigma2, 16)
+    # gap^2 / (16 (L + L_f)) on this instance and ring, as the deleted safety step bound gave; ROADMAP item 6 will measure one
+    alpha = 0.0009768004977661001
 
     K = 50_000
     cfg = AlgoConfig(alpha=alpha, t=1, bits=16, max_epochs=2 * K, seed=0)

@@ -15,7 +15,6 @@ import pytest
 from qrgt import (
     AlgoConfig,
     QuantizerSpec,
-    SmoothnessConstants,
     SyntheticSpec,
     Topology,
     agent_means,
@@ -27,9 +26,7 @@ from qrgt import (
     penalty_grad,
     retract,
     run,
-    safety_step_bound,
     snap,
-    step_size_bounds,
     tangent_project,
 )
 from qrgt import engine, metrics, workers
@@ -832,37 +829,6 @@ class TestAgentParallelGrads:
         )
         proc = python_c(script, dict(os.environ))
         assert proc.stdout.strip() == "done"
-
-
-class TestStepSizeBounds:
-    def test_hand_arithmetic(self):
-        consts = SmoothnessConstants(L=0.5, L_f=0.5)  # L_g = 1
-        bounds = step_size_bounds(consts, sigma2=1 / 3, n=16)
-        assert bounds["descent"] == pytest.approx(0.125)
-        assert bounds["consensus"] == pytest.approx((2 / 3) ** 2 / 16)
-        assert bounds["rate"] == pytest.approx(np.sqrt(16 * (2 / 3) ** 3 / 3) / 16)
-        assert bounds["consensus_rate"] == pytest.approx((16 * (2 / 3) ** 3) ** 0.25 / 16)
-        assert safety_step_bound(consts, 1 / 3, 16) == pytest.approx(1 / 36)
-
-    def test_vanishes_as_network_disconnects(self):
-        consts = SmoothnessConstants(L=0.5, L_f=0.5)
-        assert safety_step_bound(consts, 0.9999, 16) < 1e-7
-        assert safety_step_bound(consts, 0.9999, 16) < safety_step_bound(consts, 0.5, 16)
-
-    def test_at_most_halved_when_lm_doubles(self):
-        a = SmoothnessConstants(L=1.0, L_f=1.0)
-        b = SmoothnessConstants(L=2.0, L_f=2.0)
-        for sigma2 in (0.0, 0.3, 0.9):
-            assert safety_step_bound(b, sigma2, 8) <= safety_step_bound(a, sigma2, 8) / 2 * (
-                1 + 1e-12
-            )
-
-    def test_sigma2_out_of_range(self):
-        consts = SmoothnessConstants(L=1.0, L_f=1.0)
-        with pytest.raises(ValueError):
-            step_size_bounds(consts, 1.0, 4)
-        with pytest.raises(ValueError):
-            step_size_bounds(consts, -0.1, 4)
 
 
 class TestRun:

@@ -30,6 +30,13 @@ class TestTopology:
         with pytest.raises(GraphError, match="^n: need at least 2 agents, got -1$"):
             Topology.erdos_renyi(-1, 0.5, 0)
 
+    @pytest.mark.parametrize(
+        "build, args", [("ring", (4.5,)), ("complete", (4.0,)), ("erdos_renyi", (4.5, 0.5, 0)), ("ring", (True,))]
+    )
+    def test_non_integral_count_rejected(self, build, args):
+        with pytest.raises(GraphError, match=f"^n: must be an integer, got {args[0]!r}$"):
+            getattr(Topology, build)(*args)
+
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
             Topology.from_edges(4, [(0, 1), (2, 3)])
@@ -137,6 +144,12 @@ class TestMetropolis:
     def test_bad_t(self):
         with pytest.raises(ValueError):
             build_metropolis(Topology.ring(4), t=0)
+
+    @pytest.mark.parametrize("t", [1.5, True])
+    def test_non_integral_t_rejected(self, t):
+        # True is not read as one round
+        with pytest.raises(ValueError, match=f"^t: must be an integer, got {t!r}$"):
+            build_metropolis(Topology.ring(4), t=t)
 
 
 class TestSecondSingularValue:

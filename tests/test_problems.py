@@ -10,7 +10,6 @@ import pytest
 
 from qrgt import (
     SyntheticSpec,
-    estimate_smoothness,
     generate_synthetic,
     load_mnist,
     make_instance,
@@ -89,6 +88,12 @@ class TestSyntheticSpec:
         kwargs = dict(n=2, m=20, d=6, r=2, eigengap=0.8, seed=0, leading_sv=1.0) | {field: value}
         with pytest.raises(ValueError, match=f"^{field}: must be {word}, got {re.escape(repr(value))}$"):
             SyntheticSpec(**kwargs)
+
+
+    def test_negative_seed_rejected(self):
+        # in AlgoConfig's words, not numpy's "expected non-negative integer"
+        with pytest.raises(ValueError, match="^seed: must be >= 0, got -1$"):
+            SyntheticSpec(n=2, m=20, d=6, r=2, eigengap=0.8, seed=-1)
 
 
 class TestLocalGradient:
@@ -367,6 +372,16 @@ class TestMnist:
         with pytest.raises(IdxFormatError, match="10 images for 16 agents"):
             load_mnist(path, n=16)
 
+    @pytest.mark.parametrize(
+        "n, error", [(0, "n: must be >= 1, got 0"), (-1, "n: must be >= 1, got -1"), (2.5, "n: must be an integer, got 2.5")]
+    )
+    def test_agent_count_checked_before_the_split(self, tmp_path, n, error):
+        # not a ZeroDivisionError from the split, nor a slice of the permutation
+        path = tmp_path / "images.idx3"
+        write_idx3(path, self.make_images(count=10))
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            load_mnist(path, n=n)
+
     def test_streamed_grams_equal_full_block_grams(self, tmp_path):
         # Reference: the whole shuffled float64 matrix, split into row views,
         # and the Gram of each view; the streamed stack matches bit for bit.
@@ -537,22 +552,3 @@ class TestGramSymmetry:
         for inst in self.build_all(tmp_path):
             assert_symmetric_grams(inst)
 
-
-class TestSmoothness:
-    def test_diagonal_case_exact(self):
-        # One agent, A = diag(2, 1): gram eigenvalues {4, 1}; L = 4 and
-        # L_f = sqrt(4^2 + 1^2) for r = 2.
-        inst = make_instance((2,), 2, fill_from([np.diag([2.0, 1.0])]), r=2)
-        consts = estimate_smoothness(inst)
-        assert consts.L == pytest.approx(4.0, rel=1e-12)
-        assert consts.L_f == pytest.approx(np.sqrt(17.0), rel=1e-12)
-
-    def test_bounds_hold_on_manifold(self, rng):
-        inst = small_instance(seed=13)
-        consts = estimate_smoothness(inst)
-        for _ in range(50):
-            x = random_stiefel(6, 2, rng)
-            egrad_norm = np.linalg.norm(inst.mean_gram @ x)
-            assert egrad_norm <= consts.L * np.sqrt(2) + 1e-12
-            for i in range(inst.n_agents):
-                assert np.linalg.norm(local_grad(inst, i, x)) <= consts.L_f + 1e-12

@@ -27,6 +27,12 @@ class TestSpec:
         with pytest.raises(ValueError):
             QuantizerSpec(bits=bits)
 
+    @pytest.mark.parametrize("bits", [True, 2.5])
+    def test_bits_must_be_an_integer(self, bits):
+        # not read as a 1-bit quantizer, nor left to a TypeError in ``levels``
+        with pytest.raises(ValueError, match=f"^bits: must be an integer, got {bits!r}$"):
+            QuantizerSpec(bits=bits)
+
     def test_step(self):
         assert QuantizerSpec(bits=2).levels == 3
         assert QuantizerSpec(bits=2).step == pytest.approx(1 / 3)

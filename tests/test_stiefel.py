@@ -5,7 +5,6 @@ import pytest
 
 from qrgt import (
     ManifoldDims,
-    SmoothnessConstants,
     distance_to_manifold,
     penalty_grad,
     random_stiefel,
@@ -28,12 +27,6 @@ class TestManifoldDims:
     def test_invalid_shape(self, d, r):
         with pytest.raises(ValueError):
             ManifoldDims(d, r)
-
-
-class TestSmoothnessConstants:
-    def test_lg_is_sum(self):
-        c = SmoothnessConstants(L=2.0, L_f=3.0)
-        assert c.L_g == 5.0
 
 
 class TestTangentProject:
