@@ -3,15 +3,16 @@ retraction-based tracking baseline.
 
 Both algorithms keep, per agent, the decision variable x_i, a tracker s_i
 that mixes over the network and accumulates gradient differences, and the
-previous (quantized or exact) Riemannian gradient. One epoch is:
+previous (quantized or exact) Riemannian gradient. ``_Engine.step`` writes
+their one recursion:
 
-    x_i <- sum_j (W^t)_ij x_j - alpha * s_i          (quantized variant)
-    g_i <- quantized Riemannian gradient at new x_i
+    x_i <- sum_j (W^t)_ij x_j - alpha * s_i                          (Q-RGT)
+    x_i <- R_{x_i}(P_{x_i}(sum_j (W^t)_ij x_j - x_i - alpha * s_i))  (RGT)
+    g_i <- _Engine.gradient at new x_i: quantized for Q-RGT, exact for RGT
     s_i <- sum_j (W^t)_ij s_j + g_i - g_i_prev
 
-The retraction baseline instead moves along the tangent projection of the
-consensus-plus-descent direction and retracts back onto the manifold, with
-exact Riemannian gradients in the tracker.
+forking only where the two differ: Q-RGT skips the retraction R and the
+projection P, and quantizes the Riemannian gradient its tracker takes.
 
 All agents start from one shared on-manifold point, so the initial consensus
 error is zero up to the rounding of the agent mean, and the tracker is
@@ -20,7 +21,7 @@ mean from epoch zero onward.
 
 The state of all agents is one ``TrackingState``: the iterates ``x``, a
 stacked ``(n, d, r)`` array, and ``sg``, one ``(2, n, d, r)`` array of the
-trackers and the gradients. A step takes the pair ``(x, sg)`` and returns
+trackers and the gradients. The step takes the pair ``(x, sg)`` and returns
 the next pair, leaving its arguments as they were: a new ``x``, and the
 new trackers and gradients written into the ``out`` array it is given, or
 into a new one. ``run`` is the one driver of the recursion. Epoch k's
@@ -40,7 +41,7 @@ calls ``metrics.evaluate`` as ``evaluate``, and runs the local gradients
 and the quantizer through ``_Engine.local_grads`` and
 ``_Engine.quantize_all``. A benchmark wraps these names, looked up at each
 call, to trace the layers and clock the epochs, so they stay, each called
-as often per epoch as before. The steps and the epoch loop of ``run``
+as often per epoch as before. The step and the epoch loop of ``run``
 write every elementwise result in place; only the per-block flush and the
 ``diagnostics`` columns take temporaries. RGT's ``retract`` fills one
 ``(n, 2r, 2r)`` buffer that the engine makes once per run.
@@ -268,7 +269,8 @@ class RunTrace:
 
 
 class _Engine:
-    """Stacked-array implementation of one run's epochs, driven by run()."""
+    """Stacked-array implementation of one run's epochs, driven by run();
+    the algorithm is fixed at construction."""
 
     def __init__(self, inst: ProblemInstance, mixing: MixingMatrix, cfg: AlgoConfig):
         self.inst = inst
@@ -279,17 +281,9 @@ class _Engine:
         self._dither = stream_rng(cfg.seed, STREAM_DITHER)
         self._noise = None  # the run's one buffer of BLOCK dither blocks; quantize_all takes the next
         self._next = BLOCK
+        self._quantized = cfg.algorithm == ALGO_QRGT  # Q-RGT, else RGT
         # the one buffer that RGT's retract refills each epoch
-        self._augmented = _augmented_buffer((inst.n_agents,), inst.dims.r) if cfg.algorithm == ALGO_RGT else None
-
-    @property
-    def step(self):
-        """The epoch of the configured algorithm, ``qrgt_step`` or
-        ``rgt_step``; ``run`` looks it up once. A property, not an attribute
-        set in ``__init__``: a bound method stored on the engine would make a
-        reference cycle that keeps a finished run's instance alive until the
-        garbage collector runs."""
-        return self.qrgt_step if self.cfg.algorithm == ALGO_QRGT else self.rgt_step
+        self._augmented = None if self._quantized else _augmented_buffer((inst.n_agents,), inst.dims.r)
 
     def local_grads(self, X: np.ndarray) -> np.ndarray:
         """The products G_i X_i of every agent's Gram with its iterate, a
@@ -323,56 +317,46 @@ class _Engine:
         values, scales = _snap(RG, PG, self._levels, noise, out, _DIRECTION_THRESHOLD / 4)
         return values, scales, None
 
+    def gradient(self, x: np.ndarray, out: np.ndarray) -> None:
+        """Write into ``out`` the gradient that the tracker takes at the
+        iterates ``x``: the quantized Riemannian gradient for Q-RGT, the
+        exact one for RGT."""
+        if self._quantized:
+            self.quantize_all(tangent_project(x, self.local_grads(x), negate=True), penalty_grad(x), out)
+        else:
+            tangent_project(x, self.local_grads(x), out, negate=True)
+
     def initial_state(self) -> TrackingState:
         """Shared start, trackers seeded with the first gradient."""
         x0 = random_stiefel(self.inst.dims.d, self.inst.dims.r, stream_rng(self.cfg.seed, STREAM_INIT))
         x = np.broadcast_to(x0, (self.inst.n_agents, *x0.shape)).copy()
         sg = np.empty((2, *x.shape))
-        if self.cfg.algorithm == ALGO_QRGT:
-            self.quantize_all(tangent_project(x, self.local_grads(x), negate=True), penalty_grad(x), sg[1])
-        else:
-            tangent_project(x, self.local_grads(x), sg[1], negate=True)
+        self.gradient(x, sg[1])
         sg[0] = sg[1]
         return TrackingState(x, sg)
 
-    def qrgt_step(
-        self, x: np.ndarray, sg: np.ndarray, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One Q-RGT epoch from the iterates ``x`` and the trackers and
-        gradients ``sg`` of a ``TrackingState``; returns the next pair and
-        leaves its arguments as they were. The new ``x`` is a new array; the
-        new trackers and gradients are written into ``out``, a
-        ``(2, n, d, r)`` array that shares no memory with ``x`` or ``sg``,
-        or into a new one when ``out`` is None, with the same bits. The
-        tracker slot holds alpha s until the tracker is written."""
+    def step(self, x: np.ndarray, sg: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """One epoch of the configured algorithm from the iterates ``x`` and
+        the trackers and gradients ``sg`` of a ``TrackingState``; returns the
+        next pair and leaves its arguments as they were. The new ``x`` is a
+        new array; the new trackers and gradients are written into ``out``, a
+        ``(2, n, d, r)`` array that shares no memory with ``x`` or ``sg``, or
+        into a new one when ``out`` is None, with the same bits. The tracker
+        slot holds alpha s until the tracker is written. Only the x-update
+        forks: RGT's retraction refills the engine's one buffer."""
         s, g = sg[0], sg[1]
         new = np.empty(sg.shape) if out is None else out
         s_new, g_new = new[0], new[1]
         W_t = self.mixing.W_t
         x_new = mix(W_t, x)
         np.multiply(s, self.cfg.alpha, out=s_new)
-        x_new -= s_new
-        rgrad = tangent_project(x_new, self.local_grads(x_new), negate=True)
-        self.quantize_all(rgrad, penalty_grad(x_new), g_new)
-        np.add(mix(W_t, s), g_new, out=s_new)
-        s_new -= g
-        return x_new, new
-
-    def rgt_step(
-        self, x: np.ndarray, sg: np.ndarray, out: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One RGT epoch, as ``qrgt_step`` takes and returns its state. The
-        retraction refills the engine's one buffer."""
-        s, g = sg[0], sg[1]
-        new = np.empty(sg.shape) if out is None else out
-        s_new, g_new = new[0], new[1]
-        W_t = self.mixing.W_t
-        direction = mix(W_t, x)
-        direction -= x
-        np.multiply(s, self.cfg.alpha, out=s_new)
-        direction -= s_new
-        x_new = retract(x, tangent_project(x, direction), self._augmented)
-        tangent_project(x_new, self.local_grads(x_new), g_new, negate=True)
+        if self._quantized:
+            x_new -= s_new
+        else:
+            x_new -= x
+            x_new -= s_new
+            x_new = retract(x, tangent_project(x, x_new), self._augmented)
+        self.gradient(x_new, g_new)
         np.add(mix(W_t, s), g_new, out=s_new)
         s_new -= g
         return x_new, new

@@ -82,9 +82,12 @@ def _check_edge_probability(p: float) -> None:
 
 
 def _canonical_edges(n: int, pairs) -> frozenset[tuple[int, int]]:
-    _check_agent_count(n)  # first: a ring of one agent is the self-loop (0, 0)
+    """The integer pairs ``pairs`` as (min, max) pairs; ``GraphError`` on a
+    bool or non-integral endpoint, a self-loop or an endpoint outside [0, n)."""
     edges = set()
     for i, j in pairs:
+        for end in (i, j):
+            _check_number(f"edge ({i!r}, {j!r})", end, error=GraphError)
         i, j = int(i), int(j)
         if i == j:
             raise GraphError(f"self-loop on agent {i}")
@@ -96,14 +99,16 @@ def _canonical_edges(n: int, pairs) -> frozenset[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class Topology:
-    """Connected undirected graph over ``n`` agents."""
+    """Connected undirected graph over ``n`` agents; ``edges``, any iterable
+    of integer pairs, is kept as the frozenset of their (min, max) pairs."""
 
     n: int
     edges: frozenset[tuple[int, int]]
     resamples: int = 0
 
     def __post_init__(self) -> None:
-        _check_agent_count(self.n)
+        _check_agent_count(self.n)  # first: a ring of one agent is the self-loop (0, 0)
+        object.__setattr__(self, "edges", _canonical_edges(self.n, self.edges))
         if not _is_connected(self.n, self.edges):
             raise GraphError("graph is not connected")
 
@@ -118,36 +123,30 @@ class Topology:
     @classmethod
     def ring(cls, n: int) -> "Topology":
         _check_agent_count(n)  # before range(n) reads it
-        pairs = {(i, (i + 1) % n) for i in range(n)}
-        return cls(n, _canonical_edges(n, pairs))
+        return cls(n, {(i, (i + 1) % n) for i in range(n)})
 
     @classmethod
     def complete(cls, n: int) -> "Topology":
         _check_agent_count(n)  # before range(n) reads it
-        pairs = {(i, j) for i in range(n) for j in range(i + 1, n)}
-        return cls(n, _canonical_edges(n, pairs))
+        return cls(n, {(i, j) for i in range(n) for j in range(i + 1, n)})
 
     @classmethod
     def erdos_renyi(cls, n: int, p: float, seed: int) -> "Topology":
         """Connected G(n, p); resamples with incremented seed until connected."""
         _check_agent_count(n)
         _check_edge_probability(p)
+        _check_number("seed", seed, low=0, error=GraphError)
         for attempt in range(_ER_MAX_ATTEMPTS):
             rng = np.random.default_rng(seed + attempt)
             mask = rng.random((n, n)) < p
             pairs = {(i, j) for i in range(n) for j in range(i + 1, n) if mask[i, j]}
-            edges = _canonical_edges(n, pairs)
-            if _is_connected(n, edges):
+            if _is_connected(n, pairs):
                 if attempt:
                     log.info("Erdos-Renyi graph resampled %d times before connecting", attempt)
-                return cls(n, edges, resamples=attempt)
+                return cls(n, pairs, resamples=attempt)
         raise GraphError(
             f"no connected Erdos-Renyi draw in {_ER_MAX_ATTEMPTS} attempts (n={n}, p={p})"
         )
-
-    @classmethod
-    def from_edges(cls, n: int, pairs) -> "Topology":
-        return cls(n, _canonical_edges(n, pairs))
 
     @classmethod
     def from_edge_file(cls, path: str | Path, n: int | None = None) -> "Topology":
@@ -166,7 +165,7 @@ class Topology:
             if not pairs:
                 raise GraphError(f"{path}: no edges")
             n = max(max(i, j) for i, j in pairs) + 1
-        return cls.from_edges(n, pairs)
+        return cls(n, pairs)
 
 
 @dataclass(frozen=True)

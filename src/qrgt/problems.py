@@ -242,6 +242,7 @@ def mnist_blocks(path, n: int, seed: int = 0) -> tuple[tuple[int, ...], int, Blo
     float64 matrix of the whole file is ever built.
     """
     _check_number("n", n, low=1)  # before the file is read and split n ways
+    _check_number("seed", seed, low=0)  # before the file is read
     raw = Path(path).read_bytes()
     count, rows, cols = _idx_header(raw, path)
     expected = 16 + count * rows * cols

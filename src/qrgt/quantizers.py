@@ -85,9 +85,9 @@ def scale_factor(g: np.ndarray) -> float | np.ndarray:
 
 def dequantize(codes: np.ndarray, scale: float | np.ndarray, bits: int) -> np.ndarray:
     """Reconstruct the matrix from grid indices and the scale factor;
-    ``scale`` broadcasts against ``codes``."""
-    levels = (1 << bits) - 1
-    return scale * (np.asarray(codes, dtype=float) / levels - 0.5)
+    ``scale`` broadcasts against ``codes``; ``bits`` is checked as by
+    ``QuantizerSpec``."""
+    return scale * (np.asarray(codes, dtype=float) / QuantizerSpec(bits).levels - 0.5)
 
 
 # The largest double whose sigmoid direction bit is 0: see ``snap``.

@@ -362,4 +362,5 @@ def _retract(x: np.ndarray, xi: np.ndarray, m: np.ndarray | None = None) -> np.n
 
 def random_stiefel(d: int, r: int, rng: np.random.Generator) -> np.ndarray:
     """Random point on St(d, r): QR-orthonormalized Gaussian matrix."""
+    ManifoldDims(d, r)  # refuses r > d and a non-integral size
     return _qr_positive(rng.standard_normal((d, r)))

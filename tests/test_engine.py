@@ -201,7 +201,7 @@ class TestQrgtEpoch:
         eng = _Engine(inst, identity_mixing(), cfg)
         state = eng.initial_state()
         assert np.abs(state.s[0]).max() <= 1e-14
-        after = TrackingState(*eng.qrgt_step(*state))
+        after = TrackingState(*eng.step(*state))
         np.testing.assert_allclose(after.x[0], state.x[0], rtol=0, atol=1e-15)
 
     def test_tracker_mean_identity_over_run(self):
@@ -380,7 +380,7 @@ class TestRgtEpoch:
         eng = _Engine(inst, mixing, cfg)
         state = eng.initial_state()
         for _ in range(1, 30):
-            state = TrackingState(*eng.rgt_step(*state))
+            state = TrackingState(*eng.step(*state))
             assert max(manifold_defect(x) for x in state.x) <= 1e-8
 
     def test_single_agent_reduces_to_centralized_descent(self):
@@ -392,7 +392,7 @@ class TestRgtEpoch:
         state = eng.initial_state()
         x_ref = state.x[0].copy()
         for _ in range(1, 20):
-            state = TrackingState(*eng.rgt_step(*state))
+            state = TrackingState(*eng.step(*state))
             g = tangent_project(x_ref, local_grad(inst, 0, x_ref))
             x_ref = retract(x_ref, -cfg.alpha * g)
             np.testing.assert_allclose(state.x[0], x_ref, atol=1e-12)
@@ -414,7 +414,7 @@ class TestBatchedRetraction:
             eng = _Engine(inst, mixing, algo)
             state = eng.initial_state()
             for _ in range(epochs):
-                state = TrackingState(*eng.rgt_step(*state))
+                state = TrackingState(*eng.step(*state))
             return state
 
         batched = advance()

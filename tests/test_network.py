@@ -39,15 +39,41 @@ class TestTopology:
 
     def test_disconnected_rejected(self):
         with pytest.raises(GraphError):
-            Topology.from_edges(4, [(0, 1), (2, 3)])
+            Topology(4, [(0, 1), (2, 3)])
 
     def test_self_loop_rejected(self):
         with pytest.raises(GraphError):
-            Topology.from_edges(3, [(0, 0), (0, 1), (1, 2)])
+            Topology(3, [(0, 0), (0, 1), (1, 2)])
 
     def test_out_of_range_rejected(self):
         with pytest.raises(GraphError):
-            Topology.from_edges(3, [(0, 5)])
+            Topology(3, [(0, 5)])
+
+    def test_edges_canonicalized(self):
+        # Both orders of an edge are one edge: (1, 0) no longer counts twice.
+        topo = Topology(3, frozenset({(0, 1), (1, 0), (1, 2)}))
+        assert topo.edges == frozenset({(0, 1), (1, 2)})
+        assert topo.degrees.tolist() == [1, 2, 1]
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            ({(0, 1), (1, 2), (2, 2)}, "^self-loop on agent 2$"),
+            ({(0, 1), (1, 2), (2, 5)}, r"^edge \(2, 5\) out of range for n=3$"),
+            ([(0, 1.7), (1, 2)], r"^edge \(0, 1.7\): must be an integer, got 1.7$"),
+            ([(0, True), (1, 2)], r"^edge \(0, True\): must be an integer, got True$"),
+        ],
+    )
+    def test_constructor_refuses_bad_edges(self, pairs, message):
+        with pytest.raises(GraphError, match=message):
+            Topology(3, pairs)
+
+    @pytest.mark.parametrize(
+        "seed, message", [(-1, "must be >= 0, got -1"), (1.5, "must be an integer, got 1.5"), (True, "must be an integer, got True")]
+    )
+    def test_erdos_renyi_bad_seed_rejected(self, seed, message):
+        with pytest.raises(GraphError, match=f"^seed: {message}$"):
+            Topology.erdos_renyi(4, 0.5, seed)
 
     def test_erdos_renyi_connected_and_logged(self):
         topo = Topology.erdos_renyi(16, p=0.3, seed=7)
@@ -99,7 +125,7 @@ class TestMetropolis:
 
     def test_star3_hand_weights(self):
         # Center 0 with leaves 1, 2: edge weight 1/3, leaf diagonal 2/3.
-        mixing = build_metropolis(Topology.from_edges(3, [(0, 1), (0, 2)]))
+        mixing = build_metropolis(Topology(3, [(0, 1), (0, 2)]))
         expected = np.array([[1 / 3, 1 / 3, 1 / 3], [1 / 3, 2 / 3, 0], [1 / 3, 0, 2 / 3]])
         np.testing.assert_allclose(mixing.W, expected, atol=1e-15)
 

@@ -382,6 +382,16 @@ class TestMnist:
         with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
             load_mnist(path, n=n)
 
+    @pytest.mark.parametrize(
+        "seed, error", [(-1, "seed: must be >= 0, got -1"), (1.5, "seed: must be an integer, got 1.5"), (True, "seed: must be an integer, got True")]
+    )
+    def test_seed_checked_before_the_shuffle(self, tmp_path, seed, error):
+        # not numpy's SeedSequence error, and True is not read as seed 1
+        path = tmp_path / "images.idx3"
+        write_idx3(path, self.make_images(count=10))
+        with pytest.raises(ValueError, match=f"^{re.escape(error)}$"):
+            mnist_blocks(path, 2, seed=seed)
+
     def test_streamed_grams_equal_full_block_grams(self, tmp_path):
         # Reference: the whole shuffled float64 matrix, split into row views,
         # and the Gram of each view; the streamed stack matches bit for bit.

@@ -33,6 +33,12 @@ class TestSpec:
         with pytest.raises(ValueError, match=f"^bits: must be an integer, got {bits!r}$"):
             QuantizerSpec(bits=bits)
 
+    @pytest.mark.parametrize("bits", [0, 33])
+    def test_dequantize_checks_bits(self, bits):
+        # bits = 0 once divided by a zero grid and returned inf
+        with pytest.raises(ValueError, match=f"^bits: must be in \\[1, 32\\], got {bits}$"):
+            dequantize(np.array([0, 1]), 1.0, bits)
+
     def test_step(self):
         assert QuantizerSpec(bits=2).levels == 3
         assert QuantizerSpec(bits=2).step == pytest.approx(1 / 3)

@@ -28,6 +28,12 @@ class TestManifoldDims:
         with pytest.raises(ValueError):
             ManifoldDims(d, r)
 
+    @pytest.mark.parametrize("d, r, error", [(3, 5, "r: must be at most d = 3, got 5"), (3.5, 2, "d: must be an integer, got 3.5")])
+    def test_random_stiefel_refuses_the_shape_dims_refuses(self, rng, d, r, error):
+        # r > d once returned a (3, 3) matrix rather than refusing
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            random_stiefel(d, r, rng)
+
 
 class TestTangentProject:
     def test_symmetric_combination_annihilated(self, rng):
