@@ -1,15 +1,14 @@
 """Run configuration: flat key=value files, presets, and CLI overrides.
 
-Precedence, lowest to highest: built-in defaults, preset, config file, CLI
-flags. The ``QRGT_MNIST_PATH`` environment variable supplies ``mnist_path``
-for an MNIST run only when none of those sets it, so the resolved config
-names the file that is read. Every knob is a flat ``key = value`` line;
-``#`` starts a comment. ``RunConfig`` names, types and defaults each key; a
-preset holds only its departures. A file line, a flag and a sweep value are
-text, read here alone by the key's declared type; a typed override must have
-that type. The type that reads a value owns its rule: a config is checked by
-building ``AlgoConfig`` and ``SyntheticSpec`` from it, and their refusal is
-raised as ``ConfigError`` with its text, which names the key.
+A run's settings come from four routes, lowest to highest precedence:
+defaults, preset, config file, CLI flags. Every knob is a flat
+``key = value`` line; ``#`` starts a comment. ``RunConfig`` names, types and
+defaults each key; a preset holds only its departures. A file line, a flag
+and a sweep value are text, read here alone by the key's declared type; a
+typed override must have that type. The type that reads a value owns its
+rule: a config is checked by building ``AlgoConfig`` and ``SyntheticSpec``
+from it, and their refusal is raised as ``ConfigError`` with its text,
+which names the key.
 
 The user-facing step size ``alpha_hat`` is normalized by the data volume:
 ``effective_alpha`` is n * alpha_hat / total_rows for synthetic data and
@@ -19,7 +18,6 @@ alpha_hat / total_rows for MNIST-style datasets.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
@@ -31,8 +29,6 @@ from .network import Topology, _check_agent_count, _check_edge_probability, _rea
 from .problems import ProblemInstance, SyntheticSpec, generate_synthetic, idx_image_size, load_mnist
 from .stiefel import ManifoldDims
 from .streams import STREAM_TOPOLOGY, stream_rng
-
-MNIST_PATH_ENV = "QRGT_MNIST_PATH"
 
 __all__ = [
     "ConfigError",
@@ -121,7 +117,7 @@ def _synthetic_instance(cfg: RunConfig) -> ProblemInstance:
 def _mnist_instance(cfg: RunConfig) -> ProblemInstance:
     path = cfg.mnist_path
     if not path:
-        raise ConfigError(f"mnist_path: set the key or the {MNIST_PATH_ENV} env var")
+        raise ConfigError("mnist_path: required when problem = mnist")
     size = idx_image_size(path)
     with _owned_rules(suffix=f" (d is the image size {size} of {path})"):
         ManifoldDims(size, cfg.r)
@@ -228,8 +224,6 @@ def parse_config(
         merged["preset"] = preset_name
     merged.update(file_keys)
     merged.update((key, value) for key, value in flag_keys.items() if value is not None)
-    if merged.get("problem") == "mnist" and not merged.get("mnist_path"):
-        merged["mnist_path"] = os.environ.get(MNIST_PATH_ENV, "")
     return _validate(RunConfig(**merged))
 
 

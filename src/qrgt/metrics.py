@@ -14,7 +14,8 @@ agent means and consensus errors of the stacked iterates, in place, and
 is a block of one. On the d = 10 preset the cost is mostly call overhead,
 so the block is worked by stacked kernels, and numpy's kernels are called
 without their wrappers: a mean is the sum and the division ``np.mean``
-runs, and ``_norms`` the dot product ``np.linalg.norm`` takes. A stacked
+runs, and ``_norms`` the dot product ``np.linalg.norm`` takes. As in the
+engine, ``tangent_project`` is stiefel's unchecked kernel. A stacked
 matmul, reduction or ``eigvalsh`` makes the same BLAS or LAPACK call per
 slice that the single state makes, so each metric has the bits of the
 one-state formula; the tests compare them.
@@ -31,7 +32,8 @@ import numpy as np
 
 from . import workers
 from .problems import ProblemInstance
-from .stiefel import _check_orthonormal, _gram, _sv_offsets, tangent_project
+from .stiefel import _check_orthonormal, _gram, _sv_offsets
+from .stiefel import _tangent_project as tangent_project
 
 __all__ = [
     "subspace_distance",
@@ -89,7 +91,10 @@ def _norms(a: np.ndarray) -> np.ndarray:
 
 def consensus_error(stacked) -> float:
     """Frobenius norm of the stacked deviation from the mean."""
-    return float(agent_means(np.array(stacked, dtype=float)[None])[1][0])
+    stacked = np.array(stacked, dtype=float)
+    if stacked.ndim == 0 or len(stacked) == 0:  # no agent axis, or a mean of 0 / 0
+        raise ValueError(f"stacked: need at least one agent, got shape {stacked.shape}")
+    return float(agent_means(stacked[None])[1][0])
 
 
 def evaluate(stacked: np.ndarray, out: np.ndarray) -> None:

@@ -104,7 +104,6 @@ class Topology:
 
     n: int
     edges: frozenset[tuple[int, int]]
-    resamples: int = 0
 
     def __post_init__(self) -> None:
         _check_agent_count(self.n)  # first: a ring of one agent is the self-loop (0, 0)
@@ -132,7 +131,7 @@ class Topology:
 
     @classmethod
     def erdos_renyi(cls, n: int, p: float, seed: int) -> "Topology":
-        """Connected G(n, p); resamples with incremented seed until connected."""
+        """Connected G(n, p), drawn again with the next seed until connected."""
         _check_agent_count(n)
         _check_edge_probability(p)
         _check_number("seed", seed, low=0, error=GraphError)
@@ -143,14 +142,15 @@ class Topology:
             if _is_connected(n, pairs):
                 if attempt:
                     log.info("Erdos-Renyi graph resampled %d times before connecting", attempt)
-                return cls(n, pairs, resamples=attempt)
+                return cls(n, pairs)
         raise GraphError(
             f"no connected Erdos-Renyi draw in {_ER_MAX_ATTEMPTS} attempts (n={n}, p={p})"
         )
 
     @classmethod
-    def from_edge_file(cls, path: str | Path, n: int | None = None) -> "Topology":
-        """Read one '<i> <j>' pair per line, 0-indexed; blank lines ignored."""
+    def from_edge_file(cls, path: str | Path, n: int) -> "Topology":
+        """The graph over ``n`` agents of the file's '<i> <j>' lines, 0-indexed;
+        blank lines and lines that start with '#' are skipped."""
         pairs = []
         for lineno, line in enumerate(_read_utf8(path, GraphError).splitlines(), start=1):
             line = line.strip()
@@ -161,10 +161,6 @@ class Topology:
             except ValueError:  # a token that is no integer, or not two tokens
                 raise GraphError(f"{path}:{lineno}: expected 'i j', got {line!r}") from None
             pairs.append((i, j))
-        if n is None:
-            if not pairs:
-                raise GraphError(f"{path}: no edges")
-            n = max(max(i, j) for i, j in pairs) + 1
         return cls(n, pairs)
 
 
@@ -186,6 +182,8 @@ def second_singular_value(W: np.ndarray) -> float:
     W = np.asarray(W, dtype=float)
     if W.ndim != 2 or W.shape[0] != W.shape[1] or W.size == 0:
         raise ValueError(f"W must be a nonempty square matrix, got shape {W.shape}")
+    if W.shape[0] < 2:
+        raise ValueError(f"W: need at least 2 agents for a second singular value, got shape {W.shape}")
     scale = max(1.0, float(np.abs(W).max()))
     if np.abs(W - W.T).max() > 1e-12 * scale:
         raise ValueError("W must be symmetric")

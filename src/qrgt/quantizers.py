@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .stiefel import _check_fields
+from .stiefel import _check_fields, _check_number
 
 __all__ = [
     "QuantizerSpec",
@@ -125,6 +125,8 @@ def snap(
     """
     g = np.asarray(g, dtype=float)
     pgrad = np.asarray(pgrad, dtype=float)
+    if g.ndim < 2:
+        raise ValueError(f"g must be at least 2-dimensional, got shape {g.shape}")
     if g.shape != pgrad.shape:
         raise ValueError(f"shape mismatch: g is {g.shape}, pgrad is {pgrad.shape}")
     if np.shape(noise) != g.shape:
@@ -196,6 +198,7 @@ def encode(values: np.ndarray, scales: float | np.ndarray, spec: QuantizerSpec) 
 def wire_size_bits(entries: int, spec: QuantizerSpec) -> int:
     """Size of one message of ``entries`` codes: N bits per entry plus one
     64-bit scale. The ``pack_codes`` payload is this, rounded up to bytes."""
+    _check_number("entries", entries, low=0)
     return entries * spec.bits + 64
 
 

@@ -81,9 +81,13 @@ ORTHONORMAL_TOL = 1e-10
 
 
 def _check_matrix(x: np.ndarray, name: str) -> np.ndarray:
+    """x as a float array of (d, r) slices with r <= d, the rule of
+    ``ManifoldDims``; ``ValueError`` naming ``name`` otherwise."""
     x = np.asarray(x, dtype=float)
     if x.ndim < 2:
         raise ValueError(f"{name} must be at least 2-dimensional, got shape {x.shape}")
+    if x.shape[-1] > x.shape[-2]:
+        raise ValueError(f"{name}: a (d, r) slice needs r <= d, got shape {x.shape}")
     return x
 
 

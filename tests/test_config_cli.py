@@ -75,8 +75,7 @@ class TestParseConfig:
             algorithm="qrgt", seed=0, preset="synthetic",
         )
 
-    def test_mnist_preset_expansion(self, monkeypatch):
-        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+    def test_mnist_preset_expansion(self):
         assert parse_config(preset="mnist") == RunConfig(
             problem="mnist", n=16, r=5, topology="ring", t=1, alpha_hat=0.01, max_epochs=2000,
             ds_tol=1e-8, bits=8, algorithm="qrgt", seed=0, preset="mnist",
@@ -225,58 +224,44 @@ class TestBuilders:
         inst = build_problem(cfg)
         assert effective_alpha(cfg, inst.total_rows) == pytest.approx(0.01 / 60)
 
-    def test_mnist_env_var_override(self, tmp_path, monkeypatch):
-        path = tmp_path / "img.idx3"
-        rng = np.random.default_rng(1)
-        write_idx3(path, rng.integers(0, 256, size=(40, 3, 3), dtype=np.uint8))
-        monkeypatch.setenv("QRGT_MNIST_PATH", str(path))
-        cfg = parse_config(overrides={"problem": "mnist", "n": 4, "r": 2})
-        inst = build_problem(cfg)
-        assert inst.total_rows == 40
-
     @staticmethod
-    def two_idx_files(tmp_path):
-        """a.idx3 with 60 images and b.idx3 with 64, both 4x5 pixels."""
-        rng = np.random.default_rng(2)
-        paths = tmp_path / "a.idx3", tmp_path / "b.idx3"
-        for path, count in zip(paths, (60, 64)):
-            write_idx3(path, rng.integers(0, 256, size=(count, 4, 5), dtype=np.uint8))
-        return paths
+    def idx_file(tmp_path):
+        """img.idx3 with 60 images of 4x5 pixels."""
+        path = tmp_path / "img.idx3"
+        write_idx3(path, np.random.default_rng(2).integers(0, 256, size=(60, 4, 5), dtype=np.uint8))
+        return path
 
     @pytest.mark.parametrize("via", ["flag", "file"])
-    def test_set_mnist_path_beats_env_var(self, tmp_path, monkeypatch, via):
-        a, b = self.two_idx_files(tmp_path)
-        monkeypatch.setenv("QRGT_MNIST_PATH", str(b))
+    def test_set_mnist_path_is_the_file_read(self, tmp_path, via):
+        idx = self.idx_file(tmp_path)
         if via == "flag":
-            cfg = parse_config(overrides={"problem": "mnist", "mnist_path": str(a), "n": 4, "r": 2})
+            cfg = parse_config(overrides={"problem": "mnist", "mnist_path": str(idx), "n": 4, "r": 2})
         else:
             path = tmp_path / "run.cfg"
-            path.write_text(f"problem = mnist\nmnist_path = {a}\nn = 4\nr = 2\n")
+            path.write_text(f"problem = mnist\nmnist_path = {idx}\nn = 4\nr = 2\n")
             cfg = parse_config(file=path)
-        assert cfg.mnist_path == str(a)
+        assert cfg.mnist_path == str(idx)
         assert build_problem(cfg).total_rows == 60
 
-    def test_env_var_fills_unset_mnist_path(self, tmp_path, monkeypatch):
-        _, b = self.two_idx_files(tmp_path)
-        monkeypatch.setenv("QRGT_MNIST_PATH", str(b))
-        cfg = parse_config(preset="mnist", overrides={"n": 4, "r": 2})
-        assert cfg.mnist_path == str(b)
-        assert build_problem(cfg).total_rows == 64
-        assert parse_config(preset="synthetic").mnist_path == ""
+    def test_env_var_is_not_read(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("QRGT_MNIST_PATH", str(self.idx_file(tmp_path)))
+        cfg = parse_config(preset="mnist")
+        assert cfg.mnist_path == ""
+        with pytest.raises(ConfigError, match="^mnist_path: required"):
+            build_problem(cfg)
+        out = tmp_path / "never.csv"
+        assert main(["run", "--preset", "mnist", "--n", "4", "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.splitlines() == ["error: mnist_path: required when problem = mnist"]
 
-    def test_csv_names_the_file_read(self, tmp_path, monkeypatch):
-        a, b = self.two_idx_files(tmp_path)
-        args = ["run", "--preset", "mnist", "--n", "4", "--max-epochs", "3", "--mnist-path", str(a)]
-        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
-        assert main(args + ["--out", str(tmp_path / "alone.csv")]) == 0
-        monkeypatch.setenv("QRGT_MNIST_PATH", str(b))
-        assert main(args + ["--out", str(tmp_path / "with_env.csv")]) == 0
-        alone = (tmp_path / "alone.csv").read_text()
-        assert f"# mnist_path = {a}\n" in alone
-        assert (tmp_path / "with_env.csv").read_text().replace("with_env.csv", "alone.csv") == alone
+    def test_csv_names_the_file_read(self, tmp_path):
+        idx = self.idx_file(tmp_path)
+        out = tmp_path / "run.csv"
+        args = ["run", "--preset", "mnist", "--n", "4", "--max-epochs", "3", "--mnist-path", str(idx)]
+        assert main(args + ["--out", str(out)]) == 0
+        assert f"# mnist_path = {idx}\n" in out.read_text()
 
-    def test_mnist_path_missing(self, monkeypatch):
-        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+    def test_mnist_path_missing(self):
         cfg = parse_config(overrides={"problem": "mnist"})
         with pytest.raises(ConfigError, match="mnist_path"):
             build_problem(cfg)
@@ -549,8 +534,7 @@ class TestMain:
         ],
         ids=["edge-token", "disconnected-edges", "er-never-connects", "truncated-idx", "edge-not-utf8"],
     )
-    def test_bad_input_exit_2_one_line_no_csv(self, tmp_path, capsys, monkeypatch, lines, fragment):
-        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+    def test_bad_input_exit_2_one_line_no_csv(self, tmp_path, capsys, lines, fragment):
         (tmp_path / "token.txt").write_text("0 1\n1 two\n")
         (tmp_path / "split.txt").write_text("0 1\n2 3\n")
         (tmp_path / "latin1.txt").write_bytes(b"0 1\n\xff 2\n")
@@ -570,8 +554,7 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("error: ") and fragment in err[0]
 
-    def test_fewer_images_than_agents_exit_2_no_csv(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+    def test_fewer_images_than_agents_exit_2_no_csv(self, tmp_path, capsys):
         idx = tmp_path / "ten.idx3"
         write_idx3(idx, np.zeros((10, 4, 4), dtype=np.uint8))
         out = tmp_path / "never.csv"
@@ -612,8 +595,7 @@ class TestMain:
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: {path}: not UTF-8 text at byte 24"]
 
-    def test_rank_above_image_size_exit_2_no_csv(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
+    def test_rank_above_image_size_exit_2_no_csv(self, tmp_path, capsys):
         idx = tmp_path / "big.idx3"
         write_idx3(idx, np.zeros((16, 28, 28), dtype=np.uint8))
         path = tmp_path / "bad.cfg"
@@ -626,9 +608,8 @@ class TestMain:
         assert len(err) == 1
         assert err[0].startswith("error: r: ") and "image size 784" in err[0]
 
-    def test_mnist_rank_below_one_exit_2_no_csv(self, tmp_path, capsys, monkeypatch):
+    def test_mnist_rank_below_one_exit_2_no_csv(self, tmp_path, capsys):
         # an MNIST run reads r against the image size, once it reads the file's header
-        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
         idx = tmp_path / "img.idx3"
         write_idx3(idx, np.zeros((16, 4, 4), dtype=np.uint8))
         path = tmp_path / "bad.cfg"
@@ -799,9 +780,8 @@ class TestMain:
         assert index[1].startswith("2,") and index[1].endswith(",MaxEpochs")
         assert capsys.readouterr().err.splitlines() == ["error: [Errno 28] No space left on device"]
 
-    def test_sweep_mnist_step_underflow_keeps_index_exit_2(self, tmp_path, capsys, monkeypatch):
+    def test_sweep_mnist_step_underflow_keeps_index_exit_2(self, tmp_path, capsys):
         # The MNIST step alpha_hat / total_rows is known only once the file is read.
-        monkeypatch.delenv("QRGT_MNIST_PATH", raising=False)
         idx = tmp_path / "img.idx3"
         write_idx3(idx, np.random.default_rng(0).integers(0, 256, size=(40, 4, 4), dtype=np.uint8))
         out = tmp_path / "sw.csv"

@@ -610,17 +610,18 @@ class TestBenchmarkHooks:
             "mix": (mix, (mixing, x), engine.mix, (mixing.W_t, x), [(mixing, x[:-1])], "stacked blocks"),
             "tangent_project": (
                 tangent_project, (x, y), engine.tangent_project, (x, y),
-                [(x[0, 0], y[0, 0]), (x, y[..., :-1]), (x[..., :-1, :], y)],
-                "2-dimensional|shape mismatch: x is",
+                [(x[0, 0], y[0, 0]), (x, y[..., :-1]), (x[..., :-1, :], y), (x[:, :2], y[:, :2])],
+                "2-dimensional|shape mismatch: x is|r <= d",
             ),
             # the engine's kernel is a quarter of the gradient; the scale by 4 is exact
             "penalty_grad": (
-                penalty_grad, (x,), lambda x: 4.0 * engine.penalty_grad(x), (x,), [(x[0, 0],)], "2-dimensional",
+                penalty_grad, (x,), lambda x: 4.0 * engine.penalty_grad(x), (x,), [(x[0, 0],), (x[:, :2],)],
+                "2-dimensional|r <= d",
             ),
             "retract": (
                 retract, (x, xi), engine.retract, (x, xi),
-                [(x[0, 0], xi[0, 0]), (x, xi[:-1]), (x[0], xi)],
-                "2-dimensional|shape mismatch: x is",
+                [(x[0, 0], xi[0, 0]), (x, xi[:-1]), (x[0], xi), (x[:, :2], xi[:, :2])],
+                "2-dimensional|shape mismatch: x is|r <= d",
             ),
             "snap": (
                 snap, (y, x, spec, noise), engine._snap, (y, x, float(spec.levels), noise),

@@ -151,6 +151,10 @@ class TestConsensusError:
         expected = np.sqrt(2) * np.linalg.norm(z)
         assert consensus_error([z, -z]) == pytest.approx(expected, rel=1e-12)
 
+    def test_no_agent_refused(self):
+        with pytest.raises(ValueError, match=r"^stacked: need at least one agent, got shape \(0,\)$"):
+            consensus_error([])
+
 
 class TestEvaluate:
     @pytest.fixture(scope="class")

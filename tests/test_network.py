@@ -78,18 +78,20 @@ class TestTopology:
     def test_erdos_renyi_connected_and_logged(self):
         topo = Topology.erdos_renyi(16, p=0.3, seed=7)
         assert topo.edges != Topology.complete(16).edges
-        assert topo.resamples >= 0  # resample count retained for provenance
 
     def test_erdos_renyi_deterministic(self):
         a = Topology.erdos_renyi(12, p=0.3, seed=3)
         b = Topology.erdos_renyi(12, p=0.3, seed=3)
         assert a.edges == b.edges
-        assert a.resamples == b.resamples
+
+    def test_erdos_renyi_equals_the_graph_of_its_edges(self):
+        # seed 1 draws a disconnected graph first, so this draw is a resample
+        assert Topology.erdos_renyi(8, 0.3, 1) == Topology(8, Topology.erdos_renyi(8, 0.3, 1).edges)
 
     def test_edge_file_roundtrip(self, tmp_path):
         path = tmp_path / "graph.txt"
         path.write_text("0 1\n1 2\n2 3\n3 0\n")
-        topo = Topology.from_edge_file(path)
+        topo = Topology.from_edge_file(path, n=4)
         assert topo.n == 4
         assert topo.edges == Topology.ring(4).edges
 
@@ -97,7 +99,7 @@ class TestTopology:
         path = tmp_path / "bad.txt"
         path.write_text("0 1 2\n")
         with pytest.raises(GraphError):
-            Topology.from_edge_file(path)
+            Topology.from_edge_file(path, n=3)
 
 
 class TestMetropolis:
@@ -201,6 +203,10 @@ class TestSecondSingularValue:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match=r"^W must be a nonempty square matrix, got shape \(0, 0\)$"):
             second_singular_value(np.zeros((0, 0)))
+
+    def test_one_agent_rejected(self):
+        with pytest.raises(ValueError, match=r"^W: need at least 2 agents .*, got shape \(1, 1\)$"):
+            second_singular_value(np.ones((1, 1)))
 
 
 class TestMix:

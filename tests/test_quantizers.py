@@ -342,6 +342,10 @@ class TestSnap:
         assert scales.tobytes() == ref_scale.tobytes()
         assert codes.tobytes() == ref_codes.tobytes()
 
+    def test_one_dimensional_g_refused(self):
+        with pytest.raises(ValueError, match=r"^g must be at least 2-dimensional, got shape \(3,\)$"):
+            snap(np.ones(3), np.zeros(3), QuantizerSpec(8), np.zeros(3))
+
 
 class TestRangeInvariant:
     @pytest.mark.parametrize("mode", ["landing", "dithered"])
@@ -442,6 +446,10 @@ class TestWireSize:
         code32 = wire_size_bits(36, QuantizerSpec(32)) - 64
         code8 = wire_size_bits(36, QuantizerSpec(8)) - 64
         assert code32 == 4 * code8
+
+    def test_negative_entries_refused(self):
+        with pytest.raises(ValueError, match="^entries: must be >= 0, got -5$"):
+            wire_size_bits(-5, QuantizerSpec(8))
 
 
 class TestRunMessages:

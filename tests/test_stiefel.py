@@ -152,6 +152,11 @@ class TestDistanceToManifold:
         expected = [float(svd_distance_to_manifold(x)) for x in cases]
         assert np.abs(np.subtract(got, expected)).max() <= 1e-14
 
+    def test_more_columns_than_rows_refused(self):
+        y = np.random.default_rng(0).standard_normal((2, 3))
+        with pytest.raises(ValueError, match=r"^x: a \(d, r\) slice needs r <= d, got shape \(2, 3\)$"):
+            distance_to_manifold(y)
+
     def test_zero_matrix(self):
         for shape in [(4, 2), (3, 5, 2)]:
             assert (distance_to_manifold(np.zeros(shape)) == np.sqrt(2.0)).all()
