@@ -3,14 +3,7 @@ Riemannian gradient tracking, plus the retraction-based tracking baseline,
 Metropolis mixing, and the distributed eigenvector experiment harness.
 """
 
-from .engine import (
-    ALGO_QRGT,
-    ALGO_RGT,
-    AlgoConfig,
-    RunTrace,
-    TrackingState,
-    run,
-)
+from .engine import ALGO_QRGT, ALGO_RGT, AlgoConfig, RunTrace, run
 from .metrics import agent_means, consensus_error, evaluate, evaluate_means, subspace_distance
 from .network import MixingMatrix, Topology, build_metropolis, mix, second_singular_value
 from .problems import (

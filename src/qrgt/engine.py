@@ -19,16 +19,16 @@ error is zero up to the rounding of the agent mean, and the tracker is
 seeded with the first gradient so that the tracker mean equals the gradient
 mean from epoch zero onward.
 
-The state of all agents is one ``TrackingState``: the iterates ``x``, a
+The state of all agents is the pair ``(x, sg)``: the iterates ``x``, a
 stacked ``(n, d, r)`` array, and ``sg``, one ``(2, n, d, r)`` array of the
-trackers and the gradients. The step takes the pair ``(x, sg)`` and returns
-the next pair, leaving its arguments as they were: a new ``x``, and the
-new trackers and gradients written into the ``out`` array it is given, or
-into a new one. ``run`` is the one driver of the recursion. Epoch k's
-dither is block k of (n, d, r) draws from the run's one dither stream,
-agent i taking slice i (layout in ``streams``); the engine draws the
-blocks in order from one generator, ``BLOCK`` of them at a time, the
-initial state taking block 0.
+trackers and the gradients. ``_Engine.initial_state`` returns the first
+pair, and the step takes a pair and returns the next, leaving its
+arguments as they were: a new ``x``, and the new trackers and gradients
+written into the ``out`` array it is given. ``run`` is the one driver of
+the recursion. Epoch k's dither is block k of (n, d, r) draws from the
+run's one dither stream, agent i taking slice i (layout in ``streams``);
+the engine draws the blocks in order from one generator, ``BLOCK`` of them
+at a time, the initial state taking block 0.
 
 Each formula has one implementation, a kernel that its public function
 calls after checking its input: ``network.mix``, ``stiefel``'s
@@ -80,7 +80,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import count, islice, starmap
 from types import SimpleNamespace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -120,7 +119,6 @@ __all__ = [
     "TERMINATION_DIVERGED",
     "BLOCK",
     "AlgoConfig",
-    "TrackingState",
     "TraceRow",
     "TraceRows",
     "RunTrace",
@@ -151,26 +149,6 @@ class AlgoConfig:
         if not (math.isfinite(self.ds_tol) and self.ds_tol >= 0):
             raise ValueError(f"ds_tol: must be nonnegative and finite, got {self.ds_tol}")
         QuantizerSpec(bits=self.bits)  # range check
-
-
-class TrackingState(NamedTuple):
-    """All agents' decision variables ``x``, an ``(n, d, r)`` array indexed
-    by agent, and ``sg``, one ``(2, n, d, r)`` array holding their trackers
-    ``s`` and their last (quantized or exact) Riemannian gradients ``g``.
-    In ``run``, each epoch's ``sg`` is a slot of the run's block buffer,
-    overwritten ``BLOCK`` epochs later; a caller that keeps a state past
-    that copies it."""
-
-    x: np.ndarray
-    sg: np.ndarray
-
-    @property
-    def s(self) -> np.ndarray:
-        return self.sg[0]
-
-    @property
-    def g(self) -> np.ndarray:
-        return self.sg[1]
 
 
 @dataclass(frozen=True)
@@ -290,12 +268,12 @@ class _Engine:
         new array; agent i's Euclidean gradient is their negation."""
         return workers._gram_products(self.inst.grams, X)
 
-    def quantize_all(self, RG: np.ndarray, PG: np.ndarray, out: np.ndarray | None = None):
+    def quantize_all(self, RG: np.ndarray, PG: np.ndarray, out: np.ndarray):
         """Quantize every agent's gradient ``RG``; returns (values, scales,
-        None), the values written into ``out`` or a new array. ``PG`` is the
-        engine's ``penalty_grad``, a quarter of the penalty gradient, so its
-        direction bits are taken against a quarter of the snap's threshold:
-        the same bits as the gradient against the whole one.
+        None), the values written into ``out``. ``PG`` is the engine's
+        ``penalty_grad``, a quarter of the penalty gradient, so its direction
+        bits are taken against a quarter of the snap's threshold: the same
+        bits as the gradient against the whole one.
 
         The k-th call takes block k of the run's one dither stream: draws
         [k B, (k+1) B) of ``stream_rng(cfg.seed, STREAM_DITHER)``,
@@ -326,27 +304,28 @@ class _Engine:
         else:
             tangent_project(x, self.local_grads(x), out, negate=True)
 
-    def initial_state(self) -> TrackingState:
-        """Shared start, trackers seeded with the first gradient."""
+    def initial_state(self) -> tuple[np.ndarray, np.ndarray]:
+        """The first pair ``(x, sg)``: the shared start, and the trackers
+        seeded with the first gradient."""
         x0 = random_stiefel(self.inst.dims.d, self.inst.dims.r, stream_rng(self.cfg.seed, STREAM_INIT))
         x = np.broadcast_to(x0, (self.inst.n_agents, *x0.shape)).copy()
         sg = np.empty((2, *x.shape))
         self.gradient(x, sg[1])
         sg[0] = sg[1]
-        return TrackingState(x, sg)
+        return x, sg
 
-    def step(self, x: np.ndarray, sg: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    def step(self, x: np.ndarray, sg: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """One epoch of the configured algorithm from the iterates ``x`` and
-        the trackers and gradients ``sg`` of a ``TrackingState``; returns the
-        next pair and leaves its arguments as they were. The new ``x`` is a
-        new array; the new trackers and gradients are written into ``out``, a
-        ``(2, n, d, r)`` array that shares no memory with ``x`` or ``sg``, or
-        into a new one when ``out`` is None, with the same bits. The tracker
-        slot holds alpha s until the tracker is written. Only the x-update
-        forks: RGT's retraction refills the engine's one buffer."""
+        the trackers and gradients ``sg``; returns the next pair ``(x, out)``
+        and leaves its arguments as they were. The new ``x`` is a new array;
+        the new trackers and gradients are written into ``out``, a
+        ``(2, n, d, r)`` array that shares no memory with ``x`` or ``sg``. In
+        ``run``, ``out`` is a slot of the run's block buffer, overwritten
+        ``BLOCK`` epochs later; a caller that keeps a pair past that copies
+        it. The tracker slot holds alpha s until the tracker is written. Only
+        the x-update forks: RGT's retraction refills the engine's one buffer."""
         s, g = sg[0], sg[1]
-        new = np.empty(sg.shape) if out is None else out
-        s_new, g_new = new[0], new[1]
+        s_new, g_new = out[0], out[1]
         W_t = self.mixing.W_t
         x_new = mix(W_t, x)
         np.multiply(s, self.cfg.alpha, out=s_new)
@@ -359,7 +338,7 @@ class _Engine:
         self.gradient(x_new, g_new)
         np.add(mix(W_t, s), g_new, out=s_new)
         s_new -= g
-        return x_new, new
+        return x_new, out
 
 
 def _norm_bound(r: int) -> float:

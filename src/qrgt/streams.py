@@ -3,7 +3,7 @@
 Every source of randomness in a run (data generation, the shared initial
 point, MNIST row shuffling, dither) draws from its own stream so
 that, e.g., a bit-width sweep reuses the exact same data and initialization.
-Streams are keyed by (master seed, stream id, *path) through numpy's
+Streams are keyed by (master seed, stream id) through numpy's
 SeedSequence spawn keys, which are stable across platforms.
 
 A run's dither is one stream, ``stream_rng(master_seed, STREAM_DITHER)``,
@@ -26,8 +26,8 @@ STREAM_SHUFFLE = 3
 STREAM_TOPOLOGY = 4
 
 
-def stream_rng(master_seed: int, stream: int, *path: int) -> np.random.Generator:
-    """Independent generator for (master_seed, stream, *path)."""
-    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream, *path))
+def stream_rng(master_seed: int, stream: int) -> np.random.Generator:
+    """Independent generator for (master_seed, stream)."""
+    seq = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream,))
     return np.random.default_rng(seq)
 

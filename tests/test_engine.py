@@ -36,7 +36,6 @@ from qrgt.engine import (
     TERMINATION_DS,
     TERMINATION_MAX_EPOCHS,
     TraceRow,
-    TrackingState,
     _Engine,
 )
 from qrgt.network import MixingMatrix, mix
@@ -76,7 +75,7 @@ def ring_engine(inst, cfg):
 
 
 def start(inst, cfg):
-    """The initial state of a run of ``cfg`` on ``inst``."""
+    """The initial pair ``(x, sg)`` of a run of ``cfg`` on ``inst``."""
     return ring_engine(inst, cfg).initial_state()
 
 
@@ -159,36 +158,36 @@ class TestAlgoConfig:
 class TestInit:
     def test_shared_start_zero_consensus(self):
         inst = small_instance()
-        state = start(inst, AlgoConfig(alpha=1e-3, seed=5))
-        for x in state.x[1:]:
-            np.testing.assert_array_equal(x, state.x[0])
+        x, _ = start(inst, AlgoConfig(alpha=1e-3, seed=5))
+        for xi in x[1:]:
+            np.testing.assert_array_equal(xi, x[0])
 
     def test_start_on_manifold(self):
         inst = small_instance()
-        state = start(inst, AlgoConfig(alpha=1e-3, seed=5))
-        assert manifold_defect(state.x[0]) <= 1e-10
+        x, _ = start(inst, AlgoConfig(alpha=1e-3, seed=5))
+        assert manifold_defect(x[0]) <= 1e-10
 
     def test_tracker_seeded_with_first_gradient(self):
         inst = small_instance()
-        state = start(inst, AlgoConfig(alpha=1e-3, seed=5))
+        _, (s, g) = start(inst, AlgoConfig(alpha=1e-3, seed=5))
         for i in range(inst.n_agents):
-            np.testing.assert_array_equal(state.s[i], state.g[i])
+            np.testing.assert_array_equal(s[i], g[i])
 
     def test_seed_determinism(self):
         inst = small_instance()
-        a = start(inst, AlgoConfig(alpha=1e-3, seed=9))
-        b = start(inst, AlgoConfig(alpha=1e-3, seed=9))
-        c = start(inst, AlgoConfig(alpha=1e-3, seed=10))
-        np.testing.assert_array_equal(a.x[0], b.x[0])
-        assert not np.array_equal(a.x[0], c.x[0])
+        a, _ = start(inst, AlgoConfig(alpha=1e-3, seed=9))
+        b, _ = start(inst, AlgoConfig(alpha=1e-3, seed=9))
+        c, _ = start(inst, AlgoConfig(alpha=1e-3, seed=10))
+        np.testing.assert_array_equal(a[0], b[0])
+        assert not np.array_equal(a[0], c[0])
 
     def test_rgt_tracker_is_exact_gradient(self):
         inst = small_instance()
         cfg = AlgoConfig(alpha=1e-3, seed=5, algorithm="rgt")
-        state = start(inst, cfg)
+        x, (s, _) = start(inst, cfg)
         for i in range(inst.n_agents):
-            expected = tangent_project(state.x[i], local_grad(inst, i, state.x[i]))
-            np.testing.assert_array_equal(state.s[i], expected)
+            expected = tangent_project(x[i], local_grad(inst, i, x[i]))
+            np.testing.assert_array_equal(s[i], expected)
 
 
 class TestQrgtEpoch:
@@ -199,10 +198,10 @@ class TestQrgtEpoch:
         inst = single_agent_identity_instance()
         cfg = AlgoConfig(alpha=1e-2, bits=32, seed=3)
         eng = _Engine(inst, identity_mixing(), cfg)
-        state = eng.initial_state()
-        assert np.abs(state.s[0]).max() <= 1e-14
-        after = TrackingState(*eng.step(*state))
-        np.testing.assert_allclose(after.x[0], state.x[0], rtol=0, atol=1e-15)
+        x, sg = eng.initial_state()
+        assert np.abs(sg[0, 0]).max() <= 1e-14
+        after, _ = eng.step(x, sg, np.empty_like(sg))
+        np.testing.assert_allclose(after[0], x[0], rtol=0, atol=1e-15)
 
     def test_tracker_mean_identity_over_run(self):
         inst = small_instance(seed=1)
@@ -235,10 +234,10 @@ class TestQrgtEpoch:
         alpha = 1e-4
         cfg = AlgoConfig(alpha=alpha, bits=32, seed=11)
         eng = _Engine(inst, mixing, cfg)
-        state = eng.initial_state()
-        x0 = state.x[0].copy()
+        x, sg = eng.initial_state()
+        x0 = x[0].copy()
         for _ in range(100):
-            state = TrackingState(*eng.step(*state))
+            x, sg = eng.step(x, sg, np.empty_like(sg))
 
         # independent plain-numpy reference
         n = inst.n_agents
@@ -260,7 +259,7 @@ class TestQrgtEpoch:
             )
             S = np.tensordot(mixing.W_t, S, axes=(1, 0)) + Gn - G
             G = Gn
-        assert np.abs(state.x - X).max() <= 1e-6
+        assert np.abs(x - X).max() <= 1e-6
 
     def test_epoch_keyed_dither_reproducible(self):
         # Two engines of one seed draw the same epoch-1 dither; the next
@@ -268,14 +267,14 @@ class TestQrgtEpoch:
         inst = small_instance(seed=4)
         cfg = AlgoConfig(alpha=1e-3, bits=3, seed=6)
         first, second = ring_engine(inst, cfg), ring_engine(inst, cfg)
-        state = first.initial_state()
+        x, sg = first.initial_state()
         second.initial_state()
-        a = TrackingState(*first.step(*state))
-        b = TrackingState(*second.step(*state))
-        c = TrackingState(*first.step(*state))
-        np.testing.assert_array_equal(a.x[0], b.x[0])
-        np.testing.assert_array_equal(a.g[0], b.g[0])
-        assert not np.array_equal(a.g[0], c.g[0])
+        xa, (_, ga) = first.step(x, sg, np.empty_like(sg))
+        xb, (_, gb) = second.step(x, sg, np.empty_like(sg))
+        _, (_, gc) = first.step(x, sg, np.empty_like(sg))
+        np.testing.assert_array_equal(xa[0], xb[0])
+        np.testing.assert_array_equal(ga[0], gb[0])
+        assert not np.array_equal(ga[0], gc[0])
 
 
 def advanced_dither(seed, epoch, shape, spec):
@@ -296,7 +295,7 @@ class TestQuantizeAll:
         )
         cfg = AlgoConfig(alpha=1e-3, bits=3, seed=6)
         eng = ring_engine(inst, cfg)
-        X = start(inst, cfg).x + 0.05 * np.random.default_rng(1).standard_normal((4, 5, 3))
+        X = start(inst, cfg)[0] + 0.05 * np.random.default_rng(1).standard_normal((4, 5, 3))
         RG = tangent_project(X, eng.local_grads(X))
         # quantize_all takes the engine's penalty_grad, a quarter of the
         # public one; entries at the quarter threshold 2^-54 and next to it
@@ -305,7 +304,7 @@ class TestQuantizeAll:
         PQ.flat[:4] = [2.0**-54, np.nextafter(2.0**-54, 1.0), np.nextafter(2.0**-54, 0.0), 0.0]
         spec = QuantizerSpec(bits=3)
         for epoch in range(4):
-            values, scales, _ = eng.quantize_all(RG, PQ)
+            values, scales, _ = eng.quantize_all(RG, PQ, np.empty_like(RG))
             noise = advanced_dither(cfg.seed, epoch, RG.shape, spec)
             ref_values, ref_scales = snap(RG, 4.0 * PQ, spec, noise)
             assert values.tobytes() == ref_values.tobytes()
@@ -316,12 +315,13 @@ class TestQuantizeAll:
         inst = small_instance(seed=3)
         cfg = AlgoConfig(alpha=1e-3, bits=5, seed=8)
         eng = ring_engine(inst, cfg)
-        X = start(inst, cfg).x
+        X = start(inst, cfg)[0]
         RG, PG = tangent_project(X, eng.local_grads(X)), penalty_grad(X)
-        eng.quantize_all(RG, PG)
+        out = np.empty_like(RG)
+        eng.quantize_all(RG, PG, out)
         buffer = eng._noise
         for _ in range(3 * engine.BLOCK):
-            eng.quantize_all(RG, PG)
+            eng.quantize_all(RG, PG, out)
             assert eng._noise is buffer
 
     def test_run_draws_blocks_in_order(self, monkeypatch):
@@ -378,10 +378,10 @@ class TestRgtEpoch:
         mixing = build_metropolis(Topology.ring(4))
         cfg = AlgoConfig(alpha=5e-3, algorithm="rgt", seed=1)
         eng = _Engine(inst, mixing, cfg)
-        state = eng.initial_state()
+        x, sg = eng.initial_state()
         for _ in range(1, 30):
-            state = TrackingState(*eng.step(*state))
-            assert max(manifold_defect(x) for x in state.x) <= 1e-8
+            x, sg = eng.step(x, sg, np.empty_like(sg))
+            assert max(manifold_defect(xi) for xi in x) <= 1e-8
 
     def test_single_agent_reduces_to_centralized_descent(self):
         inst = single_agent_identity_instance(d=6, r=2)
@@ -389,13 +389,13 @@ class TestRgtEpoch:
         inst = make_instance((6,), 6, fill_from([np.diag([3.0, 2.5, 2.0, 1.5, 1.0, 0.5])]), r=2)
         cfg = AlgoConfig(alpha=1e-2, algorithm="rgt", seed=8)
         eng = _Engine(inst, identity_mixing(), cfg)
-        state = eng.initial_state()
-        x_ref = state.x[0].copy()
+        x, sg = eng.initial_state()
+        x_ref = x[0].copy()
         for _ in range(1, 20):
-            state = TrackingState(*eng.step(*state))
+            x, sg = eng.step(x, sg, np.empty_like(sg))
             g = tangent_project(x_ref, local_grad(inst, 0, x_ref))
             x_ref = retract(x_ref, -cfg.alpha * g)
-            np.testing.assert_allclose(state.x[0], x_ref, atol=1e-12)
+            np.testing.assert_allclose(x[0], x_ref, atol=1e-12)
 
 
 def per_agent_retract(x, xi, m=None):
@@ -412,16 +412,16 @@ class TestBatchedRetraction:
 
         def advance(epochs=200):
             eng = _Engine(inst, mixing, algo)
-            state = eng.initial_state()
+            x, sg = eng.initial_state()
             for _ in range(epochs):
-                state = TrackingState(*eng.step(*state))
-            return state
+                x, sg = eng.step(x, sg, np.empty_like(sg))
+            return x, sg
 
         batched = advance()
         monkeypatch.setattr(engine, "retract", per_agent_retract)
         reference = advance()
-        for name in ("x", "s", "g"):
-            assert getattr(batched, name).tobytes() == getattr(reference, name).tobytes()
+        for got, expected in zip(batched, reference):  # x, then s and g
+            assert got.tobytes() == expected.tobytes()
 
     def test_one_retract_call_per_epoch(self, monkeypatch):
         calls = []
@@ -438,28 +438,28 @@ class TestBatchedRetraction:
 
 
 class TestStepInto:
-    """A step given ``out`` writes the new trackers and gradients there and
-    nowhere else: its arguments keep their bits, and the result is the
-    step's without ``out``, bit for bit."""
+    """A step writes the new trackers and gradients into ``out`` and nowhere
+    else: its arguments keep their bits, and a step into a reused slot
+    equals a step into a fresh buffer, bit for bit."""
 
     @pytest.mark.parametrize("algorithm", ["qrgt", "rgt"])
     def test_out_equals_a_new_array(self, algorithm):
         inst, _, algo = TestReferenceRun.preset(algorithm=algorithm)
         mixing = build_metropolis(Topology.ring(inst.n_agents), algo.t)
         fresh, into = _Engine(inst, mixing, algo), _Engine(inst, mixing, algo)
-        state = fresh.initial_state()
-        assert state.sg.tobytes() == into.initial_state().sg.tobytes()
-        slots = np.full((2, *state.sg.shape), np.nan)  # each slot written whole, or NaN shows
+        x, sg = fresh.initial_state()
+        assert sg.tobytes() == into.initial_state()[1].tobytes()
+        slots = np.full((2, *sg.shape), np.nan)  # each slot written whole, or NaN shows
         for epoch in range(25):  # past two dither blocks of BLOCK epochs
-            x, sg = state.x.copy(), state.sg.copy()
-            expected = fresh.step(*state)
+            x_before, sg_before = x.copy(), sg.copy()
+            expected = fresh.step(x, sg, np.empty_like(sg))
             out = slots[epoch % 2]
-            got = into.step(state.x, state.sg, out)
+            got = into.step(x, sg, out)
             assert got[1] is out
-            assert state.x.tobytes() == x.tobytes() and state.sg.tobytes() == sg.tobytes()
+            assert x.tobytes() == x_before.tobytes() and sg.tobytes() == sg_before.tobytes()
             assert got[0].tobytes() == expected[0].tobytes()
             assert got[1].tobytes() == expected[1].tobytes()
-            state = TrackingState(*expected)
+            x, sg = expected
 
 
 def old_divergence_rule(X, r):
@@ -656,10 +656,10 @@ class TestAgentParallelGrads:
     @staticmethod
     def advance(inst, mixing, algo, epochs):
         eng = _Engine(inst, mixing, algo)
-        state = eng.initial_state()
+        x, sg = eng.initial_state()
         for _ in range(epochs):
-            state = TrackingState(*eng.step(*state))
-        return eng, state
+            x, sg = eng.step(x, sg, np.empty_like(sg))
+        return eng, (x, sg)
 
     @staticmethod
     def rows(trace):
@@ -679,8 +679,8 @@ class TestAgentParallelGrads:
             _, serial = self.advance(inst, mixing, algo, 200)
             serial_rows = self.rows(run(inst, topology, algo))
         assert set(kernel_chunks) == {(0, 16)}
-        for name in ("x", "s", "g"):
-            assert getattr(split, name).tobytes() == getattr(serial, name).tobytes()
+        for got, expected in zip(split, serial):  # x, then s and g
+            assert got.tobytes() == expected.tobytes()
         assert len(split_rows) == 200 and split_rows == serial_rows
 
     def test_uneven_chunks_bit_equal(self, monkeypatch, split_forced, kernel_chunks):
@@ -691,14 +691,14 @@ class TestAgentParallelGrads:
         eng, split = self.advance(inst, mixing, algo, 50)
         assert set(kernel_chunks) == {(0, 1), (1, 3), (3, 5)}
         assert workers._pool._max_workers == 3
-        X = split.x
+        X = split[0]
         assert eng.local_grads(X).tobytes() == np.matmul(inst.grams, X).tobytes()
         kernel_chunks.clear()
         monkeypatch.setattr(workers, "SPLIT_GRAM_BYTES", 1 << 62)
         _, serial = self.advance(inst, mixing, algo, 50)
         assert set(kernel_chunks) == {(0, 5)}
-        for name in ("x", "s", "g"):
-            assert getattr(split, name).tobytes() == getattr(serial, name).tobytes()
+        for got, expected in zip(split, serial):  # x, then s and g
+            assert got.tobytes() == expected.tobytes()
 
     def test_single_agent_never_splits(self, split_forced, kernel_chunks):
         inst = single_agent_identity_instance()
@@ -1004,7 +1004,7 @@ class TestRun:
         cfg = AlgoConfig(alpha=5e-2, bits=3, max_epochs=6, seed=4)
         trace = run(inst, Topology.ring(4), cfg, diagnostics=True)
         assert len(trace.rows) == len(seen) == 6
-        x0 = start(inst, cfg).x
+        x0 = start(inst, cfg)[0]
         for X, row, max_dist in zip([x0, *seen], [None, *trace.rows], trace.columns["max_dist"]):
             assert max_dist == float(distance_to_manifold(X).max())
             assert abs(max_dist - float(svd_distance_to_manifold(X).max())) <= 1e-14

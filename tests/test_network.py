@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -75,9 +77,20 @@ class TestTopology:
         with pytest.raises(GraphError, match=f"^seed: {message}$"):
             Topology.erdos_renyi(4, 0.5, seed)
 
-    def test_erdos_renyi_connected_and_logged(self):
-        topo = Topology.erdos_renyi(16, p=0.3, seed=7)
+    def test_erdos_renyi_connected_and_logged(self, caplog):
+        # seed 7 connects at the first draw, so there is no redraw to log
+        with caplog.at_level(logging.INFO, logger="qrgt.network"):
+            topo = Topology.erdos_renyi(16, p=0.3, seed=7)
         assert topo.edges != Topology.complete(16).edges
+        assert caplog.records == []
+
+    def test_erdos_renyi_logs_its_redraws(self, caplog):
+        # seed 1 draws a disconnected graph first, and seed 2 a connected one
+        with caplog.at_level(logging.INFO, logger="qrgt.network"):
+            Topology.erdos_renyi(8, 0.3, 1)
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("qrgt.network", logging.INFO)
+        assert record.getMessage() == "Erdos-Renyi graph resampled 1 times before connecting"
 
     def test_erdos_renyi_deterministic(self):
         a = Topology.erdos_renyi(12, p=0.3, seed=3)
